@@ -54,13 +54,14 @@ def _parse_target(text: str) -> TargetGraph:
         raise SystemExit(f"error: bad target spec {text!r}: {exc}") from exc
 
 
-def _read_coloring(path: str | None) -> ColoredComplete:
+def _read_json(path: str | None):
     if path is None or path == "-":
-        data = json.load(sys.stdin)
-    else:
+        return json.load(sys.stdin)
+    try:
         with open(path) as fh:
-            data = json.load(fh)
-    return ColoredComplete.from_json_dict(data)
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_eval(args) -> int:
@@ -145,7 +146,7 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    coloring = _read_coloring(args.file)
+    coloring = ColoredComplete.from_json_dict(_read_json(args.file))
     if args.path_edges == 3:
         report = classify_p4free(coloring)
         out = {
@@ -170,11 +171,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.file is None or args.file == "-":
-        data = json.load(sys.stdin)
-    else:
-        with open(args.file) as fh:
-            data = json.load(fh)
+    data = _read_json(args.file)
     try:
         cert = replay_certificate(data)
     except WitnessFailure as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Callable, Mapping
 
@@ -21,7 +22,6 @@ from gallai.graphs import (
     FAMILY_STAR_PLUS,
     ColoredComplete,
     TargetGraph,
-    UnsupportedSizeError,
     pairs,
     target_properties,
 )
@@ -246,14 +246,6 @@ def _balanced_counts(total: int, groups: int) -> list[int]:
     return [base + 1] * rem + [base] * (groups - rem)
 
 
-def g1() -> ColoredComplete:
-    return sporadic("G1")
-
-
-def g2() -> ColoredComplete:
-    return sporadic("G2")
-
-
 def g3(t: int) -> ColoredComplete:
     """K_{t-1} in color 1 plus an apex whose spokes use colors 2..t."""
     if t < 3:
@@ -317,15 +309,6 @@ def f1(t: int) -> ColoredComplete:
     return blowup(BlowupSpec(k=4, parts=parts, inter=1))
 
 
-def f2(t: int) -> ColoredComplete:
-    """The 4-color apex construction: g5 with k=4."""
-    return g5(t, 4)
-
-
-def f3() -> ColoredComplete:
-    return sporadic("F3")
-
-
 def f4(t: int) -> ColoredComplete:
     """Odd t: cliques of orders (t-1)/2, (t-3)/2, (t-3)/2 in colors 2, 3, 4,
     inter color 1; order (3t-7)/2."""
@@ -359,22 +342,6 @@ def f6(t: int) -> ColoredComplete:
     return blowup(BlowupSpec(k=4, parts=parts, inter=1))
 
 
-def f7(t: int) -> ColoredComplete:
-    return pentagon_blowup(t)
-
-
-def f8(base: ColoredComplete) -> ColoredComplete:
-    return doubling(base)
-
-
-def f9() -> ColoredComplete:
-    return sporadic("F9")
-
-
-def f10() -> ColoredComplete:
-    return sporadic("F10")
-
-
 def f11() -> ColoredComplete:
     return star_augmented(4, 1, [2, 3, 4, 5])
 
@@ -393,26 +360,26 @@ def f13() -> ColoredComplete:
 
 
 BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {
-    "G1": (g1, ()),
-    "G2": (g2, ()),
+    "G1": (partial(sporadic, "G1"), ()),
+    "G2": (partial(sporadic, "G2"), ()),
     "G3": (g3, ("t",)),
     "G4": (g4, ("a", "t", "k")),
     "G5": (g5, ("t", "k")),
     "G6": (g6, ("max_degree", "k")),
     "F1": (f1, ("t",)),
-    "F2": (f2, ("t",)),
-    "F3": (f3, ()),
+    "F2": (lambda t: g5(t, 4), ("t",)),
+    "F3": (partial(sporadic, "F3"), ()),
     "F4": (f4, ("t",)),
     "F5": (f5, ("t", "r")),
     "F6": (f6, ("t",)),
-    "F7": (f7, ("t",)),
-    "F8": (lambda: f8(r35_witness()), ()),
-    "F9": (f9, ()),
-    "F10": (f10, ()),
+    "F7": (pentagon_blowup, ("t",)),
+    "F8": (lambda: doubling(r35_witness()), ()),
+    "F9": (partial(sporadic, "F9"), ()),
+    "F10": (partial(sporadic, "F10"), ()),
     "F11": (f11, ()),
     "F12": (f12, ()),
     "F13": (f13, ()),
-    "TW-case-f": (lambda: sporadic("TW-case-f"), ()),
+    "TW-case-f": (partial(sporadic, "TW-case-f"), ()),
 }
 
 
@@ -457,50 +424,50 @@ def lower_bound_witness(H: TargetGraph, k: int):
 
     cands: list[tuple[str, ColoredComplete]] = []
 
-    def add(name: str, fn: Callable[[], ColoredComplete]) -> None:
+    def add(name: str, **params: int) -> None:
         try:
-            cands.append((name, fn()))
-        except (ValueError, UnsupportedSizeError):
+            cands.append((name, build_named(name, params)))
+        except ValueError:
             pass
 
     if k == 5 and k >= t + 1 and t >= 3:
-        add("G1", g1)
+        add("G1")
     if k == 6 and k >= t + 1 and t >= 3:
-        add("G2", g2)
+        add("G2")
     if k == t:
-        add("G3", lambda: g3(t))
+        add("G3", t=t)
     if 4 <= k <= a and a >= 3:
-        add("G4", lambda: g4(a, t, k))
+        add("G4", a=a, t=t, k=k)
     if 3 <= k <= t:
-        add("G5", lambda: g5(t, k))
+        add("G5", t=t, k=k)
     if k >= 4 and delta >= 2:
-        add("G6", lambda: g6(delta, k))
+        add("G6", max_degree=delta, k=k)
     if H.family == FAMILY_STAR_PLUS and k == 4:
         r = H.r
         assert r is not None
         if r in (1, 2) and t >= 6:
-            add("F1", lambda: f1(t))
-            add("F2", lambda: f2(t))
+            add("F1", t=t)
+            add("F2", t=t)
         if r >= 3:
             if t % 2 == 1:
-                add("F4", lambda: f4(t))
+                add("F4", t=t)
             else:
-                add("F6", lambda: f6(t))
-            add("F5", lambda: f5(t, r))
+                add("F6", t=t)
+            add("F5", t=t, r=r)
     if k == 4:
-        add("F3", f3)
+        add("F3")
     if k == 3 and t >= 3:
-        add("F7", lambda: f7(t))
+        add("F7", t=t)
     if k == 5:
-        add("F9", f9)
-        add("F11", f11)
+        add("F9")
+        add("F11")
     if k == 6:
-        add("F10", f10)
+        add("F10")
     if H.family == FAMILY_PINEAPPLE and k == 4:
         if (t, H.omega) == (6, 5):
-            add("F12", f12)
+            add("F12")
         if (t, H.omega) == (7, 5):
-            add("F13", f13)
+            add("F13")
 
     for name, coloring in sorted(cands, key=lambda item: (-item[1].n, item[0])):
         try:

@@ -18,6 +18,7 @@ from gallai.graphs import (
     ColoredComplete,
     TargetGraph,
     UnsupportedSizeError,
+    find_clique,
 )
 
 RAINBOW_PATH = "rainbow_path"
@@ -147,33 +148,6 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _find_clique(masks: tuple[int, ...], start_mask: int, size: int) -> list[int] | None:
-    """A clique of the given size inside the vertex set start_mask, where
-    masks[v] is v's neighbor bitmask; lexicographically first, or None."""
-    out: list[int] = []
-
-    def grow(cand: int) -> bool:
-        if len(out) == size:
-            return True
-        if len(out) + cand.bit_count() < size:
-            return False
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            out.append(v)
-            if grow(c & masks[v]):
-                return True
-            out.pop()
-            if len(out) + c.bit_count() < size:
-                return False
-        return False
-
-    if size == 0:
-        return []
-    return out if grow(start_mask) else None
-
-
 def _matching_with_pairs(
     masks: tuple[int, ...], allowed: int, r: int
 ) -> list[tuple[int, int]] | None:
@@ -202,7 +176,8 @@ def max_matching(
 ) -> int:
     """Exact maximum matching size of the color class induced on the given
     vertices (a bitmask or an iterable of vertex ids; all vertices when
-    omitted).  Branch-and-bound over at most 12 vertices."""
+    omitted): the largest r for which ``_matching_with_pairs`` finds a
+    matching.  Limited to 12 vertices."""
     if vertices is None:
         mask = (1 << c.n) - 1
     elif isinstance(vertices, int):
@@ -216,23 +191,10 @@ def max_matching(
             f"exact matching is limited to {_MAX_MATCHING_VERTICES} vertices, "
             f"got {mask.bit_count()}"
         )
-    masks = c.adj[color]
-
-    def rec(avail: int) -> int:
-        a = avail
-        while a:
-            u = (a & -a).bit_length() - 1
-            a &= a - 1
-            if masks[u] & avail & ~(1 << u):
-                break
-        else:
-            return 0
-        best = rec(avail & ~(1 << u))
-        for w in _iter_bits(masks[u] & avail):
-            best = max(best, 1 + rec(avail & ~(1 << u) & ~(1 << w)))
-        return best
-
-    return rec(mask)
+    r = 0
+    while _matching_with_pairs(c.adj[color], mask, r + 1) is not None:
+        r += 1
+    return r
 
 
 def _embedding_from_assignment(
@@ -308,7 +270,7 @@ def _find_pineapple(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding
         nb = masks[v]
         if nb.bit_count() < t - 1:
             continue
-        clique = _find_clique(masks, nb, omega - 1)
+        clique = find_clique(masks, nb, omega - 1)
         if clique is None:
             continue
         rest = [w for w in _iter_bits(nb) if w not in clique]
@@ -319,7 +281,7 @@ def _find_pineapple(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding
 
 def _find_complete(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
     masks = c.adj[color]
-    clique = _find_clique(masks, (1 << c.n) - 1, H.t)
+    clique = find_clique(masks, (1 << c.n) - 1, H.t)
     if clique is None:
         return None
     return _embedding_from_assignment(c, H, color, clique)

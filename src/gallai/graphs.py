@@ -36,6 +36,30 @@ def pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations(range(n), 2)
 
 
+def require_keys(data: object, keys: tuple[str, ...], what: str) -> dict:
+    """``data`` if it is a JSON object holding every key; ValueError otherwise."""
+    if not isinstance(data, dict) or any(key not in data for key in keys):
+        raise ValueError(f"{what} must be a JSON object with keys {', '.join(keys)}")
+    return data
+
+
+def _json_int(value: object) -> int:
+    try:
+        return int(value)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {value!r}") from None
+
+
+def _json_rows(rows: object, width: int, what: str) -> list[tuple[int, ...]]:
+    """A JSON list of integer rows of the given width, as tuples; ValueError
+    on any other shape."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width for row in rows
+    ):
+        raise ValueError(f"{what} must be a list of {width}-integer lists")
+    return [tuple(_json_int(x) for x in row) for row in rows]
+
+
 class ColoredComplete:
     """An immutable edge coloring of K_n with colors drawn from 1..k.
 
@@ -168,11 +192,11 @@ class ColoredComplete:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> ColoredComplete:
-        n = int(data["n"])
-        k = int(data["k"])
+        require_keys(data, ("n", "k", "edges"), "a coloring")
+        n = _json_int(data["n"])
+        k = _json_int(data["k"])
         triples = []
-        for entry in data["edges"]:
-            i, j, c = (int(x) for x in entry)
+        for i, j, c in _json_rows(data["edges"], 3, "coloring edges"):
             if i == j:
                 raise ValueError(f"self-loop ({i}, {j}) is not an edge of K_n")
             if not (0 <= i < n and 0 <= j < n):
@@ -344,23 +368,31 @@ class TargetProperties:
     is_complete: bool
 
 
-def _max_clique_size(masks: Sequence[int], order: int) -> int:
-    best = 0
+def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] | None:
+    """A clique of the given size inside the vertex set start_mask, where
+    masks[v] is v's neighbor bitmask; lexicographically first, or None."""
+    out: list[int] = []
 
-    def grow(size: int, cand: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
+    def grow(cand: int) -> bool:
+        if len(out) == size:
+            return True
+        if len(out) + cand.bit_count() < size:
+            return False
         c = cand
         while c:
-            if size + c.bit_count() <= best:
-                return
             v = (c & -c).bit_length() - 1
             c &= c - 1
-            grow(size + 1, c & masks[v])
+            out.append(v)
+            if grow(c & masks[v]):
+                return True
+            out.pop()
+            if len(out) + c.bit_count() < size:
+                return False
+        return False
 
-    grow(0, (1 << order) - 1)
-    return best
+    if size == 0:
+        return []
+    return out if grow(start_mask) else None
 
 
 def target_properties(H: TargetGraph) -> TargetProperties:
@@ -389,7 +421,10 @@ def target_properties(H: TargetGraph) -> TargetProperties:
             )
         masks = H.adjacency_masks()
         delta = max((mk.bit_count() for mk in masks), default=0)
-        return TargetProperties(t, m, delta, _max_clique_size(masks, t), complete)
+        omega = 0
+        while omega < t and find_clique(masks, (1 << t) - 1, omega + 1) is not None:
+            omega += 1
+        return TargetProperties(t, m, delta, omega, complete)
     raise ValueError(f"unknown family {H.family!r}")
 
 
@@ -407,9 +442,9 @@ def parse_hspec(text: str) -> TargetGraph:
     """
     s = text.strip()
     if s.startswith("{"):
-        data = json.loads(s)
-        edges = [(int(e[0]), int(e[1])) for e in data["edges"]]
-        return TargetGraph.arbitrary(int(data["order"]), edges)
+        data = require_keys(json.loads(s), ("order", "edges"), "an inline target")
+        edges = _json_rows(data["edges"], 2, "target edges")
+        return TargetGraph.arbitrary(_json_int(data["order"]), edges)
     if m := _RE_COMPLETE_MINUS.fullmatch(s):
         return TargetGraph.complete_minus_matching(int(m.group(1)))
     if m := _RE_COMPLETE.fullmatch(s):

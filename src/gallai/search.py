@@ -4,8 +4,7 @@ pins exact values.
 A candidate lower-bound coloring is accepted only through ``verify_witness``,
 which re-runs both detectors and returns a replayable certificate.  The
 per-order check scans structure-guided representatives in canonical-key
-order, so the reported bad coloring is the canonically smallest one and does
-not depend on thread count or scan schedule.
+order, so the reported bad coloring is the canonically smallest one.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from gallai.graphs import (
     edge_count,
     parse_hspec,
     render_hspec,
+    require_keys,
 )
 from gallai.structure import enumerate_p5free, parallel_map, resolve_threads
 
@@ -72,6 +72,9 @@ class WitnessCertificate:
 
 def replay_certificate(data: dict) -> WitnessCertificate:
     """Rebuild a certificate from its JSON form, re-running every check."""
+    require_keys(data, ("coloring", "target"), "a certificate")
+    if not isinstance(data["target"], str):
+        raise ValueError(f"certificate target must be a spec string, got {data['target']!r}")
     coloring = ColoredComplete.from_json_dict(data["coloring"])
     H = parse_hspec(data["target"])
     return verify_witness(coloring, H, label=data.get("label"))

@@ -56,7 +56,9 @@ class TheoremViolation(RuntimeError):
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Worker count: explicit argument, else GALLAI_THREADS, else cpu count."""
+    """Validated worker count: explicit argument, else GALLAI_THREADS, else
+    cpu count.  The count is checked and accepted, but all work runs in the
+    calling thread."""
     if explicit is not None:
         if explicit < 1:
             raise ValueError(f"thread count must be >= 1, got {explicit}")
@@ -73,14 +75,10 @@ def resolve_threads(explicit: int | None = None) -> int:
 def parallel_map(
     fn: Callable[[_T], _U], items: Sequence[_T], threads: int
 ) -> list[_U]:
-    """Order-preserving map, sequential for one worker.  Results never
-    depend on the worker count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """Order-preserving map in the calling thread.  ``threads`` is accepted
+    for the callers' sake and ignored: the work is pure Python, so a thread
+    pool gains nothing under the interpreter lock."""
+    return [fn(x) for x in items]
 
 
 @dataclass(frozen=True)
@@ -273,81 +271,6 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     return StructureReport(
         cases=frozenset(witnesses), witnesses=witnesses, rainbow=rainbow
     )
-
-
-GallaiPartition = tuple[frozenset[int], ...]
-
-
-def verify_gallai_partition(c: ColoredComplete, p: Sequence[Iterable[int]]) -> bool:
-    """True iff the blocks use at most two colors between them and every
-    block pair is joined monochromatically.  The partition itself must be
-    valid and nontrivial (>= 2 blocks)."""
-    blocks = [frozenset(b) for b in p]
-    if len(blocks) < 2:
-        raise ValueError("partition must have at least 2 blocks")
-    seen: set[int] = set()
-    for b in blocks:
-        if not b or b & seen:
-            raise ValueError("blocks must be disjoint and nonempty")
-        seen |= b
-    if seen != set(range(c.n)):
-        raise ValueError("blocks must cover all vertices")
-    inter_colors: set[int] = set()
-    for bi, bj in combinations(blocks, 2):
-        bundle = {c.color_of(u, w) for u in bi for w in bj}
-        if len(bundle) != 1:
-            return False
-        inter_colors |= bundle
-    return len(inter_colors) <= 2
-
-
-def find_gallai_partition(c: ColoredComplete) -> GallaiPartition | None:
-    """First nontrivial partition (by block-assignment order) whose reduced
-    graph is 2-colored with monochromatic bundles, or None."""
-    n = c.n
-    if n > 10:
-        raise UnsupportedSizeError(f"partition search is limited to n <= 10, got {n}")
-    if n < 2:
-        return None
-    assign = [0] * n
-
-    def bundle_ok(i: int, block: int, bundles: dict, inter: set[int]) -> tuple[dict, set[int]] | None:
-        new_bundles = dict(bundles)
-        new_inter = set(inter)
-        for u in range(i):
-            if assign[u] == block:
-                continue
-            key = (min(assign[u], block), max(assign[u], block))
-            col = c.color_of(u, i)
-            prev = new_bundles.get(key)
-            if prev is None:
-                new_bundles[key] = col
-                new_inter.add(col)
-                if len(new_inter) > 2:
-                    return None
-            elif prev != col:
-                return None
-        return new_bundles, new_inter
-
-    def dfs(i: int, max_block: int, bundles: dict, inter: set[int]) -> GallaiPartition | None:
-        if i == n:
-            if max_block == 0:
-                return None
-            blocks: dict[int, set[int]] = {}
-            for v, b in enumerate(assign):
-                blocks.setdefault(b, set()).add(v)
-            return tuple(frozenset(blocks[b]) for b in sorted(blocks))
-        for block in range(max_block + 2):
-            state = bundle_ok(i, block, bundles, inter)
-            if state is None:
-                continue
-            assign[i] = block
-            found = dfs(i + 1, max(max_block, block), *state)
-            if found is not None:
-                return found
-        return None
-
-    return dfs(1, 0, {}, set())
 
 
 @lru_cache(maxsize=None)

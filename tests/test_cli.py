@@ -286,6 +286,24 @@ class TestVerify:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (("verify",), "{}"),
+            (("classify",), "[]"),
+            (("classify", "--file", "MISSING"), None),
+            (("eval", "--H", '{"order":4}', "--k", "4"), None),
+        ],
+        ids=["verify-empty-object", "classify-list", "classify-missing-file", "eval-no-edges"],
+    )
+    def test_malformed_input_is_usage_error(self, capsys, monkeypatch, tmp_path, argv, stdin):
+        if stdin is not None:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        argv = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_subcommand(self, capsys):
         assert run(capsys, *[])[0] == EXIT_USAGE
 

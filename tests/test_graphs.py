@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +175,24 @@ class TestTargetFamilies:
         assert p.clique_number == 3
         assert p.max_degree == 3
         assert not p.is_complete
+
+    def test_arbitrary_clique_number_random_500(self):
+        """The clique number of random targets of order 1..8 equals the
+        largest vertex subset whose pairs are all edges."""
+        rng = random.Random(2109)
+        for _ in range(500):
+            order = rng.randint(1, 8)
+            density = rng.random()
+            edges = [e for e in pairs(order) if rng.random() < density]
+            H = TargetGraph.arbitrary(order, edges)
+            edge_set = set(edges)
+            want = max(
+                size
+                for size in range(1, order + 1)
+                for sub in combinations(range(order), size)
+                if all(e in edge_set for e in combinations(sub, 2))
+            )
+            assert target_properties(H).clique_number == want, edges
 
     def test_arbitrary_order_cap(self):
         with pytest.raises(UnsupportedSizeError):

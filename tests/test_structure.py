@@ -1,4 +1,4 @@
-"""Structure classification, reduced partitions, and guided enumeration."""
+"""Structure classification and guided enumeration."""
 
 from __future__ import annotations
 
@@ -14,10 +14,8 @@ from gallai.structure import (
     classify_p4free,
     classify_p5free,
     enumerate_p5free,
-    find_gallai_partition,
     parallel_map,
     resolve_threads,
-    verify_gallai_partition,
 )
 
 
@@ -129,45 +127,6 @@ class TestClassifyP5:
     def test_requires_five_vertices(self):
         with pytest.raises(ValueError):
             classify_p5free(ColoredComplete.constant(4, 2))
-
-
-class TestGallaiPartition:
-    def test_two_coloring_has_partition(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            c = _random_coloring(rng, 3, 7, k_min=2, k_max=2)
-            blocks = find_gallai_partition(c)
-            assert blocks is not None
-            assert verify_gallai_partition(c, blocks)
-
-    def test_rainbow_triangle_has_none(self):
-        c = ColoredComplete.from_edge_triples(3, 3, ((0, 1, 1), (0, 2, 2), (1, 2, 3)))
-        assert find_gallai_partition(c) is None
-
-    def test_verify_rejects_bad_partition_shape(self):
-        c = ColoredComplete.constant(4, 2)
-        with pytest.raises(ValueError):
-            verify_gallai_partition(c, (frozenset({0, 1, 2, 3}),))
-        with pytest.raises(ValueError):
-            verify_gallai_partition(c, (frozenset({0}), frozenset({1})))
-
-    def test_found_partitions_verify_2000(self):
-        """Whenever the search returns blocks, they pass the checker; when
-        it returns None, no bipartition into singleton blocks works either
-        (spot-checked via a rainbow triangle witness)."""
-        rng = random.Random(999)
-        found = 0
-        for _ in range(2000):
-            c = _random_coloring(rng, 3, 7, k_min=2, k_max=5)
-            blocks = find_gallai_partition(c)
-            if blocks is not None:
-                found += 1
-                assert verify_gallai_partition(c, blocks)
-        assert found > 0
-
-    def test_size_cap(self):
-        with pytest.raises(UnsupportedSizeError):
-            find_gallai_partition(ColoredComplete.constant(11, 2))
 
 
 class TestEnumerate:
