@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success (verified / all-good / exact), 1 when the answer is
 negative or unavailable (bad order, inconclusive search, failed verification,
-no known construction, unknown value), 2 on usage errors.
+no known construction, unknown value), 2 on usage errors (including an
+unknown construction name, missing or extra parameters, or a parameter
+outside the builder's domain).
 """
 
 from __future__ import annotations
@@ -12,13 +14,17 @@ import json
 import sys
 import time
 
-from gallai.constructions import BUILDERS, build_named, lower_bound_witness
+from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
+from gallai.constructions import BUILDERS, build_named, construction_grid
+from gallai.detectors import find_rainbow_path
 from gallai.formulas import KIND_EXACT, KIND_BOUNDS, GrResult, evaluate
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
 from gallai.search import (
     WitnessFailure,
     check_n,
     compute_gr,
+    lower_bound_witness,
+    rainbow_p5free_classes,
     replay_certificate,
     verify_witness,
 )
@@ -87,7 +93,7 @@ def _cmd_witness(args) -> int:
             coloring = build_named(args.construction, params)
         except (KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NEGATIVE
+            return EXIT_USAGE
         try:
             cert = verify_witness(coloring, H, label=args.construction)
         except WitnessFailure as exc:
@@ -182,8 +188,6 @@ def _cmd_verify(args) -> int:
 
 
 def _selftest_constructions() -> list[str]:
-    from gallai.constructions import construction_grid
-
     failures = []
     for entry in construction_grid():
         name = entry["name"]
@@ -203,9 +207,6 @@ def _selftest_constructions() -> list[str]:
 
 
 def _selftest_enumeration() -> list[str]:
-    from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
-    from gallai.search import rainbow_p5free_classes
-
     failures = []
     for n, k in ((5, 4), (5, 5)):
         got = {canonical_form(c, MODE_VERTEX_AND_COLOR) for c in enumerate_p5free(n, k)}
@@ -219,8 +220,6 @@ def _selftest_enumeration() -> list[str]:
 
 def _selftest_classifier() -> list[str]:
     import random
-
-    from gallai.detectors import find_rainbow_path
 
     failures = []
     rng = random.Random(20240817)

@@ -50,15 +50,6 @@ class Embedding:
             "edges": [list(e) for e in self.edges],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> Embedding:
-        return cls(
-            kind=data["kind"],
-            vertices=tuple(int(v) for v in data["vertices"]),
-            color=None if data["color"] is None else int(data["color"]),
-            edges=tuple((int(e[0]), int(e[1])) for e in data["edges"]),
-        )
-
 
 def check_rainbow_embedding(c: ColoredComplete, emb: Embedding) -> bool:
     """True iff emb is a simple path in c whose edge colors are all distinct."""

@@ -147,10 +147,6 @@ class ColoredComplete:
         cols[edge_index(i, j, self.n)] = color
         return ColoredComplete(self.n, self.k, cols)
 
-    def neighbors(self, v: int, color: int) -> int:
-        """Bitmask of the color-`color` neighbors of v."""
-        return self.adj[color][v]
-
     def degree(self, v: int, color: int) -> int:
         return self.adj[color][v].bit_count()
 

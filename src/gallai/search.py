@@ -1,18 +1,25 @@
-"""Exhaustive verification at a fixed order and the downward search that
-pins exact values.
+"""Witness certificates, the lower-bound dispatcher, exhaustive
+verification at a fixed order and the downward search that pins exact
+values.
 
 A candidate lower-bound coloring is accepted only through ``verify_witness``,
-which re-runs both detectors and returns a replayable certificate.  The
-per-order check scans structure-guided representatives in canonical-key
-order, so the reported bad coloring is the canonically smallest one.
+which re-runs both detectors and returns a replayable certificate;
+``lower_bound_witness`` picks the registry constructions whose hypotheses
+cover a query and returns the largest one that verifies.  The per-order
+check scans class representatives in canonical-key order, so the reported
+bad coloring is the canonically smallest one: structure-guided
+representatives for n >= 5, and all exact colorings up to color renaming
+below that.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import suppress
 from dataclasses import dataclass
 
 from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form, coloring_from_key
+from gallai.constructions import build_named
 from gallai.detectors import (
     Embedding,
     find_mono_copy,
@@ -20,6 +27,8 @@ from gallai.detectors import (
     find_rainbow_path,
 )
 from gallai.graphs import (
+    FAMILY_PINEAPPLE,
+    FAMILY_STAR_PLUS,
     ColoredComplete,
     TargetGraph,
     UnsupportedSizeError,
@@ -27,6 +36,7 @@ from gallai.graphs import (
     parse_hspec,
     render_hspec,
     require_keys,
+    target_properties,
 )
 from gallai.structure import enumerate_p5free, parallel_map, resolve_threads
 
@@ -108,6 +118,68 @@ def verify_witness(
     )
 
 
+def lower_bound_witness(H: TargetGraph, k: int) -> WitnessCertificate | None:
+    """Largest certified witness coloring for (H, k) among the constructions
+    whose hypotheses cover the query; None when nothing applies or survives
+    verification.  Each hypothesis lies inside its builder's domain, so a
+    build error here is a fault in this table and propagates."""
+    props = target_properties(H)
+    t = H.order
+    a = props.clique_number
+    delta = props.max_degree
+
+    cands: list[tuple[str, ColoredComplete]] = []
+
+    def add(name: str, **params: int) -> None:
+        cands.append((name, build_named(name, params)))
+
+    if k == 5 and k >= t + 1 and t >= 3:
+        add("G1")
+    if k == 6 and k >= t + 1 and t >= 3:
+        add("G2")
+    if k == t and t >= 3:
+        add("G3", t=t)
+    if 4 <= k <= a and a >= 3:
+        add("G4", a=a, t=t, k=k)
+    if 3 <= k <= t:
+        add("G5", t=t, k=k)
+    # G6 splits delta - 1 over k - 2 parts; each part must still hold an edge.
+    if k >= 4 and delta >= 2 and (delta - 1) // (k - 2) >= 2:
+        add("G6", max_degree=delta, k=k)
+    if H.family == FAMILY_STAR_PLUS and k == 4:
+        r = H.r
+        assert r is not None
+        if r in (1, 2) and t >= 6:
+            add("F1", t=t)
+            add("F2", t=t)
+        if r >= 3:
+            if t % 2 == 1:
+                add("F4", t=t)
+            else:
+                add("F6", t=t)
+            add("F5", t=t, r=r)
+    if k == 4:
+        add("F3")
+    if k == 3 and t >= 3:
+        add("F7", t=t)
+    if k == 5:
+        add("F9")
+        add("F11")
+    if k == 6:
+        add("F10")
+    if H.family == FAMILY_PINEAPPLE and k == 4:
+        if (t, H.omega) == (6, 5):
+            add("F12")
+        if (t, H.omega) == (7, 5):
+            add("F13")
+
+    # A candidate that fails verification is skipped; nothing else is.
+    for name, coloring in sorted(cands, key=lambda item: (-item[1].n, item[0])):
+        with suppress(WitnessFailure):
+            return verify_witness(coloring, H, label=name)
+    return None
+
+
 @dataclass(frozen=True)
 class CheckOutcome:
     """Verdict for one (H, k, n) instance."""
@@ -139,7 +211,9 @@ class CheckOutcome:
 def brute_force_colorings(n: int, k: int):
     """Yield every exact k-coloring of the complete graph on n vertices.
 
-    Unfiltered search space is k**C(n,2); refuses above 10**8.
+    The reference the tests compare the small-order classes of ``check_n``
+    against; no program path calls it.  Unfiltered search space is
+    k**C(n,2); refuses above 10**8.
     """
     if n < 2 or k < 1:
         return
@@ -218,10 +292,12 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
 
 def _small_order_classes(n: int, k: int) -> list[ColoredComplete]:
     """Exact coloring classes for n <= 4, where no 4-edge path fits and thus
-    every exact coloring qualifies."""
-    keys = set()
-    for c in brute_force_colorings(n, k):
-        keys.add(canonical_form(c, MODE_VERTEX_AND_COLOR))
+    every exact coloring qualifies.  Colorings are taken up to color renaming,
+    which the vertex-and-color canonical key ignores anyway."""
+    keys = {
+        canonical_form(ColoredComplete(n, k, rgs), MODE_VERTEX_AND_COLOR)
+        for rgs in _restricted_growth_strings(edge_count(n), k)
+    }
     return [coloring_from_key(key) for key in sorted(keys)]
 
 

@@ -111,9 +111,18 @@ class TestWitness:
         assert cert["target"] == "S5^1"
 
     def test_unknown_construction_name(self, capsys):
-        code, _, err = run(capsys, "witness", "--H", "K3", "--construction", "Q9")
-        assert code == EXIT_NEGATIVE
-        assert "error:" in err
+        """An unknown name, a missing or extra parameter and a parameter
+        outside the builder's domain are usage errors, not negative answers."""
+        for argv in (
+            ("--construction", "Q9"),
+            ("--construction", "G4"),
+            ("--construction", "G1", "--param", "t=3"),
+            ("--construction", "G3", "--param", "t=1"),
+        ):
+            code, out, err = run(capsys, "witness", "--H", "K3", *argv)
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_param_syntax(self, capsys):
         code, _, err = run(

@@ -12,15 +12,14 @@ from gallai.constructions import (
     build_named,
     construction_grid,
     doubling,
-    lower_bound_witness,
     pentagon_blowup,
     r35_witness,
     sporadic,
     star_augmented,
 )
 from gallai.detectors import find_mono_copy_in_color, find_rainbow_path
-from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec
-from gallai.search import WitnessFailure, verify_witness
+from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
+from gallai.search import WitnessFailure, lower_bound_witness, verify_witness
 
 
 class TestBlowup:
@@ -215,3 +214,43 @@ class TestDispatcher:
         c = ColoredComplete.constant(5, 1)
         with pytest.raises(WitnessFailure):
             verify_witness(c, TargetGraph.complete(3))
+
+
+def _small_targets() -> list[TargetGraph]:
+    """Every family member of order <= 6, plus one arbitrary target (C5).
+
+    Among them K2, where k = t = 2 is below G3's domain, and K4, whose
+    max degree 3 splits into one-vertex parts for G6 at k = 4.
+    """
+    out = []
+    for t in range(2, 7):
+        out.append(TargetGraph.complete(t))
+        out.append(TargetGraph.complete_minus_matching(t))
+        out.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
+        out.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
+    out.append(TargetGraph.arbitrary(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]))
+    return out
+
+
+class TestDispatcherSweep:
+    @pytest.mark.parametrize("H", _small_targets(), ids=render_hspec)
+    def test_returns_certificate_or_none(self, H):
+        """Every hypothesis lies inside its builder's domain, so the sweep
+        never raises; whatever comes back genuinely verifies."""
+        for k in range(2, 9):
+            cert = lower_bound_witness(H, k)
+            if cert is not None:
+                assert cert.H == H and cert.coloring.k == k
+                assert verify_witness(cert.coloring, H).order == cert.order
+
+    def test_build_errors_propagate(self, monkeypatch):
+        """A construction the table asks for wrongly fails loudly instead of
+        silently dropping out of the candidate list."""
+        import gallai.search
+
+        def broken(name, params):
+            raise ValueError(f"construction {name} does not take parameters ['x']")
+
+        monkeypatch.setattr(gallai.search, "build_named", broken)
+        with pytest.raises(ValueError, match="does not take parameters"):
+            lower_bound_witness(parse_hspec("S6^1"), 4)

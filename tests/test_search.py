@@ -15,6 +15,7 @@ from gallai.search import (
     STATUS_BAD,
     STATUS_NO_EXACT,
     WitnessFailure,
+    _small_order_classes,
     brute_force_colorings,
     check_n,
     compute_gr,
@@ -88,6 +89,21 @@ class TestBruteForce:
     def test_refuses_oversized(self):
         with pytest.raises(UnsupportedSizeError):
             list(brute_force_colorings(8, 9))
+
+
+class TestSmallOrderClasses:
+    @pytest.mark.parametrize(
+        "n,k", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5), (4, 6)]
+    )
+    def test_matches_brute_force_reference(self, n, k):
+        """The classes check_n scans below order 5 are exactly the canonical
+        forms of every exact coloring, in canonical-key order."""
+        want = sorted(
+            {canonical_form(c, MODE_VERTEX_AND_COLOR) for c in brute_force_colorings(n, k)}
+        )
+        got = [canonical_form(c, MODE_VERTEX_AND_COLOR) for c in _small_order_classes(n, k)]
+        assert got == want
+        assert all(c.exact and (c.n, c.k) == (n, k) for c in _small_order_classes(n, k))
 
 
 class TestGroundTruthOracle:
