@@ -189,9 +189,3 @@ def coloring_from_key(key: bytes) -> ColoredComplete:
             pos += 1
     return ColoredComplete(n, k, cols)
 
-
-def canonical_coloring(
-    c: ColoredComplete, mode: str = MODE_VERTEX_AND_COLOR
-) -> ColoredComplete:
-    """The canonical representative of c's isomorphism class."""
-    return coloring_from_key(canonical_form(c, mode))

@@ -8,6 +8,12 @@ built through ``build_named``; ``construction_grid`` lists the invocations
 the selftest and the acceptance gate verify.  Choosing and certifying a
 construction for a query is the dispatcher ``lower_bound_witness``, one
 layer up in the ``search`` module.
+
+Every coloring built from blocks (monochromatic cliques or fixed colorings
+joined by a small reduced coloring) expands through ``blowup``, the one
+place that rejects a non-exact result.  The fixed small colorings are the
+``sporadic`` table; its TW-case-f entry is also the template the
+``structure`` module matches for case (f).
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from importlib import resources
+from itertools import groupby
 from typing import Callable, Mapping
 
 from gallai.detectors import find_mono_copy_in_color
@@ -123,20 +130,20 @@ def star_augmented(
     base_order: int, base_color: int, spoke_colors: list[int]
 ) -> ColoredComplete:
     """A monochromatic K_base plus one new vertex whose i-th edge back into
-    the base is colored spoke_colors[i].  Palette size is the max color used."""
-    if base_order < 1:
-        raise ValueError(f"need base_order >= 1, got {base_order}")
+    the base is colored spoke_colors[i].  Palette size is the max color used;
+    a coloring that misses a palette color is rejected.  Each run of equal
+    spoke colors is one part of a blow-up, with the apex as the last part."""
     if len(spoke_colors) != base_order:
         raise ValueError(
             f"need {base_order} spoke colors, got {len(spoke_colors)}"
         )
-    if base_color < 1 or any(col < 1 for col in spoke_colors):
-        raise ValueError("colors must be >= 1")
+    runs = [(col, len(list(group))) for col, group in groupby(spoke_colors)]
+    apex = len(runs)
+    inter = tuple((i, apex, col) for i, (col, _) in enumerate(runs))
+    inter += tuple((i, j, base_color) for i, j in pairs(apex))
+    parts = tuple(Part(size, color=base_color) for _, size in runs) + (Part(1),)
     k = max([base_color] + list(spoke_colors))
-    apex = base_order
-    triples = [(i, j, base_color) for i, j in pairs(base_order)]
-    triples += [(i, apex, spoke_colors[i]) for i in range(base_order)]
-    return ColoredComplete.from_edge_triples(base_order + 1, k, triples)
+    return blowup(BlowupSpec(k=k, parts=parts, inter=inter))
 
 
 _PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
@@ -144,16 +151,12 @@ _PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 
 def pentagon_blowup(t: int) -> ColoredComplete:
     """Five order-(t-1) cliques in color 1, joined by a 2-colored reduced K5
-    whose color classes are a 5-cycle and its complement.  Declared with 3
-    colors; for t=2 the parts are single vertices and color 1 is unused."""
-    if t < 2:
-        raise ValueError(f"need t >= 2, got t={t}")
+    whose color classes are a 5-cycle and its complement."""
+    if t < 3:
+        raise ValueError(f"need t >= 3, got t={t}")
     inter = tuple(
         (i, j, 2 if (i, j) in _PENTAGON else 3) for i, j in pairs(5)
     )
-    if t == 2:
-        triples = [(i, j, col) for i, j, col in inter]
-        return ColoredComplete.from_edge_triples(5, 3, triples)
     parts = tuple(Part(t - 1, color=1) for _ in range(5))
     return blowup(BlowupSpec(k=3, parts=parts, inter=inter))
 
@@ -162,15 +165,7 @@ def doubling(base: ColoredComplete) -> ColoredComplete:
     """Two copies of a {1,2}-colored graph with all cross edges in color 3."""
     if not base.used_colors <= {1, 2}:
         raise ValueError(f"doubling base must use colors within {{1, 2}}, got {sorted(base.used_colors)}")
-    b = base.n
-    triples: list[tuple[int, int, int]] = []
-    for (i, j), col in zip(pairs(b), base.colors):
-        triples.append((i, j, col))
-        triples.append((b + i, b + j, col))
-    for i in range(b):
-        for j in range(b):
-            triples.append((i, b + j, 3))
-    return ColoredComplete.from_edge_triples(2 * b, 3, triples)
+    return blowup(BlowupSpec(k=3, parts=(Part(base.n, inner=base),) * 2, inter=3))
 
 
 _SPORADIC: dict[str, tuple[int, int, tuple[tuple[int, int, int], ...]]] = {

@@ -9,7 +9,7 @@ before it leaves this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -17,14 +17,11 @@ from gallai.graphs import (
     FAMILY_STAR_PLUS,
     ColoredComplete,
     TargetGraph,
-    UnsupportedSizeError,
     find_clique,
 )
 
 RAINBOW_PATH = "rainbow_path"
 MONO_COPY = "mono_copy"
-
-_MAX_MATCHING_VERTICES = 12
 
 
 @dataclass(frozen=True)
@@ -160,32 +157,6 @@ def _matching_with_pairs(
             return [(u, w)] + rest
     # leave u unmatched
     return _matching_with_pairs(masks, allowed & ~(1 << u), r)
-
-
-def max_matching(
-    c: ColoredComplete, color: int, vertices: int | Iterable[int] | None = None
-) -> int:
-    """Exact maximum matching size of the color class induced on the given
-    vertices (a bitmask or an iterable of vertex ids; all vertices when
-    omitted): the largest r for which ``_matching_with_pairs`` finds a
-    matching.  Limited to 12 vertices."""
-    if vertices is None:
-        mask = (1 << c.n) - 1
-    elif isinstance(vertices, int):
-        mask = vertices
-    else:
-        mask = 0
-        for v in vertices:
-            mask |= 1 << v
-    if mask.bit_count() > _MAX_MATCHING_VERTICES:
-        raise UnsupportedSizeError(
-            f"exact matching is limited to {_MAX_MATCHING_VERTICES} vertices, "
-            f"got {mask.bit_count()}"
-        )
-    r = 0
-    while _matching_with_pairs(c.adj[color], mask, r + 1) is not None:
-        r += 1
-    return r
 
 
 def _embedding_from_assignment(

@@ -158,12 +158,6 @@ class ColoredComplete:
     def edges_in_color(self, color: int) -> tuple[tuple[int, int], ...]:
         return tuple(e for e, c in zip(pairs(self.n), self.colors) if c == color)
 
-    def color_class_sizes(self) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for c in self.colors:
-            sizes[c] = sizes.get(c, 0) + 1
-        return sizes
-
     def permuted(
         self, vperm: Sequence[int], cperm: Sequence[int] | None = None
     ) -> ColoredComplete:

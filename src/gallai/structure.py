@@ -11,7 +11,8 @@ renumbering colors, into at least one of six shapes:
       {bc} plus possibly more edges at a, everything else in one color;
   (e) four vertices a, b, c, d with classes {ab} (possibly plus cd),
       {ac, bd}, {ad, bc}, everything else in one color;
-  (f) one sporadic coloring of K5.
+  (f) one sporadic coloring of K5, taken from the construction registry
+      (``sporadic("TW-case-f")``).
 
 ``classify_p5free`` evaluates each shape independently and cross-checks the
 combined answer against the rainbow detector at runtime.  The same shapes
@@ -33,7 +34,7 @@ from gallai.canonical import (
     canonical_form,
     coloring_from_key,
 )
-from gallai.constructions import sporadic
+from gallai.constructions import sporadic, star_augmented
 from gallai.detectors import Embedding, find_rainbow_path
 from gallai.graphs import (
     ColoredComplete,
@@ -219,12 +220,8 @@ def _case_e(c: ColoredComplete):
     return None
 
 
-_CASE_F_CLASSES: tuple[tuple[tuple[int, int], ...], ...] = (
-    ((0, 3), (0, 4), (1, 2)),
-    ((0, 2), (1, 3), (1, 4)),
-    ((0, 1), (2, 3), (2, 4)),
-    ((3, 4),),
-)
+_CASE_F = sporadic("TW-case-f")
+_CASE_F_CLASSES = tuple(_CASE_F.edges_in_color(col) for col in range(1, _CASE_F.k + 1))
 
 
 def _case_f(c: ColoredComplete):
@@ -351,16 +348,10 @@ def _candidates_case_c(n: int, k: int) -> Iterable[ColoredComplete]:
         for rest in combinations_with_replacement(range(1, apex_degree + 1), k - 1):
             if c1 + sum(rest) != apex_degree:
                 continue
-            cols = [1] * edge_count(n)
-            apex = n - 1
-            counts = [c1] + list(rest)
-            v = 0
-            for color_idx, count in enumerate(counts):
-                color = 1 if color_idx == 0 else color_idx + 1
-                for _ in range(count):
-                    cols[edge_index(v, apex, n)] = color
-                    v += 1
-            yield ColoredComplete(n, k, cols)
+            spokes = [1] * c1
+            for color, count in enumerate(rest, start=2):
+                spokes += [color] * count
+            yield star_augmented(n - 1, 1, spokes)
 
 
 def _candidates_case_d(n: int, k: int) -> Iterable[ColoredComplete]:
@@ -393,7 +384,7 @@ def _candidates_case_e(n: int, k: int) -> Iterable[ColoredComplete]:
 
 def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:
     if n == 5 and k == 4:
-        yield sporadic("TW-case-f")
+        yield _CASE_F
 
 
 def enumerate_p5free(
@@ -402,7 +393,9 @@ def enumerate_p5free(
     """Every exact k-coloring of K_n with no rainbow 4-edge path, one
     canonical representative per vertex-and-color isomorphism class, sorted
     by canonical key.  Only k >= 4 is supported: with fewer colors no
-    rainbow 4-edge path exists and the answer would be all colorings."""
+    rainbow 4-edge path exists and the answer would be all colorings.
+    Every candidate of the case generators must be exact and rainbow-free;
+    one that is not is a generator bug and raises TheoremViolation."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -425,12 +418,12 @@ def enumerate_p5free(
     ):
         candidates.extend(gen(n, k))
 
-    def to_key(c: ColoredComplete) -> bytes | None:
-        if not c.exact:
-            return None
-        if find_rainbow_path(c, 4) is not None:
-            return None
+    def to_key(c: ColoredComplete) -> bytes:
+        if not c.exact or find_rainbow_path(c, 4) is not None:
+            raise TheoremViolation(
+                f"a case generator emitted a non-exact or rainbow candidate {c!r}"
+            )
         return canonical_form(c, MODE_VERTEX_AND_COLOR)
 
-    keys = {key for key in parallel_map(to_key, candidates, workers) if key is not None}
+    keys = set(parallel_map(to_key, candidates, workers))
     return [coloring_from_key(key) for key in sorted(keys)]

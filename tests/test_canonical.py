@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from gallai.canonical import (
     MODE_VERTEX_AND_COLOR,
     MODE_VERTEX_ONLY,
-    canonical_coloring,
     canonical_form,
     coloring_from_key,
 )
@@ -100,13 +99,6 @@ class TestCompleteness:
             rep = coloring_from_key(key)
             assert rep.n == c.n and rep.k == c.k
             assert canonical_form(rep, MODE_VERTEX_AND_COLOR) == key
-
-    def test_canonical_coloring_is_fixed_point(self):
-        rng = random.Random(5)
-        for _ in range(100):
-            c = _random_instance(rng)
-            rep = canonical_coloring(c, MODE_VERTEX_AND_COLOR)
-            assert canonical_coloring(rep, MODE_VERTEX_AND_COLOR) == rep
 
 
 class TestLimitsAndShape:

@@ -118,11 +118,13 @@ class TestWitness:
             ("--construction", "G4"),
             ("--construction", "G1", "--param", "t=3"),
             ("--construction", "G3", "--param", "t=1"),
+            ("--construction", "F7", "--param", "t=2"),
         ):
             code, out, err = run(capsys, "witness", "--H", "K3", *argv)
             assert code == EXIT_USAGE
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+        assert err.startswith("error: need t >= 3")
 
     def test_bad_param_syntax(self, capsys):
         code, _, err = run(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from gallai.constructions import (
@@ -70,9 +72,9 @@ class TestHelpers:
         assert c.color_of(1, 2) == 1
 
     def test_pentagon_blowup_small(self):
-        c = pentagon_blowup(2)
-        assert c.n == 5 and c.k == 3
-        assert not c.exact  # single-vertex parts leave color 1 unused
+        # single-vertex parts would leave color 1 unused
+        with pytest.raises(ValueError, match="need t >= 3"):
+            pentagon_blowup(2)
 
     def test_pentagon_blowup_orders(self):
         for t in (3, 4, 5):
@@ -173,6 +175,28 @@ class TestRegistry:
     def test_f12_f13_orders(self):
         assert build_named("F12", {}).n == 23
         assert build_named("F13", {}).n == 25
+
+    def test_every_build_is_exact_or_rejected(self):
+        """Over small parameter ranges every registered builder either
+        rejects its parameters or returns an exact coloring."""
+        ranges = {
+            "t": range(1, 9),
+            "k": range(1, 9),
+            "a": range(1, 7),
+            "r": range(0, 5),
+            "max_degree": range(1, 9),
+        }
+        built = 0
+        for name, (_, needed) in BUILDERS.items():
+            for values in itertools.product(*(ranges[p] for p in needed)):
+                params = dict(zip(needed, values))
+                try:
+                    c = build_named(name, params)
+                except ValueError:
+                    continue
+                assert c.exact, (name, params)
+                built += 1
+        assert built > len(BUILDERS)
 
 
 class TestDispatcher:

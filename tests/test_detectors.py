@@ -7,18 +7,17 @@ import random
 import pytest
 
 from gallai.detectors import (
+    _matching_with_pairs,
     check_mono_embedding,
     check_rainbow_embedding,
     find_mono_copy,
     find_mono_copy_in_color,
     find_rainbow_path,
     iter_rainbow_paths,
-    max_matching,
 )
 from gallai.graphs import (
     ColoredComplete,
     TargetGraph,
-    UnsupportedSizeError,
     edge_count,
 )
 
@@ -125,15 +124,36 @@ class TestRainbowPath:
             find_rainbow_path(c, 5)
 
 
+def _matching_sizes(c, color, allowed=None):
+    """Whether ``_matching_with_pairs`` finds a matching of each size r,
+    checking that every matching it returns is one, inside ``allowed``."""
+    if allowed is None:
+        allowed = (1 << c.n) - 1
+
+    def finds(r):
+        found = _matching_with_pairs(c.adj[color], allowed, r)
+        if found is not None:
+            ends = [v for edge in found for v in edge]
+            assert len(found) == r and len(set(ends)) == 2 * r
+            assert all(allowed >> v & 1 for v in ends)
+            assert all(c.color_of(u, w) == color for u, w in found)
+        return found is not None
+
+    return finds
+
+
 class TestMaxMatching:
     def test_known_values(self):
         c = ColoredComplete.constant(6, 2, 1)
-        assert max_matching(c, 1) == 3
-        assert max_matching(c, 2) == 0
+        finds = _matching_sizes(c, 1)
+        assert finds(3) and not finds(4)
+        finds = _matching_sizes(c, 2)
+        assert finds(0) and not finds(1)
 
     def test_restricted_vertex_set(self):
         c = ColoredComplete.constant(6, 1)
-        assert max_matching(c, 1, vertices=(0, 1, 2)) == 1
+        finds = _matching_sizes(c, 1, allowed=0b111)
+        assert finds(1) and not finds(2)
 
     def test_agrees_with_brute_force(self):
         rng = random.Random(7)
@@ -141,12 +161,8 @@ class TestMaxMatching:
             c = _random_coloring(rng, n_min=3, n_max=7, k_max=3)
             for color in range(1, c.k + 1):
                 best = _brute_force_matching(c.edges_in_color(color))
-                assert max_matching(c, color) == best
-
-    def test_size_cap(self):
-        c = ColoredComplete.constant(13, 1)
-        with pytest.raises(UnsupportedSizeError):
-            max_matching(c, 1)
+                finds = _matching_sizes(c, color)
+                assert finds(best) and not finds(best + 1)
 
 
 class TestMonoCopy:

@@ -89,7 +89,9 @@ class TestColoredComplete:
 
     @given(colorings())
     def test_class_sizes_partition_edges(self, c):
-        assert sum(c.color_class_sizes().values()) == edge_count(c.n)
+        classes = [c.edges_in_color(j) for j in range(1, c.k + 1)]
+        assert sum(len(cl) for cl in classes) == edge_count(c.n)
+        assert sorted(e for cl in classes for e in cl) == sorted(pairs(c.n))
 
     @given(colorings())
     def test_exact_iff_every_color_used(self, c):

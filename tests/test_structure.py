@@ -6,11 +6,13 @@ import random
 
 import pytest
 
+from gallai import structure
 from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
 from gallai.constructions import sporadic
 from gallai.detectors import find_rainbow_path
-from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count
+from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
 from gallai.structure import (
+    TheoremViolation,
     classify_p4free,
     classify_p5free,
     enumerate_p5free,
@@ -161,6 +163,24 @@ class TestEnumerate:
             enumerate_p5free(10, 4)
         with pytest.raises(UnsupportedSizeError):
             enumerate_p5free(5, 13)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            # the path 0-1-2-3-4 in colors 1, 2, 3, 4
+            ColoredComplete.from_edge_triples(
+                5, 4, [(i, j, j if j == i + 1 else 1) for i, j in pairs(5)]
+            ),
+            ColoredComplete.constant(5, 4),
+        ],
+        ids=["rainbow", "non-exact"],
+    )
+    def test_bad_candidate_is_a_theorem_violation(self, monkeypatch, bad):
+        """A generator emitting a rainbow or non-exact candidate is a bug,
+        reported instead of silently dropped."""
+        monkeypatch.setattr(structure, "_candidates_case_f", lambda n, k: iter([bad]))
+        with pytest.raises(TheoremViolation):
+            enumerate_p5free(5, 4)
 
     def test_thread_count_does_not_change_output(self):
         one = enumerate_p5free(6, 5, threads=1)
