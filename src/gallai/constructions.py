@@ -14,6 +14,11 @@ joined by a small reduced coloring) expands through ``blowup``, the one
 place that rejects a non-exact result.  The fixed small colorings are the
 ``sporadic`` table; its TW-case-f entry is also the template the
 ``structure`` module matches for case (f).
+
+The registry names map onto fewer builders: G3 is G5 at k = t, F2 is G5 at
+k = 4 and F11 is G5 at t = k = 5; F1, F4 and F6 are G6 at k = 4 and
+max_degree t - 1, told apart only by their domains in t; F12 and F13 are
+one builder at clique sizes 5 and 6.
 """
 
 from __future__ import annotations
@@ -195,28 +200,19 @@ def sporadic(name: str) -> ColoredComplete:
     return ColoredComplete.from_edge_triples(n, k, triples)
 
 
-def _circulant13(diffs: set[int]) -> ColoredComplete:
-    triples = []
-    for i, j in pairs(13):
-        d = (j - i) % 13
-        col = 1 if (d in diffs or (13 - d) in diffs) else 2
-        triples.append((i, j, col))
-    return ColoredComplete.from_edge_triples(13, 2, triples)
-
-
-def _r35_ok(c: ColoredComplete) -> bool:
-    return (
-        find_mono_copy_in_color(c, TargetGraph.complete(3), 1) is None
-        and find_mono_copy_in_color(c, TargetGraph.complete(5), 2) is None
-    )
-
-
 def r35_witness() -> ColoredComplete:
     """A 2-coloring of K13 whose color-1 graph is triangle-free and whose
     color-2 graph has no K5: the cyclic graph on Z13 with color 1 on
     differences {1, 5}, machine-verified on every call."""
-    c = _circulant13({1, 5})
-    if not _r35_ok(c):
+    triples = [
+        (i, j, 1 if min(j - i, 13 - (j - i)) in (1, 5) else 2)
+        for i, j in pairs(13)
+    ]
+    c = ColoredComplete.from_edge_triples(13, 2, triples)
+    if (
+        find_mono_copy_in_color(c, TargetGraph.complete(3), 1) is not None
+        or find_mono_copy_in_color(c, TargetGraph.complete(5), 2) is not None
+    ):
         raise RuntimeError(
             "the {1, 5} circulant on Z13 failed its check; detectors are inconsistent"
         )
@@ -230,13 +226,6 @@ def _balanced_counts(total: int, groups: int) -> list[int]:
         raise ValueError(f"cannot split {total} into {groups} positive groups")
     base, rem = divmod(total, groups)
     return [base + 1] * rem + [base] * (groups - rem)
-
-
-def g3(t: int) -> ColoredComplete:
-    """K_{t-1} in color 1 plus an apex whose spokes use colors 2..t."""
-    if t < 3:
-        raise ValueError(f"need t >= 3, got t={t}")
-    return star_augmented(t - 1, 1, list(range(2, t + 1)))
 
 
 def g4(a: int, t: int, k: int) -> ColoredComplete:
@@ -286,26 +275,18 @@ def g6(max_degree: int, k: int) -> ColoredComplete:
 
 
 def f1(t: int) -> ColoredComplete:
-    """Three cliques in colors 2, 3, 4 (the first enlarged when t is odd),
-    inter color 1; order t + p - 2 where (p, q) = divmod(t-2, 2)."""
+    """G6 at max_degree t - 1 and k = 4: three cliques in colors 2, 3, 4
+    (the first enlarged when t is odd), inter color 1."""
     if t < 6:
         raise ValueError(f"need t >= 6, got t={t}")
-    p, q = divmod(t - 2, 2)
-    parts = (Part(p + q, color=2), Part(p, color=3), Part(p, color=4))
-    return blowup(BlowupSpec(k=4, parts=parts, inter=1))
+    return g6(t - 1, 4)
 
 
 def f4(t: int) -> ColoredComplete:
-    """Odd t: cliques of orders (t-1)/2, (t-3)/2, (t-3)/2 in colors 2, 3, 4,
-    inter color 1; order (3t-7)/2."""
+    """F1 restricted to odd t: orders (t-1)/2, (t-3)/2, (t-3)/2."""
     if t < 7 or t % 2 == 0:
         raise ValueError(f"need odd t >= 7, got t={t}")
-    parts = (
-        Part((t - 1) // 2, color=2),
-        Part((t - 3) // 2, color=3),
-        Part((t - 3) // 2, color=4),
-    )
-    return blowup(BlowupSpec(k=4, parts=parts, inter=1))
+    return g6(t - 1, 4)
 
 
 def f5(t: int, r: int) -> ColoredComplete:
@@ -320,35 +301,24 @@ def f5(t: int, r: int) -> ColoredComplete:
 
 
 def f6(t: int) -> ColoredComplete:
-    """Even t: three cliques of order (t-2)/2 in colors 2, 3, 4, inter color
-    1; order (3t-6)/2."""
+    """F1 restricted to even t: three cliques of order (t-2)/2."""
     if t < 6 or t % 2 == 1:
         raise ValueError(f"need even t >= 6, got t={t}")
-    parts = tuple(Part((t - 2) // 2, color=col) for col in (2, 3, 4))
-    return blowup(BlowupSpec(k=4, parts=parts, inter=1))
+    return g6(t - 1, 4)
 
 
-def f11() -> ColoredComplete:
-    return star_augmented(4, 1, [2, 3, 4, 5])
-
-
-def f12() -> ColoredComplete:
-    """A 13-vertex 2-colored block (triangle-free color 1, K5-free color 2)
-    plus two K5 in colors 3 and 4, inter color 1; order 23."""
-    parts = (Part(13, inner=r35_witness()), Part(5, color=3), Part(5, color=4))
-    return blowup(BlowupSpec(k=4, parts=parts, inter=1))
-
-
-def f13() -> ColoredComplete:
-    """As f12 with K6 blocks; order 25."""
-    parts = (Part(13, inner=r35_witness()), Part(6, color=3), Part(6, color=4))
+def _r35_plus_cliques(size: int) -> ColoredComplete:
+    """The 13-vertex 2-colored block of ``r35_witness`` plus two K_size in
+    colors 3 and 4, inter color 1 (F12 at size 5, order 23; F13 at size 6,
+    order 25)."""
+    parts = (Part(13, inner=r35_witness()), Part(size, color=3), Part(size, color=4))
     return blowup(BlowupSpec(k=4, parts=parts, inter=1))
 
 
 BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {
     "G1": (partial(sporadic, "G1"), ()),
     "G2": (partial(sporadic, "G2"), ()),
-    "G3": (g3, ("t",)),
+    "G3": (lambda t: g5(t, t), ("t",)),
     "G4": (g4, ("a", "t", "k")),
     "G5": (g5, ("t", "k")),
     "G6": (g6, ("max_degree", "k")),
@@ -362,9 +332,9 @@ BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {
     "F8": (lambda: doubling(r35_witness()), ()),
     "F9": (partial(sporadic, "F9"), ()),
     "F10": (partial(sporadic, "F10"), ()),
-    "F11": (f11, ()),
-    "F12": (f12, ()),
-    "F13": (f13, ()),
+    "F11": (partial(g5, 5, 5), ()),
+    "F12": (partial(_r35_plus_cliques, 5), ()),
+    "F13": (partial(_r35_plus_cliques, 6), ()),
     "TW-case-f": (partial(sporadic, "TW-case-f"), ()),
 }
 

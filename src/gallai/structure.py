@@ -25,7 +25,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (
+    combinations,
+    combinations_with_replacement,
+    groupby,
+    permutations,
+    product,
+)
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from gallai.canonical import (
@@ -303,8 +309,7 @@ def _candidates_case_b(n: int, k: int) -> Iterable[ColoredComplete]:
     for sizes in combinations_with_replacement(range(2, n - 2 * (groups - 1) + 1), groups):
         if sum(sizes) > n:
             continue
-        catalogs = [_graphs_min_deg1(s) for s in sizes]
-        for choice in _choices_respecting_ties(sizes, catalogs):
+        for choice in _choices_respecting_ties(sizes):
             cols = [1] * edge_count(n)
             offset = 0
             for part_idx, (s, edges) in enumerate(zip(sizes, choice)):
@@ -315,26 +320,16 @@ def _candidates_case_b(n: int, k: int) -> Iterable[ColoredComplete]:
             yield ColoredComplete(n, k, cols)
 
 
-def _choices_respecting_ties(
-    sizes: Sequence[int], catalogs: Sequence[tuple]
-) -> Iterable[tuple]:
-    """Cartesian product over per-part graph catalogs, with unordered
-    selection inside runs of equal part sizes (equal-size parts are
-    interchangeable up to renaming their colors)."""
-    runs: list[tuple[int, int]] = []
-    start = 0
-    for idx in range(1, len(sizes) + 1):
-        if idx == len(sizes) or sizes[idx] != sizes[start]:
-            runs.append((start, idx))
-            start = idx
-    def rec(run_idx: int, acc: tuple):
-        if run_idx == len(runs):
-            yield acc
-            return
-        lo, hi = runs[run_idx]
-        for combo in combinations_with_replacement(catalogs[lo], hi - lo):
-            yield from rec(run_idx + 1, acc + combo)
-    yield from rec(0, ())
+def _choices_respecting_ties(sizes: Sequence[int]) -> Iterable[tuple]:
+    """One min-degree-1 graph per part: a Cartesian product over the runs of
+    equal part sizes, with unordered selection inside each run (equal-size
+    parts are interchangeable up to renaming their colors)."""
+    per_run = (
+        combinations_with_replacement(_graphs_min_deg1(s), len(list(run)))
+        for s, run in groupby(sizes)
+    )
+    for combos in product(*per_run):
+        yield sum(combos, ())
 
 
 def _candidates_case_c(n: int, k: int) -> Iterable[ColoredComplete]:

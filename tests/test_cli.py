@@ -334,3 +334,14 @@ class TestSelftest:
             "PASS enumeration",
             "PASS classifier",
         ]
+
+    def test_theorem_violation_is_a_fail_line(self, capsys, monkeypatch):
+        """A disagreement between the classifier and the rainbow detector is
+        reported as a failed suite, and the later suites still run."""
+        monkeypatch.setattr("gallai.structure.find_rainbow_path", lambda c, m: None)
+        code, out, err = run(capsys, "selftest")
+        assert code == EXIT_NEGATIVE
+        lines = out.splitlines()
+        assert lines[:3] == ["PASS constructions", "PASS enumeration", "FAIL classifier"]
+        assert len(lines) == 4 and lines[3].startswith("  cases ")
+        assert err == ""

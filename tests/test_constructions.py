@@ -198,6 +198,23 @@ class TestRegistry:
                 built += 1
         assert built > len(BUILDERS)
 
+    @pytest.mark.parametrize(
+        "name,t,message",
+        [
+            ("F4", 8, "need odd t >= 7"),
+            ("F4", 10, "need odd t >= 7"),
+            ("F6", 7, "need even t >= 6"),
+            ("F6", 9, "need even t >= 6"),
+            ("F1", 5, "need t >= 6"),
+            ("G3", 2, "need t >= 3"),
+        ],
+    )
+    def test_domain_guards(self, name, t, message):
+        """F1, F4 and F6 build the same G6 coloring and G3 the same G5
+        coloring; only these domain checks tell the names apart."""
+        with pytest.raises(ValueError, match=message):
+            build_named(name, {"t": t})
+
 
 class TestDispatcher:
     @pytest.mark.parametrize(
