@@ -89,6 +89,9 @@ def _refined_cells(n: int, label: list[list[int]]) -> list[list[int]]:
 
 def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> list[int]:
     n = c.n
+    mat = [[0] * n for _ in range(n)]
+    for (i, j), col in zip(pairs(n), c.colors):
+        mat[i][j] = mat[j][i] = col
     pos_cell: list[list[int]] = []
     for cell in cells:
         pos_cell.extend([cell] * len(cell))
@@ -111,8 +114,9 @@ def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> l
                 continue
             col: list[int] = []
             pending: dict[int, int] = {}
+            row = mat[v]
             for u in order:
-                raw = c.color_of(u, v)
+                raw = row[u]
                 if rename:
                     name = cmap.get(raw)
                     if name is None:

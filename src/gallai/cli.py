@@ -4,13 +4,16 @@ Exit codes: 0 on success (verified / all-good / exact), 1 when the answer is
 negative or unavailable (bad order, inconclusive search, failed verification,
 no known construction, unknown value), 2 on usage errors (including an
 unknown construction name, missing or extra parameters, or a parameter
-outside the builder's domain).
+outside the builder's domain) and when stdout is closed before the output
+is written (a pipe into ``head``, say), which ends the run without a
+traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -320,7 +323,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Output still buffered would fail again when the interpreter
+        # flushes stdout at exit; send it to the null device instead.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,6 +4,11 @@ Both detectors are exhaustive and deterministic: hosts are scanned in
 ascending vertex order, colors in ascending order, and the first embedding
 found is returned.  Every returned embedding is re-checked against the host
 before it leaves this module.
+
+Whether a rainbow 4-edge path exists is decided by a scan over the middle
+vertex of the path, O(n^3 k^2) bit operations on the per-color adjacency
+masks; the O(n^5) path DFS runs only when a path exists, to produce the
+path that is returned.
 """
 
 from __future__ import annotations
@@ -88,12 +93,16 @@ def _checked_mono(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> Embeddi
     return emb
 
 
+def _require_path_fits(c: ColoredComplete, m: int) -> None:
+    if not 1 <= m <= c.n - 1:
+        raise ValueError(f"path edge count must satisfy 1 <= m <= n-1, got m={m}, n={c.n}")
+
+
 def iter_rainbow_paths(c: ColoredComplete, m: int) -> Iterator[tuple[int, ...]]:
     """All simple paths with m edges and m distinct edge colors, as vertex
     tuples, in ascending DFS order.  Each undirected path appears once, in
     the orientation whose first endpoint is the smaller."""
-    if not 1 <= m <= c.n - 1:
-        raise ValueError(f"path edge count must satisfy 1 <= m <= n-1, got m={m}, n={c.n}")
+    _require_path_fits(c, m)
     if len(c.used_colors) < m:
         return
     n = c.n
@@ -119,8 +128,53 @@ def iter_rainbow_paths(c: ColoredComplete, m: int) -> Iterator[tuple[int, ...]]:
         yield from dfs(1, 1 << start, 0)
 
 
+def _has_rainbow_p5(c: ColoredComplete) -> bool:
+    """Whether c holds a rainbow path a-b-mid-d-e.
+
+    For each middle vertex and each pair b < d whose edges to it have
+    colors x != y, the path exists when some color z at b and some color
+    w != z at d, both outside {x, y}, reach end vertices outside {b, mid, d}
+    that are not one and the same single vertex.
+    """
+    if len(c.used_colors) < 4:
+        return False
+    n = c.n
+    # (color, neighbor mask) for every color present at each vertex
+    around = [[(z, row[v]) for z, row in enumerate(c.adj) if row[v]] for v in range(n)]
+    for mid in range(n):
+        cm = [0] * n
+        for x, mask in around[mid]:
+            for v in _iter_bits(mask):
+                cm[v] = x
+        for b in range(n - 1):
+            x = cm[b]
+            if not x:
+                continue
+            for d in range(b + 1, n):
+                y = cm[d]
+                if not y or y == x:
+                    continue
+                excl = ~(1 << b | 1 << mid | 1 << d)
+                for z, z_mask in around[b]:
+                    if z == x or z == y:
+                        continue
+                    ends_a = z_mask & excl
+                    if not ends_a:
+                        continue
+                    for w, w_mask in around[d]:
+                        if w == x or w == y or w == z:
+                            continue
+                        ends_e = w_mask & excl
+                        if ends_e and not (ends_a == ends_e and ends_a & (ends_a - 1) == 0):
+                            return True
+    return False
+
+
 def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
     """First rainbow path with m edges, or None if none exists."""
+    _require_path_fits(c, m)
+    if m == 4 and not _has_rainbow_p5(c):
+        return None
     for vs in iter_rainbow_paths(c, m):
         edges = tuple(tuple(sorted(e)) for e in zip(vs, vs[1:]))
         return _checked_rainbow(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import sys
 from importlib import resources
 
@@ -323,6 +324,29 @@ class TestUsage:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "eval", "--H", "K5")[0] == EXIT_USAGE
+
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        """A reader that went away (``gallai ... | head``) is no negative
+        answer: exit 2, no traceback, and stdout now points at the null
+        device so the final flush cannot fail again."""
+
+        class ClosedPipe(io.StringIO):
+            def __init__(self, fd: int):
+                super().__init__()
+                self.fd = fd
+
+            def write(self, text: str) -> int:
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self) -> int:
+                return self.fd
+
+        with open(tmp_path / "stdout", "w") as fh:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+            code = main(["eval", "--H", "S4^1", "--k", "3"])
+            assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == ""
 
 
 class TestSelftest:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.detectors import (
+    RAINBOW_PATH,
+    Embedding,
+    _has_rainbow_p5,
     _matching_with_pairs,
     check_mono_embedding,
     check_rainbow_embedding,
@@ -20,6 +25,7 @@ from gallai.graphs import (
     TargetGraph,
     edge_count,
 )
+from gallai.search import _has_rainbow_p5_direct
 
 
 def _random_coloring(rng, n_min=2, n_max=8, k_max=6):
@@ -122,6 +128,90 @@ class TestRainbowPath:
             find_rainbow_path(c, 0)
         with pytest.raises(ValueError):
             find_rainbow_path(c, 5)
+        with pytest.raises(ValueError):
+            find_rainbow_path(ColoredComplete(4, 6, range(1, 7)), 4)
+
+
+def _palette_biased_colorings():
+    """n 5..9, k 4..7, 90% of the edges from a random three-color
+    sub-palette: about 40% of these hold no rainbow 4-edge path."""
+    rng = random.Random(4242)
+    for _ in range(1500):
+        n, k = rng.randint(5, 9), rng.randint(4, 7)
+        sub = rng.sample(range(1, k + 1), 3)
+        colors = [
+            rng.choice(sub) if rng.random() < 0.9 else rng.randint(1, k)
+            for _ in range(edge_count(n))
+        ]
+        yield ColoredComplete(n, k, colors)
+
+
+def _grid_colorings():
+    for row in construction_grid():
+        c = build_named(row["name"], row["params"])
+        if c.n >= 5:
+            yield c
+
+
+def _relabeled_builder_outputs():
+    """Three seeded vertex-and-color relabelings of every distinct builder
+    output of order 5..9 over small parameters."""
+    ranges = {"t": range(1, 10), "k": range(1, 10), "a": range(1, 7),
+              "r": range(0, 5), "max_degree": range(1, 10)}
+    rng = random.Random(99)
+    seen = set()
+    for name, (_, needed) in BUILDERS.items():
+        for values in itertools.product(*(ranges[p] for p in needed)):
+            try:
+                c = build_named(name, dict(zip(needed, values)))
+            except ValueError:
+                continue
+            if not 5 <= c.n <= 9 or c in seen:
+                continue
+            seen.add(c)
+            for _ in range(3):
+                vperm = list(range(c.n))
+                rng.shuffle(vperm)
+                cperm = list(range(1, c.k + 1))
+                rng.shuffle(cperm)
+                yield c.permuted(vperm, [0] + cperm)
+
+
+_SCAN_SETS = {
+    "palette-biased": _palette_biased_colorings,
+    "grid": _grid_colorings,
+    "relabeled-builders": _relabeled_builder_outputs,
+}
+
+
+class TestRainbowP5Scan:
+    @pytest.mark.parametrize("name", list(_SCAN_SETS))
+    def test_agrees_with_direct_scan(self, name):
+        for c in _SCAN_SETS[name]():
+            # The direct scan walks all n!/(n-5)! vertex sequences; past
+            # order 12 the DFS comparison below is the reference.
+            if c.n <= 12:
+                assert _has_rainbow_p5(c) == _has_rainbow_p5_direct(c.colors, c.n), c.colors
+
+    def test_rainbow_four_cycle_is_no_path(self):
+        """0-1-2-3-0 is a rainbow 4-cycle in a coloring with no rainbow
+        4-edge path: a scan that let both path ends be the same single
+        vertex would report a path here."""
+        c = ColoredComplete(5, 4, (1, 1, 4, 3, 2, 3, 4, 3, 4, 1))
+        assert not _has_rainbow_p5_direct(c.colors, c.n)
+        assert not _has_rainbow_p5(c)
+
+    @pytest.mark.parametrize("name", list(_SCAN_SETS))
+    def test_returns_the_first_dfs_path(self, name):
+        for c in _SCAN_SETS[name]():
+            vs = next(iter_rainbow_paths(c, 4), None)
+            want = None if vs is None else Embedding(
+                kind=RAINBOW_PATH,
+                vertices=vs,
+                color=None,
+                edges=tuple(tuple(sorted(e)) for e in zip(vs, vs[1:])),
+            )
+            assert find_rainbow_path(c, 4) == want
 
 
 def _matching_sizes(c, color, allowed=None):
