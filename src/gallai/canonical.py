@@ -21,6 +21,14 @@ cells and cell order are themselves invariant under the mode's symmetry
 group, so the restriction never merges or splits key classes; it only
 prunes the search.  Orders are exhausted within that restriction with
 branch-and-bound pruning against the best body found so far.
+
+Twin vertices are pruned too.  Vertices u and v are twins when every other
+vertex w sees them in the same color; this is an equivalence, and twins
+share a refinement cell.  At each position only the first unused member of
+each twin class is tried.  Swapping two unused twins fixes every placed
+vertex and every color, so it is an automorphism that maps the orders
+placing one twin next onto those placing the other, body for body.  The
+least body, and so the key, is the same in both modes.
 """
 
 from __future__ import annotations
@@ -92,6 +100,17 @@ def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> l
     mat = [[0] * n for _ in range(n)]
     for (i, j), col in zip(pairs(n), c.colors):
         mat[i][j] = mat[j][i] = col
+    # twin[v] is the least u with mat[u][w] == mat[v][w] for every w != u, v:
+    # the two rows agree once each one's own diagonal takes the color of uv
+    twin = list(range(n))
+    for v in range(n):
+        for u in range(v):
+            if twin[u] == u:
+                row_u, row_v = mat[u].copy(), mat[v].copy()
+                row_u[u] = row_v[v] = mat[u][v]
+                if row_u == row_v:
+                    twin[v] = u
+                    break
     pos_cell: list[list[int]] = []
     for cell in cells:
         pos_cell.extend([cell] * len(cell))
@@ -109,9 +128,12 @@ def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> l
             return
         base = len(cur)
         cands = []
+        tried: set[int] = set()
         for v in pos_cell[p]:
-            if used[v]:
+            # an unused twin of an earlier candidate yields the same bodies
+            if used[v] or twin[v] in tried:
                 continue
+            tried.add(twin[v])
             col: list[int] = []
             pending: dict[int, int] = {}
             row = mat[v]

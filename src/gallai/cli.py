@@ -3,8 +3,9 @@
 Exit codes: 0 on success (verified / all-good / exact), 1 when the answer is
 negative or unavailable (bad order, inconclusive search, failed verification,
 no known construction, unknown value), 2 on usage errors (including an
-unknown construction name, missing or extra parameters, or a parameter
-outside the builder's domain) and when stdout is closed before the output
+unknown construction name, missing, extra or repeated parameters, a
+parameter outside the builder's domain, or a coloring order beyond
+``MAX_COLORING_ORDER``) and when stdout is closed before the output
 is written (a pipe into ``head``, say), which ends the run without a
 traceback.
 """
@@ -96,6 +97,8 @@ def _cmd_witness(args) -> int:
             key, _, value = item.partition("=")
             if not _:
                 raise ValueError(f"bad --param {item!r}, expected key=value")
+            if key in params:
+                raise ValueError(f"duplicate --param {key}")
             params[key] = int(value)
         try:
             coloring = build_named(args.construction, params)

@@ -31,7 +31,7 @@ from itertools import groupby
 from typing import Callable, Mapping
 
 from gallai.detectors import find_mono_copy_in_color
-from gallai.graphs import ColoredComplete, TargetGraph, pairs
+from gallai.graphs import ColoredComplete, TargetGraph, check_coloring_order, pairs
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,9 @@ def blowup(spec: BlowupSpec) -> ColoredComplete:
             bad = [c for c in part.inner.used_colors if not 1 <= c <= spec.k]
             if bad:
                 raise ValueError(f"part {idx} inner colors {bad} outside 1..{spec.k}")
+    offsets = _part_offsets(spec.parts)
+    n = offsets[-1]
+    check_coloring_order(n)
 
     if isinstance(spec.inter, int):
         if not 1 <= spec.inter <= spec.k:
@@ -106,8 +109,6 @@ def blowup(spec: BlowupSpec) -> ColoredComplete:
         if missing:
             raise ValueError(f"inter rule misses part pairs {missing}")
 
-    offsets = _part_offsets(spec.parts)
-    n = offsets[-1]
     triples: list[tuple[int, int, int]] = []
     for idx, part in enumerate(spec.parts):
         base = offsets[idx]

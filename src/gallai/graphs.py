@@ -19,6 +19,19 @@ class UnsupportedSizeError(ValueError):
     """Raised when an input is larger than an exact routine is built to handle."""
 
 
+# Largest coloring order read from input or built from blocks; every grid row
+# and dispatcher answer has order <= 40.
+MAX_COLORING_ORDER = 1024
+
+
+def check_coloring_order(n: int) -> None:
+    """UnsupportedSizeError when a coloring of order n would exceed the cap."""
+    if n > MAX_COLORING_ORDER:
+        raise UnsupportedSizeError(
+            f"colorings are limited to n <= {MAX_COLORING_ORDER}, got n={n}"
+        )
+
+
 def edge_count(n: int) -> int:
     """Number of edges of K_n."""
     return n * (n - 1) // 2
@@ -185,6 +198,7 @@ class ColoredComplete:
         require_keys(data, ("n", "k", "edges"), "a coloring")
         n = _json_int(data["n"])
         k = _json_int(data["k"])
+        check_coloring_order(n)
         triples = []
         for i, j, c in _json_rows(data["edges"], 3, "coloring edges"):
             if i == j:

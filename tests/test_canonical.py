@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +11,13 @@ from hypothesis import given, settings, strategies as st
 from gallai.canonical import (
     MODE_VERTEX_AND_COLOR,
     MODE_VERTEX_ONLY,
+    _edge_label_matrix,
+    _refined_cells,
     canonical_form,
     coloring_from_key,
 )
-from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count
+from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
+from gallai.structure import enumerate_p5free
 
 
 def _random_instance(rng, n_max=7, k_max=5):
@@ -33,6 +37,41 @@ def _random_cperm(rng, k):
     p = list(range(1, k + 1))
     rng.shuffle(p)
     return {i + 1: p[i] for i in range(k)}
+
+
+def _block_instance(rng, n, k):
+    """A twin-heavy coloring: a random vertex partition, one color inside
+    each part and one between each pair of parts."""
+    num = rng.randint(1, n)
+    part = [rng.randrange(num) for _ in range(n)]
+    inner = [rng.randint(1, k) for _ in range(num)]
+    between = {(a, b): rng.randint(1, k) for a, b in pairs(num)}
+    colors = []
+    for i, j in pairs(n):
+        a, b = sorted((part[i], part[j]))
+        colors.append(inner[a] if a == b else between[(a, b)])
+    return ColoredComplete(n, k, colors)
+
+
+def _least_body(c, mode):
+    """The least body over every vertex order that lists the refined cells
+    in their order, built column by column: vertex p of the order
+    contributes its colors to vertices 0..p-1."""
+    n = c.n
+    mat = [[0] * n for _ in range(n)]
+    for (i, j), col in zip(pairs(n), c.colors):
+        mat[i][j] = mat[j][i] = col
+    cells = _refined_cells(n, _edge_label_matrix(c, mode))
+    best = None
+    for parts in product(*(permutations(cell) for cell in cells)):
+        order = [v for part in parts for v in part]
+        body = [mat[order[p]][order[q]] for p in range(1, n) for q in range(p)]
+        if mode == MODE_VERTEX_AND_COLOR:
+            names: dict[int, int] = {}
+            body = [names.setdefault(col, len(names) + 1) for col in body]
+        if best is None or body < best:
+            best = body
+    return bytes(best)
 
 
 class TestInvariance:
@@ -67,6 +106,46 @@ class TestInvariance:
         assert canonical_form(a, MODE_VERTEX_AND_COLOR) == canonical_form(
             b, MODE_VERTEX_AND_COLOR
         )
+
+
+class TestLeastBody:
+    """The key body is the least body over the admissible vertex orders, in
+    both modes, on random, twin-heavy and enumerated colorings of order <= 7.
+    The refinement cells are taken from the module; the search over orders
+    inside them is redone by brute force."""
+
+    @staticmethod
+    def _check(c):
+        for mode in (MODE_VERTEX_AND_COLOR, MODE_VERTEX_ONLY):
+            assert canonical_form(c, mode)[2:] == _least_body(c, mode), (mode, c)
+
+    def test_random_colorings(self):
+        rng = random.Random(2024)
+        for n in [2, 3, 4, 5] * 10 + [6, 7] * 20:
+            k = rng.randint(2, 4)
+            self._check(ColoredComplete(n, k, [rng.randint(1, k) for _ in range(edge_count(n))]))
+
+    def test_block_colorings(self):
+        rng = random.Random(515)
+        for n in [2, 3, 4, 5] * 10 + [6, 7] * 20:
+            self._check(_block_instance(rng, n, rng.randint(1, 5)))
+
+    def test_enumerated_representatives(self):
+        for c in enumerate_p5free(7, 4):
+            self._check(c)
+
+    def test_block_colorings_relabel_invariance(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            c = _block_instance(rng, rng.randint(2, 10), rng.randint(1, 6))
+            vp = _random_vperm(rng, c.n)
+            d = c.permuted(vp, _random_cperm(rng, c.k))
+            assert canonical_form(d, MODE_VERTEX_AND_COLOR) == canonical_form(
+                c, MODE_VERTEX_AND_COLOR
+            )
+            assert canonical_form(c.permuted(vp), MODE_VERTEX_ONLY) == canonical_form(
+                c, MODE_VERTEX_ONLY
+            )
 
 
 class TestCompleteness:

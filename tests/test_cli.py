@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -126,6 +127,15 @@ class TestWitness:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
         assert err.startswith("error: need t >= 3")
+
+    def test_duplicate_param_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys, "witness", "--H", "K3", "--construction", "G5",
+            "--param", "t=5", "--param", "k=4", "--param", "t=6",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == "error: duplicate --param t\n"
 
     def test_bad_param_syntax(self, capsys):
         code, _, err = run(
@@ -315,6 +325,27 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_order_cap_refuses_quickly(self, capsys, tmp_path):
+        """A coloring order beyond MAX_COLORING_ORDER, read or built, is a
+        usage error raised before anything of that order is allocated."""
+        huge = {"n": 10**9, "k": 2, "edges": []}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(huge))
+        cert = tmp_path / "huge-cert.json"
+        cert.write_text(json.dumps({"coloring": huge, "target": "K3"}))
+        for argv in (
+            ("classify", "--file", str(path)),
+            ("verify", "--file", str(cert)),
+            ("witness", "--H", "K3", "--construction", "G5", "--param", "t=3000", "--param", "k=4"),
+        ):
+            start = time.monotonic()
+            code, out, err = run(capsys, *argv)
+            assert time.monotonic() - start < 1.0
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: colorings are limited to n <= 1024")
+            assert err.count("\n") == 1
 
     def test_missing_subcommand(self, capsys):
         assert run(capsys, *[])[0] == EXIT_USAGE

@@ -20,7 +20,14 @@ from gallai.constructions import (
     star_augmented,
 )
 from gallai.detectors import find_mono_copy_in_color, find_rainbow_path
-from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
+from gallai.graphs import (
+    MAX_COLORING_ORDER,
+    ColoredComplete,
+    TargetGraph,
+    UnsupportedSizeError,
+    parse_hspec,
+    render_hspec,
+)
 from gallai.search import WitnessFailure, lower_bound_witness, verify_witness
 
 
@@ -57,6 +64,12 @@ class TestBlowup:
             inter=((0, 1, 1), (0, 2, 2)),
         )
         with pytest.raises(ValueError, match="misses"):
+            blowup(spec)
+
+    def test_order_cap_counts_every_part(self):
+        half = MAX_COLORING_ORDER // 2
+        spec = BlowupSpec(k=2, parts=(Part(half, color=1), Part(half + 1, color=2)), inter=1)
+        with pytest.raises(UnsupportedSizeError):
             blowup(spec)
 
     def test_rejects_part_needing_color_choice(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -131,7 +132,32 @@ class TestClassifyP5:
             classify_p5free(ColoredComplete.constant(4, 2))
 
 
+# Class counts of enumerate_p5free for n 5..9 and k 4..12 (pairs not listed
+# have no class), and the sha256 of all their canonical keys, sorted and
+# concatenated.
+_CENSUS = {
+    (5, 4): 8, (5, 5): 1,
+    (6, 4): 11, (6, 5): 2, (6, 6): 1,
+    (7, 4): 17, (7, 5): 4, (7, 6): 2, (7, 7): 1,
+    (8, 4): 32, (8, 5): 8, (8, 6): 4, (8, 7): 2, (8, 8): 1,
+    (9, 4): 79, (9, 5): 15, (9, 6): 7, (9, 7): 4, (9, 8): 2, (9, 9): 1,
+}
+_CENSUS_SHA256 = "2b4037fcd7f114a7a6a38af6ea4d2178dee2be1a95ef27c62338ebce5c5c545a"
+
+
 class TestEnumerate:
+    def test_census_up_to_order_nine(self):
+        counts = {}
+        keys = []
+        for n in range(5, 10):
+            for k in range(4, 13):
+                reps = enumerate_p5free(n, k)
+                if reps:
+                    counts[(n, k)] = len(reps)
+                keys.extend(canonical_form(c, MODE_VERTEX_AND_COLOR) for c in reps)
+        assert counts == _CENSUS
+        assert hashlib.sha256(b"".join(sorted(keys))).hexdigest() == _CENSUS_SHA256
+
     def test_counts_at_order_five(self):
         assert len(enumerate_p5free(5, 4)) == 8
         assert len(enumerate_p5free(5, 5)) == 1
