@@ -3,32 +3,28 @@
 The key of a coloring is ``bytes([n, k]) + body`` where body lists edge
 colors column by column: vertices are placed one at a time, and each new
 vertex contributes the colors of its edges back to the already-placed
-vertices.  The key is the lexicographically least body over all admissible
-vertex orderings.
-
-Two modes:
-
-* ``vertex-and-color``: before comparison, colors are renamed by first
-  occurrence inside the body.  For a fixed vertex order this renaming is
-  the lexicographic minimum over all color bijections and is prefix-stable,
-  so minimizing over vertex orders gives a key invariant under simultaneous
-  vertex and color permutation.
-* ``vertex-only``: raw colors are kept; the key is invariant under vertex
-  permutation alone.
+vertices.  Before comparison, colors are renamed by first occurrence inside
+the body.  For a fixed vertex order this renaming is the lexicographic
+minimum over all color bijections and is prefix-stable, so the least body
+over all admissible vertex orders is invariant under simultaneous vertex
+and color permutation: equal keys mean colorings that differ by a renaming
+of vertices and colors.  That is the one symmetry group of the paper's
+question, since rainbow paths and monochromatic copies both survive a
+recoloring.
 
 Admissible orderings respect an iterated-refinement vertex partition whose
-cells and cell order are themselves invariant under the mode's symmetry
-group, so the restriction never merges or splits key classes; it only
-prunes the search.  Orders are exhausted within that restriction with
-branch-and-bound pruning against the best body found so far.
+cells and cell order are themselves invariant under that group, so the
+restriction never merges or splits key classes; it only prunes the search.
+Orders are exhausted within that restriction with branch-and-bound pruning
+against the best body found so far.
 
 Twin vertices are pruned too.  Vertices u and v are twins when every other
 vertex w sees them in the same color; this is an equivalence, and twins
 share a refinement cell.  At each position only the first unused member of
 each twin class is tried.  Swapping two unused twins fixes every placed
 vertex and every color, so it is an automorphism that maps the orders
-placing one twin next onto those placing the other, body for body.  The
-least body, and so the key, is the same in both modes.
+placing one twin next onto those placing the other, body for body, and the
+least body is unchanged.
 """
 
 from __future__ import annotations
@@ -43,32 +39,18 @@ from gallai.graphs import (
 
 MAX_CANONICAL_ORDER = 10
 
-MODE_VERTEX_AND_COLOR = "vertex-and-color"
-MODE_VERTEX_ONLY = "vertex-only"
-_MODES = (MODE_VERTEX_AND_COLOR, MODE_VERTEX_ONLY)
 
-
-def _edge_label_matrix(c: ColoredComplete, mode: str) -> list[list[int]]:
-    """Symmetric edge labels driving the refinement.
-
-    vertex-only mode labels an edge by its color.  vertex-and-color mode
-    labels it by the rank of its color's signature (class size plus sorted
-    per-vertex degree sequence), which is unchanged when colors are renamed.
-    """
-    n = c.n
-    label = [[0] * n for _ in range(n)]
-    if mode == MODE_VERTEX_ONLY:
-        rank = {col: col for col in c.used_colors}
-    else:
-        sigs: dict[int, tuple] = {}
-        for col in c.used_colors:
-            degs = tuple(sorted(c.degree(v, col) for v in range(n)))
-            sigs[col] = (len(c.edges_in_color(col)), degs)
-        ordered = sorted(set(sigs.values()))
-        rank = {col: ordered.index(sig) + 1 for col, sig in sigs.items()}
-    for (i, j), col in zip(pairs(n), c.colors):
-        label[i][j] = label[j][i] = rank[col]
-    return label
+def _edge_label_matrix(c: ColoredComplete, mat: list[list[int]]) -> list[list[int]]:
+    """Symmetric edge labels driving the refinement: an edge is labeled by
+    the rank of its color's signature (class size plus sorted per-vertex
+    degree sequence), which is unchanged when colors are renamed."""
+    sigs: dict[int, tuple] = {}
+    for col in c.used_colors:
+        degs = tuple(sorted(c.degree(v, col) for v in range(c.n)))
+        sigs[col] = (sum(degs) // 2, degs)
+    ordered = sorted(set(sigs.values()))
+    rank = {col: ordered.index(sig) + 1 for col, sig in sigs.items()}
+    return [[rank.get(col, 0) for col in row] for row in mat]
 
 
 def _refined_cells(n: int, label: list[list[int]]) -> list[list[int]]:
@@ -95,11 +77,8 @@ def _refined_cells(n: int, label: list[list[int]]) -> list[list[int]]:
     return [cells[value] for value in sorted(cells)]
 
 
-def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> list[int]:
-    n = c.n
-    mat = [[0] * n for _ in range(n)]
-    for (i, j), col in zip(pairs(n), c.colors):
-        mat[i][j] = mat[j][i] = col
+def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
+    n = len(mat)
     # twin[v] is the least u with mat[u][w] == mat[v][w] for every w != u, v:
     # the two rows agree once each one's own diagonal takes the color of uv
     twin = list(range(n))
@@ -139,16 +118,13 @@ def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> l
             row = mat[v]
             for u in order:
                 raw = row[u]
-                if rename:
-                    name = cmap.get(raw)
+                name = cmap.get(raw)
+                if name is None:
+                    name = pending.get(raw)
                     if name is None:
-                        name = pending.get(raw)
-                        if name is None:
-                            name = len(cmap) + len(pending) + 1
-                            pending[raw] = name
-                    col.append(name)
-                else:
-                    col.append(raw)
+                        name = len(cmap) + len(pending) + 1
+                        pending[raw] = name
+                col.append(name)
             cands.append((col, v, pending))
         cands.sort(key=lambda item: item[0])
         for col, v, pending in cands:
@@ -172,12 +148,9 @@ def _minimum_body(c: ColoredComplete, cells: list[list[int]], rename: bool) -> l
     return best
 
 
-def canonical_form(c: ColoredComplete, mode: str = MODE_VERTEX_AND_COLOR) -> bytes:
-    """Canonical key of a coloring; equal keys characterize the orbit of the
-    chosen symmetry group (vertex permutations, optionally times color
-    permutations)."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown canonical mode {mode!r}")
+def canonical_form(c: ColoredComplete) -> bytes:
+    """Canonical key of a coloring; equal keys characterize the orbit under
+    vertex permutations times color permutations."""
     n, k = c.n, c.k
     if n > MAX_CANONICAL_ORDER:
         raise UnsupportedSizeError(
@@ -185,16 +158,12 @@ def canonical_form(c: ColoredComplete, mode: str = MODE_VERTEX_AND_COLOR) -> byt
         )
     if k > 255:
         raise UnsupportedSizeError("canonical forms need the palette to fit in a byte")
-    header = bytes([n, k])
-    if n <= 1:
-        return header
-    if len(c.used_colors) == 1:
-        fill = 1 if mode == MODE_VERTEX_AND_COLOR else c.colors[0]
-        return header + bytes([fill] * edge_count(n))
-    label = _edge_label_matrix(c, mode)
-    cells = _refined_cells(n, label)
-    body = _minimum_body(c, cells, rename=(mode == MODE_VERTEX_AND_COLOR))
-    return header + bytes(body)
+    # edge colors as a symmetric matrix, 0 on the diagonal
+    mat = [[0] * n for _ in range(n)]
+    for (i, j), col in zip(pairs(n), c.colors):
+        mat[i][j] = mat[j][i] = col
+    cells = _refined_cells(n, _edge_label_matrix(c, mat))
+    return bytes([n, k]) + bytes(_minimum_body(mat, cells))
 
 
 def coloring_from_key(key: bytes) -> ColoredComplete:

@@ -19,7 +19,7 @@ import random
 import sys
 import time
 
-from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
+from gallai.canonical import canonical_form
 from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.formulas import KIND_EXACT, KIND_BOUNDS, GrResult, evaluate
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
@@ -220,7 +220,7 @@ def _selftest_constructions() -> list[str]:
 def _selftest_enumeration() -> list[str]:
     failures = []
     for n, k in ((5, 4), (5, 5)):
-        got = {canonical_form(c, MODE_VERTEX_AND_COLOR) for c in enumerate_p5free(n, k)}
+        got = {canonical_form(c) for c in enumerate_p5free(n, k)}
         want = rainbow_p5free_classes(n, k)
         if got != want:
             failures.append(

@@ -238,6 +238,7 @@ def g4(a: int, t: int, k: int) -> ColoredComplete:
         raise ValueError(f"need t >= 3, got t={t}")
     if not 2 <= k <= a:
         raise ValueError(f"need 2 <= k <= a, got k={k}, a={a}")
+    check_coloring_order((a - 1) * (t - 1))
     counts = _balanced_counts(a - 1, k - 1)
     parts = []
     for color, m in zip(range(2, k + 1), counts):
@@ -252,6 +253,7 @@ def g5(t: int, k: int) -> ColoredComplete:
         raise ValueError(f"need t >= 3, got t={t}")
     if not 2 <= k <= t:
         raise ValueError(f"need 2 <= k <= t, got k={k}, t={t}")
+    check_coloring_order(t)
     counts = _balanced_counts(t - 1, k - 1)
     spokes: list[int] = []
     for color, m in zip(range(2, k + 1), counts):
@@ -270,6 +272,7 @@ def g6(max_degree: int, k: int) -> ColoredComplete:
     # some part has exactly p vertices, and exactness needs an edge in it
     if p < 2:
         raise ValueError(f"degenerate split: max_degree={max_degree} under k={k}")
+    check_coloring_order(max_degree + p - 1)
     sizes = [p + 1] * q + [p] * (k - 1 - q)
     parts = tuple(Part(s, color=color) for s, color in zip(sizes, range(2, k + 1)))
     return blowup(BlowupSpec(k=k, parts=parts, inter=1))

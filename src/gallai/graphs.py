@@ -19,8 +19,8 @@ class UnsupportedSizeError(ValueError):
     """Raised when an input is larger than an exact routine is built to handle."""
 
 
-# Largest coloring order read from input or built from blocks; every grid row
-# and dispatcher answer has order <= 40.
+# Largest coloring order read from input or built from blocks, and largest
+# palette read from input; every grid row and dispatcher answer has order <= 40.
 MAX_COLORING_ORDER = 1024
 
 
@@ -199,6 +199,10 @@ class ColoredComplete:
         n = _json_int(data["n"])
         k = _json_int(data["k"])
         check_coloring_order(n)
+        if k > MAX_COLORING_ORDER:
+            raise UnsupportedSizeError(
+                f"palettes are limited to k <= {MAX_COLORING_ORDER}, got k={k}"
+            )
         triples = []
         for i, j, c in _json_rows(data["edges"], 3, "coloring edges"):
             if i == j:
@@ -353,7 +357,22 @@ class TargetGraph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges())
+        """Edge count in closed form, so a huge target needs no edge list."""
+        t = self.t
+        if self.family == FAMILY_ARBITRARY:
+            assert self.edge_list is not None
+            return len(self.edge_list)
+        if self.family == FAMILY_COMPLETE:
+            return edge_count(t)
+        if self.family == FAMILY_STAR_PLUS:
+            assert self.r is not None
+            return t - 1 + self.r
+        if self.family == FAMILY_PINEAPPLE:
+            assert self.omega is not None
+            return edge_count(self.omega) + t - self.omega
+        if self.family == FAMILY_COMPLETE_MINUS_MATCHING:
+            return edge_count(t) - t // 2
+        raise ValueError(f"unknown family {self.family!r}")
 
     @property
     def is_complete(self) -> bool:

@@ -18,7 +18,7 @@ import itertools
 from contextlib import suppress
 from dataclasses import dataclass
 
-from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form, coloring_from_key
+from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import build_named
 from gallai.detectors import (
     Embedding,
@@ -267,6 +267,18 @@ def _has_rainbow_p5_direct(colors: tuple[int, ...], n: int) -> bool:
     return False
 
 
+def _rainbow_free_class_keys(n: int, k: int) -> set[bytes]:
+    """Canonical keys of every exact k-coloring class on n vertices with no
+    rainbow 4-edge path: each surjection of the edges onto k colors, up to
+    color renaming, that the direct scan finds no rainbow path in.  Below
+    n = 5 no 4-edge path fits and every exact coloring qualifies."""
+    return {
+        canonical_form(ColoredComplete(n, k, rgs))
+        for rgs in _restricted_growth_strings(edge_count(n), k)
+        if not _has_rainbow_p5_direct(rgs, n)
+    }
+
+
 def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
     """Canonical keys of every exact k-coloring class on n vertices with no
     rainbow 4-edge path, by unstructured enumeration of edge-set partitions.
@@ -278,27 +290,13 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
         raise ValueError(f"need n >= 5, got n={n}")
     if n > 5:
         raise UnsupportedSizeError("ground-truth enumeration supports n <= 5 only")
-    m = edge_count(n)
-    if k > m:
-        return frozenset()
-    keys = set()
-    for rgs in _restricted_growth_strings(m, k):
-        if _has_rainbow_p5_direct(rgs, n):
-            continue
-        c = ColoredComplete(n, k, rgs)
-        keys.add(canonical_form(c, MODE_VERTEX_AND_COLOR))
-    return frozenset(keys)
+    return frozenset(_rainbow_free_class_keys(n, k))
 
 
 def _small_order_classes(n: int, k: int) -> list[ColoredComplete]:
     """Exact coloring classes for n <= 4, where no 4-edge path fits and thus
-    every exact coloring qualifies.  Colorings are taken up to color renaming,
-    which the vertex-and-color canonical key ignores anyway."""
-    keys = {
-        canonical_form(ColoredComplete(n, k, rgs), MODE_VERTEX_AND_COLOR)
-        for rgs in _restricted_growth_strings(edge_count(n), k)
-    }
-    return [coloring_from_key(key) for key in sorted(keys)]
+    every exact coloring qualifies."""
+    return [coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k))]
 
 
 def check_n(

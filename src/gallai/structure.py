@@ -34,12 +34,7 @@ from itertools import (
 )
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from gallai.canonical import (
-    MODE_VERTEX_AND_COLOR,
-    MODE_VERTEX_ONLY,
-    canonical_form,
-    coloring_from_key,
-)
+from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import sporadic, star_augmented
 from gallai.detectors import Embedding, find_rainbow_path
 from gallai.graphs import (
@@ -279,7 +274,14 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
 @lru_cache(maxsize=None)
 def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All graphs on s labeled vertices with minimum degree >= 1, one
-    representative per isomorphism class, as edge tuples."""
+    representative per isomorphism class, as edge tuples.
+
+    A graph is keyed as a 2-coloring of K_{s+1}: graph edges in color 2,
+    non-edges in color 1, and an apex s joined to every vertex in color 1.
+    With no isolated vertex, every other vertex sees both colors, so the
+    apex is the only vertex whose edges share one color.  An isomorphism of
+    two such colorings therefore maps apex to apex and color 1 to color 1,
+    and equal canonical keys mean isomorphic graphs."""
     all_pairs = list(pairs(s))
     seen: set[bytes] = set()
     out: list[tuple[tuple[int, int], ...]] = []
@@ -291,8 +293,10 @@ def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             deg[j] += 1
         if min(deg, default=0) == 0:
             continue
-        cols = [2 if mask >> idx & 1 else 1 for idx in range(len(all_pairs))]
-        key = canonical_form(ColoredComplete(s, 2, cols), MODE_VERTEX_ONLY)
+        cols = [1] * edge_count(s + 1)
+        for i, j in edges:
+            cols[edge_index(i, j, s + 1)] = 2
+        key = canonical_form(ColoredComplete(s + 1, 2, cols))
         if key not in seen:
             seen.add(key)
             out.append(edges)
@@ -418,7 +422,7 @@ def enumerate_p5free(
             raise TheoremViolation(
                 f"a case generator emitted a non-exact or rainbow candidate {c!r}"
             )
-        return canonical_form(c, MODE_VERTEX_AND_COLOR)
+        return canonical_form(c)
 
     keys = set(parallel_map(to_key, candidates, workers))
     return [coloring_from_key(key) for key in sorted(keys)]

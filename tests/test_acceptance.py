@@ -13,7 +13,7 @@ from importlib import resources
 
 import pytest
 
-from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
+from gallai.canonical import canonical_form
 from gallai.cli import format_table_row
 from gallai.constructions import build_named, construction_grid, r35_witness
 from gallai.detectors import find_mono_copy_in_color, find_rainbow_path
@@ -63,9 +63,7 @@ def test_criterion_2_enumerator_equals_oracle(report):
     """Structured enumeration and brute-force filtering agree class for class."""
     counts = {}
     for n, k in ((5, 4), (5, 5)):
-        got = {
-            canonical_form(c, MODE_VERTEX_AND_COLOR) for c in enumerate_p5free(n, k)
-        }
+        got = {canonical_form(c) for c in enumerate_p5free(n, k)}
         want = rainbow_p5free_classes(n, k)
         assert got == want, (n, k, len(got), len(want))
         counts[(n, k)] = len(got)

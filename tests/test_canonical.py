@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai.canonical import (
-    MODE_VERTEX_AND_COLOR,
-    MODE_VERTEX_ONLY,
     _edge_label_matrix,
     _refined_cells,
     canonical_form,
@@ -53,22 +51,25 @@ def _block_instance(rng, n, k):
     return ColoredComplete(n, k, colors)
 
 
-def _least_body(c, mode):
+def _least_body(c):
     """The least body over every vertex order that lists the refined cells
     in their order, built column by column: vertex p of the order
-    contributes its colors to vertices 0..p-1."""
+    contributes its colors to vertices 0..p-1, colors renamed by first
+    occurrence."""
     n = c.n
     mat = [[0] * n for _ in range(n)]
     for (i, j), col in zip(pairs(n), c.colors):
         mat[i][j] = mat[j][i] = col
-    cells = _refined_cells(n, _edge_label_matrix(c, mode))
+    cells = _refined_cells(n, _edge_label_matrix(c, mat))
     best = None
     for parts in product(*(permutations(cell) for cell in cells)):
         order = [v for part in parts for v in part]
-        body = [mat[order[p]][order[q]] for p in range(1, n) for q in range(p)]
-        if mode == MODE_VERTEX_AND_COLOR:
-            names: dict[int, int] = {}
-            body = [names.setdefault(col, len(names) + 1) for col in body]
+        names: dict[int, int] = {}
+        body = [
+            names.setdefault(mat[order[p]][order[q]], len(names) + 1)
+            for p in range(1, n)
+            for q in range(p)
+        ]
         if best is None or body < best:
             best = body
     return bytes(best)
@@ -81,43 +82,20 @@ class TestInvariance:
         rng = random.Random(4242)
         for _ in range(1000):
             c = _random_instance(rng)
-            key = canonical_form(c, MODE_VERTEX_AND_COLOR)
+            key = canonical_form(c)
             d = c.permuted(_random_vperm(rng, c.n), _random_cperm(rng, c.k))
-            assert canonical_form(d, MODE_VERTEX_AND_COLOR) == key
-
-    def test_vertex_only_invariance(self):
-        rng = random.Random(77)
-        for _ in range(400):
-            c = _random_instance(rng)
-            key = canonical_form(c, MODE_VERTEX_ONLY)
-            d = c.permuted(_random_vperm(rng, c.n))
-            assert canonical_form(d, MODE_VERTEX_ONLY) == key
-
-    def test_vertex_only_distinguishes_colors(self):
-        """Vertex-only mode must NOT identify colorings that differ by a
-        color swap on an asymmetric class pair."""
-        a = ColoredComplete.from_edge_triples(
-            3, 2, ((0, 1, 1), (0, 2, 1), (1, 2, 2))
-        )
-        b = ColoredComplete.from_edge_triples(
-            3, 2, ((0, 1, 2), (0, 2, 2), (1, 2, 1))
-        )
-        assert canonical_form(a, MODE_VERTEX_ONLY) != canonical_form(b, MODE_VERTEX_ONLY)
-        assert canonical_form(a, MODE_VERTEX_AND_COLOR) == canonical_form(
-            b, MODE_VERTEX_AND_COLOR
-        )
+            assert canonical_form(d) == key
 
 
 class TestLeastBody:
-    """The key body is the least body over the admissible vertex orders, in
-    both modes, on random, twin-heavy and enumerated colorings of order <= 7.
+    """The key body is the least body over the admissible vertex orders, on
+    random, twin-heavy and enumerated colorings of order <= 7.
     The refinement cells are taken from the module; the search over orders
     inside them is redone by brute force."""
 
     @staticmethod
     def _check(c):
-        for mode in (MODE_VERTEX_AND_COLOR, MODE_VERTEX_ONLY):
-            assert canonical_form(c, mode)[2:] == _least_body(c, mode), (mode, c)
+        assert canonical_form(c)[2:] == _least_body(c), c
 
     def test_random_colorings(self):
         rng = random.Random(2024)
@@ -138,14 +116,8 @@ class TestLeastBody:
         rng = random.Random(31)
         for _ in range(300):
             c = _block_instance(rng, rng.randint(2, 10), rng.randint(1, 6))
-            vp = _random_vperm(rng, c.n)
-            d = c.permuted(vp, _random_cperm(rng, c.k))
-            assert canonical_form(d, MODE_VERTEX_AND_COLOR) == canonical_form(
-                c, MODE_VERTEX_AND_COLOR
-            )
-            assert canonical_form(c.permuted(vp), MODE_VERTEX_ONLY) == canonical_form(
-                c, MODE_VERTEX_ONLY
-            )
+            d = c.permuted(_random_vperm(rng, c.n), _random_cperm(rng, c.k))
+            assert canonical_form(d) == canonical_form(c)
 
 
 class TestCompleteness:
@@ -158,7 +130,7 @@ class TestCompleteness:
         seen: dict[tuple, bytes] = {}
         for colors in product(range(1, k + 1), repeat=edge_count(n)):
             c = ColoredComplete(n, k, colors)
-            key = canonical_form(c, MODE_VERTEX_AND_COLOR)
+            key = canonical_form(c)
             seen[colors] = key
         # group truth: orbit via explicit permutation action
         for colors, key in seen.items():
@@ -174,16 +146,16 @@ class TestCompleteness:
         rng = random.Random(99)
         for _ in range(300):
             c = _random_instance(rng)
-            key = canonical_form(c, MODE_VERTEX_AND_COLOR)
+            key = canonical_form(c)
             rep = coloring_from_key(key)
             assert rep.n == c.n and rep.k == c.k
-            assert canonical_form(rep, MODE_VERTEX_AND_COLOR) == key
+            assert canonical_form(rep) == key
 
 
 class TestLimitsAndShape:
     def test_header_bytes(self):
         c = ColoredComplete.constant(5, 3, 2)
-        key = canonical_form(c, MODE_VERTEX_AND_COLOR)
+        key = canonical_form(c)
         assert key[0] == 5 and key[1] == 3
         assert len(key) == 2 + edge_count(5)
 
@@ -191,20 +163,14 @@ class TestLimitsAndShape:
         """All-one-color maps to class 1 regardless of which color it was."""
         a = ColoredComplete.constant(4, 3, 1)
         b = ColoredComplete.constant(4, 3, 3)
-        assert canonical_form(a, MODE_VERTEX_AND_COLOR) == canonical_form(
-            b, MODE_VERTEX_AND_COLOR
-        )
+        assert canonical_form(a) == canonical_form(b)
 
     def test_order_cap(self):
         with pytest.raises(UnsupportedSizeError):
-            canonical_form(ColoredComplete.constant(11, 2), MODE_VERTEX_AND_COLOR)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            canonical_form(ColoredComplete.constant(4, 2), "nonsense")
+            canonical_form(ColoredComplete.constant(11, 2))
 
     @given(st.integers(2, 8), st.integers(1, 6))
     @settings(max_examples=40)
     def test_constant_key_shape(self, n, k):
-        key = canonical_form(ColoredComplete.constant(n, k), MODE_VERTEX_AND_COLOR)
+        key = canonical_form(ColoredComplete.constant(n, k))
         assert len(key) == 2 + edge_count(n)

@@ -54,6 +54,15 @@ class TestEval:
         assert code == EXIT_OK
         assert out == golden.splitlines()[0] + "\n"
 
+    def test_huge_target_needs_no_edge_list(self, capsys):
+        """Edge counts are closed forms, so a target far beyond any coloring
+        order is still answered, at once."""
+        start = time.monotonic()
+        code, out, _ = run(capsys, "eval", "--H", "K100000", "--k", "4")
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_OK
+        assert out == '{"kind":"Bounds","lo":9999800002,"hi":null,"provenance":["lem2-1"]}\n'
+
     def test_bad_spec_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--H", "X7", "--k", "3")
         assert code == EXIT_USAGE
@@ -327,24 +336,33 @@ class TestUsage:
         assert err.startswith("error:") and err.count("\n") == 1
 
     def test_order_cap_refuses_quickly(self, capsys, tmp_path):
-        """A coloring order beyond MAX_COLORING_ORDER, read or built, is a
-        usage error raised before anything of that order is allocated."""
+        """A coloring order or palette beyond MAX_COLORING_ORDER, read,
+        built or asked of the dispatcher, is a usage error raised before
+        anything of that size is allocated."""
         huge = {"n": 10**9, "k": 2, "edges": []}
         path = tmp_path / "huge.json"
         path.write_text(json.dumps(huge))
         cert = tmp_path / "huge-cert.json"
         cert.write_text(json.dumps({"coloring": huge, "target": "K3"}))
-        for argv in (
-            ("classify", "--file", str(path)),
-            ("verify", "--file", str(cert)),
-            ("witness", "--H", "K3", "--construction", "G5", "--param", "t=3000", "--param", "k=4"),
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({"n": 5, "k": 10**9, "edges": []}))
+        order_cap = "error: colorings are limited to n <= 1024"
+        for argv, prefix in (
+            (("classify", "--file", str(path)), order_cap),
+            (("verify", "--file", str(cert)), order_cap),
+            (("witness", "--H", "K3", "--construction", "G5", "--param", "t=3000", "--param", "k=4"), order_cap),
+            (("witness", "--H", "K3", "--construction", "G4", "--param", "a=1000000", "--param", "t=3", "--param", "k=4"), order_cap),
+            (("witness", "--H", "K3", "--construction", "G6", "--param", "max_degree=1000000", "--param", "k=500000"), order_cap),
+            (("witness", "--H", "K100000", "--k", "4"), order_cap),
+            (("witness", "--H", "PA100000,50000", "--k", "4"), order_cap),
+            (("classify", "--file", str(wide)), "error: palettes are limited to k <= 1024"),
         ):
             start = time.monotonic()
             code, out, err = run(capsys, *argv)
-            assert time.monotonic() - start < 1.0
-            assert code == EXIT_USAGE
+            assert time.monotonic() - start < 1.0, argv
+            assert code == EXIT_USAGE, argv
             assert out == ""
-            assert err.startswith("error: colorings are limited to n <= 1024")
+            assert err.startswith(prefix), err
             assert err.count("\n") == 1
 
     def test_missing_subcommand(self, capsys):

@@ -200,6 +200,23 @@ class TestTargetFamilies:
         with pytest.raises(UnsupportedSizeError):
             TargetGraph.arbitrary(13, [(0, 1)])
 
+    def test_num_edges_closed_form_matches_edge_list(self):
+        """The closed-form edge count equals the length of the edge list for
+        every family member of order <= 12, and completeness follows."""
+        rng = random.Random(12)
+        members = [
+            TargetGraph.arbitrary(t, [e for e in pairs(t) if rng.random() < 0.5])
+            for t in range(1, 13)
+        ]
+        for t in range(2, 13):
+            members.append(TargetGraph.complete(t))
+            members.append(TargetGraph.complete_minus_matching(t))
+            members.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
+            members.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
+        for H in members:
+            assert H.num_edges == len(H.edges()), H
+            assert H.is_complete == (len(H.edges()) == edge_count(H.t)), H
+
     def test_structural_completeness_not_family_name(self):
         """S3^1 is a triangle but stays in its declared family."""
         H = TargetGraph.star_plus(3, 1)

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
+from gallai.canonical import canonical_form
 from gallai.constructions import sporadic
 from gallai.graphs import ColoredComplete, TargetGraph, UnsupportedSizeError, parse_hspec
 from gallai.search import (
@@ -98,10 +98,8 @@ class TestSmallOrderClasses:
     def test_matches_brute_force_reference(self, n, k):
         """The classes check_n scans below order 5 are exactly the canonical
         forms of every exact coloring, in canonical-key order."""
-        want = sorted(
-            {canonical_form(c, MODE_VERTEX_AND_COLOR) for c in brute_force_colorings(n, k)}
-        )
-        got = [canonical_form(c, MODE_VERTEX_AND_COLOR) for c in _small_order_classes(n, k)]
+        want = sorted({canonical_form(c) for c in brute_force_colorings(n, k)})
+        got = [canonical_form(c) for c in _small_order_classes(n, k)]
         assert got == want
         assert all(c.exact and (c.n, c.k) == (n, k) for c in _small_order_classes(n, k))
 
@@ -110,10 +108,7 @@ class TestGroundTruthOracle:
     def test_matches_guided_enumeration(self):
         for k in (4, 5, 6):
             want = rainbow_p5free_classes(5, k)
-            got = {
-                canonical_form(c, MODE_VERTEX_AND_COLOR)
-                for c in enumerate_p5free(5, k)
-            }
+            got = {canonical_form(c) for c in enumerate_p5free(5, k)}
             assert got == want
 
     def test_supports_only_order_five(self):
@@ -145,17 +140,14 @@ class TestCheckN:
         out8 = check_n(parse_hspec("S4^1"), 4, 5, threads=8)
         assert out1.witness.coloring == out8.witness.coloring
         bad_keys = [
-            canonical_form(c, MODE_VERTEX_AND_COLOR)
+            canonical_form(c)
             for c in enumerate_p5free(5, 4)
             if __import__("gallai.detectors", fromlist=["find_mono_copy"]).find_mono_copy(
                 c, parse_hspec("S4^1")
             )
             is None
         ]
-        assert (
-            canonical_form(out1.witness.coloring, MODE_VERTEX_AND_COLOR)
-            == min(bad_keys)
-        )
+        assert canonical_form(out1.witness.coloring) == min(bad_keys)
 
     def test_sporadic_class_among_bad_witnesses(self):
         """The 5-vertex sporadic coloring is bad for this target, so its
@@ -164,11 +156,11 @@ class TestCheckN:
 
         H = parse_hspec("S4^1")
         bad = {
-            canonical_form(c, MODE_VERTEX_AND_COLOR)
+            canonical_form(c)
             for c in enumerate_p5free(5, 4)
             if find_mono_copy(c, H) is None
         }
-        assert canonical_form(sporadic("F3"), MODE_VERTEX_AND_COLOR) in bad
+        assert canonical_form(sporadic("F3")) in bad
 
     def test_all_good_case(self):
         out = check_n(parse_hspec("S4^1"), 4, 6)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from gallai import structure
-from gallai.canonical import MODE_VERTEX_AND_COLOR, canonical_form
+from gallai.canonical import canonical_form
 from gallai.constructions import sporadic
 from gallai.detectors import find_rainbow_path
 from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
@@ -154,9 +154,19 @@ class TestEnumerate:
                 reps = enumerate_p5free(n, k)
                 if reps:
                     counts[(n, k)] = len(reps)
-                keys.extend(canonical_form(c, MODE_VERTEX_AND_COLOR) for c in reps)
+                keys.extend(canonical_form(c) for c in reps)
         assert counts == _CENSUS
         assert hashlib.sha256(b"".join(sorted(keys))).hexdigest() == _CENSUS_SHA256
+
+    def test_min_degree_one_graphs_pinned(self):
+        """One representative per isomorphism class of graphs without an
+        isolated vertex (OEIS A002494: 0, 1, 2, 7, 23), with the exact
+        representatives and their order pinned by digest; case (b) draws
+        its parts from s <= 5."""
+        graphs = [structure._graphs_min_deg1(s) for s in range(1, 6)]
+        assert [len(g) for g in graphs] == [0, 1, 2, 7, 23]
+        digest = hashlib.sha256(repr(graphs).encode()).hexdigest()
+        assert digest == "d1f8f2605df35ef3c8ac061c7274e7217f1e55e6096a9d086e40ec9728a30aff"
 
     def test_counts_at_order_five(self):
         assert len(enumerate_p5free(5, 4)) == 8
@@ -166,7 +176,7 @@ class TestEnumerate:
         """Every representative is exact, canonical, and rainbow-free."""
         for n, k in ((5, 4), (6, 4), (5, 5), (6, 5), (5, 6)):
             reps = enumerate_p5free(n, k)
-            keys = [canonical_form(c, MODE_VERTEX_AND_COLOR) for c in reps]
+            keys = [canonical_form(c) for c in reps]
             assert keys == sorted(keys)
             assert len(set(keys)) == len(keys)
             for c in reps:
