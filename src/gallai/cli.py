@@ -7,7 +7,11 @@ unknown construction name, missing, extra or repeated parameters, a
 parameter outside the builder's domain, or a coloring order beyond
 ``MAX_COLORING_ORDER``) and when stdout is closed before the output
 is written (a pipe into ``head``, say), which ends the run without a
-traceback.
+traceback.  3 is an internal error: a failed invariant
+(``TheoremViolation``, ``FormulaInconsistency``, an embedding that fails
+re-verification) or any other unexpected exception, reported as one
+``internal error:`` line on stderr.  It is never a negative answer.
+``selftest`` reports a failed invariant as a FAIL line and exits 1.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from gallai.structure import (
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 def _dumps(obj) -> str:
@@ -339,6 +344,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # TheoremViolation, FormulaInconsistency and the re-verification
+        # errors are RuntimeErrors; anything else is caught here as well.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

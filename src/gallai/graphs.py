@@ -59,7 +59,7 @@ def require_keys(data: object, keys: tuple[str, ...], what: str) -> dict:
 def _json_int(value: object) -> int:
     try:
         return int(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         raise ValueError(f"expected an integer, got {value!r}") from None
 
 
@@ -122,6 +122,8 @@ class ColoredComplete:
         cls, n: int, k: int, triples: Iterable[tuple[int, int, int]]
     ) -> ColoredComplete:
         """Build from (i, j, color) triples; every edge must appear exactly once."""
+        if n < 1:
+            raise ValueError(f"need n >= 1, got n={n}")
         m = edge_count(n)
         cols: list[int] = [0] * m
         for i, j, c in triples:

@@ -14,8 +14,19 @@ renumbering colors, into at least one of six shapes:
   (f) one sporadic coloring of K5, taken from the construction registry
       (``sporadic("TW-case-f")``).
 
-``classify_p5free`` evaluates each shape independently and cross-checks the
-combined answer against the rainbow detector at runtime.  The same shapes
+``classify_p5free`` evaluates every shape on every call and cross-checks the
+combined answer against the rainbow detector.  It builds one profile per
+call, ``{color: (edge count, touched-vertex mask)}`` for the used colors,
+and each shape is read from it and from the per-color adjacency masks
+``c.adj``: (a) counts the colors; (b) compares, for each candidate dominant
+color, the popcount of the union of the other touched masks with the sum of
+their popcounts; (c) looks for a color whose edge count minus a vertex's
+degree in it is C(n-1, 2); (d) pairs single-edge colors sharing a vertex a
+and checks that the third side's color has no edge beyond it off a;
+(e) scans only the quads spanned by a 2-edge color class touching four
+vertices; (f) runs the template match only when the class sizes equal the
+template's.  Edge lists are built only for a witness and for the quads of
+(e).  The same shapes
 drive ``enumerate_p5free``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, up to vertex-and-color isomorphism.
 """
@@ -24,14 +35,14 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import (
-    combinations,
     combinations_with_replacement,
     groupby,
     permutations,
     product,
 )
+from operator import or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from gallai.canonical import canonical_form, coloring_from_key
@@ -125,70 +136,84 @@ def classify_p4free(c: ColoredComplete) -> P4Report:
     return P4Report(case=None, rainbow=emb)
 
 
-def _case_a(c: ColoredComplete):
-    used = c.used_colors
-    return len(used) if len(used) <= 3 else None
+def _color_profile(c: ColoredComplete) -> dict[int, tuple[int, int]]:
+    """``{color: (edge count, touched-vertex mask)}`` for the used colors,
+    in increasing color order."""
+    profile = {}
+    colors = c.colors
+    for col, row in enumerate(c.adj):
+        touched = reduce(or_, row, 0)
+        if touched:
+            profile[col] = (colors.count(col), touched)
+    return profile
 
 
-def _case_b(c: ColoredComplete):
-    used = sorted(c.used_colors)
-    if len(used) < 2:
+def _case_a(c: ColoredComplete, profile: dict):
+    return len(profile) if len(profile) <= 3 else None
+
+
+def _case_b(c: ColoredComplete, profile: dict):
+    if len(profile) < 2:
         return None
-    for dom in used:
-        sets = {j: c.vertices_incident(j) for j in used if j != dom}
-        total = sum(len(s) for s in sets.values())
-        union: set[int] = set()
-        for s in sets.values():
-            union |= s
-        if len(union) == total:
-            return dom, sets
+    for dom in profile:
+        union = total = 0
+        for col, (_, touched) in profile.items():
+            if col != dom:
+                union |= touched
+                total += touched.bit_count()
+        if union.bit_count() == total:
+            return dom, {col: c.vertices_incident(col) for col in profile if col != dom}
     return None
 
 
-def _case_c(c: ColoredComplete):
-    n = c.n
-    edge_list = list(pairs(n))
-    for v in range(n):
-        rest = {col for (i, j), col in zip(edge_list, c.colors) if v not in (i, j)}
-        if len(rest) == 1:
-            return v, next(iter(rest))
+def _case_c(c: ColoredComplete, profile: dict):
+    # The C(n-1, 2) edges missing a vertex are more than half of all edges
+    # once n >= 5, so at most one color can hold them.
+    rest = edge_count(c.n - 1)
+    for col, (count, _) in profile.items():
+        if count >= rest:
+            row = c.adj[col]
+            for v in range(c.n):
+                if count - row[v].bit_count() == rest:
+                    return v, col
     return None
 
 
-def _color_classes(c: ColoredComplete) -> dict[int, tuple[tuple[int, int], ...]]:
-    return {col: c.edges_in_color(col) for col in sorted(c.used_colors)}
-
-
-def _case_d(c: ColoredComplete):
-    classes = _color_classes(c)
-    if len(classes) != 4:
+def _case_d(c: ColoredComplete, profile: dict):
+    if len(profile) != 4:
         return None
-    singles = [col for col, cl in classes.items() if len(cl) == 1]
+    singles = [col for col, (count, _) in profile.items() if count == 1]
     for colx, coly in permutations(singles, 2):
-        (e1,) = classes[colx]
-        (e2,) = classes[coly]
-        shared = set(e1) & set(e2)
-        if len(shared) != 1:
+        e1, e2 = profile[colx][1], profile[coly][1]
+        shared = e1 & e2
+        if not shared:
             continue
-        a = shared.pop()
-        b = next(v for v in e1 if v != a)
-        cc = next(v for v in e2 if v != a)
-        bc = tuple(sorted((b, cc)))
-        for colz, cl in classes.items():
-            if colz in (colx, coly):
-                continue
-            if bc not in cl:
-                continue
-            if all(e == bc or a in e for e in cl):
-                return a, b, cc, frozenset(cl)
+        a = shared.bit_length() - 1
+        b = (e1 ^ shared).bit_length() - 1
+        cc = (e2 ^ shared).bit_length() - 1
+        # bc is neither ab nor ac, so its color is neither colx nor coly.
+        colz = c.color_of(b, cc)
+        if profile[colz][0] - 1 == c.degree(a, colz):
+            return a, b, cc, frozenset(c.edges_in_color(colz))
     return None
 
 
-def _case_e(c: ColoredComplete):
-    classes = {col: set(cl) for col, cl in _color_classes(c).items()}
-    if len(classes) != 4:
+def _case_e(c: ColoredComplete, profile: dict):
+    if len(profile) != 4:
         return None
-    for quad in combinations(range(c.n), 4):
+    # Two classes must each be a perfect matching of the quad, so only the
+    # vertex sets of 2-edge classes touching 4 vertices can match.
+    quads = sorted(
+        {
+            tuple(v for v in range(c.n) if touched >> v & 1)
+            for count, touched in profile.values()
+            if count == 2 and touched.bit_count() == 4
+        }
+    )
+    if not quads:
+        return None
+    classes = {col: set(c.edges_in_color(col)) for col in profile}
+    for quad in quads:
         q0, q1, q2, q3 = quad
         matchings = [
             {(q0, q1), (q2, q3)},
@@ -223,10 +248,11 @@ def _case_e(c: ColoredComplete):
 
 _CASE_F = sporadic("TW-case-f")
 _CASE_F_CLASSES = tuple(_CASE_F.edges_in_color(col) for col in range(1, _CASE_F.k + 1))
+_CASE_F_SIZES = sorted(len(cl) for cl in _CASE_F_CLASSES)
 
 
-def _case_f(c: ColoredComplete):
-    if c.n != 5 or len(c.used_colors) != 4:
+def _case_f(c: ColoredComplete, profile: dict):
+    if c.n != 5 or sorted(count for count, _ in profile.values()) != _CASE_F_SIZES:
         return None
     for perm in permutations(range(5)):
         assigned: list[int] = []
@@ -248,6 +274,7 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     disagreement)."""
     if c.n < 5:
         raise ValueError(f"classification needs n >= 5, got n={c.n}")
+    profile = _color_profile(c)
     witnesses: dict = {}
     checks = {
         "a": _case_a,
@@ -258,7 +285,7 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
         "f": _case_f,
     }
     for name, fn in checks.items():
-        witness = fn(c)
+        witness = fn(c, profile)
         if witness is not None:
             witnesses[name] = witness
     rainbow = find_rainbow_path(c, 4)

@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import os
 import sys
+import tempfile
 import time
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gallai.cli import (
+    EXIT_INTERNAL,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
@@ -259,6 +263,78 @@ class TestClassify:
         assert report["rainbow"] is None
         assert isinstance(report["case"], str)
 
+    def test_theorem_violation_exits_internal(self, capsys, monkeypatch, tmp_path):
+        """A case predicate contradicting the rainbow detector is an
+        internal error (exit 3, one stderr line), never a negative answer."""
+        monkeypatch.setattr("gallai.structure._case_b", lambda c, profile: (1, {}))
+        c = ColoredComplete(5, 10, tuple(range(1, 11)))
+        path = tmp_path / "rainbow.json"
+        path.write_text(json.dumps(c.to_json_dict()))
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("internal error: TheoremViolation: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 0),
+    st.sampled_from([1.5, float("inf"), float("-inf"), float("nan")]),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+)
+
+
+@st.composite
+def _coloring_documents(draw):
+    """A small coloring, valid or broken in one of the ways a hand-written
+    file can be: wrong edge count, color 0 or above k, a non-integer field,
+    or no JSON object at all."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 9))
+    edges = [[i, j, draw(st.integers(1, k))] for i in range(n) for j in range(i + 1, n)]
+    flaw = draw(st.sampled_from(
+        ["none", "drop", "extra", "color0", "color_big", "junk_color", "junk_n", "junk_k", "not_object"]
+    ))
+    if flaw == "drop" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif flaw == "extra":
+        edges.append([0, max(n - 1, 1), 1])
+    elif flaw in ("color0", "color_big", "junk_color") and edges:
+        bad = {"color0": 0, "color_big": k + draw(st.integers(1, 3)), "junk_color": draw(_JUNK)}[flaw]
+        edges[draw(st.integers(0, len(edges) - 1))][2] = bad
+    doc = {"n": n, "k": k, "edges": edges}
+    if flaw == "junk_n":
+        doc["n"] = draw(_JUNK)
+    elif flaw == "junk_k":
+        doc["k"] = draw(_JUNK)
+    elif flaw == "not_object":
+        return draw(st.one_of(st.just(edges), _JUNK))
+    return doc
+
+
+class TestClassifyFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=_coloring_documents(), path_edges=st.sampled_from([None, "3"]))
+    @example(doc={"n": -3, "k": 2, "edges": []}, path_edges=None)
+    @example(doc={"n": 5, "k": float("inf"), "edges": []}, path_edges="3")
+    def test_classify_answers_or_refuses(self, doc, path_edges):
+        """Every small or malformed coloring file is classified (exit 0) or
+        refused as a usage error (exit 2), never with a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "coloring.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            argv = ["classify", "--file", path]
+            if path_edges is not None:
+                argv += ["--path-edges", path_edges]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_USAGE), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 class TestEnumerate:
     def test_stream_matches_library(self, capsys):

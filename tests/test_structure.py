@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations, permutations
 
 import pytest
 
 from gallai import structure
 from gallai.canonical import canonical_form
-from gallai.constructions import sporadic
+from gallai.constructions import build_named, sporadic
 from gallai.detectors import find_rainbow_path
 from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
 from gallai.structure import (
@@ -131,6 +132,207 @@ class TestClassifyP5:
         with pytest.raises(ValueError):
             classify_p5free(ColoredComplete.constant(4, 2))
 
+
+
+# Edge-list forms of the case predicates, kept as an independent reference:
+# each rebuilds the color classes and tests its shape directly.
+
+
+def _reference_classes(c):
+    return {col: c.edges_in_color(col) for col in sorted(c.used_colors)}
+
+
+def _reference_case_a(c):
+    used = c.used_colors
+    return len(used) if len(used) <= 3 else None
+
+
+def _reference_case_b(c):
+    used = sorted(c.used_colors)
+    if len(used) < 2:
+        return None
+    for dom in used:
+        sets = {j: c.vertices_incident(j) for j in used if j != dom}
+        union = set().union(*sets.values())
+        if len(union) == sum(len(s) for s in sets.values()):
+            return dom, sets
+    return None
+
+
+def _reference_case_c(c):
+    for v in range(c.n):
+        rest = {col for (i, j), col in zip(pairs(c.n), c.colors) if v not in (i, j)}
+        if len(rest) == 1:
+            return v, next(iter(rest))
+    return None
+
+
+def _reference_case_d(c):
+    classes = _reference_classes(c)
+    if len(classes) != 4:
+        return None
+    singles = [col for col, cl in classes.items() if len(cl) == 1]
+    for colx, coly in permutations(singles, 2):
+        (e1,) = classes[colx]
+        (e2,) = classes[coly]
+        shared = set(e1) & set(e2)
+        if len(shared) != 1:
+            continue
+        a = shared.pop()
+        b = next(v for v in e1 if v != a)
+        cc = next(v for v in e2 if v != a)
+        bc = tuple(sorted((b, cc)))
+        for colz, cl in classes.items():
+            if colz in (colx, coly) or bc not in cl:
+                continue
+            if all(e == bc or a in e for e in cl):
+                return a, b, cc, frozenset(cl)
+    return None
+
+
+def _reference_case_e(c):
+    classes = {col: set(cl) for col, cl in _reference_classes(c).items()}
+    if len(classes) != 4:
+        return None
+    for q0, q1, q2, q3 in combinations(range(c.n), 4):
+        matchings = [
+            {(q0, q1), (q2, q3)},
+            {(q0, q2), (q1, q3)},
+            {(q0, q3), (q1, q2)},
+        ]
+        exact = {
+            i: col
+            for i, m in enumerate(matchings)
+            for col, cl in classes.items()
+            if cl == m
+        }
+        for iz, mz in enumerate(matchings):
+            others = [i for i in range(3) if i != iz]
+            if not all(i in exact for i in others):
+                continue
+            taken = {exact[i] for i in others}
+            for col, cl in classes.items():
+                if col in taken or not cl or not cl <= mz:
+                    continue
+                ordered = sorted(mz)
+                if len(cl) == 1:
+                    ab = next(iter(cl))
+                    cd = next(e for e in ordered if e != ab)
+                    return ab[0], ab[1], cd[0], cd[1], False
+                ab, cd = ordered
+                return ab[0], ab[1], cd[0], cd[1], True
+    return None
+
+
+def _reference_case_f(c):
+    if c.n != 5 or len(c.used_colors) != 4:
+        return None
+    template = sporadic("TW-case-f")
+    template_classes = [template.edges_in_color(col) for col in range(1, template.k + 1)]
+    for perm in permutations(range(5)):
+        assigned = set()
+        for template_class in template_classes:
+            cols = {c.color_of(perm[i], perm[j]) for i, j in template_class}
+            if len(cols) != 1 or cols & assigned:
+                break
+            assigned |= cols
+        else:
+            return perm
+    return None
+
+
+_REFERENCE_CASES = {
+    "a": _reference_case_a,
+    "b": _reference_case_b,
+    "c": _reference_case_c,
+    "d": _reference_case_d,
+    "e": _reference_case_e,
+    "f": _reference_case_f,
+}
+
+
+def _reference_witnesses(c):
+    found = {name: fn(c) for name, fn in _REFERENCE_CASES.items()}
+    return {name: w for name, w in found.items() if w is not None}
+
+
+def _relabeled(rng, c):
+    vperm = list(range(c.n))
+    rng.shuffle(vperm)
+    cperm = list(range(1, c.k + 1))
+    rng.shuffle(cperm)
+    return c.permuted(vperm, [0] + cperm)
+
+
+# Rainbow-path-free builder outputs of order 5..9.
+_BUILDER_SPECS = (
+    [("G3", {"t": t}) for t in range(5, 10)]
+    + [
+        ("G4", {"a": a, "t": t, "k": k})
+        for a, t, ks in ((3, 4, (2, 3)), (4, 3, (2, 3, 4)), (5, 3, (2, 5)))
+        for k in ks
+    ]
+    + [("G5", {"t": t, "k": k}) for t in range(5, 10) for k in range(2, t + 1, 2)]
+    + [("G6", {"max_degree": d, "k": k}) for d, k in ((4, 3), (5, 4), (7, 5), (8, 5))]
+    + [("F1", {"t": t}) for t in (6, 8)]
+    + [("F2", {"t": t}) for t in range(5, 10)]
+    + [("F3", {}), ("F11", {}), ("TW-case-f", {})]
+)
+
+
+def _with_special(n, k, special, rest=1):
+    """K_n in color ``rest`` except the edges listed in ``special``."""
+    return ColoredComplete.from_edge_triples(
+        n, k, [(i, j, special.get((i, j), rest)) for i, j in pairs(n)]
+    )
+
+
+def _hand_made(rng):
+    """One coloring per hard-to-hit witness shape."""
+    e_shape = {(0, 2): 3, (1, 3): 3, (0, 3): 4, (1, 2): 4}
+    yield _with_special(6, 4, {**e_shape, (0, 1): 2})
+    yield _with_special(6, 4, {**e_shape, (0, 1): 2, (2, 3): 2})
+    yield _relabeled(rng, _with_special(8, 4, {**e_shape, (0, 1): 2}))
+    yield _relabeled(rng, _with_special(8, 4, {**e_shape, (0, 1): 2, (2, 3): 2}))
+    d_shape = {(2, 4): 2, (2, 5): 3, (4, 5): 4}
+    yield _with_special(7, 4, d_shape)
+    yield _with_special(7, 4, {**d_shape, (0, 2): 4, (2, 6): 4})
+    yield _relabeled(rng, _with_special(9, 4, {**d_shape, (1, 2): 4, (2, 3): 4, (2, 8): 4}))
+    yield ColoredComplete.constant(6, 3, 2)
+    yield _relabeled(rng, sporadic("TW-case-f"))
+
+
+def _differential_inputs():
+    """Seeded random colorings, relabeled builder outputs, every enumerated
+    class at n 5..9 and k 4..7, and the hand-made shapes."""
+    rng = random.Random(9801)
+    for _ in range(2000):
+        yield _random_coloring(rng, 5, 9)
+    for name, params in _BUILDER_SPECS:
+        base = build_named(name, params)
+        for _ in range(3):
+            yield _relabeled(rng, base)
+    for n in range(5, 10):
+        for k in range(4, 8):
+            yield from enumerate_p5free(n, k)
+    yield from _hand_made(rng)
+
+
+class TestWitnessDifferential:
+    def test_witnesses_match_edge_list_reference(self):
+        for c in _differential_inputs():
+            assert classify_p5free(c).witnesses == _reference_witnesses(c), c
+
+    def test_hand_made_shapes_hit_their_case(self):
+        e_false, e_true, _, _, d_plain, d_extra, _, constant, case_f = _hand_made(
+            random.Random(9801)
+        )
+        assert _reference_witnesses(e_false)["e"] == (0, 1, 2, 3, False)
+        assert _reference_witnesses(e_true)["e"] == (0, 1, 2, 3, True)
+        assert _reference_witnesses(d_plain)["d"][:3] == (2, 4, 5)
+        assert len(_reference_witnesses(d_extra)["d"][3]) == 3
+        assert _reference_witnesses(constant)["c"] == (0, 2)
+        assert set(_reference_witnesses(case_f)) == {"f"}
 
 # Class counts of enumerate_p5free for n 5..9 and k 4..12 (pairs not listed
 # have no class), and the sha256 of all their canonical keys, sorted and
