@@ -25,7 +25,7 @@ import time
 
 from gallai.canonical import canonical_form
 from gallai.constructions import BUILDERS, build_named, construction_grid
-from gallai.formulas import KIND_EXACT, KIND_BOUNDS, GrResult, evaluate
+from gallai.formulas import KIND_EXACT, KIND_BOUNDS, ConstantOutOfRange, GrResult, evaluate
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
 from gallai.search import (
     WitnessFailure,
@@ -86,7 +86,10 @@ def _read_json(path: str | None):
 
 def _cmd_eval(args) -> int:
     H = _parse_target(args.H)
-    result = evaluate(H, args.k, c=args.c)
+    try:
+        result = evaluate(H, args.k, c=args.c)
+    except ConstantOutOfRange as exc:
+        raise ValueError(f"bad --c: {exc}") from None
     if args.mode == "table":
         print(format_table_row(render_hspec(H), args.k, result))
     else:

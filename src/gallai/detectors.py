@@ -5,10 +5,10 @@ ascending vertex order, colors in ascending order, and the first embedding
 found is returned.  Every returned embedding is re-checked against the host
 before it leaves this module.
 
-Whether a rainbow 4-edge path exists is decided by a scan over the middle
-vertex of the path, O(n^3 k^2) bit operations on the per-color adjacency
-masks; the O(n^5) path DFS runs only when a path exists, to produce the
-path that is returned.
+Rainbow paths with m = 3 or 4 edges, the only lengths the structure
+theorems use, are found by one O(n^3 k^2) scan over the path's middle
+vertex on the per-color adjacency masks.  The path returned is the scan's
+first hit, smaller end first, not the lexicographically first path.
 """
 
 from __future__ import annotations
@@ -93,54 +93,32 @@ def _checked_mono(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> Embeddi
     return emb
 
 
-def _require_path_fits(c: ColoredComplete, m: int) -> None:
-    if not 1 <= m <= c.n - 1:
-        raise ValueError(f"path edge count must satisfy 1 <= m <= n-1, got m={m}, n={c.n}")
-
-
-def iter_rainbow_paths(c: ColoredComplete, m: int) -> Iterator[tuple[int, ...]]:
-    """All simple paths with m edges and m distinct edge colors, as vertex
-    tuples, in ascending DFS order.  Each undirected path appears once, in
-    the orientation whose first endpoint is the smaller."""
-    _require_path_fits(c, m)
+def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
+    """The first rainbow path with m in {3, 4} edges the scan meets, smaller
+    end first, or None.  For each middle vertex and pair b, d whose edges to
+    it have colors x != y, a-b-mid-d (m = 3) needs an edge at b outside
+    colors {x, y} to a vertex outside {b, mid, d}; a-b-mid-d-e (m = 4, b < d)
+    needs colors z at b and w != z at d, both outside {x, y}, to reach ends
+    outside {b, mid, d} that are not one and the same single vertex."""
     if len(c.used_colors) < m:
-        return
+        return None
     n = c.n
-    path = [0] * (m + 1)
-
-    def dfs(depth: int, used: int, colors_seen: int) -> Iterator[tuple[int, ...]]:
-        if depth == m + 1:
-            if path[0] < path[m]:
-                yield tuple(path)
-            return
-        last = path[depth - 1]
-        for w in range(n):
-            if used >> w & 1:
-                continue
-            col = c.color_of(last, w)
-            if colors_seen >> col & 1:
-                continue
-            path[depth] = w
-            yield from dfs(depth + 1, used | 1 << w, colors_seen | 1 << col)
-
-    for start in range(n):
-        path[0] = start
-        yield from dfs(1, 1 << start, 0)
-
-
-def _has_rainbow_p5(c: ColoredComplete) -> bool:
-    """Whether c holds a rainbow path a-b-mid-d-e.
-
-    For each middle vertex and each pair b < d whose edges to it have
-    colors x != y, the path exists when some color z at b and some color
-    w != z at d, both outside {x, y}, reach end vertices outside {b, mid, d}
-    that are not one and the same single vertex.
-    """
-    if len(c.used_colors) < 4:
-        return False
-    n = c.n
+    adj = c.adj
+    if m == 3:
+        full = (1 << n) - 1
+        for mid in range(n):
+            cm = [0 if v == mid else c.color_of(mid, v) for v in range(n)]
+            for b, x in enumerate(cm):
+                if not x:
+                    continue
+                at_b = adj[x][b] | 1 << b | 1 << mid
+                for d, y in enumerate(cm):
+                    if y and y != x and (ends := full & ~(at_b | adj[y][b] | 1 << d)):
+                        a = next(_iter_bits(ends))
+                        return (a, b, mid, d) if a < d else (d, mid, b, a)
+        return None
     # (color, neighbor mask) for every color present at each vertex
-    around = [[(z, row[v]) for z, row in enumerate(c.adj) if row[v]] for v in range(n)]
+    around = [[(z, row[v]) for z, row in enumerate(adj) if row[v]] for v in range(n)]
     for mid in range(n):
         cm = [0] * n
         for x, mask in around[mid]:
@@ -166,21 +144,24 @@ def _has_rainbow_p5(c: ColoredComplete) -> bool:
                             continue
                         ends_e = w_mask & excl
                         if ends_e and not (ends_a == ends_e and ends_a & (ends_a - 1) == 0):
-                            return True
-    return False
+                            a = next(_iter_bits(ends_a))
+                            if ends_e == 1 << a:
+                                a = next(_iter_bits(ends_a & ~ends_e))
+                            e = next(_iter_bits(ends_e & ~(1 << a)))
+                            return (a, b, mid, d, e) if a < e else (e, d, mid, b, a)
+    return None
 
 
 def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
-    """First rainbow path with m edges, or None if none exists."""
-    _require_path_fits(c, m)
-    if m == 4 and not _has_rainbow_p5(c):
+    """The rainbow path with m in {3, 4} edges that the middle-vertex scan
+    finds first, or None if none exists."""
+    if m not in (3, 4) or m > c.n - 1:
+        raise ValueError(f"rainbow paths need m in {{3, 4}} and m <= n-1, got m={m}, n={c.n}")
+    vs = _rainbow_path(c, m)
+    if vs is None:
         return None
-    for vs in iter_rainbow_paths(c, m):
-        edges = tuple(tuple(sorted(e)) for e in zip(vs, vs[1:]))
-        return _checked_rainbow(
-            c, Embedding(kind=RAINBOW_PATH, vertices=vs, color=None, edges=edges)
-        )
-    return None
+    edges = tuple(tuple(sorted(e)) for e in zip(vs, vs[1:]))
+    return _checked_rainbow(c, Embedding(RAINBOW_PATH, vs, None, edges))
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

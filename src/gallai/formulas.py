@@ -5,7 +5,8 @@ co3-1, ...), a literal hypothesis check, and a value or bound formula.
 ``evaluate`` collects every applicable rule: exact values must agree with
 each other and fit inside every applicable bound (a contradiction raises
 FormulaInconsistency, since it can only come from a transcription bug), and
-bounds are intersected otherwise.
+bounds are intersected otherwise.  A contradiction caused by the caller's
+constant c of the pineapple bound th4-7 raises ConstantOutOfRange instead.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from gallai.graphs import (
     FAMILY_STAR_PLUS,
     TargetGraph,
     TargetProperties,
+    UnsupportedSizeError,
     render_hspec,
     target_properties,
 )
@@ -29,10 +31,16 @@ KIND_EXACT = "Exact"
 KIND_BOUNDS = "Bounds"
 KIND_UNKNOWN = "Unknown"
 
+TH4_7_MAX_OMEGA = 515  # comb(2w - 2, w - 1) leaves the float range at w = 516
+
 
 class FormulaInconsistency(RuntimeError):
     """Two applicable rules disagree; this indicates a transcription bug in
     the rule table, never a legitimate runtime condition."""
+
+
+class ConstantOutOfRange(ValueError):
+    """The constant c is not finite or gives an unusable th4-7 bound."""
 
 
 @dataclass(frozen=True)
@@ -189,9 +197,14 @@ def ramsey_known(
         if H.family == FAMILY_PINEAPPLE and colors == 2 and c is not None:
             assert H.omega is not None
             w = H.omega
-            hi = math.floor(
-                math.comb(2 * w - 2, w - 1) * math.exp(-c * math.log(w - 1) ** 2)
-            ) + (H.t - 2) * (w - 1)
+            if w > TH4_7_MAX_OMEGA:
+                raise UnsupportedSizeError(f"th4-7 needs omega <= {TH4_7_MAX_OMEGA}, got {w}")
+            try:
+                hi = math.floor(
+                    math.comb(2 * w - 2, w - 1) * math.exp(-c * math.log(w - 1) ** 2)
+                ) + (H.t - 2) * (w - 1)
+            except OverflowError:
+                raise ConstantOutOfRange(f"c={c} overflows the th4-7 bound") from None
             return RamseyEntry((render_hspec(H),), 2, H.t, hi, "th4-7")
     return None
 
@@ -571,6 +584,8 @@ def evaluate(
     """Combine every applicable rule for (H, k) into one result."""
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
+    if c is not None and not math.isfinite(c):
+        raise ConstantOutOfRange(f"c must be finite, got c={c}")
     q = _Query(
         H=H,
         k=k,
@@ -608,6 +623,8 @@ def evaluate(
         his = [co.hi for co in bounds if co.hi is not None]
         hi = min(his) if his else None
         if hi is not None and lo > hi:
+            if any(co.hi == hi and "th4-7" in co.deps for co in bounds):
+                raise ConstantOutOfRange(f"c={c} puts the th4-7 upper bound {hi} below {lo}")
             raise FormulaInconsistency(
                 f"bound rules cross for H={render_hspec(H)}, k={k}: lo={lo} > hi={hi}"
             )

@@ -57,10 +57,10 @@ def require_keys(data: object, keys: tuple[str, ...], what: str) -> dict:
 
 
 def _json_int(value: object) -> int:
-    try:
-        return int(value)
-    except (TypeError, OverflowError):
-        raise ValueError(f"expected an integer, got {value!r}") from None
+    """A JSON integer as it is; floats, booleans and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def _json_rows(rows: object, width: int, what: str) -> list[tuple[int, ...]]:

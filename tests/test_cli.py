@@ -72,6 +72,23 @@ class TestEval:
         assert code == EXIT_USAGE
         assert "bad target spec" in err
 
+    @pytest.mark.parametrize("c", ["10", "inf", "nan", "-inf", "-1e6"])
+    def test_unusable_constant_is_usage_error(self, capsys, c):
+        """A c that is not finite, overflows th4-7 or pushes its bound
+        below the proven lower bound 31 is the caller's input error."""
+        code, out, err = run(capsys, "eval", "--H", "PA7,6", "--k", "5", f"--c={c}")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: bad --c: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("c, hi", [("-1", 3385), ("0.01", 270)])
+    def test_usable_constant_bounds(self, capsys, c, hi):
+        code, out, _ = run(capsys, "eval", "--H", "PA7,6", "--k", "5", f"--c={c}")
+        assert code == EXIT_OK
+        assert out == (
+            f'{{"kind":"Bounds","lo":31,"hi":{hi},"provenance":["lem2-1","cor4-4","th4-7"]}}\n'
+        )
+
 
 class TestGoldenTable:
     def test_sweep_rows_match_golden_bytes(self):
@@ -277,6 +294,15 @@ class TestClassify:
         assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """Exit code and stderr of main(argv), for tests that run it many
+    times under hypothesis (capsys does not reset between examples)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 _JUNK = st.one_of(
     st.none(),
     st.booleans(),
@@ -330,11 +356,86 @@ class TestClassifyFuzz:
             argv = ["classify", "--file", path]
             if path_edges is not None:
                 argv += ["--path-edges", path_edges]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (EXIT_OK, EXIT_USAGE), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+            code, err = _run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_USAGE), err
+        assert "Traceback" not in err
+
+
+_SIZE = st.one_of(st.integers(0, 12), st.sampled_from([10**6, 10**20]))
+_JSON_NUMBER = st.one_of(
+    st.integers(-1, 6), st.booleans(), st.sampled_from([0.5, 2.0, 3.5, 10**20])
+)
+
+
+@st.composite
+def _target_specs(draw):
+    """A target spec from the K / S^r / PA / K-M grammar with small, zero or
+    huge parameters, or inline JSON whose numbers may be floats or bools."""
+    form = draw(st.sampled_from(["K", "S", "PA", "K-M", "json"]))
+    t, p = draw(_SIZE), draw(_SIZE)
+    if form == "K":
+        return f"K{t}"
+    if form == "S":
+        return f"S{t}^{p}"
+    if form == "PA":
+        return f"PA{t},{p}"
+    if form == "K-M":
+        return f"K{t}-M"
+    edges = draw(st.lists(st.lists(_JSON_NUMBER, min_size=2, max_size=2), max_size=4))
+    return json.dumps({"order": draw(_JSON_NUMBER), "edges": edges})
+
+
+@st.composite
+def _exact_colorings(draw):
+    """A coloring that uses every color of its palette, as JSON."""
+    n = draw(st.integers(2, 9))
+    size = n * (n - 1) // 2
+    k = draw(st.integers(1, min(size, 5)))
+    colors = [draw(st.integers(1, k)) for _ in range(size)]
+    colors[:k] = range(1, k + 1)
+    return ColoredComplete(n, k, colors).to_json_dict()
+
+
+_CERT_TARGETS = st.sampled_from([
+    "K3", "S4^1", "PA5,3", "K4-M", "K100000", '{"order":3,"edges":[[0,1]]}',
+    "X7", "", "K0", "S3^2", '{"order":2.5,"edges":[]}', "{", None, 5, ["K3"],
+])
+
+
+class TestEvalVerifyFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=_target_specs(),
+        k=st.integers(-3, 40),
+        c=st.one_of(st.none(), st.floats(allow_nan=True, allow_infinity=True)),
+        mode=st.sampled_from(["json", "table"]),
+    )
+    @example(spec="PA7,6", k=5, c=10.0, mode="json")
+    @example(spec="PA1000000,999999", k=5, c=1.0, mode="json")
+    def test_eval_answers_or_refuses(self, spec, k, c, mode):
+        argv = ["eval", "--H", spec, "--k", str(k), "--mode", mode]
+        if c is not None:
+            argv.append(f"--c={c}")
+        code, err = _run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        doc=st.one_of(_coloring_documents(), _exact_colorings()),
+        target=_CERT_TARGETS,
+        label=st.one_of(st.none(), _JUNK),
+    )
+    def test_verify_answers_or_refuses(self, doc, target, label):
+        cert = {"label": label, "coloring": doc, "target": target}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "certificate.json")
+            with open(path, "w") as fh:
+                json.dump(cert, fh)
+            code, err = _run_quietly(["verify", "--file", path])
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE), err
+        assert "Traceback" not in err
+
 
 class TestEnumerate:
     def test_stream_matches_library(self, capsys):
@@ -410,6 +511,29 @@ class TestUsage:
         code, _, err = run(capsys, *argv)
         assert code == EXIT_USAGE
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 5.9), ("k", True), ("vertex", "3"), ("endpoint", 4.7)],
+    )
+    def test_non_integer_json_number_is_usage_error(self, capsys, tmp_path, field, value):
+        """JSON numbers are taken as they are: a float, a boolean or a
+        string where an integer belongs is refused, not truncated."""
+        doc = ColoredComplete.constant(5, 1).to_json_dict()
+        if field in ("n", "k"):
+            doc[field] = value
+        else:
+            doc["edges"][-1][0 if field == "vertex" else 1] = value
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
+    def test_non_integer_target_order_is_usage_error(self, capsys):
+        code, _, err = run(capsys, "eval", "--H", '{"order": 3.5, "edges": [[0, 1]]}', "--k", "4")
+        assert code == EXIT_USAGE
+        assert err.startswith("error: bad target spec")
 
     def test_order_cap_refuses_quickly(self, capsys, tmp_path):
         """A coloring order or palette beyond MAX_COLORING_ORDER, read,

@@ -9,16 +9,12 @@ import pytest
 
 from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.detectors import (
-    RAINBOW_PATH,
-    Embedding,
-    _has_rainbow_p5,
     _matching_with_pairs,
     check_mono_embedding,
     check_rainbow_embedding,
     find_mono_copy,
     find_mono_copy_in_color,
     find_rainbow_path,
-    iter_rainbow_paths,
 )
 from gallai.graphs import (
     ColoredComplete,
@@ -115,13 +111,6 @@ class TestRainbowPath:
                 if got is not None:
                     assert check_rainbow_embedding(c, got)
 
-    def test_iter_yields_all_distinct(self):
-        c = ColoredComplete(5, 10, tuple(range(1, 11)))
-        paths = list(iter_rainbow_paths(c, 4))
-        assert len(paths) == len(set(paths))
-        # fully rainbow K5: every 5-vertex path qualifies, 5!/2 of them
-        assert len(paths) == 60
-
     def test_m_bounds(self):
         c = ColoredComplete.constant(5, 2)
         with pytest.raises(ValueError):
@@ -130,6 +119,10 @@ class TestRainbowPath:
             find_rainbow_path(c, 5)
         with pytest.raises(ValueError):
             find_rainbow_path(ColoredComplete(4, 6, range(1, 7)), 4)
+        k7 = ColoredComplete(7, 21, range(1, 22))
+        for m in (2, 5):
+            with pytest.raises(ValueError):
+                find_rainbow_path(k7, m)
 
 
 def _palette_biased_colorings():
@@ -187,11 +180,19 @@ _SCAN_SETS = {
 class TestRainbowP5Scan:
     @pytest.mark.parametrize("name", list(_SCAN_SETS))
     def test_agrees_with_direct_scan(self, name):
+        """The scan finds a path exactly when an independent reference does,
+        for both path lengths, and hands it out smaller end first."""
         for c in _SCAN_SETS[name]():
-            # The direct scan walks all n!/(n-5)! vertex sequences; past
-            # order 12 the DFS comparison below is the reference.
-            if c.n <= 12:
-                assert _has_rainbow_p5(c) == _has_rainbow_p5_direct(c.colors, c.n), c.colors
+            # The references walk every vertex sequence; past order 12
+            # they take too long.
+            if c.n > 12:
+                continue
+            want = {3: _brute_force_rainbow(c, 3), 4: _has_rainbow_p5_direct(c.colors, c.n)}
+            for m in (3, 4):
+                emb = find_rainbow_path(c, m)
+                assert (emb is not None) == want[m], (m, c.colors)
+                if emb is not None:
+                    assert emb.vertices[0] < emb.vertices[-1]
 
     def test_rainbow_four_cycle_is_no_path(self):
         """0-1-2-3-0 is a rainbow 4-cycle in a coloring with no rainbow
@@ -199,19 +200,22 @@ class TestRainbowP5Scan:
         vertex would report a path here."""
         c = ColoredComplete(5, 4, (1, 1, 4, 3, 2, 3, 4, 3, 4, 1))
         assert not _has_rainbow_p5_direct(c.colors, c.n)
-        assert not _has_rainbow_p5(c)
+        assert find_rainbow_path(c, 4) is None
 
-    @pytest.mark.parametrize("name", list(_SCAN_SETS))
-    def test_returns_the_first_dfs_path(self, name):
-        for c in _SCAN_SETS[name]():
-            vs = next(iter_rainbow_paths(c, 4), None)
-            want = None if vs is None else Embedding(
-                kind=RAINBOW_PATH,
-                vertices=vs,
-                color=None,
-                edges=tuple(tuple(sorted(e)) for e in zip(vs, vs[1:])),
-            )
-            assert find_rainbow_path(c, 4) == want
+    def test_shared_end_takes_the_other_vertex(self):
+        """The first hit is mid 0, b 1, d 2 with end vertices {3, 4} at b
+        (color 3) and {3} at d (color 4).  The lowest end at b is the only
+        end at d, so the path must take 4 at b."""
+        c = ColoredComplete(5, 4, (1, 2, 1, 1, 2, 3, 3, 4, 1, 1))
+        emb = find_rainbow_path(c, 4)
+        assert emb is not None and emb.vertices == (3, 2, 0, 1, 4)
+
+    def test_three_perfect_matchings_hold_no_three_path(self):
+        """K4 split into three perfect matchings: every 3-edge path uses
+        two edges of one matching."""
+        c = ColoredComplete(4, 3, (1, 2, 3, 3, 2, 1))
+        assert not _brute_force_rainbow(c, 3)
+        assert find_rainbow_path(c, 3) is None
 
 
 def _matching_sizes(c, color, allowed=None):

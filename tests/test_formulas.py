@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gallai.formulas import (
+    TH4_7_MAX_OMEGA,
+    ConstantOutOfRange,
     FormulaInconsistency,
     GrResult,
     RamseyEntry,
@@ -17,7 +19,7 @@ from gallai.formulas import (
     pq_decompose,
     ramsey_known,
 )
-from gallai.graphs import TargetGraph, parse_hspec
+from gallai.graphs import TargetGraph, UnsupportedSizeError, parse_hspec
 
 
 class TestHelpers:
@@ -315,6 +317,28 @@ class TestCombination:
     def test_rejects_k_below_one(self):
         with pytest.raises(ValueError):
             evaluate(TargetGraph.complete(3), 0)
+
+
+class TestConstant:
+    """A c the th4-7 bound cannot use is a ValueError (tested through the
+    CLI), while a crossing of rules that c does not enter stays an
+    inconsistency."""
+
+    def test_crossing_with_c_is_constant_out_of_range(self):
+        """At c = 10 the th4-7 bound for PA7,6 is 25, below cor4-4's 31."""
+        with pytest.raises(ConstantOutOfRange, match="th4-7 upper bound 25"):
+            evaluate(parse_hspec("PA7,6"), 5, c=10)
+
+    def test_crossing_without_c_is_inconsistency(self):
+        injected = [RamseyEntry(("PA7,6",), 2, 7, 20, "injected")]
+        with pytest.raises(FormulaInconsistency):
+            evaluate(parse_hspec("PA7,6"), 5, c=0.01, table=injected)
+
+    def test_omega_cap(self):
+        w = TH4_7_MAX_OMEGA
+        assert ramsey_known(TargetGraph.pineapple(w + 1, w), 2, c=1.0) is not None
+        with pytest.raises(UnsupportedSizeError):
+            ramsey_known(TargetGraph.pineapple(w + 2, w + 1), 2, c=1.0)
 
 
 class TestGridSweep:
