@@ -12,11 +12,16 @@ traceback.  3 is an internal error: a failed invariant
 re-verification) or any other unexpected exception, reported as one
 ``internal error:`` line on stderr.  It is never a negative answer.
 ``selftest`` reports a failed invariant as a FAIL line and exits 1.
+
+The argument parser is built once per process and shared by every ``main``
+call, so a caller that runs many commands in one process (a test suite, the
+benchmark) pays for it once.  ``eval --c -1e-3`` is read as ``--c=-1e-3``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -271,7 +276,11 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` keeps no
+    state between calls, so every ``main`` call shares it.  Callers must not
+    change the parser it returns."""
     parser = argparse.ArgumentParser(
         prog="gallai",
         description="Verification and search for rainbow-path Ramsey thresholds.",
@@ -327,10 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+def _join_c_values(argv: list[str]) -> list[str]:
+    """``--c VALUE`` as ``--c=VALUE`` whenever VALUE is a float.  argparse
+    takes ``-1e-3`` or ``-inf`` after an option for an option name of its
+    own; joined, every float reaches ``--c`` the same way."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--c" and _is_float(arg):
+            out[-1] = f"--c={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_float(text: str) -> bool:
     try:
-        args = parser.parse_args(argv)
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = _join_c_values(sys.argv[1:] if argv is None else list(argv))
+    try:
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -9,6 +9,13 @@ Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one O(n^3 k^2) scan over the path's middle
 vertex on the per-color adjacency masks.  The path returned is the scan's
 first hit, smaller end first, not the lexicographically first path.
+
+K_t and the clique of PA_{t,omega} are found by ``graphs.find_clique``, the
+one clique search.  It prunes a node when a greedy coloring of its
+candidates into independent sets needs fewer classes than the vertices
+still missing; that cuts only subtrees without a clique and keeps the
+ascending branching order, so each embedding is the one found without the
+bound.
 """
 
 from __future__ import annotations

@@ -85,9 +85,12 @@ def replay_certificate(data: dict) -> WitnessCertificate:
     require_keys(data, ("coloring", "target"), "a certificate")
     if not isinstance(data["target"], str):
         raise ValueError(f"certificate target must be a spec string, got {data['target']!r}")
+    label = data.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"certificate label must be a string or null, got {label!r}")
     coloring = ColoredComplete.from_json_dict(data["coloring"])
     H = parse_hspec(data["target"])
-    return verify_witness(coloring, H, label=data.get("label"))
+    return verify_witness(coloring, H, label=label)
 
 
 def verify_witness(

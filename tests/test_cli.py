@@ -19,11 +19,12 @@ from gallai.cli import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     format_table_row,
     format_value,
     main,
 )
-from gallai.constructions import sporadic
+from gallai.constructions import BUILDERS, sporadic
 from gallai.formulas import GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
 from gallai.search import verify_witness
@@ -80,6 +81,27 @@ class TestEval:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: bad --c: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("c", ["-1e-3", "-1", "0.5", "1e-2"])
+    def test_constant_after_a_space_reads_as_with_equals(self, capsys, c):
+        """A negative value in exponent notation looks like an option to
+        argparse; ``--c VALUE`` still reads it as ``--c=VALUE`` does."""
+        joined = run(capsys, "eval", "--H", "PA7,6", "--k", "5", f"--c={c}")
+        spaced = run(capsys, "eval", "--H", "PA7,6", "--k", "5", "--c", c)
+        assert spaced == joined
+        assert spaced[0] == EXIT_OK and spaced[1].startswith('{"kind":"Bounds","lo":31,')
+
+    @pytest.mark.parametrize("c", ["-1e6", "-inf"])
+    def test_unusable_constant_after_a_space(self, capsys, c):
+        code, out, err = run(capsys, "eval", "--H", "PA7,6", "--k", "5", "--c", c)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: bad --c: ") and err.count("\n") == 1
+
+    def test_constant_needs_a_value(self, capsys):
+        code, out, err = run(capsys, "eval", "--H", "PA7,6", "--c", "--k", "5")
+        assert code == EXIT_USAGE
+        assert out == "" and "expected one argument" in err
 
     @pytest.mark.parametrize("c, hi", [("-1", 3385), ("0.01", 270)])
     def test_usable_constant_bounds(self, capsys, c, hi):
@@ -437,6 +459,58 @@ class TestEvalVerifyFuzz:
         assert "Traceback" not in err
 
 
+_TARGETS = st.one_of(
+    st.sampled_from(["K3", "K4", "S4^1", "S5^1", "PA5,3", "K4-M", '{"order":3,"edges":[[0,1]]}']),
+    st.sampled_from(["X7", "", "K0", "S3^2", "PA3,3", "K100000", '{"order":2.5,"edges":[]}', "{"]),
+)
+_PARAMS = st.one_of(
+    st.builds(
+        "{}={}".format, st.sampled_from(["t", "k", "a", "r", "max_degree"]), st.integers(2, 7)
+    ),
+    st.builds(
+        "{}={}".format,
+        st.sampled_from(["t", "k", "x", ""]),
+        st.sampled_from(["-1", "0", "", "x", "1.5", "=3"]),
+    ),
+    st.sampled_from(["t", "=", "t5", "k==4"]),
+)
+
+
+class TestWitnessCheckFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=_TARGETS,
+        k=st.one_of(st.none(), st.integers(1, 6)),
+        construction=st.one_of(st.none(), st.sampled_from(sorted(BUILDERS) + ["Q9", ""])),
+        params=st.lists(_PARAMS, max_size=3),
+    )
+    @example(target="S6^1", k=None, construction="G5", params=["t=6", "k=5"])
+    @example(target="K3", k=None, construction="G4", params=["a=7", "t=7", "k=7"])
+    def test_witness_answers_or_refuses(self, target, k, construction, params):
+        argv = ["witness", "--H", target]
+        if k is not None:
+            argv += ["--k", str(k)]
+        if construction is not None:
+            argv += ["--construction", construction]
+        for item in params:
+            argv += ["--param", item]
+        code, err = _run_quietly(argv)
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE), err
+        assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        target=_TARGETS,
+        k=st.integers(1, 6),
+        n=st.integers(1, 7),
+    )
+    @example(target="K4", k=4, n=7)
+    def test_check_answers_or_refuses(self, target, k, n):
+        code, err = _run_quietly(["check", "--H", target, "--k", str(k), "--n", str(n)])
+        assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE), err
+        assert "Traceback" not in err
+
+
 class TestEnumerate:
     def test_stream_matches_library(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "5", "--k", "4")
@@ -479,6 +553,37 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--file", str(path))
         assert code == EXIT_NEGATIVE
         assert "verification failed" in err
+
+    @pytest.mark.parametrize("label", [["F3"], 3, True], ids=["list", "number", "true"])
+    def test_non_string_label_is_usage_error(self, capsys, tmp_path, label):
+        data = verify_witness(sporadic("F3"), parse_hspec("S4^1")).to_json_dict()
+        data["label"] = label
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: certificate label must be a string or null")
+        assert err.count("\n") == 1
+
+    def test_nan_label_is_usage_error(self, capsys, tmp_path):
+        """A label that is not even JSON once printed is refused, not echoed."""
+        data = verify_witness(sporadic("F3"), parse_hspec("S4^1")).to_json_dict()
+        data["label"] = [float("nan"), {"a": 1}]
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+
+    @pytest.mark.parametrize("label", ["F3", None], ids=["string", "null"])
+    def test_string_or_null_label_replays_unchanged(self, capsys, tmp_path, label):
+        out = json.dumps(
+            verify_witness(sporadic("F3"), parse_hspec("S4^1"), label=label).to_json_dict(),
+            separators=(",", ":"),
+        ) + "\n"
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        assert run(capsys, "verify", "--file", str(path)) == (EXIT_OK, out, "")
 
     def test_flattened_coloring_is_usage_error(self, capsys, tmp_path):
         cert = verify_witness(sporadic("F3"), parse_hspec("S4^1"))
@@ -596,6 +701,40 @@ class TestUsage:
             assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == ""
+
+
+class TestParserReuse:
+    CALLS = (
+        ["witness", "--H", "S6^1", "--construction", "G5", "--param", "t=6", "--param", "k=5"],
+        # No parameter of the call before may carry over: F3 takes none.
+        ["witness", "--H", "S4^1", "--construction", "F3"],
+        ["witness", "--H", "S4^1", "--construction", "F3", "--param"],
+        ["eval", "--help"],
+    )
+
+    @staticmethod
+    def _first_call(argv: list[str]) -> tuple[int, str, str]:
+        build_parser.cache_clear()
+        return TestParserReuse._call(argv)
+
+    @staticmethod
+    def _call(argv: list[str]) -> tuple[int, str, str]:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        return code, out.getvalue(), err.getvalue()
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_in_one_process_answer_as_first_calls(self):
+        want = [self._first_call(argv) for argv in self.CALLS]
+        assert [code for code, _, _ in want] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
+        assert json.loads(want[1][1])["label"] == "F3"
+        assert want[3][1].startswith("usage: gallai eval")
+        build_parser.cache_clear()
+        got = [self._call(argv) for argv in self.CALLS + self.CALLS]
+        assert got == want + want
 
 
 class TestSelftest:

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
+from gallai.constructions import build_named, construction_grid
+from gallai.detectors import find_mono_copy_in_color
 from gallai.graphs import (
     ColoredComplete,
     TargetGraph,
     UnsupportedSizeError,
     edge_count,
     edge_index,
+    find_clique,
     pairs,
     parse_hspec,
     render_hspec,
@@ -228,6 +233,54 @@ class TestTargetFamilies:
         H = TargetGraph.complete(t)
         masks = H.adjacency_masks()
         assert all(masks[v] == ((1 << t) - 1) ^ (1 << v) for v in range(t))
+
+
+def _first_clique(masks: list[int], start: int, size: int) -> list[int] | None:
+    """The lexicographically first clique of the given size inside start,
+    by trying vertex subsets in ``combinations`` order."""
+    inside = [v for v in range(len(masks)) if start >> v & 1]
+    for sub in combinations(inside, size):
+        if all(masks[a] >> b & 1 for a, b in combinations(sub, 2)):
+            return list(sub)
+    return None
+
+
+class TestFindClique:
+    def test_returns_the_lexicographically_first_clique(self):
+        """The colouring bound prunes only subtrees without a clique, so the
+        search returns the first clique in subset order, or None."""
+        rng = random.Random(20031)
+        found = missing = 0
+        for _ in range(800):
+            n = rng.randint(1, 14)
+            density = rng.uniform(0.3, 0.9)
+            masks = [0] * n
+            for i, j in pairs(n):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+            start = (1 << n) - 1 if rng.random() < 0.3 else rng.getrandbits(n)
+            size = rng.randint(0, 7)
+            want = _first_clique(masks, start, size)
+            assert find_clique(masks, start, size) == want, (masks, start, size)
+            found += want is not None
+            missing += want is None
+        assert found > 200 and missing > 200
+
+    def test_grid_mono_copies_unchanged(self):
+        """Every color class of every grid row, searched for the row's own
+        target: the embeddings (or their absence) hash to the digest the
+        search gave before the colouring bound."""
+        found = []
+        for row in construction_grid():
+            c = build_named(row["name"], row["params"])
+            H = parse_hspec(row["target"])
+            for color in range(1, c.k + 1):
+                emb = find_mono_copy_in_color(c, H, color)
+                found.append(None if emb is None else emb.to_json_dict())
+        digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
+        assert len(found) == 212
+        assert digest == "9a26874fd93b5cdd882addf6226de49a164927e623eba7ad61554a4f6782796d"
 
 
 class TestHspecGrammar:
