@@ -33,6 +33,7 @@ from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.formulas import KIND_EXACT, KIND_BOUNDS, ConstantOutOfRange, GrResult, evaluate
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
 from gallai.search import (
+    CertificateMismatch,
     WitnessFailure,
     check_n,
     compute_gr,
@@ -124,8 +125,6 @@ def _cmd_witness(args) -> int:
             print(f"verification failed: {exc}", file=sys.stderr)
             return EXIT_NEGATIVE
     else:
-        if args.k is None:
-            raise ValueError("--k is required unless --construction is given")
         cert = lower_bound_witness(H, args.k)
         if cert is None:
             print(
@@ -204,7 +203,7 @@ def _cmd_verify(args) -> int:
     data = _read_json(args.file)
     try:
         cert = replay_certificate(data)
-    except WitnessFailure as exc:
+    except (WitnessFailure, CertificateMismatch) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     print(_dumps(cert.to_json_dict()))
@@ -296,8 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="build and verify a lower-bound coloring")
     p.add_argument("--H", required=True)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--construction", default=None, help=f"one of {', '.join(sorted(BUILDERS))}")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--k", type=int)
+    which.add_argument("--construction", help=f"one of {', '.join(sorted(BUILDERS))}")
     p.add_argument("--param", action="append", default=[], help="key=value, repeatable")
     p.set_defaults(fn=_cmd_witness)
 

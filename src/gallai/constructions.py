@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 from itertools import groupby
 from typing import Callable, Mapping
@@ -357,15 +357,10 @@ def build_named(name: str, params: Mapping[str, int]) -> ColoredComplete:
     return fn(**{p: params[p] for p in needed})
 
 
-_GRID: tuple[dict, ...] | None = None
-
-
+@cache
 def construction_grid() -> tuple[dict, ...]:
-    """The shipped parameter grid: for each row, building ``name`` with
-    ``params`` must give an exact coloring of the stated ``order`` that a
-    witness check against ``target`` accepts."""
-    global _GRID
-    if _GRID is None:
-        text = resources.files("gallai").joinpath("data/construction_grids.json").read_text()
-        _GRID = tuple(json.loads(text))
-    return _GRID
+    """The shipped parameter grid, read once: for each row, building ``name``
+    with ``params`` must give an exact coloring of the stated ``order`` that
+    a witness check against ``target`` accepts."""
+    text = resources.files("gallai").joinpath("data/construction_grids.json").read_text()
+    return tuple(json.loads(text))

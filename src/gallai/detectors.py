@@ -214,8 +214,8 @@ def find_mono_copy_generic(
     c: ColoredComplete, H: TargetGraph, color: int
 ) -> Embedding | None:
     """Backtracking embedding of H into one color class, highest-degree
-    target vertices first.  Works for every family; the fast paths must
-    agree with it."""
+    target vertices first.  Works for every family; the tests check it and
+    the fast paths against a search over every injective vertex map."""
     t = H.order
     if t > c.n:
         return None

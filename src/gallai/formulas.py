@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -21,10 +22,9 @@ from gallai.graphs import (
     FAMILY_PINEAPPLE,
     FAMILY_STAR_PLUS,
     TargetGraph,
-    TargetProperties,
     UnsupportedSizeError,
+    parse_hspec,
     render_hspec,
-    target_properties,
 )
 
 KIND_EXACT = "Exact"
@@ -143,7 +143,9 @@ def _parse_ramsey_line(line: str) -> RamseyEntry:
     return RamseyEntry(patterns, colors, lo, hi, parts[3])
 
 
-def _builtin_ramsey_table() -> tuple[RamseyEntry, ...]:
+@cache
+def builtin_ramsey_table() -> tuple[RamseyEntry, ...]:
+    """The shipped table of known classical Ramsey values, read once."""
     text = resources.files("gallai").joinpath("data/known_ramsey.txt").read_text()
     entries = []
     for line in text.splitlines():
@@ -154,21 +156,10 @@ def _builtin_ramsey_table() -> tuple[RamseyEntry, ...]:
     return tuple(entries)
 
 
-_BUILTIN_TABLE: tuple[RamseyEntry, ...] | None = None
-
-
-def builtin_ramsey_table() -> tuple[RamseyEntry, ...]:
-    global _BUILTIN_TABLE
-    if _BUILTIN_TABLE is None:
-        _BUILTIN_TABLE = _builtin_ramsey_table()
-    return _BUILTIN_TABLE
-
-
 def ramsey_known(
     patterns: TargetGraph | Sequence[TargetGraph],
     colors: int,
     c: float | None = None,
-    table: Sequence[RamseyEntry] | None = None,
 ) -> RamseyEntry | None:
     """Known classical Ramsey number for the given pattern multiset and
     color count: a table row, a derived star-plus 3-color interval (from the
@@ -179,16 +170,14 @@ def ramsey_known(
     else:
         targets = tuple(patterns)
     names = sorted(render_hspec(H) for H in targets)
-    rows: list[RamseyEntry] = list(table) if table is not None else []
-    rows.extend(builtin_ramsey_table())
-    for row in rows:
+    for row in builtin_ramsey_table():
         if sorted(row.patterns) == names and row.colors == colors:
             return row
     if len(targets) == 1:
         H = targets[0]
         if H.family == FAMILY_STAR_PLUS and colors == 3:
             assert H.r is not None
-            two = ramsey_known(H, 2, c=c, table=table)
+            two = ramsey_known(H, 2, c=c)
             if two is None:
                 return None
             lo = max(5 * H.t - 4, 2 * two.lo - 1)
@@ -234,9 +223,14 @@ def _bounds(
 class _Query:
     H: TargetGraph
     k: int
-    props: TargetProperties
     c: float | None
-    table: tuple[RamseyEntry, ...] | None
+
+
+def _point_rule(rule: str, point: TargetGraph, value: int, q: _Query) -> _Contribution | None:
+    """A rule that holds at the single point H = point, k = 4."""
+    if q.k == 4 and q.H == point:
+        return _exact(rule, value, f"H = {render_hspec(point)} and k = {q.k}")
+    return None
 
 
 def _rule_th2_1(q: _Query) -> _Contribution | None:
@@ -257,14 +251,14 @@ def _rule_th2_2_1(q: _Query) -> _Contribution | None:
 
 def _rule_th2_2(q: _Query) -> _Contribution | None:
     t = q.H.t
-    if q.k == t and q.k >= 5 and not q.props.is_complete:
+    if q.k == t and q.k >= 5 and not q.H.is_complete:
         return _exact("th2-2", t + 1, f"k = t = {t} >= 5 and H not complete")
     return None
 
 
 def _rule_th2_4(q: _Query) -> _Contribution | None:
     t = q.H.t
-    if q.k == t and t >= 5 and q.props.is_complete:
+    if q.k == t and t >= 5 and q.H.is_complete:
         return _exact("th2-4", (t - 1) ** 2 + 1, f"k = t = {t} >= 5 and H complete")
     return None
 
@@ -276,7 +270,7 @@ def _rule_coro2_4(q: _Query) -> _Contribution | None:
     if q.k >= t + 1:
         value = max(min_order_with_pair_count(q.k), 5)
         return _exact("coro2-4", value, f"k={q.k} >= max(5, t+1)")
-    if q.props.is_complete:
+    if q.H.is_complete:
         return _exact("coro2-4", (t - 1) ** 2 + 1, f"k = t = {t} and H complete")
     return _exact("coro2-4", t + 1, f"k = t = {t} and H not complete")
 
@@ -295,11 +289,11 @@ def _rule_th2_6(q: _Query) -> _Contribution | None:
     t = q.H.t
     if not (q.k >= 5 and q.k <= t - 1):
         return None
-    entry = ramsey_known(q.H, 2, c=q.c, table=q.table)
+    entry = ramsey_known(q.H, 2, c=q.c)
     if entry is None or not entry.is_exact or entry.lo < t + 1:
         return None
-    p, _ = pq_decompose(q.props.max_degree - 1, q.k - 2)
-    lo = max(q.props.max_degree + p, t + 1)
+    p, _ = pq_decompose(q.H.max_degree - 1, q.k - 2)
+    lo = max(q.H.max_degree + p, t + 1)
     return _bounds(
         "th2-6",
         lo,
@@ -310,7 +304,7 @@ def _rule_th2_6(q: _Query) -> _Contribution | None:
 
 
 def _rule_lem2_1(q: _Query) -> _Contribution | None:
-    a = q.props.clique_number
+    a = q.H.clique_number
     if 4 <= q.k <= a and a >= 3:
         lo = (a - 1) * (q.H.t - 1) + 1
         return _bounds("lem2-1", lo, None, f"4 <= k={q.k} <= a={a}")
@@ -338,18 +332,6 @@ def _rule_th3_2(q: _Query) -> _Contribution | None:
     if q.k == 4 and t >= 6 and r in (1, 2):
         p, _ = pq_decompose(t - 2, 2)
         return _exact("th3-2", t + p - 1, f"k=4, t={t} >= 6, r={r} in {{1,2}}")
-    return None
-
-
-def _rule_le3_1(q: _Query) -> _Contribution | None:
-    if q.H.family == FAMILY_STAR_PLUS and (q.H.t, q.H.r) == (4, 1) and q.k == 4:
-        return _exact("le3-1", 6, "H = S4^1 and k = 4")
-    return None
-
-
-def _rule_le3_2(q: _Query) -> _Contribution | None:
-    if q.H.family == FAMILY_STAR_PLUS and (q.H.t, q.H.r) == (5, 1) and q.k == 4:
-        return _exact("le3-2", 6, "H = S5^1 and k = 4")
     return None
 
 
@@ -408,7 +390,11 @@ def _rule_th3_5(q: _Query) -> _Contribution | None:
     return _exact("th3-5", values[0], f"k=4, even t={t}, r={r}")
 
 
-def _piecewise_small_star(rule: str, q: _Query, t: int, by_k: dict[int, tuple[int, tuple[str, ...]]]) -> _Contribution | None:
+def _piecewise_small_star(
+    rule: str, t: int, by_k: dict[int, tuple[int, tuple[str, ...]]], q: _Query
+) -> _Contribution | None:
+    """A rule for H = S_t^1 alone: ``by_k`` maps k to (value, deps) and
+    every k >= 7 gets the least order carrying k colors."""
     if q.H.family != FAMILY_STAR_PLUS or (q.H.t, q.H.r) != (t, 1):
         return None
     if q.k in by_k:
@@ -419,33 +405,6 @@ def _piecewise_small_star(rule: str, q: _Query, t: int, by_k: dict[int, tuple[in
     return None
 
 
-def _rule_th3_6(q: _Query) -> _Contribution | None:
-    return _piecewise_small_star(
-        "th3-6",
-        q,
-        4,
-        {3: (17, ("le3-3",)), 4: (6, ("le3-1",)), 5: (5, ()), 6: (5, ())},
-    )
-
-
-def _rule_th3_7(q: _Query) -> _Contribution | None:
-    return _piecewise_small_star(
-        "th3-7",
-        q,
-        5,
-        {3: (21, ("le3-3",)), 4: (6, ("le3-2",)), 5: (6, ()), 6: (5, ())},
-    )
-
-
-def _rule_th3_8(q: _Query) -> _Contribution | None:
-    return _piecewise_small_star(
-        "th3-8",
-        q,
-        6,
-        {3: (26, ("le3-3",)), 4: (7, ()), 5: (7, ()), 6: (7, ())},
-    )
-
-
 def _rule_th3_9(q: _Query) -> _Contribution | None:
     if q.H.family != FAMILY_STAR_PLUS:
         return None
@@ -454,7 +413,7 @@ def _rule_th3_9(q: _Query) -> _Contribution | None:
     if t < 6 or r not in (1, 2):
         return None
     if q.k == 3:
-        entry = ramsey_known(q.H, 3, c=q.c, table=q.table)
+        entry = ramsey_known(q.H, 3, c=q.c)
         if entry is None:
             return _bounds("th3-9", 5 * t - 4, None, "k=3, three-color value open", deps=("le3-4",))
         return _bounds(
@@ -486,18 +445,6 @@ def _rule_th4_2(q: _Query) -> _Contribution | None:
     return None
 
 
-def _rule_th4_3(q: _Query) -> _Contribution | None:
-    if q.H.family == FAMILY_PINEAPPLE and (q.H.t, q.H.omega) == (6, 5) and q.k == 4:
-        return _exact("th4-3", 24, "H = PA6,5 and k = 4")
-    return None
-
-
-def _rule_th4_4(q: _Query) -> _Contribution | None:
-    if q.H.family == FAMILY_PINEAPPLE and (q.H.t, q.H.omega) == (7, 5) and q.k == 4:
-        return _exact("th4-4", 26, "H = PA7,5 and k = 4")
-    return None
-
-
 def _rule_th4_5(q: _Query) -> _Contribution | None:
     if q.H.family != FAMILY_PINEAPPLE:
         return None
@@ -505,7 +452,7 @@ def _rule_th4_5(q: _Query) -> _Contribution | None:
     assert w is not None
     if q.k == 4 and w >= 6:
         lo = (w - 1) * (q.H.t - 1) + 1
-        entry = ramsey_known(q.H, 2, c=q.c, table=q.table)
+        entry = ramsey_known(q.H, 2, c=q.c)
         if entry is None or entry.hi is None:
             return _bounds("th4-5", lo, None, f"k=4, omega={w} >= 6")
         return _bounds(
@@ -521,7 +468,7 @@ def _rule_cor4_4(q: _Query) -> _Contribution | None:
     assert w is not None
     if 5 <= q.k <= w - 1 and w >= 6:
         lo = (w - 1) * (q.H.t - 1) + 1
-        entry = ramsey_known(q.H, 2, c=q.c, table=q.table)
+        entry = ramsey_known(q.H, 2, c=q.c)
         if entry is None or entry.hi is None:
             return _bounds("cor4-4", lo, None, f"5 <= k={q.k} <= omega-1={w - 1}")
         return _bounds(
@@ -545,19 +492,22 @@ _RULES = (
     _rule_lem2_1,
     _rule_th3_1,
     _rule_th3_2,
-    _rule_le3_1,
-    _rule_le3_2,
+    partial(_point_rule, "le3-1", parse_hspec("S4^1"), 6),
+    partial(_point_rule, "le3-2", parse_hspec("S5^1"), 6),
     _rule_co3_1,
     _rule_th3_4,
     _rule_th3_5,
-    _rule_th3_6,
-    _rule_th3_7,
-    _rule_th3_8,
+    partial(_piecewise_small_star, "th3-6", 4,
+            {3: (17, ("le3-3",)), 4: (6, ("le3-1",)), 5: (5, ()), 6: (5, ())}),
+    partial(_piecewise_small_star, "th3-7", 5,
+            {3: (21, ("le3-3",)), 4: (6, ("le3-2",)), 5: (6, ()), 6: (5, ())}),
+    partial(_piecewise_small_star, "th3-8", 6,
+            {3: (26, ("le3-3",)), 4: (7, ()), 5: (7, ()), 6: (7, ())}),
     _rule_th3_9,
     _rule_th4_1,
     _rule_th4_2,
-    _rule_th4_3,
-    _rule_th4_4,
+    partial(_point_rule, "th4-3", parse_hspec("PA6,5"), 24),
+    partial(_point_rule, "th4-4", parse_hspec("PA7,5"), 26),
     _rule_th4_5,
     _rule_cor4_4,
 )
@@ -575,24 +525,13 @@ def _provenance(chosen: Sequence[_Contribution]) -> tuple[str, ...]:
     return tuple(prov)
 
 
-def evaluate(
-    H: TargetGraph,
-    k: int,
-    c: float | None = None,
-    table: Sequence[RamseyEntry] | None = None,
-) -> GrResult:
+def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
     """Combine every applicable rule for (H, k) into one result."""
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     if c is not None and not math.isfinite(c):
         raise ConstantOutOfRange(f"c must be finite, got c={c}")
-    q = _Query(
-        H=H,
-        k=k,
-        props=target_properties(H),
-        c=c,
-        table=tuple(table) if table is not None else None,
-    )
+    q = _Query(H=H, k=k, c=c)
     contributions = [co for rule in _RULES if (co := rule(q)) is not None]
     exacts = [co for co in contributions if co.kind == "exact"]
     bounds = [co for co in contributions if co.kind == "bounds"]

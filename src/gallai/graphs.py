@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -381,16 +382,36 @@ class TargetGraph:
         """Structural completeness test: does every vertex pair carry an edge?"""
         return self.num_edges == edge_count(self.t)
 
+    @property
+    def max_degree(self) -> int:
+        """Maximum degree, in closed form for the structured families.  For
+        odd t one vertex of K_t-M is untouched by the removed matching and
+        keeps degree t - 1; for even t every vertex drops to t - 2."""
+        if self.family == FAMILY_ARBITRARY:
+            return max(mask.bit_count() for mask in self.adjacency_masks())
+        if self.family == FAMILY_COMPLETE_MINUS_MATCHING and self.t % 2 == 0:
+            return self.t - 2
+        return self.t - 1
 
-@dataclass(frozen=True)
-class TargetProperties:
-    """Order, size, maximum degree, and clique number of a target graph."""
-
-    order: int
-    num_edges: int
-    max_degree: int
-    clique_number: int
-    is_complete: bool
+    @cached_property
+    def clique_number(self) -> int:
+        """Clique number, in closed form for the structured families and by
+        clique search, once per target, for the arbitrary one."""
+        t = self.t
+        if self.family == FAMILY_COMPLETE:
+            return t
+        if self.family == FAMILY_STAR_PLUS:
+            return 3 if self.r else 2
+        if self.family == FAMILY_PINEAPPLE:
+            assert self.omega is not None
+            return self.omega
+        if self.family == FAMILY_COMPLETE_MINUS_MATCHING:
+            return (t + 1) // 2
+        masks = self.adjacency_masks()
+        omega = 0
+        while omega < t and find_clique(masks, (1 << t) - 1, omega + 1) is not None:
+            omega += 1
+        return omega
 
 
 def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] | None:
@@ -435,39 +456,6 @@ def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] |
     if size == 0:
         return []
     return out if grow(start_mask) else None
-
-
-def target_properties(H: TargetGraph) -> TargetProperties:
-    """Closed-form parameters for the structured families, brute force otherwise."""
-    t = H.order
-    m = H.num_edges
-    complete = H.is_complete
-    if H.family == FAMILY_COMPLETE:
-        return TargetProperties(t, m, t - 1, t, complete)
-    if H.family == FAMILY_STAR_PLUS:
-        assert H.r is not None
-        a = 3 if H.r >= 1 else 2
-        return TargetProperties(t, m, t - 1, a, complete)
-    if H.family == FAMILY_PINEAPPLE:
-        assert H.omega is not None
-        return TargetProperties(t, m, t - 1, H.omega, complete)
-    if H.family == FAMILY_COMPLETE_MINUS_MATCHING:
-        # For odd t one vertex is untouched by the removed matching and keeps
-        # degree t - 1; every matched vertex drops to t - 2.
-        delta = t - 2 if t % 2 == 0 else t - 1
-        return TargetProperties(t, m, delta, (t + 1) // 2, complete)
-    if H.family == FAMILY_ARBITRARY:
-        if t > _ARBITRARY_MAX_ORDER:
-            raise UnsupportedSizeError(
-                f"clique number by brute force is limited to order {_ARBITRARY_MAX_ORDER}"
-            )
-        masks = H.adjacency_masks()
-        delta = max((mk.bit_count() for mk in masks), default=0)
-        omega = 0
-        while omega < t and find_clique(masks, (1 << t) - 1, omega + 1) is not None:
-            omega += 1
-        return TargetProperties(t, m, delta, omega, complete)
-    raise ValueError(f"unknown family {H.family!r}")
 
 
 _RE_COMPLETE_MINUS = re.compile(r"K(\d+)-M")

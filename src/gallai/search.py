@@ -15,6 +15,7 @@ below that.
 from __future__ import annotations
 
 import itertools
+import json
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -36,7 +37,6 @@ from gallai.graphs import (
     parse_hspec,
     render_hspec,
     require_keys,
-    target_properties,
 )
 from gallai.structure import enumerate_p5free, parallel_map, resolve_threads
 
@@ -54,6 +54,10 @@ class WitnessFailure(Exception):
         super().__init__(f"{reason}: {embedding}")
         self.reason = reason
         self.embedding = embedding
+
+
+class CertificateMismatch(Exception):
+    """A certificate states a value that its replay does not reproduce."""
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,8 @@ class WitnessCertificate:
 
 
 def replay_certificate(data: dict) -> WitnessCertificate:
-    """Rebuild a certificate from its JSON form, re-running every check."""
+    """Rebuild a certificate from its JSON form, re-running every check;
+    CertificateMismatch when a stated field differs from the replay."""
     require_keys(data, ("coloring", "target"), "a certificate")
     if not isinstance(data["target"], str):
         raise ValueError(f"certificate target must be a spec string, got {data['target']!r}")
@@ -90,7 +95,27 @@ def replay_certificate(data: dict) -> WitnessCertificate:
         raise ValueError(f"certificate label must be a string or null, got {label!r}")
     coloring = ColoredComplete.from_json_dict(data["coloring"])
     H = parse_hspec(data["target"])
-    return verify_witness(coloring, H, label=label)
+    cert = verify_witness(coloring, H, label=label)
+    replayed = {
+        "order": cert.order,
+        "colors": coloring.k,
+        "rainbow_absent": cert.rainbow_absent,
+        "mono_absent": list(cert.mono_absent),
+    }
+    for key, got in replayed.items():
+        if key in data and not _same_json(data[key], got):
+            raise CertificateMismatch(
+                f"certificate states {key} {json.dumps(data[key])}, replay gives {json.dumps(got)}"
+            )
+    return cert
+
+
+def _same_json(stated: object, got: object) -> bool:
+    """Equal, and of equal JSON type: 10.0 is not 10 and true is not 1.  A
+    list is typed one level deep, as deep as any replayed field goes."""
+    if type(stated) is not type(got) or stated != got:
+        return False
+    return type(got) is not list or all(map(lambda a, b: type(a) is type(b), stated, got))
 
 
 def verify_witness(
@@ -126,10 +151,11 @@ def lower_bound_witness(H: TargetGraph, k: int) -> WitnessCertificate | None:
     whose hypotheses cover the query; None when nothing applies or survives
     verification.  Each hypothesis lies inside its builder's domain, so a
     build error here is a fault in this table and propagates."""
-    props = target_properties(H)
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
     t = H.order
-    a = props.clique_number
-    delta = props.max_degree
+    a = H.clique_number
+    delta = H.max_degree
 
     cands: list[tuple[str, ColoredComplete]] = []
 
@@ -197,18 +223,6 @@ class CheckOutcome:
     @property
     def all_good(self) -> bool:
         return self.status == STATUS_ALL_GOOD
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "target": render_hspec(self.H),
-            "k": self.k,
-            "n": self.n,
-            "status": self.status,
-            "examined": self.examined,
-        }
-        if self.witness is not None:
-            out["witness"] = self.witness.to_json_dict()
-        return out
 
 
 def brute_force_colorings(n: int, k: int):
@@ -313,7 +327,9 @@ def check_n(
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
-    if n < 2 or edge_count(n) < k:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got n={n}")
+    if edge_count(n) < k:
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
     if n <= 4:
         reps = _small_order_classes(n, k)
@@ -340,16 +356,6 @@ class GrSearchResult:
     value: int | None
     status: str  # "exact" | "inconclusive"
     outcomes: tuple[CheckOutcome, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "target": render_hspec(self.H),
-            "k": self.k,
-            "n_max": self.n_max,
-            "value": self.value,
-            "status": self.status,
-            "outcomes": [o.to_json_dict() for o in self.outcomes],
-        }
 
 
 def compute_gr(

@@ -195,8 +195,8 @@ def test_criterion_8_thread_count_independence(report):
     """check and enumerate return identical results sequentially vs parallel."""
     H = parse_hspec("S4^1")
     for n, k in ((5, 4), (5, 5)):
-        seq = check_n(H, k, n, threads=1).to_json_dict()
-        par = check_n(H, k, n, threads=None).to_json_dict()
+        seq = check_n(H, k, n, threads=1)
+        par = check_n(H, k, n, threads=None)
         assert seq == par, (n, k)
         stream_seq = [c.to_json_dict() for c in enumerate_p5free(n, k, threads=1)]
         stream_par = [c.to_json_dict() for c in enumerate_p5free(n, k, threads=None)]

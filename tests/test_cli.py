@@ -210,7 +210,20 @@ class TestWitness:
     def test_k_required_without_construction(self, capsys):
         code, _, err = run(capsys, "witness", "--H", "S4^1")
         assert code == EXIT_USAGE
-        assert "--k is required" in err
+        assert "one of the arguments --k --construction is required" in err
+
+    def test_k_and_construction_exclude_each_other(self, capsys):
+        code, out, err = run(
+            capsys, "witness", "--H", "S4^1", "--construction", "F3", "--k", "4"
+        )
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "not allowed with argument" in err
+
+    @pytest.mark.parametrize("k", ["0", "-2"])
+    def test_k_below_one_is_usage_error(self, capsys, k):
+        code, out, err = run(capsys, "witness", "--H", "K3", "--k", k)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: need k >= 1, got k={k}\n"
 
 
 class TestCheck:
@@ -235,6 +248,17 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--H", "S4^1", "--k", "11", "--n", "5")
         assert code == EXIT_NEGATIVE
         assert json.loads(out)["status"] == "no-exact-colorings"
+
+    def test_order_one_has_no_exact_colorings(self, capsys):
+        code, out, _ = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", "1")
+        assert code == EXIT_NEGATIVE
+        assert json.loads(out)["status"] == "no-exact-colorings"
+
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_order_below_one_is_usage_error(self, capsys, n):
+        code, out, err = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", n)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: need n >= 1, got n={n}\n"
 
     def test_thread_flag_does_not_change_report(self, capsys):
         _, base, _ = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", "5")
@@ -584,6 +608,37 @@ class TestVerify:
         path = tmp_path / "cert.json"
         path.write_text(out)
         assert run(capsys, "verify", "--file", str(path)) == (EXIT_OK, out, "")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("order", 999),
+            ("colors", 7),
+            ("mono_absent", []),
+            ("rainbow_absent", False),
+            ("order", 10.0),
+            ("colors", 3.0),
+            ("mono_absent", [1, 2, 3.0]),
+            ("rainbow_absent", 1),
+        ],
+        ids=[
+            "order", "colors", "mono_absent", "rainbow_absent",
+            "order-float", "colors-float", "mono_absent-float", "rainbow_absent-int",
+        ],
+    )
+    def test_tampered_stated_field_fails(self, capsys, tmp_path, field, value):
+        """A stated field the replay does not reproduce, value and JSON type
+        alike, is a failed verification."""
+        code, out, _ = run(capsys, "witness", "--H", "K3", "--k", "3")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        data[field] = value
+        path = tmp_path / "tampered.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (EXIT_NEGATIVE, "")
+        assert err.startswith(f"verification failed: certificate states {field} ")
+        assert err.count("\n") == 1
 
     def test_flattened_coloring_is_usage_error(self, capsys, tmp_path):
         cert = verify_witness(sporadic("F3"), parse_hspec("S4^1"))

@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gallai import formulas
 from gallai.formulas import (
     TH4_7_MAX_OMEGA,
     ConstantOutOfRange,
@@ -20,6 +21,12 @@ from gallai.formulas import (
     ramsey_known,
 )
 from gallai.graphs import TargetGraph, UnsupportedSizeError, parse_hspec
+
+
+def inject(monkeypatch, *rows: RamseyEntry) -> None:
+    """Put ``rows`` ahead of the shipped Ramsey table for one test."""
+    shipped = builtin_ramsey_table()
+    monkeypatch.setattr(formulas, "builtin_ramsey_table", lambda: rows + shipped)
 
 
 class TestHelpers:
@@ -70,12 +77,12 @@ class TestRamseyTable:
             entry = ramsey_known(parse_hspec(spec), 3)
             assert entry is not None and entry.lo == entry.hi == value
 
-    def test_derived_three_color_interval(self):
+    def test_derived_three_color_interval(self, monkeypatch):
         """With the 2-color value injected, the 3-color interval follows:
         lo = max(5t-4, 2 R - 1), hi = 3 R + 6r - 6."""
         H = parse_hspec("S7^1")
-        injected = [RamseyEntry(("S7^1",), 2, 13, 13, "injected")]
-        entry = ramsey_known(H, 3, table=injected)
+        inject(monkeypatch, RamseyEntry(("S7^1",), 2, 13, 13, "injected"))
+        entry = ramsey_known(H, 3)
         assert entry is not None
         assert entry.citation == "le3-4"
         assert entry.lo == max(5 * 7 - 4, 2 * 13 - 1)
@@ -94,11 +101,6 @@ class TestRamseyTable:
             math.comb(2 * w - 2, w - 1) * math.exp(-0.1 * math.log(w - 1) ** 2)
         ) + (t - 2) * (w - 1)
         assert (entry.lo, entry.hi) == (t, want_hi)
-
-    def test_user_table_takes_priority(self):
-        override = [RamseyEntry(("S4^1",), 3, 18, 18, "override")]
-        entry = ramsey_known(parse_hspec("S4^1"), 3, table=override)
-        assert entry is not None and entry.lo == 18
 
 
 class TestSingleRules:
@@ -127,25 +129,27 @@ class TestSingleRules:
         assert (res.kind, res.value) == ("Exact", 9)  # max(N_5, t+1) = 9
         assert res.provenance == ("th2-5",)
 
-    def test_two_color_window_bounds_via_injected_table(self):
+    def test_two_color_window_bounds_via_injected_table(self, monkeypatch):
         """5 <= k <= t-1 with the 2-color value known exactly."""
         # K9-M at k=7 sits in both windows; the exact rule wins and the
         # injected interval is merely consistency-checked
         H = parse_hspec("K9-M")
-        injected = [RamseyEntry(("K9-M",), 2, 40, 40, "injected")]
-        res7 = evaluate(H, 7, table=injected)
+        inject(
+            monkeypatch,
+            RamseyEntry(("K9-M",), 2, 40, 40, "injected"),
+            RamseyEntry(("PA9,8",), 2, 60, 60, "injected"),
+        )
+        res7 = evaluate(H, 7)
         assert (res7.kind, res7.value) == ("Exact", 10)
         assert res7.provenance == ("th2-5",)
         # K9-M at k=5 is below the exact window, so only bounds remain
-        res5 = evaluate(H, 5, table=injected)
+        res5 = evaluate(H, 5)
         assert res5.kind == "Bounds"
         assert "th2-6" in res5.provenance and "injected" in res5.provenance
         assert res5.hi == 40
         assert res5.lo == 4 * 8 + 1  # clique rule dominates the low side
         # pineapple window where three bound rules intersect
-        H2 = parse_hspec("PA9,8")
-        injected2 = [RamseyEntry(("PA9,8",), 2, 60, 60, "injected")]
-        res = evaluate(H2, 5, table=injected2)
+        res = evaluate(parse_hspec("PA9,8"), 5)
         assert res.kind == "Bounds"
         assert "th2-6" in res.provenance and "cor4-4" in res.provenance
         assert res.hi == 60
@@ -207,9 +211,9 @@ class TestSingleRules:
         assert res.hi is None
         assert res.provenance == ("th3-9", "le3-4")
 
-    def test_general_star_k3_with_injected_two_color(self):
-        injected = [RamseyEntry(("S7^1",), 2, 13, 13, "injected")]
-        res = evaluate(parse_hspec("S7^1"), 3, table=injected)
+    def test_general_star_k3_with_injected_two_color(self, monkeypatch):
+        inject(monkeypatch, RamseyEntry(("S7^1",), 2, 13, 13, "injected"))
+        res = evaluate(parse_hspec("S7^1"), 3)
         assert res.kind == "Bounds"
         assert res.lo == max(31, 25) and res.hi == 39 - 6 + 6 * 1 - 6 + 6  # 3*13
         assert res.hi == 3 * 13 + 6 * 1 - 6
@@ -329,10 +333,10 @@ class TestConstant:
         with pytest.raises(ConstantOutOfRange, match="th4-7 upper bound 25"):
             evaluate(parse_hspec("PA7,6"), 5, c=10)
 
-    def test_crossing_without_c_is_inconsistency(self):
-        injected = [RamseyEntry(("PA7,6",), 2, 7, 20, "injected")]
+    def test_crossing_without_c_is_inconsistency(self, monkeypatch):
+        inject(monkeypatch, RamseyEntry(("PA7,6",), 2, 7, 20, "injected"))
         with pytest.raises(FormulaInconsistency):
-            evaluate(parse_hspec("PA7,6"), 5, c=0.01, table=injected)
+            evaluate(parse_hspec("PA7,6"), 5, c=0.01)
 
     def test_omega_cap(self):
         w = TH4_7_MAX_OMEGA

@@ -22,7 +22,6 @@ from gallai.graphs import (
     pairs,
     parse_hspec,
     render_hspec,
-    target_properties,
 )
 
 
@@ -135,22 +134,20 @@ class TestColoredComplete:
 class TestTargetFamilies:
     def test_complete(self):
         H = TargetGraph.complete(5)
-        p = target_properties(H)
-        assert (p.order, p.num_edges, p.max_degree, p.clique_number) == (5, 10, 4, 5)
-        assert p.is_complete
+        assert (H.order, H.num_edges, H.max_degree, H.clique_number) == (5, 10, 4, 5)
+        assert H.is_complete
 
     def test_star_plus(self):
         H = TargetGraph.star_plus(7, 2)
-        p = target_properties(H)
-        assert p.order == 7
-        assert p.num_edges == 6 + 2
-        assert p.max_degree == 6
-        assert p.clique_number == 3
+        assert H.order == 7
+        assert H.num_edges == 6 + 2
+        assert H.max_degree == 6
+        assert H.clique_number == 3
 
     def test_star_plus_r0_is_star(self):
-        p = target_properties(TargetGraph.star_plus(5, 0))
-        assert p.clique_number == 2
-        assert p.max_degree == 4
+        H = TargetGraph.star_plus(5, 0)
+        assert H.clique_number == 2
+        assert H.max_degree == 4
 
     def test_star_plus_parameter_bounds(self):
         with pytest.raises(ValueError):
@@ -160,17 +157,16 @@ class TestTargetFamilies:
 
     def test_pineapple(self):
         H = TargetGraph.pineapple(7, 4)
-        p = target_properties(H)
-        assert p.order == 7
-        assert p.num_edges == 6 + 3
-        assert p.max_degree == 6
-        assert p.clique_number == 4
+        assert H.order == 7
+        assert H.num_edges == 6 + 3
+        assert H.max_degree == 6
+        assert H.clique_number == 4
 
     def test_complete_minus_matching_degree_parity(self):
         """Removing a maximum matching lowers every degree only when t is
         even; odd t leaves one untouched vertex of full degree."""
-        even = target_properties(TargetGraph.complete_minus_matching(6))
-        odd = target_properties(TargetGraph.complete_minus_matching(7))
+        even = TargetGraph.complete_minus_matching(6)
+        odd = TargetGraph.complete_minus_matching(7)
         assert even.max_degree == 4
         assert odd.max_degree == 6
         assert even.clique_number == 3
@@ -178,10 +174,9 @@ class TestTargetFamilies:
 
     def test_arbitrary_clique_number_brute_force(self):
         H = TargetGraph.arbitrary(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
-        p = target_properties(H)
-        assert p.clique_number == 3
-        assert p.max_degree == 3
-        assert not p.is_complete
+        assert H.clique_number == 3
+        assert H.max_degree == 3
+        assert not H.is_complete
 
     def test_arbitrary_clique_number_random_500(self):
         """The clique number of random targets of order 1..8 equals the
@@ -199,7 +194,7 @@ class TestTargetFamilies:
                 for sub in combinations(range(order), size)
                 if all(e in edge_set for e in combinations(sub, 2))
             )
-            assert target_properties(H).clique_number == want, edges
+            assert H.clique_number == want, edges
 
     def test_arbitrary_order_cap(self):
         with pytest.raises(UnsupportedSizeError):
@@ -222,11 +217,34 @@ class TestTargetFamilies:
             assert H.num_edges == len(H.edges()), H
             assert H.is_complete == (len(H.edges()) == edge_count(H.t)), H
 
+    def test_closed_forms_match_the_edge_list(self):
+        """max_degree and clique_number of every structured family member
+        with t <= 9 equal what the adjacency masks and the clique search
+        give."""
+        for t in range(2, 10):
+            members = [TargetGraph.complete(t), TargetGraph.complete_minus_matching(t)]
+            members.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
+            members.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
+            for H in members:
+                masks = H.adjacency_masks()
+                assert H.max_degree == max(m.bit_count() for m in masks), H
+                full = (1 << t) - 1
+                omega = H.clique_number
+                assert find_clique(masks, full, omega) is not None, H
+                assert find_clique(masks, full, omega + 1) is None, H
+
+    def test_clique_number_computed_once_per_target(self, monkeypatch):
+        """The arbitrary family's clique search runs on first use only."""
+        H = TargetGraph.arbitrary(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+        assert H.clique_number == 3
+        monkeypatch.setattr(TargetGraph, "adjacency_masks", None)
+        assert H.clique_number == 3
+
     def test_structural_completeness_not_family_name(self):
         """S3^1 is a triangle but stays in its declared family."""
         H = TargetGraph.star_plus(3, 1)
         assert H.family == "star_plus"
-        assert target_properties(H).is_complete
+        assert H.is_complete
 
     @given(st.integers(2, 10))
     def test_complete_adjacency_masks(self, t):
@@ -299,7 +317,7 @@ class TestHspecGrammar:
     def test_inline_json(self):
         H = parse_hspec('{"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
         assert H.family == "arbitrary"
-        assert target_properties(H).num_edges == 3
+        assert H.num_edges == 3
 
     @pytest.mark.parametrize("text", ["K", "S4", "PA5", "Q3", "S4^9", "K0"])
     def test_rejects_malformed(self, text):

@@ -72,3 +72,8 @@ def test_detects_nested_and_relative_imports():
         (4, "gallai.cli"),
         (5, "gallai.structure"),
     ]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in gallai.__all__ if not hasattr(gallai, name)]
+    assert not missing, f"gallai.__all__ names that do not resolve: {missing}"

@@ -216,10 +216,3 @@ class TestComputeGr:
             STATUS_ALL_GOOD, STATUS_ALL_GOOD, STATUS_ALL_GOOD, STATUS_BAD,
         ]
         assert res.value == 6
-
-    def test_json_report_shape(self):
-        res = compute_gr(parse_hspec("S4^1"), 5, n_max=6)
-        d = res.to_json_dict()
-        assert d["value"] == 5
-        assert d["status"] == "exact"
-        assert len(d["outcomes"]) == len(res.outcomes)
