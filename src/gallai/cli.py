@@ -4,7 +4,8 @@ Exit codes: 0 on success (verified / all-good / exact), 1 when the answer is
 negative or unavailable (bad order, inconclusive search, failed verification,
 no known construction, unknown value), 2 on usage errors (including an
 unknown construction name, missing, extra or repeated parameters, a
-parameter outside the builder's domain, or a coloring order beyond
+parameter outside the builder's domain, a ``--param`` without
+``--construction``, a thread count below 1, or a coloring order beyond
 ``MAX_COLORING_ORDER``) and when stdout is closed before the output
 is written (a pipe into ``head``, say), which ends the run without a
 traceback.  3 is an internal error: a failed invariant
@@ -105,6 +106,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_witness(args) -> int:
     H = _parse_target(args.H)
+    if args.param and args.construction is None:
+        raise ValueError("--param needs --construction")
     if args.construction is not None:
         params = {}
         for item in args.param:

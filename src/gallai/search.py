@@ -329,13 +329,13 @@ def check_n(
         raise ValueError(f"need k >= 4, got k={k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
+    nthreads = resolve_threads(threads)
     if edge_count(n) < k:
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
     if n <= 4:
         reps = _small_order_classes(n, k)
     else:
-        reps = enumerate_p5free(n, k, threads=threads)
-    nthreads = resolve_threads(threads)
+        reps = enumerate_p5free(n, k, threads=nthreads)
     misses = parallel_map(
         lambda rep: find_mono_copy(rep, H) is None, reps, nthreads
     )

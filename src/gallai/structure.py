@@ -78,9 +78,12 @@ def resolve_threads(explicit: int | None = None) -> int:
         return explicit
     env = os.environ.get("GALLAI_THREADS")
     if env:
-        value = int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = 0  # refused below, as a count below 1 is
         if value < 1:
-            raise ValueError(f"GALLAI_THREADS must be >= 1, got {value}")
+            raise ValueError(f"GALLAI_THREADS must be an integer >= 1, got {env!r}")
         return value
     return os.cpu_count() or 1
 

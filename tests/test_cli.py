@@ -219,6 +219,13 @@ class TestWitness:
         assert (code, out) == (EXIT_USAGE, "")
         assert "not allowed with argument" in err
 
+    def test_param_without_construction_is_usage_error(self, capsys):
+        """``--param`` only parameterizes ``--construction``; with ``--k`` it
+        is refused rather than ignored."""
+        code, out, err = run(capsys, "witness", "--H", "K3", "--k", "3", "--param", "t=5")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: --param needs --construction\n"
+
     @pytest.mark.parametrize("k", ["0", "-2"])
     def test_k_below_one_is_usage_error(self, capsys, k):
         code, out, err = run(capsys, "witness", "--H", "K3", "--k", k)
@@ -259,6 +266,29 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", n)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: need n >= 1, got n={n}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--H", "K3", "--k", "4", "--n", "3", "--threads", "0"),
+            ("search", "--H", "K3", "--k", "4", "--n-max", "3", "--threads", "0"),
+            ("check", "--H", "K3", "--k", "4", "--n", "5", "--threads", "-1"),
+        ],
+        ids=["check-no-exact-colorings", "search-no-exact-colorings", "check-enumerated"],
+    )
+    def test_thread_count_below_one_is_usage_error(self, capsys, argv):
+        """The count is checked before anything else, so an order without
+        exact colorings does not answer first."""
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: thread count must be >= 1, got {argv[-1]}\n"
+
+    @pytest.mark.parametrize("value", ["0", "abc", "-3", "1.5"])
+    def test_bad_thread_environment_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("GALLAI_THREADS", value)
+        code, out, err = run(capsys, "check", "--H", "K3", "--k", "4", "--n", "3")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: GALLAI_THREADS must be an integer >= 1, got {value!r}\n"
 
     def test_thread_flag_does_not_change_report(self, capsys):
         _, base, _ = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", "5")
@@ -338,6 +368,23 @@ class TestClassify:
         assert out == ""
         assert err.startswith("internal error: TheoremViolation: ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    @pytest.mark.parametrize(
+        "path",
+        [(0, 1, 2, 3, 0), (0, 1, 2, 3, 7), (0, 1, 2, 3, 4)],
+        ids=["repeated-vertex", "not-an-edge", "repeated-color"],
+    )
+    def test_failed_reverification_exits_internal(self, capsys, monkeypatch, tmp_path, path):
+        """A scan result that is no rainbow path of the host is an internal
+        error (exit 3, one stderr line), never an answer."""
+        monkeypatch.setattr("gallai.detectors._rainbow_path", lambda c, m: path)
+        c = ColoredComplete(5, 10, tuple(range(1, 11))).recolored(2, 3, 1)
+        path_file = tmp_path / "host.json"
+        path_file.write_text(json.dumps(c.to_json_dict()))
+        code, out, err = run(capsys, "classify", "--file", str(path_file))
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == f"internal error: RuntimeError: rainbow path {path} failed re-verification\n"
 
 
 def _run_quietly(argv: list[str]) -> tuple[int, str]:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from gallai import detectors
 from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.detectors import (
     _matching_with_pairs,
+    _rainbow_path,
     check_mono_embedding,
     check_rainbow_embedding,
     find_mono_copy,
@@ -22,6 +25,7 @@ from gallai.graphs import (
     edge_count,
 )
 from gallai.search import _has_rainbow_p5_direct
+from gallai.structure import enumerate_p5free
 
 
 def _random_coloring(rng, n_min=2, n_max=8, k_max=6):
@@ -216,6 +220,140 @@ class TestRainbowP5Scan:
         c = ColoredComplete(4, 3, (1, 2, 3, 3, 2, 1))
         assert not _brute_force_rainbow(c, 3)
         assert find_rainbow_path(c, 3) is None
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reference_rainbow_path(c, m):
+    """The middle-vertex scan without pruning: every pair b < d around
+    every middle vertex, in the order the pruned scan walks the survivors."""
+    if len(c.used_colors) < m:
+        return None
+    n = c.n
+    adj = c.adj
+    if m == 3:
+        full = (1 << n) - 1
+        for mid in range(n):
+            cm = [0 if v == mid else c.color_of(mid, v) for v in range(n)]
+            for b, x in enumerate(cm):
+                if not x:
+                    continue
+                at_b = adj[x][b] | 1 << b | 1 << mid
+                for d, y in enumerate(cm):
+                    if y and y != x and (ends := full & ~(at_b | adj[y][b] | 1 << d)):
+                        a = next(_bits(ends))
+                        return (a, b, mid, d) if a < d else (d, mid, b, a)
+        return None
+    around = [[(z, row[v]) for z, row in enumerate(adj) if row[v]] for v in range(n)]
+    for mid in range(n):
+        cm = [0] * n
+        for x, mask in around[mid]:
+            for v in _bits(mask):
+                cm[v] = x
+        for b in range(n - 1):
+            x = cm[b]
+            if not x:
+                continue
+            for d in range(b + 1, n):
+                y = cm[d]
+                if not y or y == x:
+                    continue
+                excl = ~(1 << b | 1 << mid | 1 << d)
+                for z, z_mask in around[b]:
+                    if z == x or z == y:
+                        continue
+                    ends_a = z_mask & excl
+                    if not ends_a:
+                        continue
+                    for w, w_mask in around[d]:
+                        if w == x or w == y or w == z:
+                            continue
+                        ends_e = w_mask & excl
+                        if ends_e and not (ends_a == ends_e and ends_a & (ends_a - 1) == 0):
+                            a = next(_bits(ends_a))
+                            if ends_e == 1 << a:
+                                a = next(_bits(ends_a & ~ends_e))
+                            e = next(_bits(ends_e & ~(1 << a)))
+                            return (a, b, mid, d, e) if a < e else (e, d, mid, b, a)
+    return None
+
+
+def _p5free_classes():
+    for n in range(5, 10):
+        for k in range(4, 8):
+            yield from enumerate_p5free(n, k)
+
+
+def _recolored_rainbow_free():
+    """One seeded single-edge recoloring of every rainbow-free grid or
+    builder coloring: hosts next to the rainbow-free ones, where the
+    pruning drops most pairs and a path may still close."""
+    rng = random.Random(1357)
+    for source in (_grid_colorings, _relabeled_builder_outputs):
+        for c in source():
+            if _reference_rainbow_path(c, 4) is not None:
+                continue
+            i, j = sorted(rng.sample(range(c.n), 2))
+            yield c.recolored(i, j, rng.randint(1, c.k))
+
+
+_DIFFERENTIAL_SETS = {
+    **_SCAN_SETS,
+    "p5free-classes": _p5free_classes,
+    "recolored": _recolored_rainbow_free,
+}
+
+
+class TestPrunedScan:
+    @pytest.mark.parametrize("name", list(_DIFFERENTIAL_SETS))
+    def test_same_path_as_unpruned_scan(self, name):
+        """The pruned scan returns the very tuple the unpruned one does,
+        for both path lengths, on every order the grid holds (up to 40)."""
+        for c in _DIFFERENTIAL_SETS[name]():
+            for m in (3, 4):
+                want = _reference_rainbow_path(c, m)
+                assert _rainbow_path(c, m) == want, (name, m, c.n, c.k, c.colors)
+                emb = find_rainbow_path(c, m)
+                assert (None if emb is None else emb.vertices) == want
+
+    def test_recolored_set_holds_paths_and_free_hosts(self):
+        """The boundary set is not degenerate: some recolorings close a
+        rainbow 4-edge path and some stay rainbow-free."""
+        found = [_reference_rainbow_path(c, 4) is not None for c in _recolored_rainbow_free()]
+        assert any(found) and not all(found)
+
+
+class TestReverification:
+    HOST = ColoredComplete(5, 10, tuple(range(1, 11)))
+
+    @pytest.mark.parametrize(
+        "path",
+        [(0, 1, 2, 3, 0), (0, 1, 2, 3, 5), (-1, 0, 1, 2, 3), (0, 1, 1, 2, 3), (0, 1, 2, 3)],
+        ids=["repeated-vertex", "vertex-outside-host", "negative-vertex", "loop", "short"],
+    )
+    def test_bad_scan_result_raises(self, monkeypatch, path):
+        monkeypatch.setattr(detectors, "_rainbow_path", lambda c, m: path)
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            find_rainbow_path(self.HOST, 4)
+
+    def test_repeated_color_raises(self, monkeypatch):
+        c = self.HOST.recolored(2, 3, self.HOST.color_of(0, 1))
+        monkeypatch.setattr(detectors, "_rainbow_path", lambda c, m: (0, 1, 2, 3, 4))
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            find_rainbow_path(c, 4)
+        assert find_rainbow_path(self.HOST, 4).vertices == (0, 1, 2, 3, 4)
+
+    def test_checker_refuses_edges_not_on_the_path(self):
+        emb = find_rainbow_path(self.HOST, 4)
+        assert check_rainbow_embedding(self.HOST, emb)
+        moved = emb.edges[:-1] + ((0, 4),)
+        assert not check_rainbow_embedding(self.HOST, replace(emb, edges=moved))
+        assert not check_rainbow_embedding(self.HOST, replace(emb, vertices=(0, 1, 2, 3, 5)))
 
 
 def _matching_sizes(c, color, allowed=None):
