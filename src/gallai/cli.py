@@ -35,6 +35,7 @@ from gallai.formulas import KIND_EXACT, KIND_BOUNDS, ConstantOutOfRange, GrResul
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
 from gallai.search import (
     CertificateMismatch,
+    InexactWitness,
     WitnessFailure,
     check_n,
     compute_gr,
@@ -206,7 +207,7 @@ def _cmd_verify(args) -> int:
     data = _read_json(args.file)
     try:
         cert = replay_certificate(data)
-    except (WitnessFailure, CertificateMismatch) as exc:
+    except (WitnessFailure, InexactWitness, CertificateMismatch) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     print(_dumps(cert.to_json_dict()))

@@ -9,9 +9,12 @@ the selftest and the acceptance gate verify.  Choosing and certifying a
 construction for a query is the dispatcher ``lower_bound_witness``, one
 layer up in the ``search`` module.
 
-Every coloring built from blocks (monochromatic cliques or fixed colorings
-joined by a small reduced coloring) expands through ``blowup``, the one
-place that rejects a non-exact result.  The fixed small colorings are the
+Every coloring built from blocks expands through ``blowup``, the one place
+that rejects a non-exact result.  A block is any coloring: a monochromatic
+clique is ``ColoredComplete.constant``, a single vertex is a coloring of
+order 1, and a Ramsey coloring such as ``r35_witness`` enters as it is.
+Blocks are joined by one dominant color or by a small reduced coloring
+given as part-pair triples.  The fixed small colorings are the
 ``sporadic`` table; its TW-case-f entry is also the template the
 ``structure`` module matches for case (f).
 
@@ -24,110 +27,59 @@ one builder at clique sizes 5 and 6.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache, partial
 from importlib import resources
 from itertools import groupby
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from gallai.detectors import find_mono_copy_in_color
 from gallai.graphs import ColoredComplete, TargetGraph, check_coloring_order, pairs
 
 
-@dataclass(frozen=True)
-class Part:
-    """One block of a blow-up: a monochromatic clique (``color``) or an
-    explicitly colored clique (``inner``); size-1 parts need neither."""
-
-    size: int
-    color: int | None = None
-    inner: ColoredComplete | None = None
-
-
-@dataclass(frozen=True)
-class BlowupSpec:
-    """Parts plus the inter-part rule: a single dominant color, or explicit
-    colors for every part pair given as (i, j, color) triples."""
-
-    k: int
-    parts: tuple[Part, ...]
-    inter: int | tuple[tuple[int, int, int], ...] = 1
-
-
-def _part_offsets(parts: tuple[Part, ...]) -> list[int]:
-    offsets = [0]
-    for p in parts:
-        offsets.append(offsets[-1] + p.size)
-    return offsets
-
-
-def blowup(spec: BlowupSpec) -> ColoredComplete:
-    """Expand a blow-up spec into a concrete coloring.
-
-    The result must be exact for the declared k; a spec whose expansion
-    misses a color is rejected.
-    """
-    if spec.k < 1:
-        raise ValueError(f"need k >= 1, got k={spec.k}")
-    if not spec.parts:
+def blowup(
+    k: int, parts: Sequence[ColoredComplete], inter: int | Iterable[tuple[int, int, int]] = 1
+) -> ColoredComplete:
+    """Join colorings into one: part i keeps its own edge colors on the
+    vertices after those of parts 0..i-1, and every edge between parts i and
+    j takes ``inter``, a single color or the color of the (i, j, color)
+    triple naming that pair.  Every pair of parts must be named exactly
+    once.  The result must be exact for k; one that misses a color is
+    rejected."""
+    if not parts:
         raise ValueError("blow-up needs at least one part")
-    num = len(spec.parts)
-    for idx, part in enumerate(spec.parts):
-        if part.size < 1:
-            raise ValueError(f"part {idx} has size {part.size}, need >= 1")
-        if part.size >= 2 and (part.color is None) == (part.inner is None):
-            raise ValueError(f"part {idx} needs exactly one of color or inner coloring")
-        if part.color is not None and not 1 <= part.color <= spec.k:
-            raise ValueError(f"part {idx} color {part.color} outside 1..{spec.k}")
-        if part.inner is not None:
-            if part.inner.n != part.size:
-                raise ValueError(
-                    f"part {idx} inner coloring has order {part.inner.n}, expected {part.size}"
-                )
-            bad = [c for c in part.inner.used_colors if not 1 <= c <= spec.k]
-            if bad:
-                raise ValueError(f"part {idx} inner colors {bad} outside 1..{spec.k}")
-    offsets = _part_offsets(spec.parts)
-    n = offsets[-1]
+    num = len(parts)
+    n = sum(part.n for part in parts)
     check_coloring_order(n)
-
-    if isinstance(spec.inter, int):
-        if not 1 <= spec.inter <= spec.k:
-            raise ValueError(f"inter color {spec.inter} outside 1..{spec.k}")
-        inter = {(i, j): spec.inter for i, j in pairs(num)}
+    if isinstance(inter, int):
+        table = [[inter] * num for _ in range(num)]
     else:
-        inter = {}
-        for i, j, col in spec.inter:
-            if i > j:
-                i, j = j, i
-            if not 1 <= col <= spec.k:
-                raise ValueError(f"inter color {col} outside 1..{spec.k}")
-            if (i, j) in inter:
-                raise ValueError(f"part pair ({i}, {j}) assigned twice")
-            inter[(i, j)] = col
-        missing = [e for e in pairs(num) if e not in inter]
+        table = [[None] * num for _ in range(num)]
+        for i, j, col in inter:
+            if not (0 <= i < num and 0 <= j < num and i != j):
+                raise ValueError(f"inter pair ({i}, {j}) is not two distinct parts of 0..{num - 1}")
+            if table[i][j] is not None:
+                raise ValueError(f"part pair ({min(i, j)}, {max(i, j)}) assigned twice")
+            table[i][j] = table[j][i] = col
+        missing = [(i, j) for i, j in pairs(num) if table[i][j] is None]
         if missing:
             raise ValueError(f"inter rule misses part pairs {missing}")
 
-    triples: list[tuple[int, int, int]] = []
-    for idx, part in enumerate(spec.parts):
-        base = offsets[idx]
-        if part.size < 2:
-            continue
-        if part.color is not None:
-            for i, j in pairs(part.size):
-                triples.append((base + i, base + j, part.color))
-        else:
-            assert part.inner is not None
-            for (i, j), col in zip(pairs(part.size), part.inner.colors):
-                triples.append((base + i, base + j, col))
-    for (pi, pj), col in inter.items():
-        for u in range(offsets[pi], offsets[pi + 1]):
-            for w in range(offsets[pj], offsets[pj + 1]):
-                triples.append((u, w, col))
-    c = ColoredComplete.from_edge_triples(n, spec.k, triples)
+    # Row v of K_n lists the colors of edges v-w for w > v: v's own row of
+    # its part's coloring, then the inter color of each later vertex.
+    colors: list[int] = []
+    for idx, part in enumerate(parts):
+        later: list[int] = []
+        for j in range(idx + 1, num):
+            later += [table[idx][j]] * parts[j].n
+        start = 0
+        for v in range(part.n):
+            end = start + part.n - 1 - v
+            colors += part.colors[start:end]
+            colors += later
+            start = end
+    c = ColoredComplete(n, k, colors)
     if not c.exact:
-        missing_colors = sorted(set(range(1, spec.k + 1)) - c.used_colors)
+        missing_colors = sorted(set(range(1, k + 1)) - c.used_colors)
         raise ValueError(f"blow-up is not exact: colors {missing_colors} unused")
     return c
 
@@ -140,16 +92,14 @@ def star_augmented(
     a coloring that misses a palette color is rejected.  Each run of equal
     spoke colors is one part of a blow-up, with the apex as the last part."""
     if len(spoke_colors) != base_order:
-        raise ValueError(
-            f"need {base_order} spoke colors, got {len(spoke_colors)}"
-        )
+        raise ValueError(f"need {base_order} spoke colors, got {len(spoke_colors)}")
+    k = max([base_color] + list(spoke_colors))
     runs = [(col, len(list(group))) for col, group in groupby(spoke_colors)]
     apex = len(runs)
-    inter = tuple((i, apex, col) for i, (col, _) in enumerate(runs))
-    inter += tuple((i, j, base_color) for i, j in pairs(apex))
-    parts = tuple(Part(size, color=base_color) for _, size in runs) + (Part(1),)
-    k = max([base_color] + list(spoke_colors))
-    return blowup(BlowupSpec(k=k, parts=parts, inter=inter))
+    inter = [(i, apex, col) for i, (col, _) in enumerate(runs)]
+    inter += [(i, j, base_color) for i, j in pairs(apex)]
+    parts = [ColoredComplete.constant(size, k, base_color) for _, size in runs]
+    return blowup(k, parts + [ColoredComplete.constant(1, k)], inter)
 
 
 _PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
@@ -160,18 +110,16 @@ def pentagon_blowup(t: int) -> ColoredComplete:
     whose color classes are a 5-cycle and its complement."""
     if t < 3:
         raise ValueError(f"need t >= 3, got t={t}")
-    inter = tuple(
-        (i, j, 2 if (i, j) in _PENTAGON else 3) for i, j in pairs(5)
-    )
-    parts = tuple(Part(t - 1, color=1) for _ in range(5))
-    return blowup(BlowupSpec(k=3, parts=parts, inter=inter))
+    check_coloring_order(5 * (t - 1))
+    inter = [(i, j, 2 if (i, j) in _PENTAGON else 3) for i, j in pairs(5)]
+    return blowup(3, [ColoredComplete.constant(t - 1, 3, 1)] * 5, inter)
 
 
 def doubling(base: ColoredComplete) -> ColoredComplete:
     """Two copies of a {1,2}-colored graph with all cross edges in color 3."""
     if not base.used_colors <= {1, 2}:
         raise ValueError(f"doubling base must use colors within {{1, 2}}, got {sorted(base.used_colors)}")
-    return blowup(BlowupSpec(k=3, parts=(Part(base.n, inner=base),) * 2, inter=3))
+    return blowup(3, [base, base], 3)
 
 
 _SPORADIC: dict[str, tuple[int, int, tuple[tuple[int, int, int], ...]]] = {
@@ -240,10 +188,10 @@ def g4(a: int, t: int, k: int) -> ColoredComplete:
         raise ValueError(f"need 2 <= k <= a, got k={k}, a={a}")
     check_coloring_order((a - 1) * (t - 1))
     counts = _balanced_counts(a - 1, k - 1)
-    parts = []
+    parts: list[ColoredComplete] = []
     for color, m in zip(range(2, k + 1), counts):
-        parts.extend(Part(t - 1, color=color) for _ in range(m))
-    return blowup(BlowupSpec(k=k, parts=tuple(parts), inter=1))
+        parts += [ColoredComplete.constant(t - 1, k, color)] * m
+    return blowup(k, parts)
 
 
 def g5(t: int, k: int) -> ColoredComplete:
@@ -274,8 +222,8 @@ def g6(max_degree: int, k: int) -> ColoredComplete:
         raise ValueError(f"degenerate split: max_degree={max_degree} under k={k}")
     check_coloring_order(max_degree + p - 1)
     sizes = [p + 1] * q + [p] * (k - 1 - q)
-    parts = tuple(Part(s, color=color) for s, color in zip(sizes, range(2, k + 1)))
-    return blowup(BlowupSpec(k=k, parts=parts, inter=1))
+    parts = [ColoredComplete.constant(s, k, color) for s, color in zip(sizes, range(2, k + 1))]
+    return blowup(k, parts)
 
 
 def f1(t: int) -> ColoredComplete:
@@ -300,8 +248,9 @@ def f5(t: int, r: int) -> ColoredComplete:
         raise ValueError(f"need r >= 3, got r={r}")
     if t < 2 * r + 1:
         raise ValueError(f"need t >= 2r + 1, got t={t}, r={r}")
-    parts = (Part(t - 1, color=2), Part(r - 1, color=3), Part(r - 1, color=4))
-    return blowup(BlowupSpec(k=4, parts=parts, inter=1))
+    check_coloring_order(t + 2 * r - 3)
+    sizes = ((t - 1, 2), (r - 1, 3), (r - 1, 4))
+    return blowup(4, [ColoredComplete.constant(m, 4, color) for m, color in sizes])
 
 
 def f6(t: int) -> ColoredComplete:
@@ -315,8 +264,8 @@ def _r35_plus_cliques(size: int) -> ColoredComplete:
     """The 13-vertex 2-colored block of ``r35_witness`` plus two K_size in
     colors 3 and 4, inter color 1 (F12 at size 5, order 23; F13 at size 6,
     order 25)."""
-    parts = (Part(13, inner=r35_witness()), Part(size, color=3), Part(size, color=4))
-    return blowup(BlowupSpec(k=4, parts=parts, inter=1))
+    cliques = [ColoredComplete.constant(size, 4, color) for color in (3, 4)]
+    return blowup(4, [r35_witness()] + cliques)
 
 
 BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {

@@ -128,6 +128,10 @@ class ColoredComplete:
         m = edge_count(n)
         cols: list[int] = [0] * m
         for i, j, c in triples:
+            if i == j:
+                raise ValueError(f"self-loop ({i}, {j}) is not an edge of K_n")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) outside vertex range 0..{n - 1}")
             if i > j:
                 i, j = j, i
             idx = edge_index(i, j, n)
@@ -206,14 +210,7 @@ class ColoredComplete:
             raise UnsupportedSizeError(
                 f"palettes are limited to k <= {MAX_COLORING_ORDER}, got k={k}"
             )
-        triples = []
-        for i, j, c in _json_rows(data["edges"], 3, "coloring edges"):
-            if i == j:
-                raise ValueError(f"self-loop ({i}, {j}) is not an edge of K_n")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) outside vertex range 0..{n - 1}")
-            triples.append((i, j, c))
-        return cls.from_edge_triples(n, k, triples)
+        return cls.from_edge_triples(n, k, _json_rows(data["edges"], 3, "coloring edges"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColoredComplete):

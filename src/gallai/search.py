@@ -56,6 +56,10 @@ class WitnessFailure(Exception):
         self.embedding = embedding
 
 
+class InexactWitness(ValueError):
+    """A claimed witness leaves a palette color unused."""
+
+
 class CertificateMismatch(Exception):
     """A certificate states a value that its replay does not reproduce."""
 
@@ -122,12 +126,11 @@ def verify_witness(
     coloring: ColoredComplete, H: TargetGraph, label: str | None = None
 ) -> WitnessCertificate:
     """Check that the coloring is exact, rainbow-path-free, and mono-H-free;
-    raise WitnessFailure (with the offending embedding) otherwise."""
+    raise InexactWitness or WitnessFailure (with the offending embedding)
+    otherwise."""
     if not coloring.exact:
         used = len(coloring.used_colors)
-        raise ValueError(
-            f"witness must use all {coloring.k} colors, found {used}"
-        )
+        raise InexactWitness(f"witness must use all {coloring.k} colors, found {used}")
     if coloring.n >= 5:
         rainbow = find_rainbow_path(coloring, 4)
         if rainbow is not None:

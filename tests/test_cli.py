@@ -687,17 +687,30 @@ class TestVerify:
         assert err.startswith(f"verification failed: certificate states {field} ")
         assert err.count("\n") == 1
 
-    def test_flattened_coloring_is_usage_error(self, capsys, tmp_path):
-        cert = verify_witness(sporadic("F3"), parse_hspec("S4^1"))
-        data = cert.to_json_dict()
-        data["coloring"]["edges"] = [
-            [i, j, 1] for i, j, _ in data["coloring"]["edges"]
-        ]
-        path = tmp_path / "flat.json"
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            ("wider", "witness must use all 4 colors, found 3"),
+            ("flattened", "witness must use all 3 colors, found 1"),
+        ],
+        ids=["wider", "flattened"],
+    )
+    def test_inexact_coloring_fails_verification(self, capsys, tmp_path, tamper, message):
+        """A well-formed coloring that leaves a palette color unused is a
+        false claim, like one holding a monochromatic copy: exit 1 with one
+        ``verification failed:`` line, not a usage error."""
+        code, out, _ = run(capsys, "witness", "--H", "K3", "--k", "3")
+        assert code == EXIT_OK
+        data = json.loads(out)
+        if tamper == "wider":
+            data["coloring"]["k"] += 1
+        else:
+            data["coloring"]["edges"] = [[i, j, 1] for i, j, _ in data["coloring"]["edges"]]
+        path = tmp_path / "inexact.json"
         path.write_text(json.dumps(data))
-        code, _, err = run(capsys, "verify", "--file", str(path))
-        assert code == EXIT_USAGE
-        assert "error:" in err
+        assert run(capsys, "verify", "--file", str(path)) == (
+            EXIT_NEGATIVE, "", f"verification failed: {message}\n"
+        )
 
 
 class TestUsage:
@@ -760,6 +773,11 @@ class TestUsage:
             (("witness", "--H", "K3", "--construction", "G5", "--param", "t=3000", "--param", "k=4"), order_cap),
             (("witness", "--H", "K3", "--construction", "G4", "--param", "a=1000000", "--param", "t=3", "--param", "k=4"), order_cap),
             (("witness", "--H", "K3", "--construction", "G6", "--param", "max_degree=1000000", "--param", "k=500000"), order_cap),
+            (("witness", "--H", "K3", "--construction", "F5", "--param", "t=1000000", "--param", "r=3"), order_cap),
+            (("witness", "--H", "K3", "--construction", "F7", "--param", "t=1000000"), order_cap),
+            (("witness", "--H", "K3", "--construction", "F1", "--param", "t=1000000"), order_cap),
+            (("witness", "--H", "K3", "--construction", "F6", "--param", "t=1000000"), order_cap),
+            (("witness", "--H", "K3", "--construction", "F4", "--param", "t=1000001"), order_cap),
             (("witness", "--H", "K100000", "--k", "4"), order_cap),
             (("witness", "--H", "PA100000,50000", "--k", "4"), order_cap),
             (("classify", "--file", str(wide)), "error: palettes are limited to k <= 1024"),

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
+import random
+from importlib import resources
 
 import pytest
 
 from gallai.constructions import (
     BUILDERS,
-    BlowupSpec,
-    Part,
     blowup,
     build_named,
     construction_grid,
@@ -25,20 +27,32 @@ from gallai.graphs import (
     ColoredComplete,
     TargetGraph,
     UnsupportedSizeError,
+    pairs,
     parse_hspec,
     render_hspec,
 )
 from gallai.search import WitnessFailure, lower_bound_witness, verify_witness
 
 
+def _reference_blowup(k, parts, inter):
+    """The blow-up edge by edge: vertex v of part i and vertex w of part j
+    get part i's own color when i == j and the inter color otherwise."""
+    where = [(i, v) for i, part in enumerate(parts) for v in range(part.n)]
+    table = {}
+    for i, j, col in inter:
+        table[i, j] = table[j, i] = col
+    triples = []
+    for a, b in itertools.combinations(range(len(where)), 2):
+        (i, v), (j, w) = where[a], where[b]
+        col = parts[i].color_of(v, w) if i == j else table[i, j]
+        triples.append((a, b, col))
+    return ColoredComplete.from_edge_triples(len(where), k, triples)
+
+
 class TestBlowup:
     def test_mono_parts_and_inter(self):
-        spec = BlowupSpec(
-            k=3,
-            parts=(Part(2, color=2), Part(3, color=3)),
-            inter=1,
-        )
-        c = blowup(spec)
+        parts = [ColoredComplete.constant(2, 3, 2), ColoredComplete.constant(3, 3, 3)]
+        c = blowup(3, parts, 1)
         assert c.n == 5
         assert c.color_of(0, 1) == 2
         assert c.color_of(2, 3) == 3
@@ -46,35 +60,79 @@ class TestBlowup:
 
     def test_inner_coloring_part(self):
         inner = ColoredComplete.from_edge_triples(3, 2, ((0, 1, 1), (0, 2, 2), (1, 2, 1)))
-        spec = BlowupSpec(k=3, parts=(Part(3, inner=inner), Part(2, color=3)), inter=2)
-        c = blowup(spec)
+        c = blowup(3, [inner, ColoredComplete.constant(2, 3, 3)], 2)
         assert c.color_of(0, 2) == 2
         assert c.color_of(3, 4) == 3
         assert c.color_of(0, 3) == 2
 
+    def test_matches_edge_by_edge_reference(self):
+        """Random part colorings (single vertices included) and random
+        reduced colorings, with triples given in either vertex order,
+        expand exactly as the edge-by-edge reference does."""
+        rng = random.Random(5)
+        for _ in range(200):
+            k = rng.randint(1, 5)
+            parts = []
+            for _ in range(rng.randint(1, 5)):
+                m = rng.randint(1, 5)
+                parts.append(ColoredComplete(m, k, [rng.randint(1, k) for _ in pairs(m)]))
+            inter = []
+            for i, j in pairs(len(parts)):
+                if rng.random() < 0.5:
+                    i, j = j, i
+                inter.append((i, j, rng.randint(1, k)))
+            want = _reference_blowup(k, parts, inter)
+            if want.exact:
+                assert blowup(k, parts, inter) == want
+            else:
+                with pytest.raises(ValueError, match="not exact"):
+                    blowup(k, parts, inter)
+
     def test_rejects_nonexact(self):
-        spec = BlowupSpec(k=4, parts=(Part(2, color=2), Part(2, color=3)), inter=1)
-        with pytest.raises(ValueError, match="not exact"):
-            blowup(spec)
+        parts = [ColoredComplete.constant(2, 4, 2), ColoredComplete.constant(2, 4, 3)]
+        with pytest.raises(ValueError, match=r"not exact: colors \[4\] unused"):
+            blowup(4, parts, 1)
 
     def test_rejects_incomplete_inter_table(self):
-        spec = BlowupSpec(
-            k=2,
-            parts=(Part(1), Part(1), Part(1)),
-            inter=((0, 1, 1), (0, 2, 2)),
-        )
-        with pytest.raises(ValueError, match="misses"):
-            blowup(spec)
+        parts = [ColoredComplete.constant(1, 2)] * 3
+        with pytest.raises(ValueError, match=r"misses part pairs \[\(1, 2\)\]"):
+            blowup(2, parts, ((0, 1, 1), (0, 2, 2)))
+
+    def test_rejects_duplicate_part_pair(self):
+        parts = [ColoredComplete.constant(1, 2)] * 2
+        with pytest.raises(ValueError, match=r"part pair \(0, 1\) assigned twice"):
+            blowup(2, parts, ((0, 1, 1), (1, 0, 2)))
+
+    @pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 0), (0, -1), (1, 1)])
+    def test_rejects_pair_outside_parts(self, pair):
+        """A triple must name two distinct parts; any other pair is refused
+        by name."""
+        parts = [ColoredComplete.constant(2, 2, 2)] * 2
+        i, j = pair
+        message = rf"inter pair \({i}, {j}\) is not two distinct parts of 0..1"
+        with pytest.raises(ValueError, match=message):
+            blowup(2, parts, ((0, 1, 1), (i, j, 1)))
+
+    @pytest.mark.parametrize(
+        "parts, inter",
+        [
+            ([ColoredComplete.constant(2, 5, 5), ColoredComplete.constant(2, 5, 2)], 1),
+            ([ColoredComplete.constant(2, 4, 2)] * 2, 0),
+            ([ColoredComplete.constant(2, 4, 2)] * 2, ((0, 1, 7),)),
+        ],
+    )
+    def test_rejects_color_outside_palette(self, parts, inter):
+        with pytest.raises(ValueError, match=r"edge color \d+ outside 1..4"):
+            blowup(4, parts, inter)
+
+    def test_rejects_empty_part_list(self):
+        with pytest.raises(ValueError, match="at least one part"):
+            blowup(2, [], 1)
 
     def test_order_cap_counts_every_part(self):
-        half = MAX_COLORING_ORDER // 2
-        spec = BlowupSpec(k=2, parts=(Part(half, color=1), Part(half + 1, color=2)), inter=1)
+        half = ColoredComplete.constant(MAX_COLORING_ORDER // 2, 2, 1)
         with pytest.raises(UnsupportedSizeError):
-            blowup(spec)
-
-    def test_rejects_part_needing_color_choice(self):
-        with pytest.raises(ValueError):
-            blowup(BlowupSpec(k=2, parts=(Part(3),), inter=1))
+            blowup(2, [half, half, ColoredComplete.constant(1, 2)], 2)
 
 
 class TestHelpers:
@@ -268,6 +326,34 @@ class TestDispatcher:
         c = ColoredComplete.constant(5, 1)
         with pytest.raises(WitnessFailure):
             verify_witness(c, TargetGraph.complete(3))
+
+
+# sha256 over (name, params, n, k, colors) of every grid row, then of every
+# dispatcher answer on data/eval_sweep.txt (None where there is none),
+# recorded before the blow-up builders were rewritten.
+_PRINTED_SHA256 = "1f31dbd64a50aa1db836055e6abe4f05ec7781230d2c4315b4bd53ffd5a5df59"
+
+
+class TestPrintedBytes:
+    def test_every_printed_coloring_is_pinned(self):
+        """Canonical keys are blind to vertex order; this pins the colorings
+        ``witness`` prints, byte for byte."""
+        digest = hashlib.sha256()
+        for row in construction_grid():
+            c = build_named(row["name"], row["params"])
+            digest.update(json.dumps([row["name"], row["params"], c.n, c.k, c.colors]).encode())
+        sweep = resources.files("gallai").joinpath("data/eval_sweep.txt").read_text()
+        for line in sweep.splitlines():
+            if not line.strip() or line.startswith("#"):
+                continue
+            spec, k = line.split()
+            cert = lower_bound_witness(parse_hspec(spec), int(k))
+            entry = None
+            if cert is not None:
+                c = cert.coloring
+                entry = [cert.label, {"H": spec, "k": int(k)}, c.n, c.k, c.colors]
+            digest.update(json.dumps(entry).encode())
+        assert digest.hexdigest() == _PRINTED_SHA256
 
 
 def _small_targets() -> list[TargetGraph]:

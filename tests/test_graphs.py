@@ -84,6 +84,23 @@ class TestColoredComplete:
                 3, 2, ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 1, 2))
             )
 
+    @pytest.mark.parametrize(
+        "edge, message",
+        [
+            ((1, 1), r"self-loop \(1, 1\) is not an edge of K_n"),
+            ((1, 3), r"edge \(1, 3\) outside vertex range 0..2"),
+            ((-1, 2), r"edge \(-1, 2\) outside vertex range 0..2"),
+        ],
+    )
+    def test_one_triple_reader_for_both_entry_points(self, edge, message):
+        """Triples and coloring JSON are checked by the same reader, with
+        the same messages."""
+        edges = [(0, 1, 1), (0, 2, 1), (*edge, 2)]
+        with pytest.raises(ValueError, match=message):
+            ColoredComplete.from_edge_triples(3, 2, edges)
+        with pytest.raises(ValueError, match=message):
+            ColoredComplete.from_json_dict({"n": 3, "k": 2, "edges": [list(e) for e in edges]})
+
     @given(colorings())
     def test_degree_sums_to_twice_edges(self, c):
         """Sum over vertices of deg_j is 2 |E_j| for every color j."""
