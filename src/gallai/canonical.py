@@ -25,6 +25,11 @@ each twin class is tried.  Swapping two unused twins fixes every placed
 vertex and every color, so it is an automorphism that maps the orders
 placing one twin next onto those placing the other, body for body, and the
 least body is unchanged.
+
+``coloring_invariant`` is the cheap test in front of the key: the sorted
+per-color (edge count, degree sequence) signatures that also label the
+refinement.  Different invariants mean different classes; only colorings
+whose invariants agree need their keys compared.
 """
 
 from __future__ import annotations
@@ -40,14 +45,28 @@ from gallai.graphs import (
 MAX_CANONICAL_ORDER = 10
 
 
-def _edge_label_matrix(c: ColoredComplete, mat: list[list[int]]) -> list[list[int]]:
-    """Symmetric edge labels driving the refinement: an edge is labeled by
-    the rank of its color's signature (class size plus sorted per-vertex
-    degree sequence), which is unchanged when colors are renamed."""
+def _color_signatures(c: ColoredComplete) -> dict[int, tuple]:
+    """``{color: (edge count, sorted degree sequence)}`` for the used colors;
+    renaming vertices leaves every signature as it is."""
     sigs: dict[int, tuple] = {}
     for col in c.used_colors:
-        degs = tuple(sorted(c.degree(v, col) for v in range(c.n)))
+        degs = tuple(sorted(mask.bit_count() for mask in c.adj[col]))
         sigs[col] = (sum(degs) // 2, degs)
+    return sigs
+
+
+def coloring_invariant(c: ColoredComplete) -> tuple:
+    """Sorted tuple of the per-color signatures: unchanged when vertices and
+    colors are renamed, so colorings with different invariants are never
+    isomorphic.  Equal invariants decide nothing; ``canonical_form`` does."""
+    return tuple(sorted(_color_signatures(c).values()))
+
+
+def _edge_label_matrix(c: ColoredComplete, mat: list[list[int]]) -> list[list[int]]:
+    """Symmetric edge labels driving the refinement: an edge is labeled by
+    the rank of its color's signature, which is unchanged when colors are
+    renamed."""
+    sigs = _color_signatures(c)
     ordered = sorted(set(sigs.values()))
     rank = {col: ordered.index(sig) + 1 for col, sig in sigs.items()}
     return [[rank.get(col, 0) for col in row] for row in mat]

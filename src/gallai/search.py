@@ -6,10 +6,10 @@ A candidate lower-bound coloring is accepted only through ``verify_witness``,
 which re-runs both detectors and returns a replayable certificate;
 ``lower_bound_witness`` picks the registry constructions whose hypotheses
 cover a query and returns the largest one that verifies.  The per-order
-check scans class representatives in canonical-key order, so the reported
-bad coloring is the canonically smallest one: structure-guided
-representatives for n >= 5, and all exact colorings up to color renaming
-below that.
+check tests one member coloring per class: the structure-guided classes of
+``p5free_classes`` for n >= 5, and all exact colorings up to color renaming
+below that.  The reported bad coloring is the canonically smallest one; for
+n >= 5 only bad classes are keyed and no class is decoded but that one.
 """
 
 from __future__ import annotations
@@ -38,7 +38,15 @@ from gallai.graphs import (
     render_hspec,
     require_keys,
 )
-from gallai.structure import enumerate_p5free, parallel_map, resolve_threads
+# The benchmark's tracer wraps canonical_form, coloring_from_key,
+# enumerate_p5free and brute_force_colorings by name in this module, so
+# enumerate_p5free stays imported though check_n no longer calls it.
+from gallai.structure import (
+    enumerate_p5free,
+    p5free_classes,
+    parallel_map,
+    resolve_threads,
+)
 
 STATUS_ALL_GOOD = "all-good"
 STATUS_BAD = "bad"
@@ -325,8 +333,12 @@ def check_n(
     """Decide whether every exact k-coloring of the complete graph on n
     vertices contains a rainbow 4-edge path or a monochromatic H.
 
-    The scan walks representatives in canonical-key order; when bad
-    colorings exist the reported witness is the canonically smallest.
+    ``examined`` counts the classes.  For n >= 5 each class is tested on its
+    member coloring (a monochromatic copy survives renaming), and only the
+    bad classes get canonical keys; when bad classes exist the reported
+    witness is the canonically smallest, decoded from its key, and it is
+    the only class decoded.  Below n = 5 the classes are decoded and
+    scanned in key order.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -337,16 +349,20 @@ def check_n(
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
     if n <= 4:
         reps = _small_order_classes(n, k)
+        misses = parallel_map(lambda rep: find_mono_copy(rep, H) is None, reps, nthreads)
+        bad = next((rep for rep, miss in zip(reps, misses) if miss), None)
+        examined = len(reps)
     else:
-        reps = enumerate_p5free(n, k, threads=nthreads)
-    misses = parallel_map(
-        lambda rep: find_mono_copy(rep, H) is None, reps, nthreads
-    )
-    for rep, miss in zip(reps, misses):
-        if miss:
-            witness = verify_witness(rep, H)
-            return CheckOutcome(H, k, n, STATUS_BAD, witness, len(reps))
-    return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(reps))
+        classes = p5free_classes(n, k, threads=nthreads)
+        misses = parallel_map(
+            lambda cls: find_mono_copy(cls.member, H) is None, classes, nthreads
+        )
+        bad_keys = [cls.key for cls, miss in zip(classes, misses) if miss]
+        bad = coloring_from_key(min(bad_keys)) if bad_keys else None
+        examined = len(classes)
+    if bad is None:
+        return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, examined)
+    return CheckOutcome(H, k, n, STATUS_BAD, verify_witness(bad, H), examined)
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,18 @@ and checks that the third side's color has no edge beyond it off a;
 vertices; (f) runs the template match only when the class sizes equal the
 template's.  Edge lists are built only for a witness and for the quads of
 (e).  The same shapes
-drive ``enumerate_p5free``, which generates every exact k-coloring of K_n
-without a rainbow 4-edge path, up to vertex-and-color isomorphism.
+drive ``p5free_classes``, which generates every exact k-coloring of K_n
+without a rainbow 4-edge path, up to vertex-and-color isomorphism.  It
+tells candidates apart by ``coloring_invariant`` first and computes a
+canonical key only where two candidates share an invariant, or when a
+caller asks for a class's key; ``enumerate_p5free`` is the key-sorted
+decode of its classes.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import (
     combinations_with_replacement,
@@ -45,7 +49,7 @@ from itertools import (
 from operator import or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from gallai.canonical import canonical_form, coloring_from_key
+from gallai.canonical import canonical_form, coloring_from_key, coloring_invariant
 from gallai.constructions import sporadic, star_augmented
 from gallai.detectors import Embedding, find_rainbow_path
 from gallai.graphs import (
@@ -416,15 +420,34 @@ def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:
         yield _CASE_F
 
 
-def enumerate_p5free(
+@dataclass
+class P5FreeClass:
+    """One vertex-and-color isomorphism class of the enumeration: a member
+    coloring (a generator candidate, not a decoded key) and its canonical
+    key, computed on first use."""
+
+    member: ColoredComplete
+    _key: bytes | None = field(default=None, repr=False)
+
+    @property
+    def key(self) -> bytes:
+        if self._key is None:
+            self._key = canonical_form(self.member)
+        return self._key
+
+
+def p5free_classes(
     n: int, k: int, threads: int | None = None
-) -> list[ColoredComplete]:
-    """Every exact k-coloring of K_n with no rainbow 4-edge path, one
-    canonical representative per vertex-and-color isomorphism class, sorted
-    by canonical key.  Only k >= 4 is supported: with fewer colors no
-    rainbow 4-edge path exists and the answer would be all colorings.
+) -> list[P5FreeClass]:
+    """Every exact k-coloring of K_n with no rainbow 4-edge path, one class
+    per vertex-and-color isomorphism class, not in key order.  Only k >= 4
+    is supported: with fewer colors no rainbow 4-edge path exists and the
+    answer would be all colorings.
+
     Every candidate of the case generators must be exact and rainbow-free;
-    one that is not is a generator bug and raises TheoremViolation."""
+    one that is not is a generator bug and raises TheoremViolation.
+    Classes are formed by ``_merge_isomorphic``; a key it did not need waits
+    until the caller reads ``key``."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -447,12 +470,40 @@ def enumerate_p5free(
     ):
         candidates.extend(gen(n, k))
 
-    def to_key(c: ColoredComplete) -> bytes:
+    def guard(c: ColoredComplete) -> None:
         if not c.exact or find_rainbow_path(c, 4) is not None:
             raise TheoremViolation(
                 f"a case generator emitted a non-exact or rainbow candidate {c!r}"
             )
-        return canonical_form(c)
 
-    keys = set(parallel_map(to_key, candidates, workers))
-    return [coloring_from_key(key) for key in sorted(keys)]
+    parallel_map(guard, candidates, workers)
+    return _merge_isomorphic(candidates)
+
+
+def _merge_isomorphic(colorings: Iterable[ColoredComplete]) -> list[P5FreeClass]:
+    """One class per vertex-and-color isomorphism class among the colorings,
+    in the order their buckets are first met.  Colorings are bucketed by
+    ``coloring_invariant``; a coloring alone in its bucket is a class of its
+    own, and canonical keys are computed only to merge a shared bucket."""
+    buckets: dict[tuple, list[ColoredComplete]] = {}
+    for c in colorings:
+        buckets.setdefault(coloring_invariant(c), []).append(c)
+    classes: list[P5FreeClass] = []
+    for members in buckets.values():
+        if len(members) == 1:
+            classes.append(P5FreeClass(members[0]))
+            continue
+        keyed: dict[bytes, ColoredComplete] = {}
+        for c in members:
+            keyed.setdefault(canonical_form(c), c)
+        classes.extend(P5FreeClass(c, key) for key, c in keyed.items())
+    return classes
+
+
+def enumerate_p5free(
+    n: int, k: int, threads: int | None = None
+) -> list[ColoredComplete]:
+    """The classes of ``p5free_classes``, each decoded from its canonical
+    key (the canonical representative), sorted by key."""
+    keys = sorted(cls.key for cls in p5free_classes(n, k, threads))
+    return [coloring_from_key(key) for key in keys]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import pytest
 
+import gallai.search
+from gallai import structure
 from gallai.canonical import canonical_form
 from gallai.constructions import sporadic
 from gallai.graphs import ColoredComplete, TargetGraph, UnsupportedSizeError, parse_hspec
@@ -23,7 +26,14 @@ from gallai.search import (
     replay_certificate,
     verify_witness,
 )
-from gallai.structure import enumerate_p5free
+from gallai.detectors import find_mono_copy
+from gallai.structure import enumerate_p5free, p5free_classes
+
+C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
+
+# sha256 over check_n outputs, recorded while check_n still keyed and
+# decoded every class; see TestCheckNOutputs.
+_CHECK_SHA256 = "368535db0a06eb6df102aa95bac44504d4a3e5e0c0ec1f0029d827234a059435"
 
 
 class TestVerifyWitness:
@@ -216,3 +226,45 @@ class TestComputeGr:
             STATUS_ALL_GOOD, STATUS_ALL_GOOD, STATUS_ALL_GOOD, STATUS_BAD,
         ]
         assert res.value == 6
+
+
+class TestCheckNOutputs:
+    def test_outputs_byte_identical(self):
+        """Status, examined count and witness JSON for six targets at
+        k = 4..6 and n = 2..9 (K4 at n <= 4), with 1 and 8 threads, hash to
+        the digest recorded when every class was keyed and decoded."""
+        cases = [
+            (spec, k, n)
+            for spec in ("S4^1", "S5^1", "K5", "PA6,5", "K6-M", C5)
+            for k in range(4, 7)
+            for n in range(2, 10)
+        ]
+        cases += [("K4", k, n) for k in range(4, 7) for n in range(2, 5)]
+        digest = hashlib.sha256()
+        for spec, k, n in cases:
+            for threads in (1, 8):
+                out = check_n(parse_hspec(spec), k, n, threads=threads)
+                witness = None if out.witness is None else out.witness.to_json_dict()
+                row = [spec, k, n, threads, out.status, out.examined, witness]
+                digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
+        assert digest.hexdigest() == _CHECK_SHA256
+
+    @pytest.mark.parametrize("spec,bad", [("S5^1", 0), ("K5", 23), ("PA6,5", 24)])
+    def test_keys_only_where_they_decide(self, monkeypatch, spec, bad):
+        """At (k, n) = (4, 9), with 79 classes: at most 6 keys merge
+        candidates that share an invariant, one more per bad class picks the
+        smallest, and only the witness is decoded."""
+        H = parse_hspec(spec)
+        classes = p5free_classes(9, 4)  # also warms the cached part graphs
+        assert sum(find_mono_copy(cls.member, H) is None for cls in classes) == bad
+        keyed, decoded = [], []
+        real_key, real_decode = structure.canonical_form, gallai.search.coloring_from_key
+        monkeypatch.setattr(structure, "canonical_form", lambda c: keyed.append(c) or real_key(c))
+        monkeypatch.setattr(
+            gallai.search, "coloring_from_key", lambda key: decoded.append(key) or real_decode(key)
+        )
+        out = check_n(H, 4, 9)
+        assert out.examined == 79
+        assert len(keyed) <= 6 + bad
+        assert len(decoded) == (1 if bad else 0)
+        assert (out.status == STATUS_BAD) == bool(bad)

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 
 from gallai import structure
-from gallai.canonical import canonical_form
+from gallai.canonical import canonical_form, coloring_invariant
 from gallai.constructions import build_named, sporadic
 from gallai.detectors import find_rainbow_path
 from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
@@ -18,6 +18,7 @@ from gallai.structure import (
     classify_p4free,
     classify_p5free,
     enumerate_p5free,
+    p5free_classes,
     parallel_map,
     resolve_threads,
 )
@@ -424,6 +425,83 @@ class TestEnumerate:
         one = enumerate_p5free(6, 5, threads=1)
         many = enumerate_p5free(6, 5, threads=8)
         assert one == many
+
+
+def _relabeled(rng, c):
+    vperm = list(range(c.n))
+    rng.shuffle(vperm)
+    cperm = [0] + rng.sample(range(1, c.k + 1), c.k)
+    return c.permuted(vperm, cperm)
+
+
+def _block_coloring(rng, n, k):
+    """A random vertex partition, one color inside each part and one
+    between each pair of parts."""
+    parts = rng.randint(1, n)
+    part = [rng.randrange(parts) for _ in range(n)]
+    inner = [rng.randint(1, k) for _ in range(parts)]
+    between = {pq: rng.randint(1, k) for pq in pairs(parts)}
+    colors = []
+    for i, j in pairs(n):
+        a, b = sorted((part[i], part[j]))
+        colors.append(inner[a] if a == b else between[(a, b)])
+    return ColoredComplete(n, k, colors)
+
+
+def _graph_coloring(n, edges):
+    """Two colors: the given graph in color 2, its complement in color 1."""
+    inside = {tuple(sorted(e)) for e in edges}
+    return ColoredComplete(n, 2, [2 if e in inside else 1 for e in pairs(n)])
+
+
+class TestClassPartition:
+    def test_classes_match_enumeration_and_candidate_keys(self):
+        """Over the whole census, one class per key: the same count and key
+        set as the enumeration and as keying every generator candidate."""
+        generators = (
+            structure._candidates_case_b,
+            structure._candidates_case_c,
+            structure._candidates_case_d,
+            structure._candidates_case_e,
+            structure._candidates_case_f,
+        )
+        for n in range(5, 10):
+            for k in range(4, 13):
+                classes = p5free_classes(n, k)
+                reps = enumerate_p5free(n, k)
+                keys = {cls.key for cls in classes}
+                assert len(classes) == len(keys) == len(reps), (n, k)
+                assert keys == {canonical_form(c) for c in reps}, (n, k)
+                candidates = [c for gen in generators for c in gen(n, k)]
+                assert keys == {canonical_form(c) for c in candidates}, (n, k)
+                assert all(cls.key == canonical_form(cls.member) for cls in classes)
+
+    def test_invariant_survives_relabeling_1000(self):
+        rng = random.Random(1515)
+        for trial in range(1000):
+            if trial % 2:
+                c = _random_coloring(rng, 2, 9, 1, 6)
+            else:
+                c = _block_coloring(rng, rng.randint(2, 9), rng.randint(1, 6))
+            assert coloring_invariant(_relabeled(rng, c)) == coloring_invariant(c)
+
+    def test_equal_invariants_stay_apart(self):
+        """A hexagon and two triangles in color 2 (complements: 3-regular in
+        color 1) share the invariant but are not isomorphic."""
+        hexagon = _graph_coloring(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = _graph_coloring(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        assert coloring_invariant(hexagon) == coloring_invariant(triangles)
+        classes = structure._merge_isomorphic([hexagon, triangles])
+        assert [cls.member for cls in classes] == [hexagon, triangles]
+        assert classes[0].key != classes[1].key
+
+    def test_relabeled_copies_merge(self):
+        rng = random.Random(7)
+        c = sporadic("F3")
+        classes = structure._merge_isomorphic([c, _relabeled(rng, c), _relabeled(rng, c)])
+        assert len(classes) == 1
+        assert classes[0].member == c
+        assert classes[0].key == canonical_form(c)
 
 
 class TestParallelHelpers:
