@@ -42,6 +42,7 @@ from gallai.graphs import (
 # enumerate_p5free and brute_force_colorings by name in this module, so
 # enumerate_p5free stays imported though check_n no longer calls it.
 from gallai.structure import (
+    P5FreeClass,
     enumerate_p5free,
     p5free_classes,
     parallel_map,
@@ -321,10 +322,13 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
     return frozenset(_rainbow_free_class_keys(n, k))
 
 
-def _small_order_classes(n: int, k: int) -> list[ColoredComplete]:
+def _small_order_classes(n: int, k: int) -> list[P5FreeClass]:
     """Exact coloring classes for n <= 4, where no 4-edge path fits and thus
-    every exact coloring qualifies."""
-    return [coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k))]
+    every exact coloring qualifies, in key order."""
+    return [
+        P5FreeClass(coloring_from_key(key), key)
+        for key in sorted(_rainbow_free_class_keys(n, k))
+    ]
 
 
 def check_n(
@@ -333,12 +337,12 @@ def check_n(
     """Decide whether every exact k-coloring of the complete graph on n
     vertices contains a rainbow 4-edge path or a monochromatic H.
 
-    ``examined`` counts the classes.  For n >= 5 each class is tested on its
-    member coloring (a monochromatic copy survives renaming), and only the
-    bad classes get canonical keys; when bad classes exist the reported
-    witness is the canonically smallest, decoded from its key, and it is
-    the only class decoded.  Below n = 5 the classes are decoded and
-    scanned in key order.
+    ``examined`` counts the classes.  Each class is tested on its member
+    coloring (a monochromatic copy survives renaming); when bad classes
+    exist the reported witness is the canonically smallest, decoded from
+    its key.  For n >= 5 only the bad classes get canonical keys and no
+    class is decoded but the witness; below n = 5 every class is a decoded
+    key.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -348,21 +352,17 @@ def check_n(
     if edge_count(n) < k:
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
     if n <= 4:
-        reps = _small_order_classes(n, k)
-        misses = parallel_map(lambda rep: find_mono_copy(rep, H) is None, reps, nthreads)
-        bad = next((rep for rep, miss in zip(reps, misses) if miss), None)
-        examined = len(reps)
+        classes = _small_order_classes(n, k)
     else:
         classes = p5free_classes(n, k, threads=nthreads)
-        misses = parallel_map(
-            lambda cls: find_mono_copy(cls.member, H) is None, classes, nthreads
-        )
-        bad_keys = [cls.key for cls, miss in zip(classes, misses) if miss]
-        bad = coloring_from_key(min(bad_keys)) if bad_keys else None
-        examined = len(classes)
-    if bad is None:
-        return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, examined)
-    return CheckOutcome(H, k, n, STATUS_BAD, verify_witness(bad, H), examined)
+    misses = parallel_map(
+        lambda cls: find_mono_copy(cls.member, H) is None, classes, nthreads
+    )
+    bad_keys = [cls.key for cls, miss in zip(classes, misses) if miss]
+    if not bad_keys:
+        return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
+    witness = verify_witness(coloring_from_key(min(bad_keys)), H)
+    return CheckOutcome(H, k, n, STATUS_BAD, witness, len(classes))
 
 
 @dataclass(frozen=True)

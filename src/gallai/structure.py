@@ -422,9 +422,9 @@ def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:
 
 @dataclass
 class P5FreeClass:
-    """One vertex-and-color isomorphism class of the enumeration: a member
-    coloring (a generator candidate, not a decoded key) and its canonical
-    key, computed on first use."""
+    """One vertex-and-color isomorphism class: a member coloring and its
+    canonical key, computed on first use.  The enumeration's members are
+    generator candidates, not decoded keys."""
 
     member: ColoredComplete
     _key: bytes | None = field(default=None, repr=False)

@@ -109,9 +109,10 @@ class TestSmallOrderClasses:
         """The classes check_n scans below order 5 are exactly the canonical
         forms of every exact coloring, in canonical-key order."""
         want = sorted({canonical_form(c) for c in brute_force_colorings(n, k)})
-        got = [canonical_form(c) for c in _small_order_classes(n, k)]
-        assert got == want
-        assert all(c.exact and (c.n, c.k) == (n, k) for c in _small_order_classes(n, k))
+        classes = _small_order_classes(n, k)
+        assert [canonical_form(cls.member) for cls in classes] == want
+        assert [cls.key for cls in classes] == want
+        assert all(cls.member.exact and (cls.member.n, cls.member.k) == (n, k) for cls in classes)
 
 
 class TestGroundTruthOracle:
