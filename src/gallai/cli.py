@@ -118,11 +118,7 @@ def _cmd_witness(args) -> int:
             if key in params:
                 raise ValueError(f"duplicate --param {key}")
             params[key] = int(value)
-        try:
-            coloring = build_named(args.construction, params)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        coloring = build_named(args.construction, params)
         try:
             cert = verify_witness(coloring, H, label=args.construction)
         except WitnessFailure as exc:
@@ -228,7 +224,7 @@ def _selftest_constructions() -> list[str]:
                 )
                 continue
             verify_witness(coloring, H, label=name)
-        except (ValueError, KeyError, WitnessFailure) as exc:
+        except (ValueError, WitnessFailure) as exc:
             failures.append(f"{name}{params}: {exc}")
     return failures
 

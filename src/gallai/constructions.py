@@ -9,13 +9,14 @@ the selftest and the acceptance gate verify.  Choosing and certifying a
 construction for a query is the dispatcher ``lower_bound_witness``, one
 layer up in the ``search`` module.
 
-Every coloring built from blocks expands through ``blowup``, the one place
-that rejects a non-exact result.  A block is any coloring: a monochromatic
-clique is ``ColoredComplete.constant``, a single vertex is a coloring of
-order 1, and a Ramsey coloring such as ``r35_witness`` enters as it is.
-Blocks are joined by one dominant color or by a small reduced coloring
-given as part-pair triples.  The fixed small colorings are the
-``sporadic`` table; its TW-case-f entry is also the template the
+Every coloring built from blocks expands through ``blowup``.  A block is
+any coloring: a monochromatic clique is ``ColoredComplete.constant``, a
+single vertex is a coloring of order 1, and a Ramsey coloring such as
+``r35_witness`` enters as it is.  Blocks are joined by one dominant color
+or by a reduced coloring: a ``ColoredComplete`` with one vertex per block.
+``star_augmented``, a clique plus one apex, writes its rows directly.  Both
+reject a non-exact result through one check.  The fixed small colorings
+are the ``sporadic`` table; its TW-case-f entry is also the template the
 ``structure`` module matches for case (f).
 
 The registry names map onto fewer builders: G3 is G5 at k = t, F2 is G5 at
@@ -29,59 +30,57 @@ from __future__ import annotations
 import json
 from functools import cache, partial
 from importlib import resources
-from itertools import groupby
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Mapping, Sequence
 
 from gallai.detectors import find_mono_copy_in_color
 from gallai.graphs import ColoredComplete, TargetGraph, check_coloring_order, pairs
 
 
+def _exact(c: ColoredComplete) -> ColoredComplete:
+    """c itself if every palette color appears; ValueError naming the
+    unused colors otherwise."""
+    if not c.exact:
+        missing_colors = sorted(set(range(1, c.k + 1)) - c.used_colors)
+        raise ValueError(f"blow-up is not exact: colors {missing_colors} unused")
+    return c
+
+
 def blowup(
-    k: int, parts: Sequence[ColoredComplete], inter: int | Iterable[tuple[int, int, int]] = 1
+    k: int, parts: Sequence[ColoredComplete], inter: int | ColoredComplete = 1
 ) -> ColoredComplete:
     """Join colorings into one: part i keeps its own edge colors on the
     vertices after those of parts 0..i-1, and every edge between parts i and
-    j takes ``inter``, a single color or the color of the (i, j, color)
-    triple naming that pair.  Every pair of parts must be named exactly
-    once.  The result must be exact for k; one that misses a color is
-    rejected."""
+    j takes ``inter``, a single color or the color of edge ij of a reduced
+    coloring with one vertex per part.  The result must be exact for k; one
+    that misses a color is rejected."""
     if not parts:
         raise ValueError("blow-up needs at least one part")
     num = len(parts)
     n = sum(part.n for part in parts)
     check_coloring_order(n)
     if isinstance(inter, int):
-        table = [[inter] * num for _ in range(num)]
+        reduced = repeat(inter)
+    elif inter.n == num:
+        reduced = iter(inter.colors)
     else:
-        table = [[None] * num for _ in range(num)]
-        for i, j, col in inter:
-            if not (0 <= i < num and 0 <= j < num and i != j):
-                raise ValueError(f"inter pair ({i}, {j}) is not two distinct parts of 0..{num - 1}")
-            if table[i][j] is not None:
-                raise ValueError(f"part pair ({min(i, j)}, {max(i, j)}) assigned twice")
-            table[i][j] = table[j][i] = col
-        missing = [(i, j) for i, j in pairs(num) if table[i][j] is None]
-        if missing:
-            raise ValueError(f"inter rule misses part pairs {missing}")
+        raise ValueError(f"reduced coloring has order {inter.n}, not one vertex per part ({num})")
 
     # Row v of K_n lists the colors of edges v-w for w > v: v's own row of
-    # its part's coloring, then the inter color of each later vertex.
+    # its part's coloring, then the inter color of each later vertex.  The
+    # reduced colors are read in pair order, row by row as well.
     colors: list[int] = []
     for idx, part in enumerate(parts):
         later: list[int] = []
-        for j in range(idx + 1, num):
-            later += [table[idx][j]] * parts[j].n
+        for other in parts[idx + 1 :]:
+            later += [next(reduced)] * other.n
         start = 0
         for v in range(part.n):
             end = start + part.n - 1 - v
             colors += part.colors[start:end]
             colors += later
             start = end
-    c = ColoredComplete(n, k, colors)
-    if not c.exact:
-        missing_colors = sorted(set(range(1, k + 1)) - c.used_colors)
-        raise ValueError(f"blow-up is not exact: colors {missing_colors} unused")
-    return c
+    return _exact(ColoredComplete(n, k, colors))
 
 
 def star_augmented(
@@ -89,30 +88,31 @@ def star_augmented(
 ) -> ColoredComplete:
     """A monochromatic K_base plus one new vertex whose i-th edge back into
     the base is colored spoke_colors[i].  Palette size is the max color used;
-    a coloring that misses a palette color is rejected.  Each run of equal
-    spoke colors is one part of a blow-up, with the apex as the last part."""
+    a coloring that misses a palette color is rejected as ``blowup`` rejects
+    it.  Base vertex v's row is base_order - 1 - v base edges, then its
+    spoke."""
     if len(spoke_colors) != base_order:
         raise ValueError(f"need {base_order} spoke colors, got {len(spoke_colors)}")
+    check_coloring_order(base_order + 1)
     k = max([base_color] + list(spoke_colors))
-    runs = [(col, len(list(group))) for col, group in groupby(spoke_colors)]
-    apex = len(runs)
-    inter = [(i, apex, col) for i, (col, _) in enumerate(runs)]
-    inter += [(i, j, base_color) for i, j in pairs(apex)]
-    parts = [ColoredComplete.constant(size, k, base_color) for _, size in runs]
-    return blowup(k, parts + [ColoredComplete.constant(1, k)], inter)
+    colors: list[int] = []
+    for v, spoke in enumerate(spoke_colors):
+        colors += [base_color] * (base_order - 1 - v)
+        colors.append(spoke)
+    return _exact(ColoredComplete(base_order + 1, k, colors))
 
 
 _PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
 
 
 def pentagon_blowup(t: int) -> ColoredComplete:
-    """Five order-(t-1) cliques in color 1, joined by a 2-colored reduced K5
-    whose color classes are a 5-cycle and its complement."""
+    """Five order-(t-1) cliques in color 1, joined by a reduced K5 colored
+    2 on a 5-cycle and 3 on its complement."""
     if t < 3:
         raise ValueError(f"need t >= 3, got t={t}")
     check_coloring_order(5 * (t - 1))
-    inter = [(i, j, 2 if (i, j) in _PENTAGON else 3) for i, j in pairs(5)]
-    return blowup(3, [ColoredComplete.constant(t - 1, 3, 1)] * 5, inter)
+    reduced = ColoredComplete(5, 3, [2 if e in _PENTAGON else 3 for e in pairs(5)])
+    return blowup(3, [ColoredComplete.constant(t - 1, 3, 1)] * 5, reduced)
 
 
 def doubling(base: ColoredComplete) -> ColoredComplete:
@@ -144,7 +144,7 @@ _SPORADIC["TW-case-f"] = _SPORADIC["F3"]
 def sporadic(name: str) -> ColoredComplete:
     """One of the fixed small witness colorings, by registry name."""
     if name not in _SPORADIC:
-        raise KeyError(f"unknown sporadic construction {name!r}")
+        raise ValueError(f"unknown sporadic construction {name!r}")
     n, k, triples = _SPORADIC[name]
     return ColoredComplete.from_edge_triples(n, k, triples)
 
@@ -295,7 +295,7 @@ BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {
 def build_named(name: str, params: Mapping[str, int]) -> ColoredComplete:
     """Build a registered construction from CLI-style parameters."""
     if name not in BUILDERS:
-        raise KeyError(f"unknown construction {name!r}")
+        raise ValueError(f"unknown construction {name!r}")
     fn, needed = BUILDERS[name]
     missing = [p for p in needed if p not in params]
     if missing:

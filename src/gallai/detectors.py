@@ -22,6 +22,11 @@ on a rainbow-free host the scan is mostly O(n^2) mask steps: over the
 shipped grid and dispatcher witnesses (orders up to 40) 126 of 98,822
 pairs survive.
 
+S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
+holds an inner pattern: r independent edges, or a clique of order
+omega - 1.  One loop over centres, lowest first, finds both; the inner
+search it is handed is the matching search or the clique search.
+
 K_t and the clique of PA_{t,omega} are found by ``graphs.find_clique``, the
 one clique search.  It prunes a node when a greedy coloring of its
 candidates into independent sets needs fewer classes than the vertices
@@ -33,7 +38,7 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -282,11 +287,10 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _matching_with_pairs(
-    masks: tuple[int, ...], allowed: int, r: int
-) -> list[tuple[int, int]] | None:
+def _matching_with_pairs(masks: Sequence[int], allowed: int, r: int) -> list[int] | None:
     """A matching of exactly r edges inside the vertex set ``allowed`` of the
-    graph given by neighbor bitmasks, found by exact branching, or None."""
+    graph given by neighbor bitmasks, found by exact branching, as the ends
+    u1, w1, u2, w2, ... of its edges; or None."""
     if r == 0:
         return []
     a = allowed
@@ -300,7 +304,7 @@ def _matching_with_pairs(
     for w in _iter_bits(masks[u] & allowed):
         rest = _matching_with_pairs(masks, allowed & ~(1 << u) & ~(1 << w), r - 1)
         if rest is not None:
-            return [(u, w)] + rest
+            return [u, w] + rest
     # leave u unmatched
     return _matching_with_pairs(masks, allowed & ~(1 << u), r)
 
@@ -352,37 +356,28 @@ def find_mono_copy_generic(
     return None
 
 
-def _find_star_plus(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
-    t, r = H.t, H.r
-    assert r is not None
+def _find_centered(
+    c: ColoredComplete,
+    H: TargetGraph,
+    color: int,
+    inner: Callable[[Sequence[int], int, int], list[int] | None],
+    size: int,
+) -> Embedding | None:
+    """S_t^r or PA_{t,omega}: the lowest centre v with t - 1 neighbours in
+    ``color`` among which ``inner(masks, neighbours, size)`` finds the inner
+    pattern (r independent edges, or a clique of order omega - 1).  Target
+    vertex 0 goes to v, the next ones to the inner pattern's vertices in the
+    order found, the rest to v's lowest remaining neighbours."""
     masks = c.adj[color]
     for v in range(c.n):
         nb = masks[v]
-        if nb.bit_count() < t - 1:
+        if nb.bit_count() < H.t - 1:
             continue
-        pairs_found = _matching_with_pairs(masks, nb, r)
-        if pairs_found is None:
+        found = inner(masks, nb, size)
+        if found is None:
             continue
-        matched = [x for pair in pairs_found for x in pair]
-        rest = [w for w in _iter_bits(nb) if w not in matched]
-        assign = [v] + matched + rest[: t - 1 - 2 * r]
-        return _embedding_from_assignment(c, H, color, assign)
-    return None
-
-
-def _find_pineapple(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
-    t, omega = H.t, H.omega
-    assert omega is not None
-    masks = c.adj[color]
-    for v in range(c.n):
-        nb = masks[v]
-        if nb.bit_count() < t - 1:
-            continue
-        clique = find_clique(masks, nb, omega - 1)
-        if clique is None:
-            continue
-        rest = [w for w in _iter_bits(nb) if w not in clique]
-        assign = [v] + clique + rest[: t - omega]
+        rest = [w for w in _iter_bits(nb) if w not in found]
+        assign = [v] + found + rest[: H.t - 1 - len(found)]
         return _embedding_from_assignment(c, H, color, assign)
     return None
 
@@ -409,9 +404,11 @@ def find_mono_copy_in_color(
     if H.family == FAMILY_COMPLETE:
         return _find_complete(c, H, color)
     if H.family == FAMILY_STAR_PLUS:
-        return _find_star_plus(c, H, color)
+        assert H.r is not None
+        return _find_centered(c, H, color, _matching_with_pairs, H.r)
     if H.family == FAMILY_PINEAPPLE:
-        return _find_pineapple(c, H, color)
+        assert H.omega is not None
+        return _find_centered(c, H, color, find_clique, H.omega - 1)
     return find_mono_copy_generic(c, H, color)
 
 

@@ -179,6 +179,9 @@ class TestWitness:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
         assert err.startswith("error: need t >= 3")
+        code, out, err = run(capsys, "witness", "--H", "K3", "--construction", "G99")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: unknown construction 'G99'\n"
 
     def test_duplicate_param_is_usage_error(self, capsys):
         code, out, err = run(

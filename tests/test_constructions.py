@@ -82,48 +82,34 @@ class TestBlowup:
                     i, j = j, i
                 inter.append((i, j, rng.randint(1, k)))
             want = _reference_blowup(k, parts, inter)
+            reduced = ColoredComplete.from_edge_triples(len(parts), k, inter)
             if want.exact:
-                assert blowup(k, parts, inter) == want
+                assert blowup(k, parts, reduced) == want
             else:
                 with pytest.raises(ValueError, match="not exact"):
-                    blowup(k, parts, inter)
+                    blowup(k, parts, reduced)
 
     def test_rejects_nonexact(self):
         parts = [ColoredComplete.constant(2, 4, 2), ColoredComplete.constant(2, 4, 3)]
         with pytest.raises(ValueError, match=r"not exact: colors \[4\] unused"):
             blowup(4, parts, 1)
 
-    def test_rejects_incomplete_inter_table(self):
-        parts = [ColoredComplete.constant(1, 2)] * 3
-        with pytest.raises(ValueError, match=r"misses part pairs \[\(1, 2\)\]"):
-            blowup(2, parts, ((0, 1, 1), (0, 2, 2)))
-
-    def test_rejects_duplicate_part_pair(self):
-        parts = [ColoredComplete.constant(1, 2)] * 2
-        with pytest.raises(ValueError, match=r"part pair \(0, 1\) assigned twice"):
-            blowup(2, parts, ((0, 1, 1), (1, 0, 2)))
-
-    @pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 0), (0, -1), (1, 1)])
-    def test_rejects_pair_outside_parts(self, pair):
-        """A triple must name two distinct parts; any other pair is refused
-        by name."""
-        parts = [ColoredComplete.constant(2, 2, 2)] * 2
-        i, j = pair
-        message = rf"inter pair \({i}, {j}\) is not two distinct parts of 0..1"
-        with pytest.raises(ValueError, match=message):
-            blowup(2, parts, ((0, 1, 1), (i, j, 1)))
-
     @pytest.mark.parametrize(
         "parts, inter",
         [
             ([ColoredComplete.constant(2, 5, 5), ColoredComplete.constant(2, 5, 2)], 1),
             ([ColoredComplete.constant(2, 4, 2)] * 2, 0),
-            ([ColoredComplete.constant(2, 4, 2)] * 2, ((0, 1, 7),)),
+            ([ColoredComplete.constant(2, 4, 2)] * 2, ColoredComplete(2, 7, (7,))),
         ],
     )
     def test_rejects_color_outside_palette(self, parts, inter):
         with pytest.raises(ValueError, match=r"edge color \d+ outside 1..4"):
             blowup(4, parts, inter)
+
+    def test_rejects_reduced_coloring_of_other_order(self):
+        parts = [ColoredComplete.constant(2, 2, 2)] * 3
+        with pytest.raises(ValueError, match=r"reduced coloring has order 2, not one vertex"):
+            blowup(2, parts, ColoredComplete.constant(2, 2, 1))
 
     def test_rejects_empty_part_list(self):
         with pytest.raises(ValueError, match="at least one part"):
@@ -141,6 +127,10 @@ class TestHelpers:
         assert c.n == 4 and c.k == 4
         assert c.color_of(0, 3) == 2
         assert c.color_of(1, 2) == 1
+
+    def test_star_augmented_order_cap(self):
+        with pytest.raises(UnsupportedSizeError):
+            star_augmented(MAX_COLORING_ORDER, 1, [2] * MAX_COLORING_ORDER)
 
     def test_pentagon_blowup_small(self):
         # single-vertex parts would leave color 1 unused
@@ -166,7 +156,7 @@ class TestHelpers:
             doubling(base)
 
     def test_sporadic_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown sporadic construction 'F99'"):
             sporadic("F99")
 
     def test_case_f_alias(self):
@@ -206,7 +196,7 @@ class TestRegistry:
             build_named("G3", {})
         with pytest.raises(ValueError, match="does not take"):
             build_named("F3", {"t": 5})
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown construction 'nope'"):
             build_named("nope", {})
 
     def test_grid_all_verify(self):
@@ -354,6 +344,49 @@ class TestPrintedBytes:
                 entry = [cert.label, {"H": spec, "k": int(k)}, c.n, c.k, c.colors]
             digest.update(json.dumps(entry).encode())
         assert digest.hexdigest() == _PRINTED_SHA256
+
+
+def _outcome(build, *args):
+    """A build's coloring as [n, k, colors], or its exception as [type, text]."""
+    try:
+        c = build(*args)
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return [c.n, c.k, c.colors]
+
+
+# sha256 over the outcome of every registered builder on a small parameter
+# box, then of ``star_augmented`` on every spoke list over colors 0..3 of
+# length up to 5, with base colors 0..3 and a matching and a mismatched base
+# order; recorded before blow-ups took a reduced coloring.
+_BUILD_OUTCOMES_SHA256 = "ba11039e48cfe220281d4b6919d26ea80b179feef12d4662f20724dfdc1c8272"
+
+
+class TestBuildOutcomes:
+    def test_every_outcome_is_pinned(self):
+        """Colorings, error types and error texts of the builders stay byte
+        for byte what they were, in and out of each builder's domain."""
+        digest = hashlib.sha256()
+        ranges = {
+            "t": range(1, 9),
+            "k": range(1, 9),
+            "a": range(1, 7),
+            "r": range(0, 5),
+            "max_degree": range(1, 9),
+        }
+        for name, (_, needed) in BUILDERS.items():
+            for values in itertools.product(*(ranges[p] for p in needed)):
+                params = dict(zip(needed, values))
+                entry = [name, params, _outcome(build_named, name, params)]
+                digest.update(json.dumps(entry).encode())
+        for size in range(6):
+            for spokes in itertools.product(range(4), repeat=size):
+                for base_color in range(4):
+                    for base_order in (size, size + 1):
+                        got = _outcome(star_augmented, base_order, base_color, list(spokes))
+                        entry = [base_order, base_color, spokes, got]
+                        digest.update(json.dumps(entry).encode())
+        assert digest.hexdigest() == _BUILD_OUTCOMES_SHA256
 
 
 def _small_targets() -> list[TargetGraph]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from dataclasses import replace
 
@@ -363,13 +365,12 @@ def _matching_sizes(c, color, allowed=None):
         allowed = (1 << c.n) - 1
 
     def finds(r):
-        found = _matching_with_pairs(c.adj[color], allowed, r)
-        if found is not None:
-            ends = [v for edge in found for v in edge]
-            assert len(found) == r and len(set(ends)) == 2 * r
+        ends = _matching_with_pairs(c.adj[color], allowed, r)
+        if ends is not None:
+            assert len(ends) == 2 * r and len(set(ends)) == 2 * r
             assert all(allowed >> v & 1 for v in ends)
-            assert all(c.color_of(u, w) == color for u, w in found)
-        return found is not None
+            assert all(c.color_of(u, w) == color for u, w in zip(ends[::2], ends[1::2]))
+        return ends is not None
 
     return finds
 
@@ -475,3 +476,34 @@ class TestMonoCopy:
         emb = find_mono_copy_in_color(c, H, 1)
         assert emb is not None
         assert len(emb.vertices) == 3
+
+
+# sha256 over find_mono_copy_in_color (embedding JSON or None) for every
+# S_t^r and PA_{t,omega} with t <= 8, every color, on the grid colorings and
+# seeded random hosts; recorded before the two centred searches became one.
+_CENTERED_SHA256 = "e1e2f1ef941d2a23a2db6140cb059bc0dc1f7b0667b4719e0e5ac50411f4efb5"
+
+
+class TestCenteredSearchOutputs:
+    def test_every_embedding_is_pinned(self):
+        targets = [
+            TargetGraph.star_plus(t, r) for t in range(2, 9) for r in range((t - 1) // 2 + 1)
+        ]
+        targets += [TargetGraph.pineapple(t, w) for t in range(3, 9) for w in range(2, t)]
+        hosts = [build_named(row["name"], row["params"]) for row in construction_grid()]
+        rng = random.Random(16)
+        for _ in range(80):
+            n, k = rng.randint(2, 14), rng.randint(1, 5)
+            # color 1 on about half the edges, so that copies are found too
+            colors = [
+                1 if rng.random() < 0.5 else rng.randint(1, k) for _ in range(edge_count(n))
+            ]
+            hosts.append(ColoredComplete(n, k, colors))
+        digest = hashlib.sha256()
+        for c in hosts:
+            for H in targets:
+                for color in range(1, c.k + 1):
+                    emb = find_mono_copy_in_color(c, H, color)
+                    entry = None if emb is None else emb.to_json_dict()
+                    digest.update(json.dumps(entry).encode())
+        assert digest.hexdigest() == _CENTERED_SHA256

@@ -84,6 +84,30 @@ class TestColoredComplete:
                 3, 2, ((0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 1, 2))
             )
 
+    def test_from_edge_triples_names_missing_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(1, 2\) has no color"):
+            ColoredComplete.from_edge_triples(3, 2, ((0, 1, 1), (0, 2, 2)))
+
+    def test_from_edge_triples_names_edge_assigned_twice(self):
+        """An edge named twice is refused whichever end comes first."""
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) assigned twice"):
+            ColoredComplete.from_edge_triples(2, 2, ((0, 1, 1), (1, 0, 2)))
+
+    @pytest.mark.parametrize("pair", [(0, 5), (5, 0), (-1, 0), (0, -1), (1, 1)])
+    def test_from_edge_triples_rejects_pair_outside_vertices(self, pair):
+        """A triple must name two distinct vertices; any other pair is
+        refused by name."""
+        i, j = pair
+        message = rf"edge \({i}, {j}\) outside vertex range 0..1"
+        if i == j:
+            message = rf"self-loop \({i}, {j}\) is not an edge of K_n"
+        with pytest.raises(ValueError, match=message):
+            ColoredComplete.from_edge_triples(2, 2, ((0, 1, 1), (i, j, 1)))
+
+    def test_from_edge_triples_rejects_color_outside_palette(self):
+        with pytest.raises(ValueError, match=r"edge color 7 outside 1..4"):
+            ColoredComplete.from_edge_triples(2, 4, ((0, 1, 7),))
+
     @pytest.mark.parametrize(
         "edge, message",
         [
