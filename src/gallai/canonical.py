@@ -29,10 +29,21 @@ least body is unchanged.
 ``coloring_invariant`` is the cheap test in front of the key: the sorted
 per-color (edge count, degree sequence) signatures that also label the
 refinement.  Different invariants mean different classes; only colorings
-whose invariants agree need their keys compared.
+whose invariants agree need their keys compared.  ``edge_degree_invariant``
+is a finer test for those: it adds, per color, the sorted endpoint-degree
+pairs of the color's edges.
+
+``least_canonical_form`` is the least key of a list of colorings without
+finishing every key.  One branch-and-bound runs across the list: each
+coloring's search starts from the least body found so far, so a coloring
+whose columns already exceed it is dropped at the first worse column
+(McKay & Piperno, J. Symbolic Comput. 60, 2014, bound the same way across
+the leaves of one search).
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from gallai.graphs import (
     ColoredComplete,
@@ -60,6 +71,20 @@ def coloring_invariant(c: ColoredComplete) -> tuple:
     colors are renamed, so colorings with different invariants are never
     isomorphic.  Equal invariants decide nothing; ``canonical_form`` does."""
     return tuple(sorted(_color_signatures(c).values()))
+
+
+def edge_degree_invariant(c: ColoredComplete) -> tuple:
+    """Sorted tuple over the used colors of (signature, sorted pairs of the
+    color-degrees of each edge's two ends): finer than
+    ``coloring_invariant`` and, like it, unchanged when vertices and colors
+    are renamed."""
+    sigs = _color_signatures(c)
+    deg = [[mask.bit_count() for mask in row] for row in c.adj]
+    ends: dict[int, list[tuple[int, int]]] = {col: [] for col in sigs}
+    for (i, j), col in zip(pairs(c.n), c.colors):
+        a, b = deg[col][i], deg[col][j]
+        ends[col].append((a, b) if a <= b else (b, a))
+    return tuple(sorted((sigs[col], tuple(sorted(e))) for col, e in ends.items()))
 
 
 def _edge_label_matrix(c: ColoredComplete, mat: list[list[int]]) -> list[list[int]]:
@@ -96,7 +121,12 @@ def _refined_cells(n: int, label: list[list[int]]) -> list[list[int]]:
     return [cells[value] for value in sorted(cells)]
 
 
-def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
+def _minimum_body(
+    mat: list[list[int]], cells: list[list[int]], incumbent: list[int] | None = None
+) -> list[int]:
+    """The least body over the admissible vertex orders, or ``incumbent``
+    when no body is smaller: a column that already exceeds the incumbent
+    ends its branch."""
     n = len(mat)
     # twin[v] is the least u with mat[u][w] == mat[v][w] for every w != u, v:
     # the two rows agree once each one's own diagonal takes the color of uv
@@ -116,7 +146,7 @@ def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
     order: list[int] = []
     cur: list[int] = []
     cmap: dict[int, int] = {}
-    best: list[int] | None = None
+    best = incumbent
 
     def dfs(p: int) -> None:
         nonlocal best
@@ -167,22 +197,42 @@ def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
     return best
 
 
-def canonical_form(c: ColoredComplete) -> bytes:
-    """Canonical key of a coloring; equal keys characterize the orbit under
-    vertex permutations times color permutations."""
-    n, k = c.n, c.k
+def _search_input(c: ColoredComplete) -> tuple[list[list[int]], list[list[int]]]:
+    """The color matrix and refined cells ``_minimum_body`` searches, after
+    the size checks every key makes."""
+    n = c.n
     if n > MAX_CANONICAL_ORDER:
         raise UnsupportedSizeError(
             f"canonical forms are limited to n <= {MAX_CANONICAL_ORDER}, got n={n}"
         )
-    if k > 255:
+    if c.k > 255:
         raise UnsupportedSizeError("canonical forms need the palette to fit in a byte")
     # edge colors as a symmetric matrix, 0 on the diagonal
     mat = [[0] * n for _ in range(n)]
     for (i, j), col in zip(pairs(n), c.colors):
         mat[i][j] = mat[j][i] = col
-    cells = _refined_cells(n, _edge_label_matrix(c, mat))
-    return bytes([n, k]) + bytes(_minimum_body(mat, cells))
+    return mat, _refined_cells(n, _edge_label_matrix(c, mat))
+
+
+def canonical_form(c: ColoredComplete) -> bytes:
+    """Canonical key of a coloring; equal keys characterize the orbit under
+    vertex permutations times color permutations."""
+    return bytes([c.n, c.k]) + bytes(_minimum_body(*_search_input(c)))
+
+
+def least_canonical_form(colorings: Sequence[ColoredComplete]) -> bytes:
+    """``min(canonical_form(c) for c in colorings)`` for a non-empty list of
+    colorings of one order and palette, by one branch-and-bound across the
+    list: a body that cannot beat the least one so far is not finished."""
+    if not colorings:
+        raise ValueError("least_canonical_form needs at least one coloring")
+    shape = (colorings[0].n, colorings[0].k)
+    if any((c.n, c.k) != shape for c in colorings):
+        raise ValueError(f"colorings of order and palette other than {shape} mixed in")
+    best = None
+    for c in colorings:
+        best = _minimum_body(*_search_input(c), best)
+    return bytes(shape) + bytes(best)
 
 
 def coloring_from_key(key: bytes) -> ColoredComplete:

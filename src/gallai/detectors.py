@@ -3,8 +3,9 @@
 Both detectors are exhaustive and deterministic: hosts are scanned in
 ascending vertex order, colors in ascending order, and the first embedding
 found is returned.  Every returned embedding is re-checked against the host
-before it leaves this module; a rainbow path in one pass over its edges'
-colors.
+before it leaves this module: a rainbow path in one pass over its edges'
+colors, a monochromatic copy in one pass over the target's edge list (built
+once per target), reading the host's flat color tuple.
 
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
@@ -46,6 +47,7 @@ from gallai.graphs import (
     FAMILY_STAR_PLUS,
     ColoredComplete,
     TargetGraph,
+    edge_index,
     find_clique,
 )
 
@@ -109,15 +111,22 @@ def check_mono_embedding(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> 
     vs = emb.vertices
     if len(vs) != H.order or len(set(vs)) != H.order:
         return False
-    if emb.color is None or not 1 <= emb.color <= c.k:
+    color = emb.color
+    if color is None or not 1 <= color <= c.k:
         return False
+    n, colors = c.n, c.colors
     mapped = []
     for i, j in H.edges():
         u, w = vs[i], vs[j]
-        if c.color_of(u, w) != emb.color:
+        if u > w:
+            u, w = w, u
+        if u < 0 or w >= n:
+            edge_index(u, w, n)  # raises the range error color_of would
+        if colors[u * n - u * (u + 1) // 2 + w - u - 1] != color:
             return False
-        mapped.append(tuple(sorted((u, w))))
-    return tuple(mapped) == tuple(tuple(sorted(e)) for e in emb.edges)
+        mapped.append((u, w))
+    edges = tuple(mapped)
+    return edges == emb.edges or edges == tuple(tuple(sorted(e)) for e in emb.edges)
 
 
 def _checked_mono(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> Embedding:
@@ -312,9 +321,12 @@ def _matching_with_pairs(masks: Sequence[int], allowed: int, r: int) -> list[int
 def _embedding_from_assignment(
     c: ColoredComplete, H: TargetGraph, color: int, assign: list[int]
 ) -> Embedding:
-    edges = tuple(tuple(sorted((assign[i], assign[j]))) for i, j in H.edges())
+    edges = []
+    for i, j in H.edges():
+        u, w = assign[i], assign[j]
+        edges.append((u, w) if u < w else (w, u))
     return _checked_mono(
-        c, H, Embedding(kind=MONO_COPY, vertices=tuple(assign), color=color, edges=edges)
+        c, H, Embedding(MONO_COPY, tuple(assign), color, tuple(edges))
     )
 
 

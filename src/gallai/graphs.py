@@ -122,19 +122,26 @@ class ColoredComplete:
     def from_edge_triples(
         cls, n: int, k: int, triples: Iterable[tuple[int, int, int]]
     ) -> ColoredComplete:
-        """Build from (i, j, color) triples; every edge must appear exactly once."""
+        """Build from (i, j, color) triples; every edge must appear exactly
+        once, in a color of 1..k."""
         if n < 1:
             raise ValueError(f"need n >= 1, got n={n}")
+        if k < 1:
+            raise ValueError(f"need k >= 1, got k={k}")
         m = edge_count(n)
+        # 0 marks an edge no triple has named yet
         cols: list[int] = [0] * m
         for i, j, c in triples:
             if i == j:
                 raise ValueError(f"self-loop ({i}, {j}) is not an edge of K_n")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) outside vertex range 0..{n - 1}")
+            if not 1 <= c <= k:
+                raise ValueError(f"edge color {c} outside 1..{k}")
             if i > j:
                 i, j = j, i
-            idx = edge_index(i, j, n)
+            # edge_index without its range check, made just above
+            idx = i * n - i * (i + 1) // 2 + (j - i - 1)
             if cols[idx] != 0:
                 raise ValueError(f"edge ({i}, {j}) assigned twice")
             cols[idx] = c
@@ -325,7 +332,16 @@ class TargetGraph:
         return self.t
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """The canonical edge list on vertices 0..t-1."""
+        """The canonical edge list on vertices 0..t-1, built once per target."""
+        return self._edges
+
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Per-vertex neighbor bitmasks of the target graph, built once per
+        target."""
+        return self._masks
+
+    @cached_property
+    def _edges(self) -> tuple[tuple[int, int], ...]:
         t = self.t
         if self.family == FAMILY_ARBITRARY:
             assert self.edge_list is not None
@@ -347,8 +363,8 @@ class TargetGraph:
             return tuple(e for e in pairs(t) if e not in removed)
         raise ValueError(f"unknown family {self.family!r}")
 
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks of the target graph."""
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
         masks = [0] * self.t
         for i, j in self.edges():
             masks[i] |= 1 << j

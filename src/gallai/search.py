@@ -8,8 +8,9 @@ which re-runs both detectors and returns a replayable certificate;
 cover a query and returns the largest one that verifies.  The per-order
 check tests one member coloring per class: the structure-guided classes of
 ``p5free_classes`` for n >= 5, and all exact colorings up to color renaming
-below that.  The reported bad coloring is the canonically smallest one; for
-n >= 5 only bad classes are keyed and no class is decoded but that one.
+below that.  The reported bad coloring is the canonically smallest one: one
+bounded search across the bad classes, ``least_canonical_form``, finds its
+key without finishing the others, and no class is decoded but that one.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from contextlib import suppress
 from dataclasses import dataclass
 
-from gallai.canonical import canonical_form, coloring_from_key
+from gallai.canonical import canonical_form, coloring_from_key, least_canonical_form
 from gallai.constructions import build_named
 from gallai.detectors import (
     Embedding,
@@ -38,9 +39,9 @@ from gallai.graphs import (
     render_hspec,
     require_keys,
 )
-# The benchmark's tracer wraps canonical_form, coloring_from_key,
-# enumerate_p5free and brute_force_colorings by name in this module, so
-# enumerate_p5free stays imported though check_n no longer calls it.
+# The benchmark's tracer wraps names bound in this module (see
+# tests/test_bench_targets.py); enumerate_p5free stays imported for it,
+# though no function here calls it.
 from gallai.structure import (
     P5FreeClass,
     enumerate_p5free,
@@ -340,9 +341,9 @@ def check_n(
     ``examined`` counts the classes.  Each class is tested on its member
     coloring (a monochromatic copy survives renaming); when bad classes
     exist the reported witness is the canonically smallest, decoded from
-    its key.  For n >= 5 only the bad classes get canonical keys and no
-    class is decoded but the witness; below n = 5 every class is a decoded
-    key.
+    the least key of their members.  For n >= 5 no class is keyed one by
+    one and no class is decoded but the witness; below n = 5 every class is
+    a decoded key.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -358,10 +359,10 @@ def check_n(
     misses = parallel_map(
         lambda cls: find_mono_copy(cls.member, H) is None, classes, nthreads
     )
-    bad_keys = [cls.key for cls, miss in zip(classes, misses) if miss]
-    if not bad_keys:
+    bad = [cls.member for cls, miss in zip(classes, misses) if miss]
+    if not bad:
         return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
-    witness = verify_witness(coloring_from_key(min(bad_keys)), H)
+    witness = verify_witness(coloring_from_key(least_canonical_form(bad)), H)
     return CheckOutcome(H, k, n, STATUS_BAD, witness, len(classes))
 
 

@@ -29,10 +29,11 @@ template's.  Edge lists are built only for a witness and for the quads of
 (e).  The same shapes
 drive ``p5free_classes``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, up to vertex-and-color isomorphism.  It
-tells candidates apart by ``coloring_invariant`` first and computes a
-canonical key only where two candidates share an invariant, or when a
-caller asks for a class's key; ``enumerate_p5free`` is the key-sorted
-decode of its classes.
+tells candidates apart by ``coloring_invariant`` first, splits a shared
+invariant by ``edge_degree_invariant``, and computes a canonical key only
+where two candidates still agree, or when a caller asks for a class's key;
+over n 5..9 and k 4..12 no candidate is keyed that way.
+``enumerate_p5free`` is the key-sorted decode of its classes.
 """
 
 from __future__ import annotations
@@ -49,7 +50,12 @@ from itertools import (
 from operator import or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from gallai.canonical import canonical_form, coloring_from_key, coloring_invariant
+from gallai.canonical import (
+    canonical_form,
+    coloring_from_key,
+    coloring_invariant,
+    edge_degree_invariant,
+)
 from gallai.constructions import sporadic, star_augmented
 from gallai.detectors import Embedding, find_rainbow_path
 from gallai.graphs import (
@@ -483,21 +489,32 @@ def p5free_classes(
 def _merge_isomorphic(colorings: Iterable[ColoredComplete]) -> list[P5FreeClass]:
     """One class per vertex-and-color isomorphism class among the colorings,
     in the order their buckets are first met.  Colorings are bucketed by
-    ``coloring_invariant``; a coloring alone in its bucket is a class of its
-    own, and canonical keys are computed only to merge a shared bucket."""
+    ``coloring_invariant``, and a shared bucket is split by
+    ``edge_degree_invariant``; a coloring alone in its bucket is a class of
+    its own, and canonical keys are computed only to merge what is left."""
+    classes: list[P5FreeClass] = []
+    for coarse in _buckets(colorings, coloring_invariant):
+        fine = [coarse] if len(coarse) == 1 else _buckets(coarse, edge_degree_invariant)
+        for members in fine:
+            if len(members) == 1:
+                classes.append(P5FreeClass(members[0]))
+                continue
+            keyed: dict[bytes, ColoredComplete] = {}
+            for c in members:
+                keyed.setdefault(canonical_form(c), c)
+            classes.extend(P5FreeClass(c, key) for key, c in keyed.items())
+    return classes
+
+
+def _buckets(
+    colorings: Iterable[ColoredComplete], invariant: Callable[[ColoredComplete], tuple]
+) -> list[list[ColoredComplete]]:
+    """The colorings grouped by equal invariant, groups and members in the
+    order they are first met."""
     buckets: dict[tuple, list[ColoredComplete]] = {}
     for c in colorings:
-        buckets.setdefault(coloring_invariant(c), []).append(c)
-    classes: list[P5FreeClass] = []
-    for members in buckets.values():
-        if len(members) == 1:
-            classes.append(P5FreeClass(members[0]))
-            continue
-        keyed: dict[bytes, ColoredComplete] = {}
-        for c in members:
-            keyed.setdefault(canonical_form(c), c)
-        classes.extend(P5FreeClass(c, key) for key, c in keyed.items())
-    return classes
+        buckets.setdefault(invariant(c), []).append(c)
+    return list(buckets.values())
 
 
 def enumerate_p5free(

@@ -359,6 +359,21 @@ class TestClassify:
         assert report["rainbow"] is None
         assert isinstance(report["case"], str)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [[[0, 1, 0], [0, 1, 1]], [[0, 1, 0]], [[0, 1, 5]]],
+        ids=["color-0-then-named-again", "lone-color-0", "above-palette"],
+    )
+    def test_off_palette_color_exits_usage(self, capsys, tmp_path, edges):
+        """A color outside 1..k in a coloring file is a usage error naming
+        the color, whatever else the file holds."""
+        rest = [[i, j, 1] for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)]
+        path = tmp_path / "coloring.json"
+        path.write_text(json.dumps({"n": 5, "k": 4, "edges": edges + rest}))
+        code, out, err = run(capsys, "classify", "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: edge color {edges[0][2]} outside 1..4\n"
+
     def test_theorem_violation_exits_internal(self, capsys, monkeypatch, tmp_path):
         """A case predicate contradicting the rainbow detector is an
         internal error (exit 3, one stderr line), never a negative answer."""

@@ -350,6 +350,69 @@ class TestReverification:
             find_rainbow_path(c, 4)
         assert find_rainbow_path(self.HOST, 4).vertices == (0, 1, 2, 3, 4)
 
+    def test_mono_checker_matches_the_color_of_reference(self):
+        """``check_mono_embedding`` gives the answer, or raises the error,
+        of a re-check by ``color_of`` and ``sorted`` on every edge, on found
+        copies and on copies with a moved vertex, a vertex outside the
+        host, a repeated vertex, another color, reversed or listed edges, or
+        a dropped edge."""
+
+        def reference(c, H, emb):
+            vs = emb.vertices
+            if len(vs) != H.order or len(set(vs)) != H.order:
+                return False
+            if emb.color is None or not 1 <= emb.color <= c.k:
+                return False
+            mapped = []
+            for i, j in H.edges():
+                if c.color_of(vs[i], vs[j]) != emb.color:
+                    return False
+                mapped.append(tuple(sorted((vs[i], vs[j]))))
+            return tuple(mapped) == tuple(tuple(sorted(e)) for e in emb.edges)
+
+        def outcome(check, c, H, emb):
+            try:
+                return check(c, H, emb)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(1919)
+        seen = set()
+        for _ in range(400):
+            c = _random_coloring(rng, n_min=4, n_max=7, k_max=2)
+            H = TestMonoCopy.targets[rng.randrange(len(TestMonoCopy.targets))]
+            emb = find_mono_copy(c, H)
+            if emb is None:
+                continue
+            vs = list(emb.vertices)
+            spare = [v for v in range(c.n) if v not in vs]
+            variants = [
+                emb,
+                replace(emb, vertices=tuple(vs[:-1] + [c.n])),
+                replace(emb, vertices=tuple(vs[:-1] + [-1])),
+                replace(emb, vertices=tuple(vs[:-1] + vs[:1])),
+                replace(emb, color=emb.color % c.k + 1),
+                replace(emb, color=None),
+                replace(emb, edges=tuple((w, u) for u, w in emb.edges)),
+                replace(emb, edges=tuple(list(e) for e in emb.edges)),
+                replace(emb, edges=emb.edges[:-1]),
+            ]
+            if spare:
+                variants.append(replace(emb, vertices=tuple(vs[:-1] + spare[:1])))
+            for variant in variants:
+                got = outcome(check_mono_embedding, c, H, variant)
+                assert got == outcome(reference, c, H, variant), variant
+                seen.add(got if isinstance(got, bool) else "error")
+        assert seen == {True, False, "error"}
+
+    def test_bad_mono_search_result_raises(self, monkeypatch):
+        """A clique search result that is no monochromatic copy fails the
+        re-check inside the detector."""
+        c = ColoredComplete.constant(5, 2, 1).recolored(0, 1, 2)
+        monkeypatch.setattr(detectors, "find_clique", lambda masks, start, size: [0, 1, 2])
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            find_mono_copy_in_color(c, TargetGraph.complete(3), 1)
+
     def test_checker_refuses_edges_not_on_the_path(self):
         emb = find_rainbow_path(self.HOST, 4)
         assert check_rainbow_embedding(self.HOST, emb)

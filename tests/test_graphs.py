@@ -108,6 +108,22 @@ class TestColoredComplete:
         with pytest.raises(ValueError, match=r"edge color 7 outside 1..4"):
             ColoredComplete.from_edge_triples(2, 4, ((0, 1, 7),))
 
+    @pytest.mark.parametrize("color", [0, -1, 3])
+    def test_off_palette_triple_refused_as_it_is_read(self, color):
+        """A color outside 1..k is refused at its own triple: it is neither
+        taken for an unnamed edge nor left to mask a pair named twice."""
+        message = rf"edge color {color} outside 1..2"
+        with pytest.raises(ValueError, match=message):
+            ColoredComplete.from_edge_triples(2, 2, ((0, 1, color),))
+        with pytest.raises(ValueError, match=message):
+            ColoredComplete.from_edge_triples(
+                3, 2, ((0, 1, color), (0, 1, 1), (0, 2, 2), (1, 2, 1))
+            )
+
+    def test_from_edge_triples_refuses_an_empty_palette(self):
+        with pytest.raises(ValueError, match="need k >= 1, got k=0"):
+            ColoredComplete.from_edge_triples(2, 0, ((0, 1, 1),))
+
     @pytest.mark.parametrize(
         "edge, message",
         [
@@ -280,6 +296,17 @@ class TestTargetFamilies:
         assert H.clique_number == 3
         monkeypatch.setattr(TargetGraph, "adjacency_masks", None)
         assert H.clique_number == 3
+
+    def test_edges_and_masks_built_once_per_target(self):
+        """The edge list and the masks are built on first use and kept; a
+        target that has built them still equals and hashes as a fresh one."""
+        for spec in ("K5", "S7^2", "PA6,4", "K6-M", '{"order":4,"edges":[[0,1],[2,3]]}'):
+            H = parse_hspec(spec)
+            edges, masks = H.edges(), H.adjacency_masks()
+            assert H.edges() is edges and H.adjacency_masks() is masks
+            fresh = parse_hspec(spec)
+            assert H == fresh and hash(H) == hash(fresh) and repr(H) == repr(fresh)
+            assert fresh.edges() == edges and fresh.adjacency_masks() == masks
 
     def test_structural_completeness_not_family_name(self):
         """S3^1 is a triangle but stays in its declared family."""

@@ -252,20 +252,27 @@ class TestCheckNOutputs:
 
     @pytest.mark.parametrize("spec,bad", [("S5^1", 0), ("K5", 23), ("PA6,5", 24)])
     def test_keys_only_where_they_decide(self, monkeypatch, spec, bad):
-        """At (k, n) = (4, 9), with 79 classes: at most 6 keys merge
-        candidates that share an invariant, one more per bad class picks the
-        smallest, and only the witness is decoded."""
+        """At (k, n) = (4, 9), with 79 classes: no candidate is keyed to be
+        merged and no bad class is keyed on its own; one bounded search
+        finds the least key of the bad classes, and only the witness is
+        decoded."""
         H = parse_hspec(spec)
         classes = p5free_classes(9, 4)  # also warms the cached part graphs
         assert sum(find_mono_copy(cls.member, H) is None for cls in classes) == bad
-        keyed, decoded = [], []
-        real_key, real_decode = structure.canonical_form, gallai.search.coloring_from_key
-        monkeypatch.setattr(structure, "canonical_form", lambda c: keyed.append(c) or real_key(c))
+        keyed, least, decoded = [], [], []
+        real_key, real_least = structure.canonical_form, gallai.search.least_canonical_form
+        real_decode = gallai.search.coloring_from_key
+        for module in (structure, gallai.search):
+            monkeypatch.setattr(module, "canonical_form", lambda c: keyed.append(c) or real_key(c))
+        monkeypatch.setattr(
+            gallai.search, "least_canonical_form", lambda cs: least.append(cs) or real_least(cs)
+        )
         monkeypatch.setattr(
             gallai.search, "coloring_from_key", lambda key: decoded.append(key) or real_decode(key)
         )
         out = check_n(H, 4, 9)
         assert out.examined == 79
-        assert len(keyed) <= 6 + bad
+        assert keyed == []
+        assert [len(cs) for cs in least] == ([bad] if bad else [])
         assert len(decoded) == (1 if bad else 0)
         assert (out.status == STATUS_BAD) == bool(bad)

@@ -454,17 +454,19 @@ def _graph_coloring(n, edges):
     return ColoredComplete(n, 2, [2 if e in inside else 1 for e in pairs(n)])
 
 
+_GENERATORS = (
+    structure._candidates_case_b,
+    structure._candidates_case_c,
+    structure._candidates_case_d,
+    structure._candidates_case_e,
+    structure._candidates_case_f,
+)
+
+
 class TestClassPartition:
     def test_classes_match_enumeration_and_candidate_keys(self):
         """Over the whole census, one class per key: the same count and key
         set as the enumeration and as keying every generator candidate."""
-        generators = (
-            structure._candidates_case_b,
-            structure._candidates_case_c,
-            structure._candidates_case_d,
-            structure._candidates_case_e,
-            structure._candidates_case_f,
-        )
         for n in range(5, 10):
             for k in range(4, 13):
                 classes = p5free_classes(n, k)
@@ -472,9 +474,36 @@ class TestClassPartition:
                 keys = {cls.key for cls in classes}
                 assert len(classes) == len(keys) == len(reps), (n, k)
                 assert keys == {canonical_form(c) for c in reps}, (n, k)
-                candidates = [c for gen in generators for c in gen(n, k)]
+                candidates = [c for gen in _GENERATORS for c in gen(n, k)]
                 assert keys == {canonical_form(c) for c in candidates}, (n, k)
                 assert all(cls.key == canonical_form(cls.member) for cls in classes)
+
+    def test_merge_partitions_as_keying_every_candidate(self, monkeypatch):
+        """Over the census, ``_merge_isomorphic`` picks one member from each
+        group of candidates sharing a key, the first one generated, and keys
+        none of them: the edge-degree invariant splits every shared
+        coloring invariant."""
+        keyed = []
+        real_key = structure.canonical_form
+        rng = random.Random(1616)
+        for n in range(5, 10):
+            for k in range(4, 13):
+                candidates = [c for gen in _GENERATORS for c in gen(n, k)]
+                groups: dict[bytes, list] = {}
+                for c in candidates:
+                    groups.setdefault(canonical_form(c), []).append(c)
+                monkeypatch.setattr(
+                    structure, "canonical_form", lambda c: keyed.append(c) or real_key(c)
+                )
+                classes = structure._merge_isomorphic(candidates)
+                monkeypatch.setattr(structure, "canonical_form", real_key)
+                assert len(classes) == len(groups), (n, k)
+                assert {cls.member for cls in classes} == {g[0] for g in groups.values()}
+                # relabeled copies land in their originals' classes
+                copies = [_relabeled(rng, c) for c in candidates[::7]]
+                merged = structure._merge_isomorphic(candidates + copies)
+                assert [cls.member for cls in merged] == [cls.member for cls in classes]
+        assert keyed == []
 
     def test_invariant_survives_relabeling_1000(self):
         rng = random.Random(1515)
