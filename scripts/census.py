@@ -20,14 +20,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--k-min", type=int, default=4)
     parser.add_argument("--k-max", type=int, default=6)
-    parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     print(f"{'n':>3} {'k':>3} {'classes':>9} {'seconds':>9}")
     for n in range(args.n_min, args.n_max + 1):
         for k in range(args.k_min, args.k_max + 1):
             start = time.monotonic()
-            reps = enumerate_p5free(n, k, threads=args.threads)
+            reps = enumerate_p5free(n, k)
             elapsed = time.monotonic() - start
             print(f"{n:>3} {k:>3} {len(reps):>9} {elapsed:>9.2f}")
     return 0

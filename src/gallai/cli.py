@@ -32,7 +32,7 @@ import time
 from gallai.canonical import canonical_form
 from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.formulas import KIND_EXACT, KIND_BOUNDS, ConstantOutOfRange, GrResult, evaluate
-from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
+from gallai.graphs import ColoredComplete, TargetGraph, load_json, parse_hspec, render_hspec
 from gallai.search import (
     CertificateMismatch,
     InexactWitness,
@@ -84,12 +84,13 @@ def _parse_target(text: str) -> TargetGraph:
 
 def _read_json(path: str | None):
     if path is None or path == "-":
-        return json.load(sys.stdin)
+        return load_json(sys.stdin.read())
     try:
         with open(path) as fh:
-            return json.load(fh)
+            text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    return load_json(text)
 
 
 def _cmd_eval(args) -> int:

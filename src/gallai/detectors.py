@@ -10,18 +10,26 @@ once per target), reading the host's flat color tuple.
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
 per-color adjacency masks.  The path returned is the scan's first hit,
-smaller end first, not the lexicographically first path.  For m = 4 the
-scan skips a pair b < d around mid, whose edges to mid have colors x and y,
-when b or d has no color outside {x, y}, when b and d see fewer than four
-colors together (a-b-mid-d-e puts all four of its colors at b or d), or
-when b has two colors and its edges in the one outside {x, y} all end at
-d.  The skipped d for each b are found by mask arithmetic from the vertices
-with one, two or three colors.  A skipped pair holds no path, and the
-survivors are walked in the same ascending order, so the first hit is the
-one the scan over every pair finds.  The worst case stays O(n^3 k^2), but
-on a rainbow-free host the scan is mostly O(n^2) mask steps: over the
-shipped grid and dispatcher witnesses (orders up to 40) 126 of 98,822
-pairs survive.
+smaller end first, not the lexicographically first path.
+
+For m = 4 a path a-b-mid-d-e has colors z, x, y, w, all distinct, with x
+and y the colors of b and d to mid.  The scan skips a pair b < d by three
+rules, each true of every such path, so a skipped pair holds none:
+
+  - b has z besides x and d has w besides y, so a single-colored vertex
+    is never b or d;
+  - b and d see at least four colors together, since all four of the
+    path's colors meet b or d;
+  - when b has only the colors x and z, its z edges do not all end at d,
+    since a-b is a z edge with a != d.
+
+The d that the first two rules skip are found once per b by mask
+arithmetic from the vertices with at most three colors.  The survivors are
+walked in the same ascending order, so the first hit is the one the scan
+over every pair finds.  The worst case stays O(n^3 k^2), but on a
+rainbow-free host the scan is mostly O(n^2) mask steps: over the 35
+distinct grid witnesses of order 5 to 25, 18 of the 23,108 pairs with
+x != y reach the path test.
 
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
@@ -157,7 +165,8 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     it have colors x != y, a-b-mid-d (m = 3) needs an edge at b outside
     colors {x, y} to a vertex outside {b, mid, d}; a-b-mid-d-e (m = 4, b < d)
     needs colors z at b and w != z at d, both outside {x, y}, to reach ends
-    outside {b, mid, d} that are not one and the same single vertex."""
+    outside {b, mid, d} that are not one and the same single vertex.  The
+    m = 4 pairs skipped are those of the module docstring's three rules."""
     if len(c.used_colors) < m:
         return None
     n = c.n
@@ -176,32 +185,20 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
         return None
     # (color, neighbor mask) for every color present at each vertex
     around = [[(z, mask) for z, mask in enumerate(masks) if mask] for masks in zip(*adj)]
-    # Pruning: a pair b, d needs a color outside {x, y} at b and one at d,
-    # and at least four colors at b and d together, since a-b-mid-d-e puts
-    # all four of its colors there.  Only vertices with at most three colors
-    # can fail that; cset[v] is their color set, a mask over colors (0 for
-    # the others), and by_colors groups them by it.
+    # cset[v]: the color set of a vertex with at most three colors, as a
+    # mask over colors (0 for the others); by_colors groups them by it
     cset = [0] * n
     by_colors: dict[int, int] = {}
+    multi = 0
     for v, at_v in enumerate(around):
+        if len(at_v) > 1:
+            multi |= 1 << v
         if len(at_v) <= 3:
             s = 0
             for z, _ in at_v:
                 s |= 1 << z
             cset[v] = s
             by_colors[s] = by_colors.get(s, 0) | 1 << v
-    single = 0
-    # two_colored[x]: (y, the vertices whose colors are exactly {x, y})
-    two_colored: dict[int, list[tuple[int, int]]] = {}
-    for s, vs in by_colors.items():
-        if not s & (s - 1):
-            single |= vs
-        elif s.bit_count() == 2:
-            p = s.bit_length() - 1
-            q = (s ^ 1 << p).bit_length() - 1
-            two_colored.setdefault(p, []).append((q, vs))
-            two_colored.setdefault(q, []).append((p, vs))
-    multi = (1 << n) - 1 & ~single
     # partners[b], set on b's first visit: the vertices d > b with two or
     # more colors that see four colors together with b
     partners = [-1] * n
@@ -210,9 +207,6 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     few: dict[int, int] = {}
     live = multi
     for mid, cm in enumerate(_color_rows(c)):
-        # ends_d[x]: the vertices d with a color outside {x, cm[d]}
-        ends_d: dict[int, int] = {}
-        others = multi & ~(1 << mid)
         to_visit = live & ~(1 << mid)
         while to_visit:
             low = to_visit & -to_visit
@@ -236,20 +230,12 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
                     live &= ~(1 << b)
                     continue
             x = cm[b]
-            allowed = ends_d.get(x)
-            if allowed is None:
-                allowed = others & ~adj[x][mid]
-                for y, both in two_colored.get(x, ()):
-                    allowed &= ~(adj[y][mid] & both)
-                ends_d[x] = allowed
-            allowed &= mates
+            allowed = mates & ~(adj[x][mid] | 1 << mid)
             if len(around[b]) == 2:
-                # b's colors are {x, z0}: d must not see mid in z0, nor be
-                # the only end of b's z0 edges
-                z0_row = adj[around[b][0][0] + around[b][1][0] - x]
-                allowed &= ~z0_row[mid]
-                if not z0_row[b] & (z0_row[b] - 1):
-                    allowed &= ~z0_row[b]
+                # b's colors are {x, z}: d is not the only end of b's z edges
+                z_edges = adj[around[b][0][0] + around[b][1][0] - x][b]
+                if not z_edges & (z_edges - 1):
+                    allowed &= ~z_edges
             while allowed:
                 low = allowed & -allowed
                 allowed ^= low

@@ -50,6 +50,15 @@ def pairs(n: int) -> Iterator[tuple[int, int]]:
     return combinations(range(n), 2)
 
 
+def load_json(text: str) -> object:
+    """``json.loads``; input nested too deeply for the decoder is malformed
+    input like any other, a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 def require_keys(data: object, keys: tuple[str, ...], what: str) -> dict:
     """``data`` if it is a JSON object holding every key; ValueError otherwise."""
     if not isinstance(data, dict) or any(key not in data for key in keys):
@@ -485,7 +494,7 @@ def parse_hspec(text: str) -> TargetGraph:
     """
     s = text.strip()
     if s.startswith("{"):
-        data = require_keys(json.loads(s), ("order", "edges"), "an inline target")
+        data = require_keys(load_json(s), ("order", "edges"), "an inline target")
         edges = _json_rows(data["edges"], 2, "target edges")
         return TargetGraph.arbitrary(_json_int(data["order"]), edges)
     if m := _RE_COMPLETE_MINUS.fullmatch(s):

@@ -43,7 +43,6 @@ from gallai.graphs import (
 # tests/test_bench_targets.py); enumerate_p5free stays imported for it,
 # though no function here calls it.
 from gallai.structure import (
-    P5FreeClass,
     enumerate_p5free,
     p5free_classes,
     parallel_map,
@@ -323,13 +322,10 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
     return frozenset(_rainbow_free_class_keys(n, k))
 
 
-def _small_order_classes(n: int, k: int) -> list[P5FreeClass]:
+def _small_order_classes(n: int, k: int) -> list[ColoredComplete]:
     """Exact coloring classes for n <= 4, where no 4-edge path fits and thus
-    every exact coloring qualifies, in key order."""
-    return [
-        P5FreeClass(coloring_from_key(key), key)
-        for key in sorted(_rainbow_free_class_keys(n, k))
-    ]
+    every exact coloring qualifies, decoded from their keys in key order."""
+    return [coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k))]
 
 
 def check_n(
@@ -338,12 +334,10 @@ def check_n(
     """Decide whether every exact k-coloring of the complete graph on n
     vertices contains a rainbow 4-edge path or a monochromatic H.
 
-    ``examined`` counts the classes.  Each class is tested on its member
-    coloring (a monochromatic copy survives renaming); when bad classes
+    ``examined`` counts the classes.  A class is one member coloring, tested
+    as it is (a monochromatic copy survives renaming); when bad classes
     exist the reported witness is the canonically smallest, decoded from
-    the least key of their members.  For n >= 5 no class is keyed one by
-    one and no class is decoded but the witness; below n = 5 every class is
-    a decoded key.
+    the least key of the bad members.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -356,10 +350,8 @@ def check_n(
         classes = _small_order_classes(n, k)
     else:
         classes = p5free_classes(n, k, threads=nthreads)
-    misses = parallel_map(
-        lambda cls: find_mono_copy(cls.member, H) is None, classes, nthreads
-    )
-    bad = [cls.member for cls, miss in zip(classes, misses) if miss]
+    misses = parallel_map(lambda c: find_mono_copy(c, H) is None, classes, nthreads)
+    bad = [c for c, miss in zip(classes, misses) if miss]
     if not bad:
         return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
     witness = verify_witness(coloring_from_key(least_canonical_form(bad)), H)

@@ -28,18 +28,17 @@ vertices; (f) runs the template match only when the class sizes equal the
 template's.  Edge lists are built only for a witness and for the quads of
 (e).  The same shapes
 drive ``p5free_classes``, which generates every exact k-coloring of K_n
-without a rainbow 4-edge path, up to vertex-and-color isomorphism.  It
-tells candidates apart by ``coloring_invariant`` first, splits a shared
-invariant by ``edge_degree_invariant``, and computes a canonical key only
-where two candidates still agree, or when a caller asks for a class's key;
-over n 5..9 and k 4..12 no candidate is keyed that way.
-``enumerate_p5free`` is the key-sorted decode of its classes.
+without a rainbow 4-edge path, one member coloring per vertex-and-color
+isomorphism class.  It tells candidates apart by ``coloring_invariant``
+first, splits a shared invariant by ``edge_degree_invariant``, and
+computes a canonical key only where two candidates still agree.
+``enumerate_p5free`` keys the members and returns the key-sorted decode.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import (
     combinations_with_replacement,
@@ -426,34 +425,17 @@ def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:
         yield _CASE_F
 
 
-@dataclass
-class P5FreeClass:
-    """One vertex-and-color isomorphism class: a member coloring and its
-    canonical key, computed on first use.  The enumeration's members are
-    generator candidates, not decoded keys."""
-
-    member: ColoredComplete
-    _key: bytes | None = field(default=None, repr=False)
-
-    @property
-    def key(self) -> bytes:
-        if self._key is None:
-            self._key = canonical_form(self.member)
-        return self._key
-
-
 def p5free_classes(
     n: int, k: int, threads: int | None = None
-) -> list[P5FreeClass]:
-    """Every exact k-coloring of K_n with no rainbow 4-edge path, one class
+) -> list[ColoredComplete]:
+    """Every exact k-coloring of K_n with no rainbow 4-edge path, one member
     per vertex-and-color isomorphism class, not in key order.  Only k >= 4
     is supported: with fewer colors no rainbow 4-edge path exists and the
     answer would be all colorings.
 
     Every candidate of the case generators must be exact and rainbow-free;
     one that is not is a generator bug and raises TheoremViolation.
-    Classes are formed by ``_merge_isomorphic``; a key it did not need waits
-    until the caller reads ``key``."""
+    Classes are formed by ``_merge_isomorphic``."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -486,23 +468,23 @@ def p5free_classes(
     return _merge_isomorphic(candidates)
 
 
-def _merge_isomorphic(colorings: Iterable[ColoredComplete]) -> list[P5FreeClass]:
-    """One class per vertex-and-color isomorphism class among the colorings,
-    in the order their buckets are first met.  Colorings are bucketed by
-    ``coloring_invariant``, and a shared bucket is split by
+def _merge_isomorphic(colorings: Iterable[ColoredComplete]) -> list[ColoredComplete]:
+    """One member per vertex-and-color isomorphism class among the
+    colorings, in the order their buckets are first met.  Colorings are
+    bucketed by ``coloring_invariant``, and a shared bucket is split by
     ``edge_degree_invariant``; a coloring alone in its bucket is a class of
     its own, and canonical keys are computed only to merge what is left."""
-    classes: list[P5FreeClass] = []
+    classes: list[ColoredComplete] = []
     for coarse in _buckets(colorings, coloring_invariant):
         fine = [coarse] if len(coarse) == 1 else _buckets(coarse, edge_degree_invariant)
         for members in fine:
             if len(members) == 1:
-                classes.append(P5FreeClass(members[0]))
+                classes.append(members[0])
                 continue
             keyed: dict[bytes, ColoredComplete] = {}
             for c in members:
                 keyed.setdefault(canonical_form(c), c)
-            classes.extend(P5FreeClass(c, key) for key, c in keyed.items())
+            classes.extend(keyed.values())
     return classes
 
 
@@ -522,5 +504,5 @@ def enumerate_p5free(
 ) -> list[ColoredComplete]:
     """The classes of ``p5free_classes``, each decoded from its canonical
     key (the canonical representative), sorted by key."""
-    keys = sorted(cls.key for cls in p5free_classes(n, k, threads))
+    keys = sorted(map(canonical_form, p5free_classes(n, k, threads)))
     return [coloring_from_key(key) for key in keys]

@@ -731,6 +731,10 @@ class TestVerify:
         )
 
 
+# Nested deeper than the JSON decoder goes: malformed input, not a crash.
+_DEEP_SPEC = '{"order":2,"edges":' + "[" * 3000 + "]" * 3000 + "}"
+
+
 class TestUsage:
     @pytest.mark.parametrize(
         "argv, stdin",
@@ -739,8 +743,17 @@ class TestUsage:
             (("classify",), "[]"),
             (("classify", "--file", "MISSING"), None),
             (("eval", "--H", '{"order":4}', "--k", "4"), None),
+            (("classify",), "[" * 200_000),
+            (("verify",), "[" * 200_000),
+            (("verify",), json.dumps({"coloring": ColoredComplete.constant(5, 1).to_json_dict(),
+                                      "target": _DEEP_SPEC})),
+            (("eval", "--H", _DEEP_SPEC, "--k", "4"), None),
+            (("check", "--H", _DEEP_SPEC, "--k", "4", "--n", "5"), None),
+            (("witness", "--H", _DEEP_SPEC, "--k", "4"), None),
         ],
-        ids=["verify-empty-object", "classify-list", "classify-missing-file", "eval-no-edges"],
+        ids=["verify-empty-object", "classify-list", "classify-missing-file", "eval-no-edges",
+             "classify-deep", "verify-deep", "verify-deep-target", "eval-deep", "check-deep",
+             "witness-deep"],
     )
     def test_malformed_input_is_usage_error(self, capsys, monkeypatch, tmp_path, argv, stdin):
         if stdin is not None:

@@ -110,9 +110,8 @@ class TestSmallOrderClasses:
         forms of every exact coloring, in canonical-key order."""
         want = sorted({canonical_form(c) for c in brute_force_colorings(n, k)})
         classes = _small_order_classes(n, k)
-        assert [canonical_form(cls.member) for cls in classes] == want
-        assert [cls.key for cls in classes] == want
-        assert all(cls.member.exact and (cls.member.n, cls.member.k) == (n, k) for cls in classes)
+        assert [canonical_form(c) for c in classes] == want
+        assert all(c.exact and (c.n, c.k) == (n, k) for c in classes)
 
 
 class TestGroundTruthOracle:
@@ -258,7 +257,7 @@ class TestCheckNOutputs:
         decoded."""
         H = parse_hspec(spec)
         classes = p5free_classes(9, 4)  # also warms the cached part graphs
-        assert sum(find_mono_copy(cls.member, H) is None for cls in classes) == bad
+        assert sum(find_mono_copy(c, H) is None for c in classes) == bad
         keyed, least, decoded = [], [], []
         real_key, real_least = structure.canonical_form, gallai.search.least_canonical_form
         real_decode = gallai.search.coloring_from_key

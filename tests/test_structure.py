@@ -471,12 +471,12 @@ class TestClassPartition:
             for k in range(4, 13):
                 classes = p5free_classes(n, k)
                 reps = enumerate_p5free(n, k)
-                keys = {cls.key for cls in classes}
+                keys = {canonical_form(c) for c in classes}
                 assert len(classes) == len(keys) == len(reps), (n, k)
                 assert keys == {canonical_form(c) for c in reps}, (n, k)
                 candidates = [c for gen in _GENERATORS for c in gen(n, k)]
                 assert keys == {canonical_form(c) for c in candidates}, (n, k)
-                assert all(cls.key == canonical_form(cls.member) for cls in classes)
+                assert all(c.exact and (c.n, c.k) == (n, k) for c in classes)
 
     def test_merge_partitions_as_keying_every_candidate(self, monkeypatch):
         """Over the census, ``_merge_isomorphic`` picks one member from each
@@ -498,11 +498,11 @@ class TestClassPartition:
                 classes = structure._merge_isomorphic(candidates)
                 monkeypatch.setattr(structure, "canonical_form", real_key)
                 assert len(classes) == len(groups), (n, k)
-                assert {cls.member for cls in classes} == {g[0] for g in groups.values()}
+                assert set(classes) == {g[0] for g in groups.values()}
                 # relabeled copies land in their originals' classes
                 copies = [_relabeled(rng, c) for c in candidates[::7]]
                 merged = structure._merge_isomorphic(candidates + copies)
-                assert [cls.member for cls in merged] == [cls.member for cls in classes]
+                assert merged == classes
         assert keyed == []
 
     def test_invariant_survives_relabeling_1000(self):
@@ -521,16 +521,14 @@ class TestClassPartition:
         triangles = _graph_coloring(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         assert coloring_invariant(hexagon) == coloring_invariant(triangles)
         classes = structure._merge_isomorphic([hexagon, triangles])
-        assert [cls.member for cls in classes] == [hexagon, triangles]
-        assert classes[0].key != classes[1].key
+        assert classes == [hexagon, triangles]
+        assert canonical_form(hexagon) != canonical_form(triangles)
 
     def test_relabeled_copies_merge(self):
         rng = random.Random(7)
         c = sporadic("F3")
         classes = structure._merge_isomorphic([c, _relabeled(rng, c), _relabeled(rng, c)])
-        assert len(classes) == 1
-        assert classes[0].member == c
-        assert classes[0].key == canonical_form(c)
+        assert classes == [c]
 
 
 class TestParallelHelpers:
