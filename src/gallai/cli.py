@@ -32,7 +32,14 @@ import time
 from gallai.canonical import canonical_form
 from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.formulas import KIND_EXACT, KIND_BOUNDS, ConstantOutOfRange, GrResult, evaluate
-from gallai.graphs import ColoredComplete, TargetGraph, load_json, parse_hspec, render_hspec
+from gallai.graphs import (
+    ColoredComplete,
+    TargetGraph,
+    load_json,
+    parse_hspec,
+    render_hspec,
+    short_repr,
+)
 from gallai.search import (
     CertificateMismatch,
     InexactWitness,
@@ -79,7 +86,7 @@ def _parse_target(text: str) -> TargetGraph:
     try:
         return parse_hspec(text)
     except ValueError as exc:
-        raise ValueError(f"bad target spec {text!r}: {exc}") from exc
+        raise ValueError(f"bad target spec {short_repr(text)}: {exc}") from exc
 
 
 def _read_json(path: str | None):

@@ -31,6 +31,28 @@ rainbow-free host the scan is mostly O(n^2) mask steps: over the 35
 distinct grid witnesses of order 5 to 25, 18 of the 23,108 pairs with
 x != y reach the path test.
 
+Those tables only pay on hosts without a path.  So before building them
+the m = 4 scan probes its first pair row: mid 0, with b the lowest vertex
+that has two colors, and every d > b in ascending order, through the same
+path test.  The scan meets that row before any other, and the rules skip
+only pairs that hold no path, so a path the probe finds is the scan's
+first hit and is returned as it is.  On a miss the per-vertex color lists
+the probe built are kept, and at mid 0 the scan starts past that b.
+
+The probe runs only when vertex 0 and that b both have three colors or
+more, and not on K5 with exactly four colors.  By the structure theorem
+(``structure``), a rainbow-free host with five colors or more is of shape
+(b) or (c) and has at most one vertex with three colors, so the probe never
+runs on it; with four colors, shapes (d) to (f) have three to five such
+vertices.  In a random coloring nearly every vertex has three colors, and
+one pass of the benchmark's classify workload (seed 11) makes 9,603 m = 4
+calls: 6,292 hold a path, 6,175 of those paths have middle vertex 0, and
+the probe runs on 5,400 hosts and returns the path on 5,348.  On K5 with
+four colors paths are scarce: in that pass the first pair row holds one on
+124 of the 240 such hosts that pass the other two tests.  The search
+workload's rainbow guard meets the probe on 87 of its 595 candidates, all
+of shape (d) or (e) with their special vertices at 0..3.
+
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
 omega - 1.  One loop over centres, lowest first, finds both; the inner
@@ -166,8 +188,10 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     colors {x, y} to a vertex outside {b, mid, d}; a-b-mid-d-e (m = 4, b < d)
     needs colors z at b and w != z at d, both outside {x, y}, to reach ends
     outside {b, mid, d} that are not one and the same single vertex.  The
-    m = 4 pairs skipped are those of the module docstring's three rules."""
-    if len(c.used_colors) < m:
+    m = 4 pairs skipped are those of the module docstring's three rules, and
+    its first pair row may be probed before their tables are built."""
+    used = len(c.used_colors)
+    if used < m:
         return None
     n = c.n
     adj = c.adj
@@ -183,8 +207,29 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
                         a = next(_iter_bits(ends))
                         return (a, b, mid, d) if a < d else (d, mid, b, a)
         return None
-    # (color, neighbor mask) for every color present at each vertex
-    around = [[(z, mask) for z, mask in enumerate(masks) if mask] for masks in zip(*adj)]
+    # The probe: the scan's first pair row, mid 0 and b the lowest vertex
+    # with two colors, tested before any table is built when vertex 0 and b
+    # both have three colors or more, except on K5 with four colors (module
+    # docstring).
+    colors = c.colors
+    probed = 0
+    if (n == 5 and used == 4) or len(set(colors[: n - 1])) < 3:
+        around = [[(z, mask) for z, mask in enumerate(masks) if mask] for masks in zip(*adj)]
+    else:
+        # around[v] is built here only for the vertices the probe reads
+        around = [None] * n
+        for b in range(1, n):
+            at_b = around[b] = _colors_at(adj, b)
+            if len(at_b) > 1:
+                break
+        if len(at_b) > 2:
+            cm = (0,) + colors[: n - 1]
+            x = cm[b]
+            # every d > b whose edge to vertex 0 is not of color x
+            if path := _row_path(adj, around, b, 0, x, cm, (1 << n) - (2 << b) & ~adj[x][0]):
+                return path
+            probed = 1 << b
+        around = [_colors_at(adj, v) if at_v is None else at_v for v, at_v in enumerate(around)]
     # cset[v]: the color set of a vertex with at most three colors, as a
     # mask over colors (0 for the others); by_colors groups them by it
     cset = [0] * n
@@ -207,7 +252,9 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     few: dict[int, int] = {}
     live = multi
     for mid, cm in enumerate(_color_rows(c)):
-        to_visit = live & ~(1 << mid)
+        # at mid 0 the probe has already walked its b's row
+        to_visit = live & ~(1 << mid | probed)
+        probed = 0
         while to_visit:
             low = to_visit & -to_visit
             to_visit ^= low
@@ -230,34 +277,64 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
                     live &= ~(1 << b)
                     continue
             x = cm[b]
+            at_b = around[b]
             allowed = mates & ~(adj[x][mid] | 1 << mid)
-            if len(around[b]) == 2:
+            if len(at_b) == 2:
                 # b's colors are {x, z}: d is not the only end of b's z edges
-                z_edges = adj[around[b][0][0] + around[b][1][0] - x][b]
+                z_edges = adj[at_b[0][0] + at_b[1][0] - x][b]
                 if not z_edges & (z_edges - 1):
                     allowed &= ~z_edges
-            while allowed:
-                low = allowed & -allowed
-                allowed ^= low
-                d = low.bit_length() - 1
-                y = cm[d]
-                excl = ~(1 << b | 1 << mid | 1 << d)
-                for z, z_mask in around[b]:
-                    if z == x or z == y:
-                        continue
-                    ends_a = z_mask & excl
-                    if not ends_a:
-                        continue
-                    for w, w_mask in around[d]:
-                        if w == x or w == y or w == z:
-                            continue
-                        ends_e = w_mask & excl
-                        if ends_e and not (ends_a == ends_e and ends_a & (ends_a - 1) == 0):
-                            a = next(_iter_bits(ends_a))
-                            if ends_e == 1 << a:
-                                a = next(_iter_bits(ends_a & ~ends_e))
-                            e = next(_iter_bits(ends_e & ~(1 << a)))
-                            return (a, b, mid, d, e) if a < e else (e, d, mid, b, a)
+            if allowed and (path := _row_path(adj, around, b, mid, x, cm, allowed)):
+                return path
+    return None
+
+
+def _colors_at(adj: Sequence[Sequence[int]], v: int) -> list[tuple[int, int]]:
+    """(color, neighbor mask) for every color present at vertex v."""
+    return [(z, mask) for z, row in enumerate(adj) if (mask := row[v])]
+
+
+def _row_path(
+    adj: Sequence[Sequence[int]],
+    around: list,
+    b: int,
+    mid: int,
+    x: int,
+    cm: Sequence[int],
+    allowed: int,
+) -> tuple[int, ...] | None:
+    """The first rainbow path a-b-mid-d-e, smaller end first, over the d in
+    the mask ``allowed`` taken in ascending order, or None.  b-mid has color
+    x and mid-d color cm[d]; ``around[v]`` is ``_colors_at(adj, v)``, filled
+    in here where it is still None.  Colors z at b and then w at d are tried
+    in ascending order; the ends must lie outside {b, mid, d} and not be one
+    and the same single vertex."""
+    at_b = around[b]
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        d = low.bit_length() - 1
+        y = cm[d]
+        at_d = around[d]
+        if at_d is None:
+            at_d = around[d] = _colors_at(adj, d)
+        excl = ~(1 << b | 1 << mid | 1 << d)
+        for z, z_mask in at_b:
+            if z == x or z == y:
+                continue
+            ends_a = z_mask & excl
+            if not ends_a:
+                continue
+            for w, w_mask in at_d:
+                if w == x or w == y or w == z:
+                    continue
+                ends_e = w_mask & excl
+                if ends_e and not (ends_a == ends_e and ends_a & (ends_a - 1) == 0):
+                    a = next(_iter_bits(ends_a))
+                    if ends_e == 1 << a:
+                        a = next(_iter_bits(ends_a & ~ends_e))
+                    e = next(_iter_bits(ends_e & ~(1 << a)))
+                    return (a, b, mid, d, e) if a < e else (e, d, mid, b, a)
     return None
 
 

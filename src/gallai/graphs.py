@@ -12,7 +12,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 
@@ -66,21 +66,35 @@ def require_keys(data: object, keys: tuple[str, ...], what: str) -> dict:
     return data
 
 
+def short_repr(value: object) -> str:
+    """``repr(value)``, cut after 60 characters when it is longer, with its
+    full length noted, so that an error line echoing an input stays short."""
+    text = repr(value)
+    if len(text) <= 60:
+        return text
+    return f"{text[:60]}... ({len(text)} characters)"
+
+
 def _json_int(value: object) -> int:
     """A JSON integer as it is; floats, booleans and strings are refused."""
     if type(value) is not int:
-        raise ValueError(f"expected an integer, got {value!r}")
+        raise ValueError(f"expected an integer, got {short_repr(value)}")
     return value
 
 
 def _json_rows(rows: object, width: int, what: str) -> list[tuple[int, ...]]:
     """A JSON list of integer rows of the given width, as tuples; ValueError
-    on any other shape."""
+    on any other shape.  The entries' types are checked in one pass over all
+    rows; ``_json_int`` runs only to name the first entry that is refused."""
     if not isinstance(rows, list) or not all(
         isinstance(row, list) and len(row) == width for row in rows
     ):
         raise ValueError(f"{what} must be a list of {width}-integer lists")
-    return [tuple(_json_int(x) for x in row) for row in rows]
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        for row in rows:
+            for x in row:
+                _json_int(x)
+    return list(map(tuple, rows))
 
 
 class ColoredComplete:
@@ -505,7 +519,7 @@ def parse_hspec(text: str) -> TargetGraph:
         return TargetGraph.star_plus(int(m.group(1)), int(m.group(2)))
     if m := _RE_PINEAPPLE.fullmatch(s):
         return TargetGraph.pineapple(int(m.group(1)), int(m.group(2)))
-    raise ValueError(f"cannot parse target graph spec {text!r}")
+    raise ValueError(f"cannot parse target graph spec {short_repr(text)}")
 
 
 def render_hspec(H: TargetGraph) -> str:

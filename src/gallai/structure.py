@@ -18,16 +18,18 @@ renumbering colors, into at least one of six shapes:
 combined answer against the rainbow detector.  It builds one profile per
 call, ``{color: (edge count, touched-vertex mask)}`` for the used colors,
 and each shape is read from it and from the per-color adjacency masks
-``c.adj``: (a) counts the colors; (b) compares, for each candidate dominant
-color, the popcount of the union of the other touched masks with the sum of
-their popcounts; (c) looks for a color whose edge count minus a vertex's
-degree in it is C(n-1, 2); (d) pairs single-edge colors sharing a vertex a
-and checks that the third side's color has no edge beyond it off a;
-(e) scans only the quads spanned by a 2-edge color class touching four
-vertices; (f) runs the template match only when the class sizes equal the
-template's.  Edge lists are built only for a witness and for the quads of
-(e).  The same shapes
-drive ``p5free_classes``, which generates every exact k-coloring of K_n
+``c.adj``: (a) counts the colors; (b) marks in one pass over the profile
+the vertices touched twice and those touched three times or more, since the
+colors other than a dominant one are disjoint exactly when no vertex is
+touched three times and the dominant color touches every vertex touched
+twice, and takes the first such color in profile order; (c) looks for a
+color whose edge count minus a vertex's degree in it is C(n-1, 2); (d)
+pairs single-edge colors sharing a vertex a and checks that the third
+side's color has no edge beyond it off a; (e) scans only the quads spanned
+by a 2-edge color class touching four vertices; (f) runs the template match
+only when the class sizes equal the template's.  Edge lists are built only
+for a witness and for the quads of (e).  The same shapes drive
+``p5free_classes``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, one member coloring per vertex-and-color
 isomorphism class.  It tells candidates apart by ``coloring_invariant``
 first, splits a shared invariant by ``edge_degree_invariant``, and
@@ -165,16 +167,30 @@ def _case_a(c: ColoredComplete, profile: dict):
 
 
 def _case_b(c: ColoredComplete, profile: dict):
+    dom = _dominant_color(profile)
+    if dom is None:
+        return None
+    return dom, {col: c.vertices_incident(col) for col in profile if col != dom}
+
+
+def _dominant_color(profile: dict) -> int | None:
+    """The first color in profile order whose removal leaves the other
+    colors' touched masks pairwise disjoint; None when there is none or the
+    profile has fewer than two colors.  They are disjoint exactly when no
+    vertex is touched three times and the dominant color touches every
+    vertex touched twice."""
     if len(profile) < 2:
         return None
-    for dom in profile:
-        union = total = 0
-        for col, (_, touched) in profile.items():
-            if col != dom:
-                union |= touched
-                total += touched.bit_count()
-        if union.bit_count() == total:
-            return dom, {col: c.vertices_incident(col) for col in profile if col != dom}
+    once = twice = thrice = 0
+    for _, touched in profile.values():
+        thrice |= twice & touched
+        twice |= once & touched
+        once |= touched
+    if thrice:
+        return None
+    for dom, (_, touched) in profile.items():
+        if not twice & ~touched:
+            return dom
     return None
 
 

@@ -781,6 +781,20 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "spec",
+        ["X" * 5000, "[" * 5000, '{"order": "' + "a" * 5000 + '", "edges": [[0, 1]]}',
+         '{"order": 2, "edges": [[0, ' + "9" * 5000 + "]]}"],
+        ids=["garbage", "brackets", "long-order", "long-endpoint"],
+    )
+    def test_long_spec_gives_one_short_line(self, capsys, spec):
+        """A spec of 5,000 characters or more is named by its first
+        characters and its length: one short error line, exit 2."""
+        code, out, err = run(capsys, "eval", "--H", spec, "--k", "4")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: bad target spec") and err.count("\n") == 1
+        assert len(err) < 300, err
+
     def test_non_integer_target_order_is_usage_error(self, capsys):
         code, _, err = run(capsys, "eval", "--H", '{"order": 3.5, "edges": [[0, 1]]}', "--k", "4")
         assert code == EXIT_USAGE

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -304,10 +305,40 @@ def _recolored_rainbow_free():
             yield c.recolored(i, j, rng.randint(1, c.k))
 
 
+def _palette_dense_colorings():
+    """Seeded uniform colorings: n 5..12 with k 4..10, where most hosts hold
+    a rainbow 4-edge path at middle vertex 0; n 5..9 with k 2..8 as in the
+    benchmark's classify workload; and n = 6 with k = 4, where the path
+    more often lies beyond the scan's first pair row."""
+    rng = random.Random(2718)
+    for n_min, n_max, k_min, k_max in ((5, 12, 4, 10), (5, 9, 2, 8), (6, 6, 4, 4)):
+        for _ in range(600):
+            n, k = rng.randint(n_min, n_max), rng.randint(k_min, k_max)
+            yield ColoredComplete(n, k, [rng.randint(1, k) for _ in range(edge_count(n))])
+
+
+def _probe_outcome(c):
+    """Which way the m = 4 scan's probe goes on c, read from the unpruned
+    scan: "hit" when the probe runs and the path is in its row (mid 0, b
+    the lowest vertex with two colors), "miss" when it runs and the path
+    lies beyond, "free" when there is no path, "skipped" otherwise."""
+    path = _reference_rainbow_path(c, 4)
+    if path is None:
+        return "free"
+    counts = [sum(1 for row in c.adj if row[v]) for v in range(c.n)]
+    b = next((v for v in range(1, c.n) if counts[v] > 1), None)
+    used = len(c.used_colors)
+    if used < 4 or c.n == 5 and used == 4 or counts[0] < 3 or b is None or counts[b] < 3:
+        return "skipped"
+    mid, pair = path[2], {path[1], path[3]}
+    return "hit" if mid == 0 and min(pair) == b else "miss"
+
+
 _DIFFERENTIAL_SETS = {
     **_SCAN_SETS,
     "p5free-classes": _p5free_classes,
     "recolored": _recolored_rainbow_free,
+    "palette-dense": _palette_dense_colorings,
 }
 
 
@@ -322,6 +353,21 @@ class TestPrunedScan:
                 assert _rainbow_path(c, m) == want, (name, m, c.n, c.k, c.colors)
                 emb = find_rainbow_path(c, m)
                 assert (None if emb is None else emb.vertices) == want
+
+    def test_palette_dense_set_holds_each_probe_outcome(self):
+        """The dense set reaches the probe's hit, a probe miss followed by a
+        later hit, and hosts with no path, each many times."""
+        outcomes = Counter(map(_probe_outcome, _palette_dense_colorings()))
+        assert min(outcomes[kind] for kind in ("hit", "miss", "free")) >= 20, outcomes
+
+    def test_probe_miss_keeps_its_b_for_later_middles(self):
+        """The probe walks mid 0 with b = 1 and finds nothing; the first
+        path of the scan then has b = 1 again, at middle vertex 2.  Only
+        mid 0 may skip the probe's row."""
+        c = ColoredComplete(6, 4, (2, 3, 4, 4, 3, 4, 3, 3, 4, 2, 3, 3, 1, 4, 3))
+        assert _probe_outcome(c) == "miss"
+        assert _reference_rainbow_path(c, 4) == (0, 1, 2, 4, 3)
+        assert _rainbow_path(c, 4) == (0, 1, 2, 4, 3)
 
     def test_recolored_set_holds_paths_and_free_hosts(self):
         """The boundary set is not degenerate: some recolorings close a

@@ -20,8 +20,11 @@ from gallai.graphs import (
     edge_index,
     find_clique,
     pairs,
+    _json_int,
+    _json_rows,
     parse_hspec,
     render_hspec,
+    short_repr,
 )
 
 
@@ -391,3 +394,61 @@ class TestHspecGrammar:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_hspec(text)
+
+    def test_long_spec_is_cut_short_in_the_error(self):
+        with pytest.raises(ValueError) as info:
+            parse_hspec("X" * 5000)
+        message = str(info.value)
+        assert message.startswith("cannot parse target graph spec 'XXX")
+        assert "(5002 characters)" in message and len(message) < 120
+
+    def test_short_repr(self):
+        assert short_repr("K5") == "'K5'"
+        assert short_repr("y" * 58) == repr("y" * 58)
+        assert short_repr("y" * 59) == "'" + "y" * 59 + "... (61 characters)"
+        assert short_repr([1] * 100) == "[" + "1, " * 19 + "1,... (300 characters)"
+
+
+def _json_rows_per_integer(rows, width, what):
+    """The row check as one ``_json_int`` call per integer, the reference
+    for the one-pass type check."""
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == width for row in rows
+    ):
+        raise ValueError(f"{what} must be a list of {width}-integer lists")
+    return [tuple(_json_int(x) for x in row) for row in rows]
+
+
+class TestJsonRows:
+    BAD = [1.5, True, False, "3", None, [1], {"a": 1}, 2.0, "x" * 500]
+
+    def outcome(self, check, rows, width):
+        try:
+            return check(rows, width, "rows")
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    def test_same_rows_or_error_text_as_a_check_per_integer(self):
+        """Rows of integers come back as tuples; a refused entry, wherever
+        it sits, gives the error text the per-integer check gives, naming
+        the first refused entry in row order."""
+        rng = random.Random(77)
+        cases = [[], [[]], [[1, 2]], [[1, 2, 3]], "rows", [[1, 2], 3], [[0, 1], [2]]]
+        for _ in range(400):
+            width = rng.choice((2, 3))
+            rows = [[rng.randint(-3, 9) for _ in range(width)] for _ in range(rng.randint(0, 6))]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                if rows:
+                    rows[rng.randrange(len(rows))][rng.randrange(width)] = rng.choice(self.BAD)
+            cases.append(rows)
+        refused = 0
+        for rows in cases:
+            for width in (2, 3):
+                want = self.outcome(_json_rows_per_integer, rows, width)
+                assert self.outcome(_json_rows, rows, width) == want, rows
+                refused += str(want).startswith("ValueError: expected an integer")
+        assert refused >= 100
+
+    def test_refused_long_value_is_cut_short(self):
+        with pytest.raises(ValueError, match=r"^expected an integer, got 'xxx.*\(502 characters\)$"):
+            _json_rows([[0, "x" * 500]], 2, "rows")

@@ -335,6 +335,59 @@ class TestWitnessDifferential:
         assert _reference_witnesses(constant)["c"] == (0, 2)
         assert set(_reference_witnesses(case_f)) == {"f"}
 
+
+def _leaves_disjoint(profile, dom):
+    """Whether the touched masks of the colors other than dom are pairwise
+    disjoint: the definition of case (b), one pair at a time."""
+    others = [touched for col, (_, touched) in profile.items() if col != dom]
+    return all(not s & t for s, t in combinations(others, 2))
+
+
+def _random_profiles():
+    """Seeded ``{color: (edge count, touched mask)}`` profiles in shuffled
+    color order: half with touched masks drawn at random, half built round a
+    dominant mask, with the other colors on disjoint vertex sets that a few
+    extra vertices then overlap."""
+    rng = random.Random(6174)
+    for i in range(4000):
+        n = rng.randint(2, 10)
+        cols = rng.sample(range(1, 13), rng.randint(1, 6))
+        if i % 2:
+            masks = [rng.getrandbits(n) or 1 for _ in cols]
+        else:
+            owner = [rng.randrange(len(cols)) for _ in range(n)]
+            masks = [sum(1 << v for v in range(n) if owner[v] == j) for j in range(len(cols))]
+            masks[0] = (1 << n) - 1 if rng.random() < 0.5 else masks[0] | rng.getrandbits(n)
+            for _ in range(rng.randint(0, 2)):
+                masks[rng.randrange(len(cols))] |= 1 << rng.randrange(n)
+        yield {col: (rng.randint(1, 9), mask) for col, mask in zip(cols, masks)}
+
+
+class TestDominantColor:
+    def test_one_pass_matches_pairwise_definition(self):
+        """The one-pass test names the first color in profile order that the
+        pairwise definition accepts, or None.  The profiles often have two
+        such colors, and often a vertex touched three times next to a color
+        touching every vertex touched twice or more, which only the
+        three-times check refuses."""
+        ties = thrice = 0
+        for profile in _random_profiles():
+            accepted = [dom for dom in profile if _leaves_disjoint(profile, dom)]
+            want = accepted[0] if accepted and len(profile) >= 2 else None
+            assert structure._dominant_color(profile) == want, profile
+            ties += len(accepted) >= 2 and len(profile) >= 2
+            masks = [touched for _, touched in profile.values()]
+            times = [sum(t >> v & 1 for t in masks) for v in range(10)]
+            shared = sum(1 << v for v, count in enumerate(times) if count >= 2)
+            thrice += max(times) >= 3 and any(not shared & ~t for t in masks)
+        assert ties >= 200 and thrice >= 200, (ties, thrice)
+
+    def test_first_of_two_dominant_colors_wins(self):
+        assert structure._dominant_color({3: (1, 0b11), 5: (1, 0b11)}) == 3
+        assert structure._dominant_color({5: (1, 0b11), 3: (1, 0b11)}) == 5
+        assert structure._dominant_color({2: (3, 0b111)}) is None
+
+
 # Class counts of enumerate_p5free for n 5..9 and k 4..12 (pairs not listed
 # have no class), and the sha256 of all their canonical keys, sorted and
 # concatenated.
