@@ -13,25 +13,34 @@ per-color adjacency masks.  The path returned is the scan's first hit,
 smaller end first, not the lexicographically first path.
 
 For m = 4 a path a-b-mid-d-e has colors z, x, y, w, all distinct, with x
-and y the colors of b and d to mid.  The scan skips a pair b < d by three
-rules, each true of every such path, so a skipped pair holds none:
+and y the colors of b and d to mid.  No pair b < d holds such a path, at
+any middle vertex, when one of three rules holds:
 
-  - b has z besides x and d has w besides y, so a single-colored vertex
-    is never b or d;
-  - b and d see at least four colors together, since all four of the
-    path's colors meet b or d;
-  - when b has only the colors x and z, its z edges do not all end at d,
-    since a-b is a z edge with a != d.
+  - b or d has a single color: b has z besides x, and d has w besides y;
+  - b and d see at most three colors together: all four of the path's
+    colors meet b or d;
+  - b has two colors and one of them only on the edge bd, or d has two
+    colors and one of them only on the edge db.  b's two colors are x and
+    z, so its only x edge ends at mid and its only z edge at a, and
+    neither is d; likewise at d, with y and w, neither is b.
 
-The d that the first two rules skip are found once per b by mask
-arithmetic from the vertices with at most three colors.  The survivors are
-walked in the same ascending order, so the first hit is the one the scan
-over every pair finds.  The worst case stays O(n^3 k^2), but on a
-rainbow-free host the scan is mostly O(n^2) mask steps: over the 35
-distinct grid witnesses of order 5 to 25, 18 of the 23,108 pairs with
-x != y reach the path test.
+No rule reads the middle vertex, so the pairs that survive, partners[b]
+for every b, are found once per host from the per-vertex color lists, by
+mask arithmetic over the vertices with at most three colors.  When no pair
+survives the host is rainbow-free, and the scan returns without building
+a row of the color matrix.  So it does on 155 of the 191 candidates that
+``structure`` guards for n 5..9 and k 4..6, and in the benchmark's
+workloads (seed 11) on 494 of the 595 m = 4 scans of a search pass, 116 of
+the 123 of a certify pass and 585 of the 603 relabeled builder outputs of
+a classify pass.  Otherwise the rows are walked, middle vertex ascending,
+and around each middle vertex only the surviving pairs whose edges to it
+differ in color, in the same ascending order, so the first hit is the one
+the scan over every pair finds.  The worst case stays O(n^3 k^2).  The 35
+distinct grid witnesses of order 5 to 25 hold 23,108 pairs with x != y
+around a middle vertex; 34 of them build no row, and 18 pairs, all in F3,
+reach the path test.
 
-Those tables only pay on hosts without a path.  So before building them
+The pair table only pays on hosts without a path.  So before building it
 the m = 4 scan probes its first pair row: mid 0, with b the lowest vertex
 that has two colors, and every d > b in ascending order, through the same
 path test.  The scan meets that row before any other, and the rules skip
@@ -48,8 +57,8 @@ vertices.  In a random coloring nearly every vertex has three colors, and
 one pass of the benchmark's classify workload (seed 11) makes 9,603 m = 4
 calls: 6,292 hold a path, 6,175 of those paths have middle vertex 0, and
 the probe runs on 5,400 hosts and returns the path on 5,348.  On K5 with
-four colors paths are scarce: in that pass the first pair row holds one on
-124 of the 240 such hosts that pass the other two tests.  The search
+four colors the first pair row often misses: in that pass it holds a path
+on 124 of the 222 such hosts that pass the other two tests.  The search
 workload's rainbow guard meets the probe on 87 of its 595 candidates, all
 of shape (d) or (e) with their special vertices at 0..3.
 
@@ -187,9 +196,10 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     it have colors x != y, a-b-mid-d (m = 3) needs an edge at b outside
     colors {x, y} to a vertex outside {b, mid, d}; a-b-mid-d-e (m = 4, b < d)
     needs colors z at b and w != z at d, both outside {x, y}, to reach ends
-    outside {b, mid, d} that are not one and the same single vertex.  The
-    m = 4 pairs skipped are those of the module docstring's three rules, and
-    its first pair row may be probed before their tables are built."""
+    outside {b, mid, d} that are not one and the same single vertex.  For
+    m = 4 the first pair row may be probed first; then the pairs the module
+    docstring's three rules leave are found once, and the rows are walked
+    only when some pair is left."""
     used = len(c.used_colors)
     if used < m:
         return None
@@ -230,27 +240,9 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
                 return path
             probed = 1 << b
         around = [_colors_at(adj, v) if at_v is None else at_v for v, at_v in enumerate(around)]
-    # cset[v]: the color set of a vertex with at most three colors, as a
-    # mask over colors (0 for the others); by_colors groups them by it
-    cset = [0] * n
-    by_colors: dict[int, int] = {}
-    multi = 0
-    for v, at_v in enumerate(around):
-        if len(at_v) > 1:
-            multi |= 1 << v
-        if len(at_v) <= 3:
-            s = 0
-            for z, _ in at_v:
-                s |= 1 << z
-            cset[v] = s
-            by_colors[s] = by_colors.get(s, 0) | 1 << v
-    # partners[b], set on b's first visit: the vertices d > b with two or
-    # more colors that see four colors together with b
-    partners = [-1] * n
-    # few[s]: the vertices that see at most three colors together with a
-    # vertex of color set s
-    few: dict[int, int] = {}
-    live = multi
+    partners, live = _pair_table(around)
+    if not live:
+        return None
     for mid, cm in enumerate(_color_rows(c)):
         # at mid 0 the probe has already walked its b's row
         to_visit = live & ~(1 << mid | probed)
@@ -259,34 +251,72 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
             low = to_visit & -to_visit
             to_visit ^= low
             b = low.bit_length() - 1
-            mates = partners[b]
-            if mates < 0:
-                mates = multi & ~((2 << b) - 1)
-                s = cset[b]
-                if s:
-                    drop = few.get(s)
-                    if drop is None:
-                        drop = 0
-                        for t, vs in by_colors.items():
-                            if (s | t).bit_count() <= 3:
-                                drop |= vs
-                        few[s] = drop
-                    mates &= ~drop
-                partners[b] = mates
-                if not mates:
-                    live &= ~(1 << b)
-                    continue
             x = cm[b]
-            at_b = around[b]
-            allowed = mates & ~(adj[x][mid] | 1 << mid)
-            if len(at_b) == 2:
-                # b's colors are {x, z}: d is not the only end of b's z edges
-                z_edges = adj[at_b[0][0] + at_b[1][0] - x][b]
-                if not z_edges & (z_edges - 1):
-                    allowed &= ~z_edges
+            allowed = partners[b] & ~(adj[x][mid] | 1 << mid)
             if allowed and (path := _row_path(adj, around, b, mid, x, cm, allowed)):
                 return path
     return None
+
+
+def _pair_table(around: list[list[tuple[int, int]]]) -> tuple[list[int], int]:
+    """(partners, live): partners[b] is the mask of the vertices d > b that
+    the module docstring's three rules leave to pair with b, and live the
+    mask of the b with partners.  ``around[v]`` is ``_colors_at(adj, v)``."""
+    n = len(around)
+    # multi: the vertices with two colors or more.  cset[v]: the color set
+    # of such a vertex with two or three colors, as a mask over colors (0
+    # for the others); by_colors groups them by it.  lone[v]: the vertices
+    # u such that v or u has two colors, one of them only on the edge uv.
+    multi = 0
+    cset = [0] * n
+    by_colors: dict[int, int] = {}
+    lone = [0] * n
+    for v, at_v in enumerate(around):
+        if len(at_v) == 1:
+            continue
+        bit = 1 << v
+        multi |= bit
+        if len(at_v) == 2:
+            (z, z_mask), (w, w_mask) = at_v
+            s = 1 << z | 1 << w
+            for mask in (z_mask, w_mask):
+                if not mask & (mask - 1):
+                    # rule 3: the lone edge ends at mid or at an end
+                    lone[v] |= mask
+                    lone[mask.bit_length() - 1] |= bit
+        elif len(at_v) == 3:
+            s = 1 << at_v[0][0] | 1 << at_v[1][0] | 1 << at_v[2][0]
+        else:
+            continue
+        cset[v] = s
+        by_colors[s] = by_colors.get(s, 0) | bit
+    # few[s], built when first needed: the vertices with two or three
+    # colors that see at most three colors together with a vertex of color
+    # set s
+    few: dict[int, int] = {}
+    partners = [0] * n
+    live = 0
+    # above: the vertices of multi past b, b taken in ascending order
+    above = multi
+    while above:
+        low = above & -above
+        above ^= low
+        b = low.bit_length() - 1
+        mates = above & ~lone[b]
+        s = cset[b]
+        if s and mates:
+            drop = few.get(s)
+            if drop is None:
+                drop = 0
+                for t, vs in by_colors.items():
+                    if (s | t).bit_count() <= 3:
+                        drop |= vs
+                few[s] = drop
+            mates &= ~drop
+        if mates:
+            partners[b] = mates
+            live |= low
+    return partners, live
 
 
 def _colors_at(adj: Sequence[Sequence[int]], v: int) -> list[tuple[int, int]]:

@@ -8,9 +8,11 @@ which re-runs both detectors and returns a replayable certificate;
 cover a query and returns the largest one that verifies.  The per-order
 check tests one member coloring per class: the structure-guided classes of
 ``p5free_classes`` for n >= 5, and all exact colorings up to color renaming
-below that.  The reported bad coloring is the canonically smallest one: one
-bounded search across the bad classes, ``least_canonical_form``, finds its
-key without finishing the others, and no class is decoded but that one.
+below that.  The reported bad coloring is the canonically smallest one.
+For n >= 5 one bounded search across the bad classes,
+``least_canonical_form``, finds its key without finishing the others, and
+no class is decoded but that one; below that the classes come decoded in
+key order, so it is the first bad class.
 """
 
 from __future__ import annotations
@@ -354,7 +356,9 @@ def check_n(
     bad = [c for c, miss in zip(classes, misses) if miss]
     if not bad:
         return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
-    witness = verify_witness(coloring_from_key(least_canonical_form(bad)), H)
+    # below n = 5 the classes come decoded in key order
+    least = bad[0] if n <= 4 else coloring_from_key(least_canonical_form(bad))
+    witness = verify_witness(least, H)
     return CheckOutcome(H, k, n, STATUS_BAD, witness, len(classes))
 
 

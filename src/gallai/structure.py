@@ -26,9 +26,12 @@ twice, and takes the first such color in profile order; (c) looks for a
 color whose edge count minus a vertex's degree in it is C(n-1, 2); (d)
 pairs single-edge colors sharing a vertex a and checks that the third
 side's color has no edge beyond it off a; (e) scans only the quads spanned
-by a 2-edge color class touching four vertices; (f) runs the template match
-only when the class sizes equal the template's.  Edge lists are built only
-for a witness and for the quads of (e).  The same shapes drive
+by a 2-edge color class touching four vertices, reading the colors of each
+quad's three perfect matchings from ``c.colors`` and the class sizes from
+the profile; (f) runs the template match only when the class sizes equal
+the template's, and then only over the 12 vertex permutations that send
+the template's one-edge class onto the host's.  Edge lists are built only
+for a witness.  The same shapes drive
 ``p5free_classes``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, one member coloring per vertex-and-color
 isomorphism class.  It tells candidates apart by ``coloring_invariant``
@@ -238,39 +241,28 @@ def _case_e(c: ColoredComplete, profile: dict):
             if count == 2 and touched.bit_count() == 4
         }
     )
-    if not quads:
-        return None
-    classes = {col: set(c.edges_in_color(col)) for col in profile}
-    for quad in quads:
-        q0, q1, q2, q3 = quad
-        matchings = [
-            {(q0, q1), (q2, q3)},
-            {(q0, q2), (q1, q3)},
-            {(q0, q3), (q1, q2)},
+    n, colors = c.n, c.colors
+    for q0, q1, q2, q3 in quads:
+        matchings = (((q0, q1), (q2, q3)), ((q0, q2), (q1, q3)), ((q0, q3), (q1, q2)))
+        # pair_colors[i]: the colors of matching i's two edges, as listed
+        pair_colors = [
+            tuple(colors[u * n - u * (u + 1) // 2 + w - u - 1] for u, w in m) for m in matchings
         ]
-        exact = {
-            i: col
-            for i, m in enumerate(matchings)
-            for col, cl in classes.items()
-            if cl == m
-        }
-        for iz, mz in enumerate(matchings):
-            others = [i for i in range(3) if i != iz]
-            if not all(i in exact for i in others):
+        # exact[i]: the color whose class is matching i, or 0
+        exact = [a if a == b and profile[a][0] == 2 else 0 for a, b in pair_colors]
+        for iz in range(3):
+            if not all(exact[i] for i in range(3) if i != iz):
                 continue
-            taken = {exact[others[0]], exact[others[1]]}
-            for col, cl in classes.items():
-                if col in taken or not cl or not cl <= mz:
-                    continue
-                ordered = sorted(mz)
-                if len(cl) == 1:
-                    ab = next(iter(cl))
-                    cd = next(e for e in ordered if e != ab)
-                    cd_in = False
-                else:
-                    ab, cd = ordered
-                    cd_in = True
-                return ab[0], ab[1], cd[0], cd[1], cd_in
+            (e1, e2), (col1, col2) = matchings[iz], pair_colors[iz]
+            # The class of ab lies inside this matching: both its edges, or
+            # one of them, the lower color first when both are single.
+            if col1 == col2:
+                if profile[col1][0] == 2:
+                    return (*e1, *e2, True)
+            elif profile[col1][0] == 1 and (col1 < col2 or profile[col2][0] != 1):
+                return (*e1, *e2, False)
+            elif profile[col2][0] == 1:
+                return (*e2, *e1, False)
     return None
 
 
@@ -279,20 +271,36 @@ _CASE_F_CLASSES = tuple(_CASE_F.edges_in_color(col) for col in range(1, _CASE_F.
 _CASE_F_SIZES = sorted(len(cl) for cl in _CASE_F_CLASSES)
 
 
+@lru_cache(maxsize=None)
+def _case_f_tries() -> dict[int, list]:
+    """For every edge of K5, keyed by its vertex mask: the vertex
+    permutations that send the template's one-edge class onto it, in
+    ``permutations`` order, each with the positions in ``colors`` of the
+    images of the template's three-edge classes."""
+    ((i, j),) = (cl[0] for cl in _CASE_F_CLASSES if len(cl) == 1)
+    tries: dict[int, list] = {}
+    for perm in permutations(range(5)):
+        images = tuple(
+            tuple(edge_index(*sorted((perm[a], perm[b])), 5) for a, b in cl)
+            for cl in _CASE_F_CLASSES
+            if len(cl) == 3
+        )
+        tries.setdefault(1 << perm[i] | 1 << perm[j], []).append((perm, images))
+    return tries
+
+
 def _case_f(c: ColoredComplete, profile: dict):
     if c.n != 5 or sorted(count for count, _ in profile.values()) != _CASE_F_SIZES:
         return None
-    for perm in permutations(range(5)):
-        assigned: list[int] = []
-        ok = True
-        for template_class in _CASE_F_CLASSES:
-            cols = {c.color_of(perm[i], perm[j]) for i, j in template_class}
-            if len(cols) != 1 or cols & set(assigned):
-                ok = False
-                break
-            assigned.append(cols.pop())
-        if ok:
-            return tuple(perm)
+    # A match sends every template class onto a host class, so the
+    # template's one-edge class onto the host's, and since the class sizes
+    # are equal, three-edge classes that each map into one color map into
+    # distinct ones.
+    lone = next(touched for count, touched in profile.values() if count == 1)
+    colors = c.colors
+    for perm, images in _case_f_tries()[lone]:
+        if all(colors[e] == colors[f] == colors[g] for e, f, g in images):
+            return perm
     return None
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from gallai import detectors
+from gallai import detectors, structure
 from gallai.constructions import BUILDERS, build_named, construction_grid
 from gallai.detectors import (
     _matching_with_pairs,
@@ -334,12 +334,49 @@ def _probe_outcome(c):
     return "hit" if mid == 0 and min(pair) == b else "miss"
 
 
+def _has_lone_edge(c):
+    """Whether some vertex of c has two colors, one of them on a single
+    edge: the hosts where the third pruning rule drops a pair."""
+    for v in range(c.n):
+        masks = [row[v] for row in c.adj if row[v]]
+        if len(masks) == 2 and any(not mask & (mask - 1) for mask in masks):
+            return True
+    return False
+
+
+def _lone_edge_hosts():
+    """Up to three seeded single-edge recolorings of every class in
+    _p5free_classes, kept when some vertex is left with two colors, one of
+    them on a single edge: a recolored apex spoke or part edge, or an edge
+    of the dominant color recolored at a vertex that had one color."""
+    rng = random.Random(8128)
+    for c in _p5free_classes():
+        kept = 0
+        for _ in range(12):
+            i, j = rng.sample(range(c.n), 2)
+            host = c.recolored(i, j, rng.randint(1, c.k))
+            if _has_lone_edge(host):
+                yield host
+                kept += 1
+                if kept == 3:
+                    break
+
+
 _DIFFERENTIAL_SETS = {
     **_SCAN_SETS,
     "p5free-classes": _p5free_classes,
     "recolored": _recolored_rainbow_free,
     "palette-dense": _palette_dense_colorings,
+    "lone-edge": _lone_edge_hosts,
 }
+
+_GUARD_GENERATORS = (
+    structure._candidates_case_b,
+    structure._candidates_case_c,
+    structure._candidates_case_d,
+    structure._candidates_case_e,
+    structure._candidates_case_f,
+)
 
 
 class TestPrunedScan:
@@ -374,6 +411,27 @@ class TestPrunedScan:
         rainbow 4-edge path and some stay rainbow-free."""
         found = [_reference_rainbow_path(c, 4) is not None for c in _recolored_rainbow_free()]
         assert any(found) and not all(found)
+
+    def test_lone_edge_set_holds_paths_and_free_hosts(self):
+        """The hosts where the third rule fires hold a rainbow 4-edge path,
+        and none, each many times."""
+        found = Counter(_reference_rainbow_path(c, 4) is not None for c in _lone_edge_hosts())
+        assert min(found[True], found[False]) >= 100, found
+
+    def test_guard_candidates_skip_the_row_walk(self, monkeypatch):
+        """At least 155 of the 191 candidates that p5free_classes guards at
+        n 5..9 and k 4..6 are found rainbow-free from the pair table alone:
+        no row of the color matrix is built for them."""
+        rows = []
+        color_rows = detectors._color_rows
+        monkeypatch.setattr(detectors, "_color_rows", lambda c: rows.append(c) or color_rows(c))
+        candidates = [
+            c for n in range(5, 10) for k in range(4, 7)
+            for gen in _GUARD_GENERATORS for c in gen(n, k)
+        ]
+        assert all(_rainbow_path(c, 4) is None for c in candidates)
+        assert len(candidates) == 191
+        assert len(candidates) - len(rows) >= 155, len(rows)
 
 
 class TestReverification:

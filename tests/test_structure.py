@@ -12,7 +12,7 @@ from gallai import structure
 from gallai.canonical import canonical_form, coloring_invariant
 from gallai.constructions import build_named, sporadic
 from gallai.detectors import find_rainbow_path
-from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
+from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, edge_index, pairs
 from gallai.structure import (
     TheoremViolation,
     classify_p4free,
@@ -334,6 +334,60 @@ class TestWitnessDifferential:
         assert len(_reference_witnesses(d_extra)["d"][3]) == 3
         assert _reference_witnesses(constant)["c"] == (0, 2)
         assert set(_reference_witnesses(case_f)) == {"f"}
+
+
+def _case_e_f_hosts():
+    """Seeded hosts for the (e) and (f) predicates: K5 four-colorings with
+    the template's class sizes (1, 3, 3, 3) in random places, relabeled
+    template copies, order 5..8 four-colorings round a random quad's three
+    matchings with up to two edges then recolored at random, uniform order
+    5..7 four-colorings, and a relabeling of every class at k = 4."""
+    rng = random.Random(2020)
+    sizes = [1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
+    for _ in range(3000):
+        rng.shuffle(sizes)
+        yield ColoredComplete(5, 4, sizes)
+    template = sporadic("TW-case-f")
+    for _ in range(100):
+        yield _relabeled(rng, template)
+    for _ in range(3000):
+        n = rng.randint(5, 8)
+        q0, q1, q2, q3 = rng.sample(range(n), 4)
+        special = [(q0, q1, 2), (q0, q2, 3), (q1, q3, 3), (q0, q3, 4), (q1, q2, 4)]
+        if rng.random() < 0.5:
+            special.append((q2, q3, 2))
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            special.append((*rng.sample(range(n), 2), rng.randint(1, 4)))
+        cols = [1] * edge_count(n)
+        for i, j, col in special:
+            cols[edge_index(min(i, j), max(i, j), n)] = col
+        yield _relabeled(rng, ColoredComplete(n, 4, cols))
+    for _ in range(1000):
+        n = rng.randint(5, 7)
+        yield ColoredComplete(n, 4, [rng.randint(1, 4) for _ in range(edge_count(n))])
+    for n in range(5, 10):
+        for c in enumerate_p5free(n, 4):
+            yield _relabeled(rng, c)
+
+
+# sha256 over repr((_case_e, _case_f)) on every host of _case_e_f_hosts,
+# recorded before either predicate stopped building edge sets or trying
+# every vertex permutation; 1836 (e) and 107 (f) witnesses among 7247 hosts.
+_CASE_E_F_SHA256 = "47d505b80cf6e3f531bd58597579617b28c34123d3377ddd773fb4640c061c45"
+
+
+class TestCaseEFWitnesses:
+    def test_every_witness_is_pinned(self):
+        digest = hashlib.sha256()
+        hits = {"e": 0, "f": 0}
+        for c in _case_e_f_hosts():
+            profile = structure._color_profile(c)
+            e, f = structure._case_e(c, profile), structure._case_f(c, profile)
+            hits["e"] += e is not None
+            hits["f"] += f is not None
+            digest.update(repr((e, f)).encode())
+        assert hits == {"e": 1836, "f": 107}
+        assert digest.hexdigest() == _CASE_E_F_SHA256
 
 
 def _leaves_disjoint(profile, dom):
