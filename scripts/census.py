@@ -2,7 +2,9 @@
 """Census of rainbow-path-free exact coloring classes.
 
 For each (n, k) in the requested ranges, print how many isomorphism classes
-the structure-guided enumerator finds and how long the scan took.
+the structure-guided enumerator finds and how long the scan took.  A pair
+outside the enumerator's limits ends the table with one ``error:`` line on
+stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ def main(argv: list[str] | None = None) -> int:
     for n in range(args.n_min, args.n_max + 1):
         for k in range(args.k_min, args.k_max + 1):
             start = time.monotonic()
-            reps = enumerate_p5free(n, k)
+            try:
+                reps = enumerate_p5free(n, k)
+            except ValueError as exc:  # (n, k) outside the enumerator's limits
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             elapsed = time.monotonic() - start
             print(f"{n:>3} {k:>3} {len(reps):>9} {elapsed:>9.2f}")
     return 0

@@ -26,13 +26,6 @@ vertex and every color, so it is an automorphism that maps the orders
 placing one twin next onto those placing the other, body for body, and the
 least body is unchanged.
 
-``coloring_invariant`` is the cheap test in front of the key: the sorted
-per-color (edge count, degree sequence) signatures that also label the
-refinement.  Different invariants mean different classes; only colorings
-whose invariants agree need their keys compared.  ``edge_degree_invariant``
-is a finer test for those: it adds, per color, the sorted endpoint-degree
-pairs of the color's edges.
-
 ``least_canonical_form`` is the least key of a list of colorings without
 finishing every key.  One branch-and-bound runs across the list: each
 coloring's search starts from the least body found so far, so a coloring
@@ -64,27 +57,6 @@ def _color_signatures(c: ColoredComplete) -> dict[int, tuple]:
         degs = tuple(sorted(mask.bit_count() for mask in c.adj[col]))
         sigs[col] = (sum(degs) // 2, degs)
     return sigs
-
-
-def coloring_invariant(c: ColoredComplete) -> tuple:
-    """Sorted tuple of the per-color signatures: unchanged when vertices and
-    colors are renamed, so colorings with different invariants are never
-    isomorphic.  Equal invariants decide nothing; ``canonical_form`` does."""
-    return tuple(sorted(_color_signatures(c).values()))
-
-
-def edge_degree_invariant(c: ColoredComplete) -> tuple:
-    """Sorted tuple over the used colors of (signature, sorted pairs of the
-    color-degrees of each edge's two ends): finer than
-    ``coloring_invariant`` and, like it, unchanged when vertices and colors
-    are renamed."""
-    sigs = _color_signatures(c)
-    deg = [[mask.bit_count() for mask in row] for row in c.adj]
-    ends: dict[int, list[tuple[int, int]]] = {col: [] for col in sigs}
-    for (i, j), col in zip(pairs(c.n), c.colors):
-        a, b = deg[col][i], deg[col][j]
-        ends[col].append((a, b) if a <= b else (b, a))
-    return tuple(sorted((sigs[col], tuple(sorted(e))) for col, e in ends.items()))
 
 
 def _edge_label_matrix(c: ColoredComplete, mat: list[list[int]]) -> list[list[int]]:

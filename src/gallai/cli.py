@@ -126,7 +126,10 @@ def _cmd_witness(args) -> int:
                 raise ValueError(f"bad --param {item!r}, expected key=value")
             if key in params:
                 raise ValueError(f"duplicate --param {key}")
-            params[key] = int(value)
+            try:
+                params[key] = int(value)
+            except ValueError:
+                raise ValueError(f"bad --param {item!r}, expected an integer value") from None
         coloring = build_named(args.construction, params)
         try:
             cert = verify_witness(coloring, H, label=args.construction)

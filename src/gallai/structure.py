@@ -34,9 +34,8 @@ the template's one-edge class onto the host's.  Edge lists are built only
 for a witness.  The same shapes drive
 ``p5free_classes``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, one member coloring per vertex-and-color
-isomorphism class.  It tells candidates apart by ``coloring_invariant``
-first, splits a shared invariant by ``edge_degree_invariant``, and
-computes a canonical key only where two candidates still agree.
+isomorphism class: the case generators emit pairwise non-isomorphic
+candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
 """
 
@@ -54,12 +53,7 @@ from itertools import (
 from operator import or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from gallai.canonical import (
-    canonical_form,
-    coloring_from_key,
-    coloring_invariant,
-    edge_degree_invariant,
-)
+from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import sporadic, star_augmented
 from gallai.detectors import Embedding, find_rainbow_path
 from gallai.graphs import (
@@ -457,9 +451,15 @@ def p5free_classes(
     is supported: with fewer colors no rainbow 4-edge path exists and the
     answer would be all colorings.
 
-    Every candidate of the case generators must be exact and rainbow-free;
-    one that is not is a generator bug and raises TheoremViolation.
-    Classes are formed by ``_merge_isomorphic``."""
+    The members are the case generators' candidates, in generation order.
+    Every candidate must be exact and rainbow-free; one that is not is a
+    generator bug and raises TheoremViolation.  No two candidates are
+    isomorphic, so none is dropped.  In case (b), color 1 is the one color
+    that touches every vertex, so an isomorphism fixes it and permutes the
+    parts; their sizes, and the graphs of equal-size parts, are chosen as
+    multisets.  Case (c) chooses its spoke counts as a multiset.  Cases (d)
+    to (f) are fixed shapes.  The census tests key every candidate over the
+    whole domain, n 5..9 x k 4..12, and find no two alike."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -489,38 +489,7 @@ def p5free_classes(
             )
 
     parallel_map(guard, candidates, workers)
-    return _merge_isomorphic(candidates)
-
-
-def _merge_isomorphic(colorings: Iterable[ColoredComplete]) -> list[ColoredComplete]:
-    """One member per vertex-and-color isomorphism class among the
-    colorings, in the order their buckets are first met.  Colorings are
-    bucketed by ``coloring_invariant``, and a shared bucket is split by
-    ``edge_degree_invariant``; a coloring alone in its bucket is a class of
-    its own, and canonical keys are computed only to merge what is left."""
-    classes: list[ColoredComplete] = []
-    for coarse in _buckets(colorings, coloring_invariant):
-        fine = [coarse] if len(coarse) == 1 else _buckets(coarse, edge_degree_invariant)
-        for members in fine:
-            if len(members) == 1:
-                classes.append(members[0])
-                continue
-            keyed: dict[bytes, ColoredComplete] = {}
-            for c in members:
-                keyed.setdefault(canonical_form(c), c)
-            classes.extend(keyed.values())
-    return classes
-
-
-def _buckets(
-    colorings: Iterable[ColoredComplete], invariant: Callable[[ColoredComplete], tuple]
-) -> list[list[ColoredComplete]]:
-    """The colorings grouped by equal invariant, groups and members in the
-    order they are first met."""
-    buckets: dict[tuple, list[ColoredComplete]] = {}
-    for c in colorings:
-        buckets.setdefault(invariant(c), []).append(c)
-    return list(buckets.values())
+    return candidates
 
 
 def enumerate_p5free(

@@ -13,8 +13,6 @@ from gallai.canonical import (
     _refined_cells,
     canonical_form,
     coloring_from_key,
-    coloring_invariant,
-    edge_degree_invariant,
     least_canonical_form,
 )
 from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
@@ -167,29 +165,6 @@ class TestLeastCanonicalForm:
             least_canonical_form([ColoredComplete.constant(4, 2), ColoredComplete.constant(5, 2)])
         with pytest.raises(UnsupportedSizeError):
             least_canonical_form([ColoredComplete.constant(11, 2)])
-
-
-class TestEdgeDegreeInvariant:
-    def test_survives_relabeling_1000(self):
-        rng = random.Random(1818)
-        for trial in range(1000):
-            n = rng.randint(2, 9)
-            c = _block_instance(rng, n, rng.randint(1, 6)) if trial % 2 else _random_instance(rng, 9, 6)
-            d = c.permuted(_random_vperm(rng, c.n), _random_cperm(rng, c.k))
-            assert edge_degree_invariant(d) == edge_degree_invariant(c)
-
-    def test_finer_than_the_coloring_invariant(self):
-        """A path on six vertices and a 4-cycle plus an edge, both in color
-        2 of K6, share the degree sequences of both colors but not the ends
-        of their edges."""
-        path = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)}
-        cycle_and_edge = {(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)}
-        x, y = (
-            ColoredComplete(6, 2, [2 if e in g else 1 for e in pairs(6)])
-            for g in (path, cycle_and_edge)
-        )
-        assert coloring_invariant(x) == coloring_invariant(y)
-        assert edge_degree_invariant(x) != edge_degree_invariant(y)
 
 
 class TestCompleteness:

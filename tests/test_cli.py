@@ -199,6 +199,16 @@ class TestWitness:
         assert code == EXIT_USAGE
         assert "key=value" in err
 
+    @pytest.mark.parametrize("param", ["t=abc", "t=", "t=1.5"])
+    def test_non_integer_param_names_itself(self, capsys, param):
+        code, out, err = run(
+            capsys, "witness", "--H", "K3", "--construction", "G5",
+            "--param", param, "--param", "k=3",
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: bad --param {param!r}, expected an integer value\n"
+
     def test_failed_verification(self, capsys):
         # every coloring has a single-color edge, so K2 can never be avoided
         code, _, err = run(capsys, "witness", "--H", "K2", "--construction", "G1")

@@ -251,10 +251,10 @@ class TestCheckNOutputs:
 
     @pytest.mark.parametrize("spec,bad", [("S5^1", 0), ("K5", 23), ("PA6,5", 24)])
     def test_keys_only_where_they_decide(self, monkeypatch, spec, bad):
-        """At (k, n) = (4, 9), with 79 classes: no candidate is keyed to be
-        merged and no bad class is keyed on its own; one bounded search
-        finds the least key of the bad classes, and only the witness is
-        decoded."""
+        """At (k, n) = (4, 9), with 79 classes: no candidate is keyed when
+        the classes are formed and no bad class is keyed on its own; one
+        bounded search finds the least key of the bad classes, and only the
+        witness is decoded."""
         H = parse_hspec(spec)
         classes = p5free_classes(9, 4)  # also warms the cached part graphs
         assert sum(find_mono_copy(c, H) is None for c in classes) == bad

@@ -9,7 +9,7 @@ from itertools import combinations, permutations
 import pytest
 
 from gallai import structure
-from gallai.canonical import canonical_form, coloring_invariant
+from gallai.canonical import canonical_form
 from gallai.constructions import build_named, sporadic
 from gallai.detectors import find_rainbow_path
 from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, edge_index, pairs
@@ -260,9 +260,8 @@ def _reference_witnesses(c):
 def _relabeled(rng, c):
     vperm = list(range(c.n))
     rng.shuffle(vperm)
-    cperm = list(range(1, c.k + 1))
-    rng.shuffle(cperm)
-    return c.permuted(vperm, [0] + cperm)
+    cperm = [0] + rng.sample(range(1, c.k + 1), c.k)
+    return c.permuted(vperm, cperm)
 
 
 # Rainbow-path-free builder outputs of order 5..9.
@@ -534,33 +533,6 @@ class TestEnumerate:
         assert one == many
 
 
-def _relabeled(rng, c):
-    vperm = list(range(c.n))
-    rng.shuffle(vperm)
-    cperm = [0] + rng.sample(range(1, c.k + 1), c.k)
-    return c.permuted(vperm, cperm)
-
-
-def _block_coloring(rng, n, k):
-    """A random vertex partition, one color inside each part and one
-    between each pair of parts."""
-    parts = rng.randint(1, n)
-    part = [rng.randrange(parts) for _ in range(n)]
-    inner = [rng.randint(1, k) for _ in range(parts)]
-    between = {pq: rng.randint(1, k) for pq in pairs(parts)}
-    colors = []
-    for i, j in pairs(n):
-        a, b = sorted((part[i], part[j]))
-        colors.append(inner[a] if a == b else between[(a, b)])
-    return ColoredComplete(n, k, colors)
-
-
-def _graph_coloring(n, edges):
-    """Two colors: the given graph in color 2, its complement in color 1."""
-    inside = {tuple(sorted(e)) for e in edges}
-    return ColoredComplete(n, 2, [2 if e in inside else 1 for e in pairs(n)])
-
-
 _GENERATORS = (
     structure._candidates_case_b,
     structure._candidates_case_c,
@@ -585,57 +557,13 @@ class TestClassPartition:
                 assert keys == {canonical_form(c) for c in candidates}, (n, k)
                 assert all(c.exact and (c.n, c.k) == (n, k) for c in classes)
 
-    def test_merge_partitions_as_keying_every_candidate(self, monkeypatch):
-        """Over the census, ``_merge_isomorphic`` picks one member from each
-        group of candidates sharing a key, the first one generated, and keys
-        none of them: the edge-degree invariant splits every shared
-        coloring invariant."""
-        keyed = []
-        real_key = structure.canonical_form
-        rng = random.Random(1616)
+    def test_classes_are_the_candidates_in_generation_order(self):
+        """Over the whole census, the classes are the generators' candidates
+        as they are: none dropped, none reordered."""
         for n in range(5, 10):
             for k in range(4, 13):
                 candidates = [c for gen in _GENERATORS for c in gen(n, k)]
-                groups: dict[bytes, list] = {}
-                for c in candidates:
-                    groups.setdefault(canonical_form(c), []).append(c)
-                monkeypatch.setattr(
-                    structure, "canonical_form", lambda c: keyed.append(c) or real_key(c)
-                )
-                classes = structure._merge_isomorphic(candidates)
-                monkeypatch.setattr(structure, "canonical_form", real_key)
-                assert len(classes) == len(groups), (n, k)
-                assert set(classes) == {g[0] for g in groups.values()}
-                # relabeled copies land in their originals' classes
-                copies = [_relabeled(rng, c) for c in candidates[::7]]
-                merged = structure._merge_isomorphic(candidates + copies)
-                assert merged == classes
-        assert keyed == []
-
-    def test_invariant_survives_relabeling_1000(self):
-        rng = random.Random(1515)
-        for trial in range(1000):
-            if trial % 2:
-                c = _random_coloring(rng, 2, 9, 1, 6)
-            else:
-                c = _block_coloring(rng, rng.randint(2, 9), rng.randint(1, 6))
-            assert coloring_invariant(_relabeled(rng, c)) == coloring_invariant(c)
-
-    def test_equal_invariants_stay_apart(self):
-        """A hexagon and two triangles in color 2 (complements: 3-regular in
-        color 1) share the invariant but are not isomorphic."""
-        hexagon = _graph_coloring(6, [(i, (i + 1) % 6) for i in range(6)])
-        triangles = _graph_coloring(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
-        assert coloring_invariant(hexagon) == coloring_invariant(triangles)
-        classes = structure._merge_isomorphic([hexagon, triangles])
-        assert classes == [hexagon, triangles]
-        assert canonical_form(hexagon) != canonical_form(triangles)
-
-    def test_relabeled_copies_merge(self):
-        rng = random.Random(7)
-        c = sporadic("F3")
-        classes = structure._merge_isomorphic([c, _relabeled(rng, c), _relabeled(rng, c)])
-        assert classes == [c]
+                assert p5free_classes(n, k) == candidates, (n, k)
 
 
 class TestParallelHelpers:
