@@ -65,7 +65,46 @@ of shape (d) or (e) with their special vertices at 0..3.
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
 omega - 1.  One loop over centres, lowest first, finds both; the inner
-search it is handed is the matching search or the clique search.
+search is the matching search or the clique search.
+
+The matching search (S_t^r) and the generic embedding search (K_t - M and
+arbitrary targets) branch on host vertices, and both skip twins.  Two
+vertices are twins in a color when they have the same neighbours in it,
+apart from each other (``graphs.twin_masks``).  Swapping two twins that no
+branch has placed is an automorphism of the color class that fixes every
+placed vertex, so a branch on one fails exactly when the branch on the
+other does.  Hence:
+
+  - the generic search, when candidate w fails at a position, drops w's
+    twins from that position's candidates;
+  - the matching search, when partner w of u fails, drops w's twins from
+    u's partners; and when it then leaves u unmatched it drops u's twins
+    too, since a matching that used a twin of u would swap into one that
+    uses u, and those all failed.
+
+Only branches without a copy are cut.  The generic search meets its copies
+in the same order, and the matching search's answer depends only on the
+set of r-matchings inside its vertex set (the lowest vertex any of them
+covers, then its lowest partner, and so on), which dropping vertices that
+no such matching uses leaves as it is.  So every embedding returned is the
+one found without the rule.  The witnesses are mostly blow-ups, whose parts
+are twin classes: the matching search visits 422 nodes in one certify
+pass of the benchmark (seed 11), where it visited 10,198 without the rule,
+and ``witness --H K9-M --k 4`` or ``--H S28^7 --k 4``, which ran
+without end, visit a few hundred.
+
+The twins are built once per host and color, and only when a branch
+first fails.  The matching search for r = 1 never backtracks, and most
+searches never fail a branch: one search pass of the benchmark makes 494
+searches and builds 6 twin tables, one certify pass 411 and 6.  Building
+the table for every search made the search workload's five S4^1 and S5^1
+jobs about 11 % slower together.
+
+Both searches count the nodes they visit in one color class.  Past
+MAX_SEARCH_NODES they raise UnsupportedSizeError, so a host that twins do
+not simplify, for instance a case-(b) coloring with a twin-free graph in
+each part, is refused (exit code 2) within a fraction of a second, never
+answered negatively.
 
 K_t and the clique of PA_{t,omega} are found by ``graphs.find_clique``, the
 one clique search.  It prunes a node when a greedy coloring of its
@@ -78,7 +117,7 @@ bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -86,12 +125,19 @@ from gallai.graphs import (
     FAMILY_STAR_PLUS,
     ColoredComplete,
     TargetGraph,
+    UnsupportedSizeError,
     edge_index,
     find_clique,
+    twin_masks,
 )
 
 RAINBOW_PATH = "rainbow_path"
 MONO_COPY = "mono_copy"
+
+# Nodes that the matching search or the generic embedding search may visit
+# in one color class before it gives up with UnsupportedSizeError (README
+# "Limits" states the largest count the benchmark and the tests reach).
+MAX_SEARCH_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -389,10 +435,43 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _matching_with_pairs(masks: Sequence[int], allowed: int, r: int) -> list[int] | None:
+class _SearchState:
+    """What one exhaustive search in one color class keeps between its
+    nodes: the class's twin masks, built when a branch first fails, and the
+    nodes it may still visit."""
+
+    __slots__ = ("masks", "_twins", "left")
+
+    def __init__(self, masks: Sequence[int]):
+        self.masks = masks
+        self._twins: list[int] | None = None
+        self.left = MAX_SEARCH_NODES
+
+    def twins(self, v: int) -> int:
+        """The mask of v and of its twins in the color class."""
+        if self._twins is None:
+            self._twins = twin_masks(self.masks)
+        return self._twins[v]
+
+    def over_budget(self) -> UnsupportedSizeError:
+        return UnsupportedSizeError(
+            f"the search for a monochromatic copy passed its budget of {MAX_SEARCH_NODES} "
+            "nodes in one color class"
+        )
+
+
+def _matching_with_pairs(
+    masks: Sequence[int], allowed: int, r: int, state: _SearchState
+) -> list[int] | None:
     """A matching of exactly r edges inside the vertex set ``allowed`` of the
     graph given by neighbor bitmasks, found by exact branching, as the ends
-    u1, w1, u2, w2, ... of its edges; or None."""
+    u1, w1, u2, w2, ... of its edges; or None.  A partner w that fails takes
+    its twins with it, and so does the vertex u when it is left unmatched
+    (module docstring).  ``state`` holds the twins and the node budget; the
+    calls for one color class share it."""
+    state.left -= 1
+    if state.left < 0:
+        raise state.over_budget()
     if r == 0:
         return []
     a = allowed
@@ -403,12 +482,15 @@ def _matching_with_pairs(masks: Sequence[int], allowed: int, r: int) -> list[int
             break
     else:
         return None
-    for w in _iter_bits(masks[u] & allowed):
-        rest = _matching_with_pairs(masks, allowed & ~(1 << u) & ~(1 << w), r - 1)
+    cand = masks[u] & allowed
+    while cand:
+        w = (cand & -cand).bit_length() - 1
+        rest = _matching_with_pairs(masks, allowed & ~(1 << u) & ~(1 << w), r - 1, state)
         if rest is not None:
             return [u, w] + rest
-    # leave u unmatched
-    return _matching_with_pairs(masks, allowed & ~(1 << u), r)
+        cand &= ~state.twins(w)
+    # leave u unmatched, and its twins with it
+    return _matching_with_pairs(masks, allowed & ~state.twins(u), r, state)
 
 
 def _embedding_from_assignment(
@@ -427,8 +509,10 @@ def find_mono_copy_generic(
     c: ColoredComplete, H: TargetGraph, color: int
 ) -> Embedding | None:
     """Backtracking embedding of H into one color class, highest-degree
-    target vertices first.  Works for every family; the tests check it and
-    the fast paths against a search over every injective vertex map."""
+    target vertices first.  A host vertex that fails at a position takes its
+    twins with it (module docstring).  Works for every family; the tests
+    check it and the fast paths against a search over every injective vertex
+    map."""
     t = H.order
     if t > c.n:
         return None
@@ -437,8 +521,12 @@ def find_mono_copy_generic(
     cmasks = c.adj[color]
     assign = [-1] * t
     full = (1 << c.n) - 1
+    state = _SearchState(cmasks)
 
     def rec(pos: int, used: int) -> bool:
+        state.left -= 1
+        if state.left < 0:
+            raise state.over_budget()
         if pos == t:
             return True
         hv = order[pos]
@@ -449,10 +537,13 @@ def find_mono_copy_generic(
                 cand &= cmasks[assign[hu]]
                 if not cand:
                     return False
-        for w in _iter_bits(cand):
+        while cand:
+            low = cand & -cand
+            w = low.bit_length() - 1
             assign[hv] = w
-            if rec(pos + 1, used | 1 << w):
+            if rec(pos + 1, used | low):
                 return True
+            cand &= ~state.twins(w)
         assign[hv] = -1
         return False
 
@@ -461,24 +552,25 @@ def find_mono_copy_generic(
     return None
 
 
-def _find_centered(
-    c: ColoredComplete,
-    H: TargetGraph,
-    color: int,
-    inner: Callable[[Sequence[int], int, int], list[int] | None],
-    size: int,
-) -> Embedding | None:
+def _find_centered(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
     """S_t^r or PA_{t,omega}: the lowest centre v with t - 1 neighbours in
-    ``color`` among which ``inner(masks, neighbours, size)`` finds the inner
-    pattern (r independent edges, or a clique of order omega - 1).  Target
-    vertex 0 goes to v, the next ones to the inner pattern's vertices in the
-    order found, the rest to v's lowest remaining neighbours."""
+    ``color`` among which the inner search finds the inner pattern: r
+    independent edges by the matching search, or a clique of order
+    omega - 1 by ``find_clique``.  Target vertex 0 goes to v, the next ones
+    to the inner pattern's vertices in the order found, the rest to v's
+    lowest remaining neighbours.  Every centre's matching search shares one
+    state, so the twins are built at most once per color class."""
     masks = c.adj[color]
+    star = H.family == FAMILY_STAR_PLUS
+    state = _SearchState(masks)
     for v in range(c.n):
         nb = masks[v]
         if nb.bit_count() < H.t - 1:
             continue
-        found = inner(masks, nb, size)
+        if star:
+            found = _matching_with_pairs(masks, nb, H.r, state)
+        else:
+            found = find_clique(masks, nb, H.omega - 1)
         if found is None:
             continue
         rest = [w for w in _iter_bits(nb) if w not in found]
@@ -508,12 +600,8 @@ def find_mono_copy_in_color(
         return _embedding_from_assignment(c, H, color, assign)
     if H.family == FAMILY_COMPLETE:
         return _find_complete(c, H, color)
-    if H.family == FAMILY_STAR_PLUS:
-        assert H.r is not None
-        return _find_centered(c, H, color, _matching_with_pairs, H.r)
-    if H.family == FAMILY_PINEAPPLE:
-        assert H.omega is not None
-        return _find_centered(c, H, color, find_clique, H.omega - 1)
+    if H.family in (FAMILY_STAR_PLUS, FAMILY_PINEAPPLE):
+        return _find_centered(c, H, color)
     return find_mono_copy_generic(c, H, color)
 
 

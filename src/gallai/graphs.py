@@ -21,7 +21,8 @@ class UnsupportedSizeError(ValueError):
 
 
 # Largest coloring order read from input or built from blocks, and largest
-# palette read from input; every grid row and dispatcher answer has order <= 40.
+# palette read from input; every grid row has order <= 40, and the dispatcher
+# answers S40^10 at k = 4 with order 57.
 MAX_COLORING_ORDER = 1024
 
 
@@ -117,16 +118,20 @@ class ColoredComplete:
             raise ValueError(
                 f"expected {edge_count(n)} edge colors for n={n}, got {len(colors)}"
             )
+        if colors and not (1 <= min(colors) and max(colors) <= k):
+            bad = next(c for c in colors if not 1 <= c <= k)
+            raise ValueError(f"edge color {bad} outside 1..{k}")
         adj = [[0] * n for _ in range(k + 1)]
-        idx = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                c = colors[idx]
-                idx += 1
-                if not 1 <= c <= k:
-                    raise ValueError(f"edge color {c} outside 1..{k}")
-                adj[c][i] |= 1 << j
-                adj[c][j] |= 1 << i
+        # row i of the edge order is the slice of edges i-j, j > i
+        start = 0
+        for i in range(n - 1):
+            end = start + n - 1 - i
+            bit = 1 << i
+            for j, c in enumerate(colors[start:end], i + 1):
+                row = adj[c]
+                row[i] |= 1 << j
+                row[j] |= bit
+            start = end
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "colors", colors)
@@ -492,6 +497,26 @@ def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] |
     if size == 0:
         return []
     return out if grow(start_mask) else None
+
+
+def twin_masks(masks: Sequence[int]) -> list[int]:
+    """``twin_masks(masks)[v]`` is the mask of v and of every vertex with the
+    same neighbours as v apart from each other, in the graph whose neighbour
+    bitmasks are ``masks``.
+
+    Non-adjacent twins share their open mask, adjacent twins their closed
+    mask, so one pass groups the vertices on both.  No vertex has twins of
+    both kinds: if u and v share an open mask and v and w a closed one, then
+    w is a neighbour of v and so of u, and u lies in the closed mask of w,
+    which is v's, against u and v being non-adjacent.  So the union of v's
+    two groups is its twin class."""
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, mask in enumerate(masks):
+        bit = 1 << v
+        by_open[mask] = by_open.get(mask, 0) | bit
+        by_closed[mask | bit] = by_closed.get(mask | bit, 0) | bit
+    return [by_open[mask] | by_closed[mask | 1 << v] for v, mask in enumerate(masks)]
 
 
 _RE_COMPLETE_MINUS = re.compile(r"K(\d+)-M")

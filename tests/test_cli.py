@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import sys
@@ -24,6 +25,7 @@ from gallai.cli import (
     format_value,
     main,
 )
+from gallai import detectors
 from gallai.constructions import BUILDERS, sporadic
 from gallai.formulas import GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
@@ -244,6 +246,66 @@ class TestWitness:
         code, out, err = run(capsys, "witness", "--H", "K3", "--k", k)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: need k >= 1, got k={k}\n"
+
+
+def _inline(order, edges):
+    return json.dumps({"order": order, "edges": [list(e) for e in edges]}, separators=(",", ":"))
+
+
+# Dispatcher queries whose monochromatic-copy searches finish only with
+# twin pruning: (target, k, label and order of the answer).
+TWIN_PRUNED_QUERIES = [
+    ("K8-M", 4, "G4", 21),
+    ("K9-M", 4, "G4", 32),
+    ("K12-M", 4, "G4", 55),
+    ("K12-M", 12, "G3", 12),
+    (_inline(12, [(i, (i + 1) % 12) for i in range(12)]), 4, "G5", 12),
+    (_inline(10, [(2 * i, 2 * i + 1) for i in range(5)]), 5, "G5", 10),
+    (_inline(12, [(2 * i, 2 * i + 1) for i in range(6)]), 5, "G5", 12),
+    ("S28^7", 4, "F5", 39),
+    ("S36^9", 4, "F5", 51),
+    ("S40^10", 4, "F5", 57),
+]
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize(
+        ("spec", "k", "label", "order"),
+        TWIN_PRUNED_QUERIES,
+        ids=["K8-M", "K9-M", "K12-M", "K12-M-k12", "C12", "5K2", "6K2"]
+        + ["S28^7", "S36^9", "S40^10"],
+    )
+    def test_witness_answers_and_replays(self, capsys, tmp_path, spec, k, label, order):
+        code, out, err = run(capsys, "witness", "--H", spec, "--k", str(k))
+        assert (code, err) == (EXIT_OK, "")
+        cert = json.loads(out)
+        assert (cert["label"], cert["order"]) == (label, order)
+        path = tmp_path / "cert.json"
+        path.write_text(out)
+        assert run(capsys, "verify", "--file", str(path)) == (EXIT_OK, out, "")
+
+    def test_search_over_budget_is_refused(self, capsys, tmp_path):
+        """A case-(b) coloring of K12: color 1 between three parts of four
+        vertices, and a path in color i + 1 inside part i.  It is exact and
+        rainbow-free, and color 1 has no twins and no vertex of degree 11.
+        So the search for a star with 11 leaves tries every ordering of up
+        to ten neighbours of each centre, and passes the budget."""
+        triples = []
+        for a, b in itertools.combinations(range(12), 2):
+            same = a // 4 == b // 4
+            triples.append((a, b, a // 4 + 2 if same and b == a + 1 else 1))
+        data = {
+            "coloring": ColoredComplete.from_edge_triples(12, 4, triples).to_json_dict(),
+            "target": _inline(12, [(0, leaf) for leaf in range(1, 12)]),
+        }
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: the search for a monochromatic copy passed its budget of "
+            f"{detectors.MAX_SEARCH_NODES} nodes in one color class\n"
+        )
 
 
 class TestCheck:

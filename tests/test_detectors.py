@@ -12,9 +12,11 @@ from dataclasses import replace
 import pytest
 
 from gallai import detectors, structure
-from gallai.constructions import BUILDERS, build_named, construction_grid
+from gallai.constructions import BUILDERS, blowup, build_named, construction_grid
 from gallai.detectors import (
     _matching_with_pairs,
+    _SearchState,
+    find_mono_copy_generic,
     _rainbow_path,
     check_mono_embedding,
     check_rainbow_embedding,
@@ -532,7 +534,7 @@ def _matching_sizes(c, color, allowed=None):
         allowed = (1 << c.n) - 1
 
     def finds(r):
-        ends = _matching_with_pairs(c.adj[color], allowed, r)
+        ends = _matching_with_pairs(c.adj[color], allowed, r, _SearchState(c.adj[color]))
         if ends is not None:
             assert len(ends) == 2 * r and len(set(ends)) == 2 * r
             assert all(allowed >> v & 1 for v in ends)
@@ -674,3 +676,192 @@ class TestCenteredSearchOutputs:
                     entry = None if emb is None else emb.to_json_dict()
                     digest.update(json.dumps(entry).encode())
         assert digest.hexdigest() == _CENTERED_SHA256
+
+
+def _unpruned_matching(masks, allowed, r):
+    """Reference: the matching search as it was before twin pruning and the
+    node budget."""
+    if r == 0:
+        return []
+    a = allowed
+    while a:
+        u = (a & -a).bit_length() - 1
+        a &= a - 1
+        if masks[u] & allowed & ~(1 << u):
+            break
+    else:
+        return None
+    for w in _bits(masks[u] & allowed):
+        rest = _unpruned_matching(masks, allowed & ~(1 << u) & ~(1 << w), r - 1)
+        if rest is not None:
+            return [u, w] + rest
+    return _unpruned_matching(masks, allowed & ~(1 << u), r)
+
+
+def _unpruned_generic(c, H, color):
+    """Reference: ``find_mono_copy_generic`` as it was before twin pruning
+    and the node budget, returning the host image of each target vertex, or
+    None."""
+    t = H.order
+    if t > c.n:
+        return None
+    hmasks = H.adjacency_masks()
+    order = sorted(range(t), key=lambda v: (-hmasks[v].bit_count(), v))
+    cmasks = c.adj[color]
+    assign = [-1] * t
+    full = (1 << c.n) - 1
+
+    def rec(pos, used):
+        if pos == t:
+            return True
+        hv = order[pos]
+        cand = full & ~used
+        for q in range(pos):
+            hu = order[q]
+            if hmasks[hv] >> hu & 1:
+                cand &= cmasks[assign[hu]]
+                if not cand:
+                    return False
+        for w in _bits(cand):
+            assign[hv] = w
+            if rec(pos + 1, used | 1 << w):
+                return True
+        assign[hv] = -1
+        return False
+
+    return tuple(assign) if rec(0, 0) else None
+
+
+def _unpruned_star_plus(c, H, color):
+    """Reference: the S_t^r search as it was before twin pruning, the host
+    image of each target vertex or None."""
+    masks = c.adj[color]
+    for v in range(c.n):
+        nb = masks[v]
+        if nb.bit_count() < H.t - 1:
+            continue
+        found = _unpruned_matching(masks, nb, H.r)
+        if found is None:
+            continue
+        rest = [w for w in _bits(nb) if w not in found]
+        return tuple([v] + found + rest[: H.t - 1 - len(found)])
+    return None
+
+
+def _blowup_hosts(seed, count, max_part):
+    """Blow-ups of seeded random reduced colorings, each part a one-color
+    clique of random size: every part is a twin class in every color."""
+    rng = random.Random(seed)
+    hosts = []
+    while len(hosts) < count:
+        m, k = rng.randint(2, 5), rng.randint(2, 4)
+        reduced = ColoredComplete(m, k, [rng.randint(1, k) for _ in range(edge_count(m))])
+        parts = [
+            ColoredComplete.constant(rng.randint(1, max_part), k, rng.randint(1, k))
+            for _ in range(m)
+        ]
+        try:
+            hosts.append(blowup(k, parts, reduced))
+        except ValueError:
+            continue  # the blow-up misses a color
+    return hosts
+
+
+def _relabeled_and_recolored(rng, c):
+    vperm = list(range(c.n))
+    rng.shuffle(vperm)
+    cperm = [0] + rng.sample(range(1, c.k + 1), c.k)
+    return c.permuted(vperm, cperm)
+
+
+def _random_target(rng):
+    t = rng.randint(3, 6)
+    edges = [e for e in itertools.combinations(range(t), 2) if rng.random() < 0.5]
+    return TargetGraph.arbitrary(t, edges or [(0, 1)])
+
+
+_GENERIC_TARGETS = (
+    [TargetGraph.complete_minus_matching(t) for t in range(3, 8)]
+    + [TargetGraph.complete(t) for t in (3, 4)]
+    + [TargetGraph.star_plus(5, 2), TargetGraph.star_plus(7, 3), TargetGraph.pineapple(5, 3)]
+    + [
+        TargetGraph.arbitrary(t, [(i, (i + 1) % t) for i in range(t)])  # the cycle C_t
+        for t in range(4, 8)
+    ]
+    + [TargetGraph.arbitrary(2 * m, [(2 * i, 2 * i + 1) for i in range(m)]) for m in (2, 3)]
+)
+
+
+class TestTwinPruning:
+    """The pruned searches return what the searches before pruning return,
+    on blow-up hosts, which are full of twins, and on copies of them."""
+
+    def _hosts(self, seed, count, max_part):
+        """Blow-ups, their relabeled and recolored copies, and copies with
+        two edges recolored, which split some twin classes."""
+        rng = random.Random(seed + 1)
+        hosts = _blowup_hosts(seed, count, max_part)
+        moved = []
+        for c in hosts:
+            d = c
+            for _ in range(2):
+                i, j = rng.sample(range(c.n), 2)
+                d = d.recolored(i, j, rng.randint(1, c.k))
+            moved.append(d)
+        return hosts + [_relabeled_and_recolored(rng, c) for c in hosts] + moved
+
+    def test_generic_search_matches_unpruned(self):
+        rng = random.Random(9)
+        outcomes = Counter()
+        for c in self._hosts(31, 40, 4):
+            targets = _GENERIC_TARGETS + [_random_target(rng) for _ in range(4)]
+            for H in targets:
+                for color in range(1, c.k + 1):
+                    emb = find_mono_copy_generic(c, H, color)
+                    want = _unpruned_generic(c, H, color)
+                    assert (None if emb is None else emb.vertices) == want, (c, H, color)
+                    outcomes[want is None] += 1
+        assert outcomes[True] > 500 and outcomes[False] > 500
+
+    def test_matching_search_matches_unpruned(self):
+        outcomes = Counter()
+        for c in self._hosts(32, 60, 5):
+            for color in range(1, c.k + 1):
+                masks = c.adj[color]
+                for allowed in [(1 << c.n) - 1, *masks]:
+                    for r in range(1, 5):
+                        want = _unpruned_matching(masks, allowed, r)
+                        got = _matching_with_pairs(masks, allowed, r, _SearchState(masks))
+                        assert got == want
+                        outcomes[want is None] += 1
+        assert outcomes[True] > 500 and outcomes[False] > 500
+
+    def test_star_plus_embeddings_match_unpruned(self):
+        """Every centre's matching search shares one twin table."""
+        targets = [
+            TargetGraph.star_plus(t, r) for t in range(3, 10) for r in range(1, (t - 1) // 2 + 1)
+        ]
+        found = 0
+        for c in self._hosts(33, 40, 5):
+            for H in targets:
+                for color in range(1, c.k + 1):
+                    emb = find_mono_copy_in_color(c, H, color)
+                    want = _unpruned_star_plus(c, H, color)
+                    assert (None if emb is None else emb.vertices) == want, (c, H, color)
+                    found += want is not None
+        assert found > 200
+
+    def test_small_hosts_agree_with_brute_force(self):
+        rng = random.Random(10)
+        for c in self._hosts(34, 60, 2):
+            if c.n > 7:
+                continue
+            for color in range(1, c.k + 1):
+                best = _brute_force_matching(c.edges_in_color(color))
+                finds = _matching_sizes(c, color)
+                assert finds(best) and not finds(best + 1)
+                for H in _GENERIC_TARGETS[:6] + [_random_target(rng)]:
+                    if H.order > 5:
+                        continue
+                    got = find_mono_copy_generic(c, H, color)
+                    assert (got is not None) == _brute_force_mono(c, H, color), (c, H, color)

@@ -20,6 +20,7 @@ from gallai.graphs import (
     edge_index,
     find_clique,
     pairs,
+    twin_masks,
     _json_int,
     _json_rows,
     parse_hspec,
@@ -66,6 +67,26 @@ class TestColoredComplete:
     def test_rejects_out_of_range_color(self):
         with pytest.raises(ValueError):
             ColoredComplete(3, 2, (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        ("colors", "bad"), [((1, 5, 0), 5), ((0, 5, 1), 0), ((2, 1, 3), 3)]
+    )
+    def test_names_first_off_palette_color_in_edge_order(self, colors, bad):
+        with pytest.raises(ValueError, match=rf"^edge color {bad} outside 1..2$"):
+            ColoredComplete(3, 2, colors)
+
+    def test_masks_match_edge_by_edge(self):
+        """The per-color masks, built row by row, are those that setting
+        one edge at a time gives."""
+        rng = random.Random(23)
+        for _ in range(200):
+            n, k = rng.randint(1, 12), rng.randint(1, 5)
+            colors = [rng.randint(1, k) for _ in range(edge_count(n))]
+            want = [[0] * n for _ in range(k + 1)]
+            for (i, j), color in zip(pairs(n), colors):
+                want[color][i] |= 1 << j
+                want[color][j] |= 1 << i
+            assert ColoredComplete(n, k, colors).adj == tuple(map(tuple, want))
 
     def test_immutable(self):
         c = ColoredComplete.constant(4, 2, 1)
@@ -370,6 +391,52 @@ class TestFindClique:
         digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
         assert len(found) == 212
         assert digest == "9a26874fd93b5cdd882addf6226de49a164927e623eba7ad61554a4f6782796d"
+
+
+def _twins_by_definition(masks):
+    """Reference: u is in v's class when their masks agree once each drops
+    the other."""
+    n = len(masks)
+    return [
+        sum(1 << u for u in range(n) if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
+        for v in range(n)
+    ]
+
+
+class TestTwinMasks:
+    def test_matches_definition_on_random_graphs(self):
+        rng = random.Random(4242)
+        nontrivial = 0
+        for _ in range(500):
+            n = rng.randint(1, 12)
+            density = rng.choice((0.1, 0.5, 0.9))
+            masks = [0] * n
+            for i, j in pairs(n):
+                if rng.random() < density:
+                    masks[i] |= 1 << j
+                    masks[j] |= 1 << i
+            want = _twins_by_definition(masks)
+            assert twin_masks(masks) == want, masks
+            nontrivial += any(mask & (mask - 1) for mask in want)
+        assert nontrivial > 100
+
+    def test_blowup_parts_are_twin_classes(self):
+        """In every color of a grid coloring the classes are those of the
+        definition; the blow-ups have classes of size two or more."""
+        largest = 0
+        for row in construction_grid():
+            c = build_named(row["name"], row["params"])
+            for color in range(1, c.k + 1):
+                got = twin_masks(c.adj[color])
+                assert got == _twins_by_definition(c.adj[color])
+                largest = max(largest, max(mask.bit_count() for mask in got))
+        assert largest >= 10
+
+    def test_both_kinds(self):
+        # a path 0-1-2 and an edge 3-4: 0 and 2 share their open mask, 3 and
+        # 4 their closed one
+        masks = [0b10, 0b101, 0b10, 0b10000, 0b1000]
+        assert twin_masks(masks) == [0b101, 0b10, 0b101, 0b11000, 0b11000]
 
 
 class TestHspecGrammar:
