@@ -65,10 +65,16 @@ of shape (d) or (e) with their special vertices at 0..3.
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
 omega - 1.  One loop over centres, lowest first, finds both; the inner
-search is the matching search or the clique search.
+search is the matching search or the clique search.  K_t and the clique
+of PA_{t,omega} are found by ``graphs.find_clique``, the one clique
+search.  It prunes a node when a greedy coloring of its candidates into
+independent sets needs fewer classes than the vertices still missing;
+that cuts only subtrees without a clique and keeps the ascending branching
+order, so each embedding is the one found without the bound.
 
-The matching search (S_t^r) and the generic embedding search (K_t - M and
-arbitrary targets) branch on host vertices, and both skip twins.  Two
+The three searches that branch on host vertices, the matching search
+(S_t^r), the clique search (K_t and PA_{t,omega}) and the generic
+embedding search (K_t - M and arbitrary targets), all skip twins.  Two
 vertices are twins in a color when they have the same neighbours in it,
 apart from each other (``graphs.twin_masks``).  Swapping two twins that no
 branch has placed is an automorphism of the color class that fixes every
@@ -77,41 +83,53 @@ other does.  Hence:
 
   - the generic search, when candidate w fails at a position, drops w's
     twins from that position's candidates;
+  - the clique search, when branch vertex w fails, drops w's twins from
+    the candidates left at that node (the ``find_clique`` docstring);
   - the matching search, when partner w of u fails, drops w's twins from
     u's partners; and when it then leaves u unmatched it drops u's twins
     too, since a matching that used a twin of u would swap into one that
-    uses u, and those all failed.
+    uses u, and those all failed;
+  - the loop over centres, when the inner search fails at centre u, skips
+    u's twins as centres.  For PA_{t,omega} it also leaves u and its twins
+    out of every later centre's clique search: a K_omega through u would
+    give an (omega - 1)-clique in u's neighbourhood, so u, and by the
+    automorphism each twin of u, lies in no K_omega, and no clique in a
+    later neighbourhood that completes to one can use them.
 
-Only branches without a copy are cut.  The generic search meets its copies
-in the same order, and the matching search's answer depends only on the
-set of r-matchings inside its vertex set (the lowest vertex any of them
-covers, then its lowest partner, and so on), which dropping vertices that
-no such matching uses leaves as it is.  So every embedding returned is the
-one found without the rule.  The witnesses are mostly blow-ups, whose parts
-are twin classes: the matching search visits 422 nodes in one certify
-pass of the benchmark (seed 11), where it visited 10,198 without the rule,
-and ``witness --H K9-M --k 4`` or ``--H S28^7 --k 4``, which ran
-without end, visit a few hundred.
+Two degree counts cut more: K_t is searched among the vertices of degree
+t - 1 or more only, and the generic search's first position, its target
+vertex of highest degree d, takes only host vertices of degree d or more.
 
-The twins are built once per host and color, and only when a branch
-first fails.  The matching search for r = 1 never backtracks, and most
-searches never fail a branch: one search pass of the benchmark makes 494
-searches and builds 6 twin tables, one certify pass 411 and 6.  Building
-the table for every search made the search workload's five S4^1 and S5^1
-jobs about 11 % slower together.
+Only branches without a copy are cut.  The generic and clique searches
+meet their copies in the same order, the matching search's answer depends
+only on the set of r-matchings inside its vertex set (the lowest vertex
+any of them covers, then its lowest partner, and so on), which dropping
+vertices that no such matching uses leaves as it is, and the loop over
+centres skips only centres that fail.  So every embedding returned is the
+one found without the rules.  The witnesses are mostly blow-ups, whose
+parts are twin classes.  In one certify pass of the benchmark (seed 11)
+the matching search visits 152 nodes, against 10,198 without any twin
+rule and 422 with the twin rules inside the matching search alone; the
+clique search makes 306 calls that visit 526 nodes, against 652 and
+2,378 without its twin rules, the skipped centres and the degree count.
+``witness --H K9-M --k 4`` or ``--H S28^7 --k 4``, which ran without end
+before the twin rules, visit a few hundred nodes, and
+``witness --H PA9,6 --k 6`` makes 5 clique searches where it made 40.
 
-Both searches count the nodes they visit in one color class.  Past
-MAX_SEARCH_NODES they raise UnsupportedSizeError, so a host that twins do
-not simplify, for instance a case-(b) coloring with a twin-free graph in
-each part, is refused (exit code 2) within a fraction of a second, never
-answered negatively.
+The twins are built once per host and color, and only when a branch or a
+centre first fails.  The matching search for r = 1 never backtracks, and
+most searches never fail a branch: one search pass of the benchmark makes
+804 searches and builds 84 twin tables, one certify pass 588 and 61.
+Building the table for every search made the search workload's five S4^1
+and S5^1 jobs about 11 % slower together.
 
-K_t and the clique of PA_{t,omega} are found by ``graphs.find_clique``, the
-one clique search.  It prunes a node when a greedy coloring of its
-candidates into independent sets needs fewer classes than the vertices
-still missing; that cuts only subtrees without a clique and keeps the
-ascending branching order, so each embedding is the one found without the
-bound.
+The three searches count the nodes they visit in one color class against
+one budget.  Past MAX_SEARCH_NODES they raise UnsupportedSizeError, so a
+host that twins do not simplify, for instance a random bipartite graph
+in one color checked for an odd cycle, or a random coloring of K600
+checked for K14, is refused (exit code 2) within seconds, never answered
+negatively.  ``TargetGraph.clique_number`` calls ``find_clique`` without a
+state, so targets, of order 12 at most, are searched without a budget.
 """
 
 from __future__ import annotations
@@ -134,8 +152,8 @@ from gallai.graphs import (
 RAINBOW_PATH = "rainbow_path"
 MONO_COPY = "mono_copy"
 
-# Nodes that the matching search or the generic embedding search may visit
-# in one color class before it gives up with UnsupportedSizeError (README
+# Nodes that the matching, clique or generic embedding search may visit in
+# one color class before it gives up with UnsupportedSizeError (README
 # "Limits" states the largest count the benchmark and the tests reach).
 MAX_SEARCH_NODES = 200_000
 
@@ -437,8 +455,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 class _SearchState:
     """What one exhaustive search in one color class keeps between its
-    nodes: the class's twin masks, built when a branch first fails, and the
-    nodes it may still visit."""
+    nodes (``graphs.SearchState``): the class's twin masks, built when a
+    branch first fails, and the nodes it may still visit."""
 
     __slots__ = ("masks", "_twins", "left")
 
@@ -493,6 +511,15 @@ def _matching_with_pairs(
     return _matching_with_pairs(masks, allowed & ~state.twins(u), r, state)
 
 
+def _degree_at_least(masks: Sequence[int], d: int) -> int:
+    """The mask of the vertices with at least d neighbours."""
+    found = 0
+    for v, mask in enumerate(masks):
+        if mask.bit_count() >= d:
+            found |= 1 << v
+    return found
+
+
 def _embedding_from_assignment(
     c: ColoredComplete, H: TargetGraph, color: int, assign: list[int]
 ) -> Embedding:
@@ -509,8 +536,9 @@ def find_mono_copy_generic(
     c: ColoredComplete, H: TargetGraph, color: int
 ) -> Embedding | None:
     """Backtracking embedding of H into one color class, highest-degree
-    target vertices first.  A host vertex that fails at a position takes its
-    twins with it (module docstring).  Works for every family; the tests
+    target vertices first.  The first position takes only host vertices of
+    at least its degree, and a host vertex that fails at a position takes
+    its twins with it (module docstring).  Works for every family; the tests
     check it and the fast paths against a search over every injective vertex
     map."""
     t = H.order
@@ -521,6 +549,7 @@ def find_mono_copy_generic(
     cmasks = c.adj[color]
     assign = [-1] * t
     full = (1 << c.n) - 1
+    roots = _degree_at_least(cmasks, hmasks[order[0]].bit_count())
     state = _SearchState(cmasks)
 
     def rec(pos: int, used: int) -> bool:
@@ -530,7 +559,7 @@ def find_mono_copy_generic(
         if pos == t:
             return True
         hv = order[pos]
-        cand = full & ~used
+        cand = full & ~used if pos else roots
         for q in range(pos):
             hu = order[q]
             if hmasks[hv] >> hu & 1:
@@ -558,20 +587,24 @@ def _find_centered(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding 
     independent edges by the matching search, or a clique of order
     omega - 1 by ``find_clique``.  Target vertex 0 goes to v, the next ones
     to the inner pattern's vertices in the order found, the rest to v's
-    lowest remaining neighbours.  Every centre's matching search shares one
-    state, so the twins are built at most once per color class."""
+    lowest remaining neighbours.  A centre whose inner search fails takes
+    its twins with it, and for PA_{t,omega} it leaves every later clique
+    search too (module docstring).  Every centre's search shares one state,
+    so the twins are built at most once per color class."""
     masks = c.adj[color]
     star = H.family == FAMILY_STAR_PLUS
     state = _SearchState(masks)
+    failed = 0
     for v in range(c.n):
         nb = masks[v]
-        if nb.bit_count() < H.t - 1:
+        if failed >> v & 1 or nb.bit_count() < H.t - 1:
             continue
         if star:
             found = _matching_with_pairs(masks, nb, H.r, state)
         else:
-            found = find_clique(masks, nb, H.omega - 1)
+            found = find_clique(masks, nb & ~failed, H.omega - 1, state)
         if found is None:
+            failed |= state.twins(v)
             continue
         rest = [w for w in _iter_bits(nb) if w not in found]
         assign = [v] + found + rest[: H.t - 1 - len(found)]
@@ -580,8 +613,10 @@ def _find_centered(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding 
 
 
 def _find_complete(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
+    """K_t: ``find_clique`` over the vertices of degree t - 1 or more in
+    ``color``, the only ones a copy can use."""
     masks = c.adj[color]
-    clique = find_clique(masks, (1 << c.n) - 1, H.t)
+    clique = find_clique(masks, _degree_at_least(masks, H.t - 1), H.t, _SearchState(masks))
     if clique is None:
         return None
     return _embedding_from_assignment(c, H, color, clique)

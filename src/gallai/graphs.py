@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 
 class UnsupportedSizeError(ValueError):
@@ -455,7 +455,23 @@ class TargetGraph:
         return omega
 
 
-def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] | None:
+class SearchState(Protocol):
+    """What a search in one color class shares between its calls (the
+    monochromatic-copy searches in ``detectors`` make one per host and
+    color): the nodes it may still visit, and the twin classes."""
+
+    left: int
+
+    def twins(self, v: int) -> int:
+        """The mask of v and of its twins in the color class."""
+
+    def over_budget(self) -> Exception:
+        """The error to raise once ``left`` drops below 0."""
+
+
+def find_clique(
+    masks: Sequence[int], start_mask: int, size: int, state: SearchState | None = None
+) -> list[int] | None:
     """A clique of the given size inside the vertex set start_mask, where
     masks[v] is v's neighbor bitmask; lexicographically first, or None.
 
@@ -465,10 +481,32 @@ def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] |
     fewer classes than ``need`` prove that the node holds no completion
     (Tomita & Seki, DMTCS 2003, LNCS 2731).  The bound only cuts subtrees
     without a clique; branching still takes candidates in ascending order,
-    so the clique returned is the one the plain search returns."""
+    so the clique returned is the one the plain search returns.
+
+    With a ``state`` of the graph ``masks``, every node counts against its
+    budget, and a branch vertex v that fails takes its twins with it: if a
+    twin w of v, still a candidate, completed the clique with a set K, then
+    K holds neither v nor w, every vertex of K is a neighbour of w and so of
+    v, and K lies among v's candidates, so v's branch would have found
+    K + v.  Only failing branches are cut, and the clique returned is the
+    same.  The twins are read only when a branch fails with enough
+    candidates left to go on.
+
+    A caller completing a clique in the neighbourhood of v to one through v
+    may leave out of start_mask every vertex u whose own neighbourhood held
+    no clique of this size, with u's twins: a clique of size + 1 through u
+    would give one, so u lies in none, and nor does a twin of u, by the
+    automorphism that swaps the two.  No clique in v's neighbourhood that
+    completes through v uses them, so the clique returned is the same (the
+    PA_{t,omega} search in ``detectors`` does this with its failed
+    centres)."""
     out: list[int] = []
 
     def grow(cand: int) -> bool:
+        if state is not None:
+            state.left -= 1
+            if state.left < 0:
+                raise state.over_budget()
         need = size - len(out)
         if need == 0:
             return True
@@ -492,6 +530,8 @@ def find_clique(masks: Sequence[int], start_mask: int, size: int) -> list[int] |
             out.pop()
             if len(out) + c.bit_count() < size:
                 return False
+            if state is not None:
+                c &= ~state.twins(v)
         return False
 
     if size == 0:

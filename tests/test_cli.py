@@ -7,9 +7,11 @@ import io
 import itertools
 import json
 import os
+import random
 import sys
 import tempfile
 import time
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -26,10 +28,10 @@ from gallai.cli import (
     main,
 )
 from gallai import detectors
-from gallai.constructions import BUILDERS, sporadic
+from gallai.constructions import BUILDERS, construction_grid, sporadic
 from gallai.formulas import GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
-from gallai.search import verify_witness
+from gallai.search import replay_certificate, verify_witness
 from gallai.structure import enumerate_p5free
 
 
@@ -285,18 +287,19 @@ class TestSearchBudget:
         assert run(capsys, "verify", "--file", str(path)) == (EXIT_OK, out, "")
 
     def test_search_over_budget_is_refused(self, capsys, tmp_path):
-        """A case-(b) coloring of K12: color 1 between three parts of four
-        vertices, and a path in color i + 1 inside part i.  It is exact and
-        rainbow-free, and color 1 has no twins and no vertex of degree 11.
-        So the search for a star with 11 leaves tries every ordering of up
-        to ten neighbours of each centre, and passes the budget."""
-        triples = []
-        for a, b in itertools.combinations(range(12), 2):
-            same = a // 4 == b // 4
-            triples.append((a, b, a // 4 + 2 if same and b == a + 1 else 1))
+        """A 2-coloring of K20: color 1 a seeded random bipartite graph
+        between {0..9} and {10..19}, every other edge color 2.  Color 1 has
+        no odd cycle, but no degree count or twin class shows that it holds
+        no 11-cycle, so the search for one passes the budget (it needs about
+        two million nodes to finish)."""
+        rng = random.Random(1)
+        triples = [
+            (a, b, 1 if a < 10 <= b and rng.random() < 0.5 else 2)
+            for a, b in itertools.combinations(range(20), 2)
+        ]
         data = {
-            "coloring": ColoredComplete.from_edge_triples(12, 4, triples).to_json_dict(),
-            "target": _inline(12, [(0, leaf) for leaf in range(1, 12)]),
+            "coloring": ColoredComplete.from_edge_triples(20, 2, triples).to_json_dict(),
+            "target": _inline(11, [(i, (i + 1) % 11) for i in range(11)]),
         }
         path = tmp_path / "cert.json"
         path.write_text(json.dumps(data))
@@ -306,6 +309,64 @@ class TestSearchBudget:
             "error: the search for a monochromatic copy passed its budget of "
             f"{detectors.MAX_SEARCH_NODES} nodes in one color class\n"
         )
+
+    def test_clique_search_over_budget_is_refused(self, capsys, tmp_path):
+        """A seeded random 2-coloring of K600 checked for K14: the clique
+        search counts its nodes against the same budget."""
+        rng = random.Random(5)
+        colors = [rng.randint(1, 2) for _ in range(600 * 599 // 2)]
+        data = {"coloring": ColoredComplete(600, 2, colors).to_json_dict(), "target": "K14"}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (
+            "error: the search for a monochromatic copy passed its budget of "
+            f"{detectors.MAX_SEARCH_NODES} nodes in one color class\n"
+        )
+
+
+class TestSearchNodeCounts:
+    """Node counts, not timings, of the monochromatic-copy searches over the
+    benchmark's certify job list: every grid row's witness and the replay
+    of its certificate, then every eval-sweep query through ``eval`` and the
+    witness dispatcher."""
+
+    def test_certify_job_list(self, capsys, monkeypatch):
+        counts = Counter()
+        clique = detectors.find_clique
+        matching = detectors._matching_with_pairs
+
+        def counted_clique(masks, start, size, state):
+            before = state.left
+            try:
+                return clique(masks, start, size, state)
+            finally:
+                counts["clique calls"] += 1
+                counts["clique nodes"] += before - state.left
+
+        def counted_matching(*args):
+            counts["matching calls"] += 1
+            return matching(*args)
+
+        monkeypatch.setattr(detectors, "find_clique", counted_clique)
+        monkeypatch.setattr(detectors, "_matching_with_pairs", counted_matching)
+        for row in construction_grid():
+            argv = ["witness", "--H", row["target"], "--construction", row["name"]]
+            for key, value in row["params"].items():
+                argv += ["--param", f"{key}={value}"]
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            replay_certificate(json.loads(out))
+        sweep = resources.files("gallai").joinpath("data/eval_sweep.txt").read_text()
+        for line in sweep.splitlines():
+            if line.strip() and not line.startswith("#"):
+                spec, k = line.split()
+                run(capsys, "eval", "--H", spec, "--k", k, "--mode", "table")
+                run(capsys, "witness", "--H", spec, "--k", k)
+        # before the clique side skipped twins and failed centres: 652 clique
+        # calls, 2,378 clique nodes and 422 matching calls
+        assert counts == {"clique calls": 306, "clique nodes": 526, "matching calls": 152}
 
 
 class TestCheck:

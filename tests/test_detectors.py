@@ -25,9 +25,12 @@ from gallai.detectors import (
     find_rainbow_path,
 )
 from gallai.graphs import (
+    FAMILY_COMPLETE,
+    FAMILY_STAR_PLUS,
     ColoredComplete,
     TargetGraph,
     edge_count,
+    find_clique,
 )
 from gallai.search import _has_rainbow_p5_direct
 from gallai.structure import enumerate_p5free
@@ -515,7 +518,9 @@ class TestReverification:
         """A clique search result that is no monochromatic copy fails the
         re-check inside the detector."""
         c = ColoredComplete.constant(5, 2, 1).recolored(0, 1, 2)
-        monkeypatch.setattr(detectors, "find_clique", lambda masks, start, size: [0, 1, 2])
+        monkeypatch.setattr(
+            detectors, "find_clique", lambda masks, start, size, state=None: [0, 1, 2]
+        )
         with pytest.raises(RuntimeError, match="failed re-verification"):
             find_mono_copy_in_color(c, TargetGraph.complete(3), 1)
 
@@ -748,6 +753,73 @@ def _unpruned_star_plus(c, H, color):
     return None
 
 
+def _unpruned_clique(masks, start_mask, size):
+    """Reference: ``graphs.find_clique`` as it was before twin pruning and
+    the node budget."""
+    out = []
+
+    def grow(cand):
+        need = size - len(out)
+        if need == 0:
+            return True
+        uncolored, classes = cand, 0
+        while classes < need:
+            if not uncolored:
+                return False
+            classes += 1
+            free = uncolored
+            while free:
+                low = free & -free
+                uncolored ^= low
+                free &= ~masks[low.bit_length() - 1] & ~low
+        c = cand
+        while c:
+            v = (c & -c).bit_length() - 1
+            c &= c - 1
+            out.append(v)
+            if grow(c & masks[v]):
+                return True
+            out.pop()
+            if len(out) + c.bit_count() < size:
+                return False
+        return False
+
+    if size == 0:
+        return []
+    return out if grow(start_mask) else None
+
+
+def _unpruned_centered(c, H, color):
+    """Reference: the S_t^r and PA_{t,omega} search as it was before it
+    skipped failed centres, the host image of each target vertex or None."""
+    masks = c.adj[color]
+    for v in range(c.n):
+        nb = masks[v]
+        if nb.bit_count() < H.t - 1:
+            continue
+        if H.family == FAMILY_STAR_PLUS:
+            found = _unpruned_matching(masks, nb, H.r)
+        else:
+            found = _unpruned_clique(masks, nb, H.omega - 1)
+        if found is None:
+            continue
+        rest = [w for w in _bits(nb) if w not in found]
+        return tuple([v] + found + rest[: H.t - 1 - len(found)])
+    return None
+
+
+def _random_hosts(seed, count):
+    """Seeded random colorings with color 1 on about half the edges, so that
+    the larger targets are found too."""
+    rng = random.Random(seed)
+    hosts = []
+    for _ in range(count):
+        n, k = rng.randint(5, 16), rng.randint(2, 4)
+        colors = [1 if rng.random() < 0.5 else rng.randint(1, k) for _ in range(edge_count(n))]
+        hosts.append(ColoredComplete(n, k, colors))
+    return hosts
+
+
 def _blowup_hosts(seed, count, max_part):
     """Blow-ups of seeded random reduced colorings, each part a one-color
     clique of random size: every part is a twin class in every color."""
@@ -850,6 +922,41 @@ class TestTwinPruning:
                     assert (None if emb is None else emb.vertices) == want, (c, H, color)
                     found += want is not None
         assert found > 200
+
+    def test_clique_search_matches_unpruned(self):
+        outcomes = Counter()
+        for c in self._hosts(35, 40, 5) + _random_hosts(36, 40):
+            for color in range(1, c.k + 1):
+                masks = c.adj[color]
+                for start in [(1 << c.n) - 1, *masks]:
+                    for size in range(1, 7):
+                        want = _unpruned_clique(masks, start, size)
+                        got = find_clique(masks, start, size, _SearchState(masks))
+                        assert got == want, (c, color, start, size)
+                        outcomes[want is None] += 1
+        assert outcomes[True] > 2000 and outcomes[False] > 2000
+
+    def test_clique_and_centered_embeddings_match_unpruned(self):
+        """K_t searched from the vertices of degree t - 1 or more only, and
+        S_t^r and PA_{t,omega} with failed centres and their twins skipped."""
+        targets = [TargetGraph.complete(t) for t in range(2, 8)]
+        targets += [TargetGraph.pineapple(t, w) for t in range(3, 10) for w in range(2, t)]
+        targets += [
+            TargetGraph.star_plus(t, r) for t in range(3, 10) for r in range(1, (t - 1) // 2 + 1)
+        ]
+        found = Counter()
+        for c in self._hosts(37, 30, 5) + _random_hosts(38, 40):
+            for H in targets:
+                for color in range(1, c.k + 1):
+                    emb = find_mono_copy_in_color(c, H, color)
+                    if H.family == FAMILY_COMPLETE:
+                        clique = _unpruned_clique(c.adj[color], (1 << c.n) - 1, H.t)
+                        want = None if clique is None else tuple(clique)
+                    else:
+                        want = _unpruned_centered(c, H, color)
+                    assert (None if emb is None else emb.vertices) == want, (c, H, color)
+                    found[H.family, want is None] += 1
+        assert min(found.values()) > 100 and len(found) == 6
 
     def test_small_hosts_agree_with_brute_force(self):
         rng = random.Random(10)
