@@ -12,7 +12,12 @@ below that.  The reported bad coloring is the canonically smallest one.
 For n >= 5 one bounded search across the bad classes,
 ``least_canonical_form``, finds its key without finishing the others, and
 no class is decoded but that one; below that the classes come decoded in
-key order, so it is the first bad class.
+key order, so it is the first bad class.  Both class lists depend on (n, k)
+alone and are built once per process: ``p5free_classes`` reads its table,
+and ``_small_order_classes`` caches its three entries.  Checking many
+targets at the same orders in one process, as ``compute_gr`` sweeps and the
+tests do, pays for generation and the rainbow guard once per (n, k); a
+one-shot CLI command builds what it needs and gains nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import json
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import lru_cache
 
 from gallai.canonical import canonical_form, coloring_from_key, least_canonical_form
 from gallai.constructions import build_named
@@ -324,10 +330,13 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
     return frozenset(_rainbow_free_class_keys(n, k))
 
 
-def _small_order_classes(n: int, k: int) -> list[ColoredComplete]:
+@lru_cache(maxsize=None)
+def _small_order_classes(n: int, k: int) -> tuple[ColoredComplete, ...]:
     """Exact coloring classes for n <= 4, where no 4-edge path fits and thus
-    every exact coloring qualifies, decoded from their keys in key order."""
-    return [coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k))]
+    every exact coloring qualifies, decoded from their keys in key order.
+    Cached per process like ``p5free_classes``; ``check_n`` asks only for
+    (4, 4), (4, 5) and (4, 6), 10 colorings in all."""
+    return tuple(coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k)))
 
 
 def check_n(
@@ -339,7 +348,10 @@ def check_n(
     ``examined`` counts the classes.  A class is one member coloring, tested
     as it is (a monochromatic copy survives renaming); when bad classes
     exist the reported witness is the canonically smallest, decoded from
-    the least key of the bad members.
+    the least key of the bad members.  The classes come from per-process
+    tables keyed on (n, k), which hold at most 48 entries (n 4..9); only
+    the monochromatic tests and the witness depend on H.  The arguments
+    and ``threads`` are validated on every call, before any table is read.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")

@@ -37,6 +37,14 @@ without a rainbow 4-edge path, one member coloring per vertex-and-color
 isomorphism class: the case generators emit pairwise non-isomorphic
 candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
+
+The classes depend on (n, k) alone, so ``p5free_classes`` generates and
+guards each (n, k) once per process and keeps the result in an immutable
+table that every later call reads; its arguments are validated on every
+call.  The domain, n 5..9 x k 4..12, bounds the table at 45 entries and
+202 colorings.  A process that asks for each (n, k) once, such as one CLI
+command, gains nothing from it; a process that checks many targets at the
+same orders, such as the tests or a benchmark pass, skips the repeats.
 """
 
 from __future__ import annotations
@@ -459,7 +467,13 @@ def p5free_classes(
     parts; their sizes, and the graphs of equal-size parts, are chosen as
     multisets.  Case (c) chooses its spoke counts as a multiset.  Cases (d)
     to (f) are fixed shapes.  The census tests key every candidate over the
-    whole domain, n 5..9 x k 4..12, and find no two alike."""
+    whole domain, n 5..9 x k 4..12, and find no two alike.
+
+    The arguments and ``threads`` are validated on every call.  The classes
+    then come from a per-process table keyed on (n, k) alone: each (n, k)
+    is generated and guarded once, on its first call, and every call gets
+    a fresh list of the same members.  The domain bounds the table at 45
+    entries and 202 colorings in all."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -470,25 +484,31 @@ def p5free_classes(
         raise UnsupportedSizeError(f"enumeration is limited to n <= {MAX_ENUM_N}, got {n}")
     if k > MAX_ENUM_K:
         raise UnsupportedSizeError(f"enumeration is limited to k <= {MAX_ENUM_K}, got {k}")
-    workers = resolve_threads(threads)
+    resolve_threads(threads)
+    return list(_class_table(n, k))
 
-    candidates: list[ColoredComplete] = []
-    for gen in (
-        _candidates_case_b,
-        _candidates_case_c,
-        _candidates_case_d,
-        _candidates_case_e,
-        _candidates_case_f,
-    ):
-        candidates.extend(gen(n, k))
 
-    def guard(c: ColoredComplete) -> None:
+@lru_cache(maxsize=None)
+def _class_table(n: int, k: int) -> tuple[ColoredComplete, ...]:
+    """The guarded candidates of every case generator at (n, k), the table
+    behind ``p5free_classes``.  A guard failure raises, and the cache
+    stores nothing for that (n, k)."""
+    candidates = tuple(
+        c
+        for gen in (
+            _candidates_case_b,
+            _candidates_case_c,
+            _candidates_case_d,
+            _candidates_case_e,
+            _candidates_case_f,
+        )
+        for c in gen(n, k)
+    )
+    for c in candidates:
         if not c.exact or find_rainbow_path(c, 4) is not None:
             raise TheoremViolation(
                 f"a case generator emitted a non-exact or rainbow candidate {c!r}"
             )
-
-    parallel_map(guard, candidates, workers)
     return candidates
 
 

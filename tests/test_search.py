@@ -36,6 +36,11 @@ C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
 _CHECK_SHA256 = "368535db0a06eb6df102aa95bac44504d4a3e5e0c0ec1f0029d827234a059435"
 
 
+def _clear_class_tables():
+    structure._class_table.cache_clear()
+    _small_order_classes.cache_clear()
+
+
 class TestVerifyWitness:
     def test_accepts_valid(self):
         cert = verify_witness(sporadic("F3"), parse_hspec("S4^1"), label="F3")
@@ -249,6 +254,13 @@ class TestCheckNOutputs:
                 digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
         assert digest.hexdigest() == _CHECK_SHA256
 
+    def test_outputs_byte_identical_on_cold_and_warm_tables(self):
+        """The digest holds when every class is generated afresh, and again
+        when every class comes from the tables."""
+        _clear_class_tables()
+        self.test_outputs_byte_identical()
+        self.test_outputs_byte_identical()
+
     @pytest.mark.parametrize("spec,bad", [("S5^1", 0), ("K5", 23), ("PA6,5", 24)])
     def test_keys_only_where_they_decide(self, monkeypatch, spec, bad):
         """At (k, n) = (4, 9), with 79 classes: no candidate is keyed when
@@ -275,3 +287,32 @@ class TestCheckNOutputs:
         assert [len(cs) for cs in least] == ([bad] if bad else [])
         assert len(decoded) == (1 if bad else 0)
         assert (out.status == STATUS_BAD) == bool(bad)
+
+
+class TestClassTables:
+    def test_guard_runs_once_per_class(self, monkeypatch):
+        """Two targets checked at (k, n) = (4, 6) share one generation: the
+        rainbow guard runs once per class, not once per call."""
+        guarded = []
+        real = structure.find_rainbow_path
+        monkeypatch.setattr(
+            structure, "find_rainbow_path", lambda c, m: guarded.append(c) or real(c, m)
+        )
+        _clear_class_tables()
+        for spec in ("S4^1", "K5"):
+            check_n(parse_hspec(spec), 4, 6)
+        classes = p5free_classes(6, 4)
+        assert guarded == classes
+
+    def test_small_order_classes_are_decoded_once(self, monkeypatch):
+        """Below order 5, three checks at (k, n) = (5, 4) decode each class
+        once, the bad witness included."""
+        decoded = []
+        real = gallai.search.coloring_from_key
+        monkeypatch.setattr(
+            gallai.search, "coloring_from_key", lambda key: decoded.append(key) or real(key)
+        )
+        _clear_class_tables()
+        for spec in ("S4^1", "K4", "S4^1"):
+            check_n(parse_hspec(spec), 5, 4)
+        assert len(decoded) == len(_small_order_classes(4, 5))

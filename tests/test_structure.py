@@ -522,10 +522,17 @@ class TestEnumerate:
     )
     def test_bad_candidate_is_a_theorem_violation(self, monkeypatch, bad):
         """A generator emitting a rainbow or non-exact candidate is a bug,
-        reported instead of silently dropped."""
+        reported instead of silently dropped, on every call: a generation
+        that fails leaves nothing in the class table, so the mended
+        generators give the true classes again."""
+        want = [c for gen in _GENERATORS for c in gen(5, 4)]
+        structure._class_table.cache_clear()
         monkeypatch.setattr(structure, "_candidates_case_f", lambda n, k: iter([bad]))
-        with pytest.raises(TheoremViolation):
-            enumerate_p5free(5, 4)
+        for _ in range(2):
+            with pytest.raises(TheoremViolation):
+                enumerate_p5free(5, 4)
+        monkeypatch.undo()
+        assert p5free_classes(5, 4) == want
 
     def test_thread_count_does_not_change_output(self):
         one = enumerate_p5free(6, 5, threads=1)
@@ -564,6 +571,32 @@ class TestClassPartition:
             for k in range(4, 13):
                 candidates = [c for gen in _GENERATORS for c in gen(n, k)]
                 assert p5free_classes(n, k) == candidates, (n, k)
+
+
+class TestClassTable:
+    def test_returned_list_is_a_fresh_copy(self):
+        first = p5free_classes(6, 4)
+        want = list(first)
+        first[0] = ColoredComplete.constant(6, 4)
+        first.reverse()
+        p5free_classes(6, 4).clear()
+        assert p5free_classes(6, 4) == want
+
+    def test_threads_share_one_entry_and_are_validated_on_every_call(self, monkeypatch):
+        structure._class_table.cache_clear()
+        assert p5free_classes(6, 5, threads=1) == p5free_classes(6, 5, threads=8)
+        info = structure._class_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        with pytest.raises(ValueError):
+            p5free_classes(6, 5, threads=0)
+        with pytest.raises(UnsupportedSizeError):
+            p5free_classes(10, 5)
+        with pytest.raises(UnsupportedSizeError):
+            p5free_classes(6, 13)
+        monkeypatch.setenv("GALLAI_THREADS", "zero")
+        with pytest.raises(ValueError):
+            p5free_classes(6, 5)
+        assert structure._class_table.cache_info() == info
 
 
 class TestParallelHelpers:
