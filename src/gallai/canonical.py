@@ -25,18 +25,9 @@ each twin class is tried.  Swapping two unused twins fixes every placed
 vertex and every color, so it is an automorphism that maps the orders
 placing one twin next onto those placing the other, body for body, and the
 least body is unchanged.
-
-``least_canonical_form`` is the least key of a list of colorings without
-finishing every key.  One branch-and-bound runs across the list: each
-coloring's search starts from the least body found so far, so a coloring
-whose columns already exceed it is dropped at the first worse column
-(McKay & Piperno, J. Symbolic Comput. 60, 2014, bound the same way across
-the leaves of one search).
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 from gallai.graphs import (
     ColoredComplete,
@@ -93,12 +84,9 @@ def _refined_cells(n: int, label: list[list[int]]) -> list[list[int]]:
     return [cells[value] for value in sorted(cells)]
 
 
-def _minimum_body(
-    mat: list[list[int]], cells: list[list[int]], incumbent: list[int] | None = None
-) -> list[int]:
-    """The least body over the admissible vertex orders, or ``incumbent``
-    when no body is smaller: a column that already exceeds the incumbent
-    ends its branch."""
+def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
+    """The least body over the admissible vertex orders: a column that
+    already exceeds the least body found so far ends its branch."""
     n = len(mat)
     # twin[v] is the least u with mat[u][w] == mat[v][w] for every w != u, v:
     # the two rows agree once each one's own diagonal takes the color of uv
@@ -118,7 +106,7 @@ def _minimum_body(
     order: list[int] = []
     cur: list[int] = []
     cmap: dict[int, int] = {}
-    best = incumbent
+    best: list[int] | None = None
 
     def dfs(p: int) -> None:
         nonlocal best
@@ -169,9 +157,9 @@ def _minimum_body(
     return best
 
 
-def _search_input(c: ColoredComplete) -> tuple[list[list[int]], list[list[int]]]:
-    """The color matrix and refined cells ``_minimum_body`` searches, after
-    the size checks every key makes."""
+def canonical_form(c: ColoredComplete) -> bytes:
+    """Canonical key of a coloring; equal keys characterize the orbit under
+    vertex permutations times color permutations."""
     n = c.n
     if n > MAX_CANONICAL_ORDER:
         raise UnsupportedSizeError(
@@ -183,28 +171,8 @@ def _search_input(c: ColoredComplete) -> tuple[list[list[int]], list[list[int]]]
     mat = [[0] * n for _ in range(n)]
     for (i, j), col in zip(pairs(n), c.colors):
         mat[i][j] = mat[j][i] = col
-    return mat, _refined_cells(n, _edge_label_matrix(c, mat))
-
-
-def canonical_form(c: ColoredComplete) -> bytes:
-    """Canonical key of a coloring; equal keys characterize the orbit under
-    vertex permutations times color permutations."""
-    return bytes([c.n, c.k]) + bytes(_minimum_body(*_search_input(c)))
-
-
-def least_canonical_form(colorings: Sequence[ColoredComplete]) -> bytes:
-    """``min(canonical_form(c) for c in colorings)`` for a non-empty list of
-    colorings of one order and palette, by one branch-and-bound across the
-    list: a body that cannot beat the least one so far is not finished."""
-    if not colorings:
-        raise ValueError("least_canonical_form needs at least one coloring")
-    shape = (colorings[0].n, colorings[0].k)
-    if any((c.n, c.k) != shape for c in colorings):
-        raise ValueError(f"colorings of order and palette other than {shape} mixed in")
-    best = None
-    for c in colorings:
-        best = _minimum_body(*_search_input(c), best)
-    return bytes(shape) + bytes(best)
+    cells = _refined_cells(n, _edge_label_matrix(c, mat))
+    return bytes([n, c.k]) + bytes(_minimum_body(mat, cells))
 
 
 def coloring_from_key(key: bytes) -> ColoredComplete:

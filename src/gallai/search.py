@@ -8,16 +8,15 @@ which re-runs both detectors and returns a replayable certificate;
 cover a query and returns the largest one that verifies.  The per-order
 check tests one member coloring per class: the structure-guided classes of
 ``p5free_classes`` for n >= 5, and all exact colorings up to color renaming
-below that.  The reported bad coloring is the canonically smallest one.
-For n >= 5 one bounded search across the bad classes,
-``least_canonical_form``, finds its key without finishing the others, and
-no class is decoded but that one; below that the classes come decoded in
-key order, so it is the first bad class.  Both class lists depend on (n, k)
-alone and are built once per process: ``p5free_classes`` reads its table,
-and ``_small_order_classes`` caches its three entries.  Checking many
-targets at the same orders in one process, as ``compute_gr`` sweeps and the
-tests do, pays for generation and the rainbow guard once per (n, k); a
-one-shot CLI command builds what it needs and gains nothing.
+below that.  The reported bad coloring is the canonically smallest one,
+decoded from the least key of the bad classes.  Everything ``check_n``
+reads besides the target is built once per process: ``p5free_classes``
+reads its table, ``_small_order_classes`` caches its three entries, and
+``_class_key`` keeps the key of every class it is asked for, at most 212
+(202 for n 5..9 and 10 for n = 4), since only table members reach it.
+Checking many targets at the same orders in one process, as ``compute_gr``
+sweeps and the tests do, pays for generation, the rainbow guard and each
+key once; a one-shot CLI command builds what it needs and gains nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 
-from gallai.canonical import canonical_form, coloring_from_key, least_canonical_form
+from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import build_named
 from gallai.detectors import (
     Embedding,
@@ -339,6 +338,14 @@ def _small_order_classes(n: int, k: int) -> tuple[ColoredComplete, ...]:
     return tuple(coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k)))
 
 
+@lru_cache(maxsize=None)
+def _class_key(c: ColoredComplete) -> bytes:
+    """The canonical key of a class, computed once per process.  ``check_n``
+    asks only for members of the class tables, so this holds at most 212
+    keys."""
+    return canonical_form(c)
+
+
 def check_n(
     H: TargetGraph, k: int, n: int, threads: int | None = None
 ) -> CheckOutcome:
@@ -348,10 +355,11 @@ def check_n(
     ``examined`` counts the classes.  A class is one member coloring, tested
     as it is (a monochromatic copy survives renaming); when bad classes
     exist the reported witness is the canonically smallest, decoded from
-    the least key of the bad members.  The classes come from per-process
-    tables keyed on (n, k), which hold at most 48 entries (n 4..9); only
-    the monochromatic tests and the witness depend on H.  The arguments
-    and ``threads`` are validated on every call, before any table is read.
+    the least key of the bad members and verified afresh.  The classes come
+    from per-process tables keyed on (n, k), which hold at most 48 entries
+    (n 4..9), and each class is keyed at most once per process; only the
+    monochromatic tests and the witness depend on H.  The arguments and
+    ``threads`` are validated on every call, before any table is read.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -368,9 +376,7 @@ def check_n(
     bad = [c for c, miss in zip(classes, misses) if miss]
     if not bad:
         return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
-    # below n = 5 the classes come decoded in key order
-    least = bad[0] if n <= 4 else coloring_from_key(least_canonical_form(bad))
-    witness = verify_witness(least, H)
+    witness = verify_witness(coloring_from_key(min(map(_class_key, bad))), H)
     return CheckOutcome(H, k, n, STATUS_BAD, witness, len(classes))
 
 

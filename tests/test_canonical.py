@@ -13,10 +13,9 @@ from gallai.canonical import (
     _refined_cells,
     canonical_form,
     coloring_from_key,
-    least_canonical_form,
 )
 from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, pairs
-from gallai.structure import enumerate_p5free, p5free_classes
+from gallai.structure import enumerate_p5free
 
 
 def _random_instance(rng, n_max=7, k_max=5):
@@ -119,52 +118,6 @@ class TestLeastBody:
             c = _block_instance(rng, rng.randint(2, 10), rng.randint(1, 6))
             d = c.permuted(_random_vperm(rng, c.n), _random_cperm(rng, c.k))
             assert canonical_form(d) == canonical_form(c)
-
-
-class TestLeastCanonicalForm:
-    """The bounded search across a list returns the least of the keys."""
-
-    def test_census_class_lists(self):
-        """Every class list of n 5..9 x k 4..12, forwards and backwards,
-        and each of its classes alone."""
-        for n in range(5, 10):
-            for k in range(4, 13):
-                members = p5free_classes(n, k)
-                if not members:
-                    continue
-                keys = [canonical_form(c) for c in members]
-                assert least_canonical_form(members) == min(keys), (n, k)
-                assert least_canonical_form(members[::-1]) == min(keys), (n, k)
-                for c, key in zip(members, keys):
-                    assert least_canonical_form([c]) == key
-
-    def test_seeded_random_and_relabeled_lists(self):
-        rng = random.Random(1717)
-        for trial in range(300):
-            n, k = rng.randint(2, 7), rng.randint(1, 4)
-            size = rng.randint(1, 6)
-            if trial % 2:
-                base = [_block_instance(rng, n, k) for _ in range(size)]
-            else:
-                base = [
-                    ColoredComplete(n, k, [rng.randint(1, k) for _ in range(edge_count(n))])
-                    for _ in range(size)
-                ]
-            # relabeled copies tie with their originals on the key
-            cs = base + [
-                c.permuted(_random_vperm(rng, n), _random_cperm(rng, k))
-                for c in rng.sample(base, rng.randint(0, size))
-            ]
-            rng.shuffle(cs)
-            assert least_canonical_form(cs) == min(canonical_form(c) for c in cs)
-
-    def test_refuses_an_empty_or_mixed_list(self):
-        with pytest.raises(ValueError, match="at least one"):
-            least_canonical_form([])
-        with pytest.raises(ValueError, match="mixed"):
-            least_canonical_form([ColoredComplete.constant(4, 2), ColoredComplete.constant(5, 2)])
-        with pytest.raises(UnsupportedSizeError):
-            least_canonical_form([ColoredComplete.constant(11, 2)])
 
 
 class TestCompleteness:

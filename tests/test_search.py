@@ -18,6 +18,7 @@ from gallai.search import (
     STATUS_BAD,
     STATUS_NO_EXACT,
     WitnessFailure,
+    _class_key,
     _small_order_classes,
     brute_force_colorings,
     check_n,
@@ -36,9 +37,15 @@ C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
 _CHECK_SHA256 = "368535db0a06eb6df102aa95bac44504d4a3e5e0c0ec1f0029d827234a059435"
 
 
+# sha256 over compute_gr(n_max=9) outputs for every graph on 3..5 vertices
+# with no isolated vertex at k = 4..6; see TestSmallGraphSweep.
+_SWEEP_SHA256 = "f0b69bbe7a225623f65b6e19407e2a40ecfeebfec5c8fc897ac3940a9712a43a"
+
+
 def _clear_class_tables():
     structure._class_table.cache_clear()
     _small_order_classes.cache_clear()
+    _class_key.cache_clear()
 
 
 class TestVerifyWitness:
@@ -263,30 +270,109 @@ class TestCheckNOutputs:
 
     @pytest.mark.parametrize("spec,bad", [("S5^1", 0), ("K5", 23), ("PA6,5", 24)])
     def test_keys_only_where_they_decide(self, monkeypatch, spec, bad):
-        """At (k, n) = (4, 9), with 79 classes: no candidate is keyed when
-        the classes are formed and no bad class is keyed on its own; one
-        bounded search finds the least key of the bad classes, and only the
-        witness is decoded."""
-        H = parse_hspec(spec)
-        classes = p5free_classes(9, 4)  # also warms the cached part graphs
-        assert sum(find_mono_copy(c, H) is None for c in classes) == bad
-        keyed, least, decoded = [], [], []
-        real_key, real_least = structure.canonical_form, gallai.search.least_canonical_form
-        real_decode = gallai.search.coloring_from_key
+        """At (k, n) = (4, 9), with 79 classes: forming the classes keys
+        nothing; a cold check keys exactly its bad classes, once each; a
+        check of another target then keys only its bad classes not keyed
+        before; a repeated check keys nothing and decodes only its witness."""
+        p5free_classes(9, 4)  # warms the cached part graphs, which are keyed
+        _clear_class_tables()
+        keyed, decoded = [], []
+        real_key, real_decode = gallai.search.canonical_form, gallai.search.coloring_from_key
         for module in (structure, gallai.search):
             monkeypatch.setattr(module, "canonical_form", lambda c: keyed.append(c) or real_key(c))
         monkeypatch.setattr(
-            gallai.search, "least_canonical_form", lambda cs: least.append(cs) or real_least(cs)
-        )
-        monkeypatch.setattr(
             gallai.search, "coloring_from_key", lambda key: decoded.append(key) or real_decode(key)
         )
-        out = check_n(H, 4, 9)
-        assert out.examined == 79
+        classes = p5free_classes(9, 4)
         assert keyed == []
-        assert [len(cs) for cs in least] == ([bad] if bad else [])
-        assert len(decoded) == (1 if bad else 0)
-        assert (out.status == STATUS_BAD) == bool(bad)
+        assert sum(find_mono_copy(c, parse_hspec(spec)) is None for c in classes) == bad
+        seen: list = []
+        for other in (spec, "S5^1", "K5", "PA6,5", spec):
+            H = parse_hspec(other)
+            bad_classes = [c for c in classes if find_mono_copy(c, H) is None]
+            del keyed[:], decoded[:]
+            out = check_n(H, 4, 9)
+            assert out.examined == 79
+            assert keyed == [c for c in bad_classes if c not in seen]
+            seen += keyed
+            if bad_classes:
+                assert out.status == STATUS_BAD
+                assert decoded == [canonical_form(out.witness.coloring)]
+            else:
+                assert out.status == STATUS_ALL_GOOD and decoded == []
+
+
+class TestWitnessByIndependentRoute:
+    TARGETS = ("S4^1", "S5^1", "K5", "PA6,5", "K6-M", C5)
+
+    def _check_against_enumeration(self):
+        for n in range(5, 10):
+            for k in range(4, 7):
+                reps = enumerate_p5free(n, k)
+                for spec in self.TARGETS:
+                    H = parse_hspec(spec)
+                    out = check_n(H, k, n)
+                    first_bad = next((c for c in reps if find_mono_copy(c, H) is None), None)
+                    witness = None if out.witness is None else out.witness.coloring
+                    assert witness == first_bad, (spec, n, k)
+
+    def test_witness_is_first_bad_class_in_key_order(self):
+        """For n 5..9 x k 4..6, the witness of check_n is the first class of
+        enumerate_p5free, which keys and decodes every class and sorts by
+        key, that has no monochromatic copy; on a cold table and a warm one."""
+        _clear_class_tables()
+        self._check_against_enumeration()
+        self._check_against_enumeration()
+
+    def test_key_memo_is_bounded_by_the_class_tables(self):
+        """K10 has no copy at n <= 9, so every class is bad and keyed; over
+        every (n, k) check_n accepts, the memo ends with the 212 classes of
+        the tables (202 for n 5..9, 10 for n = 4) and nothing else."""
+        H = parse_hspec("K10")
+        for n in range(1, 10):
+            for k in range(4, 13):
+                out = check_n(H, k, n)
+                assert out.status == STATUS_BAD or out.examined == 0
+        tables = sum(len(p5free_classes(n, k)) for n in range(5, 10) for k in range(4, 13))
+        tables += sum(len(_small_order_classes(4, k)) for k in range(4, 7))
+        assert tables == 212
+        assert _class_key.cache_info().currsize == tables
+
+
+class TestSmallGraphSweep:
+    @staticmethod
+    def _sweep_rows():
+        rows = []
+        for s in range(3, 6):
+            for edges in structure._graphs_min_deg1(s):
+                spec = json.dumps(
+                    {"order": s, "edges": [list(e) for e in edges]}, separators=(",", ":")
+                )
+                H = parse_hspec(spec)
+                for k in range(4, 7):
+                    res = compute_gr(H, k, n_max=9)
+                    outcomes = [
+                        [o.n, o.status, o.examined,
+                         None if o.witness is None else o.witness.to_json_dict()]
+                        for o in res.outcomes
+                    ]
+                    rows.append([spec, k, res.status, res.value, outcomes])
+        return rows
+
+    def test_sweep_is_identical_cold_and_warm(self):
+        """compute_gr(n_max=9) for all 32 graphs on 3..5 vertices with no
+        isolated vertex at k = 4..6 gives the same outputs on cold tables and
+        warm ones, and they hash to the digest recorded before the class
+        keys were kept."""
+        _clear_class_tables()
+        cold = self._sweep_rows()
+        warm = self._sweep_rows()
+        assert len(cold) == 96
+        assert warm == cold
+        digest = hashlib.sha256()
+        for row in cold:
+            digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
+        assert digest.hexdigest() == _SWEEP_SHA256
 
 
 class TestClassTables:
@@ -306,13 +392,18 @@ class TestClassTables:
 
     def test_small_order_classes_are_decoded_once(self, monkeypatch):
         """Below order 5, three checks at (k, n) = (5, 4) decode each class
-        once, the bad witness included."""
+        once, and each bad check decodes its witness once more."""
         decoded = []
         real = gallai.search.coloring_from_key
         monkeypatch.setattr(
             gallai.search, "coloring_from_key", lambda key: decoded.append(key) or real(key)
         )
         _clear_class_tables()
+        witnesses = []
         for spec in ("S4^1", "K4", "S4^1"):
-            check_n(parse_hspec(spec), 5, 4)
-        assert len(decoded) == len(_small_order_classes(4, 5))
+            out = check_n(parse_hspec(spec), 5, 4)
+            if out.status == STATUS_BAD:
+                witnesses.append(canonical_form(out.witness.coloring))
+        classes = _small_order_classes(4, 5)
+        assert len(witnesses) == 3
+        assert sorted(decoded) == sorted([canonical_form(c) for c in classes] + witnesses)
