@@ -20,11 +20,12 @@ against the best body found so far.
 
 Twin vertices are pruned too.  Vertices u and v are twins when every other
 vertex w sees them in the same color; this is an equivalence, and twins
-share a refinement cell.  At each position only the first unused member of
-each twin class is tried.  Swapping two unused twins fixes every placed
-vertex and every color, so it is an automorphism that maps the orders
-placing one twin next onto those placing the other, body for body, and the
-least body is unchanged.
+share a refinement cell.  Its classes are the per-color twin masks
+intersected (``graphs.twin_classes``).  At each position only the first
+unused member of each twin class is tried.  Swapping two unused twins fixes
+every placed vertex and every color, so it is an automorphism that maps the
+orders placing one twin next onto those placing the other, body for body,
+and the least body is unchanged.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from __future__ import annotations
 from gallai.graphs import (
     ColoredComplete,
     UnsupportedSizeError,
+    color_rows,
     edge_count,
     edge_index,
-    pairs,
+    twin_classes,
 )
 
 MAX_CANONICAL_ORDER = 10
@@ -84,21 +86,11 @@ def _refined_cells(n: int, label: list[list[int]]) -> list[list[int]]:
     return [cells[value] for value in sorted(cells)]
 
 
-def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
+def _minimum_body(mat: list[list[int]], cells: list[list[int]], twins: list[int]) -> list[int]:
     """The least body over the admissible vertex orders: a column that
-    already exceeds the least body found so far ends its branch."""
+    already exceeds the least body found so far ends its branch.
+    ``twins[v]`` is the mask of v's twin class."""
     n = len(mat)
-    # twin[v] is the least u with mat[u][w] == mat[v][w] for every w != u, v:
-    # the two rows agree once each one's own diagonal takes the color of uv
-    twin = list(range(n))
-    for v in range(n):
-        for u in range(v):
-            if twin[u] == u:
-                row_u, row_v = mat[u].copy(), mat[v].copy()
-                row_u[u] = row_v[v] = mat[u][v]
-                if row_u == row_v:
-                    twin[v] = u
-                    break
     pos_cell: list[list[int]] = []
     for cell in cells:
         pos_cell.extend([cell] * len(cell))
@@ -116,12 +108,12 @@ def _minimum_body(mat: list[list[int]], cells: list[list[int]]) -> list[int]:
             return
         base = len(cur)
         cands = []
-        tried: set[int] = set()
+        tried = 0
         for v in pos_cell[p]:
             # an unused twin of an earlier candidate yields the same bodies
-            if used[v] or twin[v] in tried:
+            if used[v] or tried >> v & 1:
                 continue
-            tried.add(twin[v])
+            tried |= twins[v]
             col: list[int] = []
             pending: dict[int, int] = {}
             row = mat[v]
@@ -167,12 +159,9 @@ def canonical_form(c: ColoredComplete) -> bytes:
         )
     if c.k > 255:
         raise UnsupportedSizeError("canonical forms need the palette to fit in a byte")
-    # edge colors as a symmetric matrix, 0 on the diagonal
-    mat = [[0] * n for _ in range(n)]
-    for (i, j), col in zip(pairs(n), c.colors):
-        mat[i][j] = mat[j][i] = col
+    mat = list(color_rows(c))
     cells = _refined_cells(n, _edge_label_matrix(c, mat))
-    return bytes([n, c.k]) + bytes(_minimum_body(mat, cells))
+    return bytes([n, c.k]) + bytes(_minimum_body(mat, cells, twin_classes(c)))
 
 
 def coloring_from_key(key: bytes) -> ColoredComplete:

@@ -124,12 +124,11 @@ Building the table for every search made the search workload's five S4^1
 and S5^1 jobs about 11 % slower together.
 
 The three searches count the nodes they visit in one color class against
-one budget.  Past MAX_SEARCH_NODES they raise UnsupportedSizeError, so a
-host that twins do not simplify, for instance a random bipartite graph
-in one color checked for an odd cycle, or a random coloring of K600
-checked for K14, is refused (exit code 2) within seconds, never answered
-negatively.  ``TargetGraph.clique_number`` calls ``find_clique`` without a
-state, so targets, of order 12 at most, are searched without a budget.
+one budget, held with the twins by a ``graphs.SearchState``.  Past
+``graphs.MAX_SEARCH_NODES`` they raise UnsupportedSizeError, so a host that
+twins do not simplify, for instance a random bipartite graph in one color
+checked for an odd cycle, or a random coloring of K600 checked for K14, is
+refused (exit code 2) within seconds, never answered negatively.
 """
 
 from __future__ import annotations
@@ -142,20 +141,15 @@ from gallai.graphs import (
     FAMILY_PINEAPPLE,
     FAMILY_STAR_PLUS,
     ColoredComplete,
+    SearchState,
     TargetGraph,
-    UnsupportedSizeError,
+    color_rows,
     edge_index,
     find_clique,
-    twin_masks,
 )
 
 RAINBOW_PATH = "rainbow_path"
 MONO_COPY = "mono_copy"
-
-# Nodes that the matching, clique or generic embedding search may visit in
-# one color class before it gives up with UnsupportedSizeError (README
-# "Limits" states the largest count the benchmark and the tests reach).
-MAX_SEARCH_NODES = 200_000
 
 
 @dataclass(frozen=True)
@@ -238,22 +232,6 @@ def _checked_mono(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> Embeddi
     return emb
 
 
-def _color_rows(c: ColoredComplete) -> Iterator[list[int]]:
-    """Row mid of the color matrix for mid = 0, 1, ..., n-1: entry v is the
-    color of edge mid-v, and 0 on the diagonal."""
-    n, colors = c.n, c.colors
-    rows: list[list[int]] = []
-    start = 0
-    for mid in range(n):
-        row = [r[mid] for r in rows]
-        row.append(0)
-        end = start + n - 1 - mid
-        row += colors[start:end]
-        rows.append(row)
-        start = end
-        yield row
-
-
 def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     """The first rainbow path with m in {3, 4} edges the scan meets, smaller
     end first, or None.  For each middle vertex and pair b, d whose edges to
@@ -271,7 +249,7 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     adj = c.adj
     if m == 3:
         full = (1 << n) - 1
-        for mid, cm in enumerate(_color_rows(c)):
+        for mid, cm in enumerate(color_rows(c)):
             for b, x in enumerate(cm):
                 if not x:
                     continue
@@ -307,7 +285,7 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     partners, live = _pair_table(around)
     if not live:
         return None
-    for mid, cm in enumerate(_color_rows(c)):
+    for mid, cm in enumerate(color_rows(c)):
         # at mid 0 the probe has already walked its b's row
         to_visit = live & ~(1 << mid | probed)
         probed = 0
@@ -453,33 +431,8 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class _SearchState:
-    """What one exhaustive search in one color class keeps between its
-    nodes (``graphs.SearchState``): the class's twin masks, built when a
-    branch first fails, and the nodes it may still visit."""
-
-    __slots__ = ("masks", "_twins", "left")
-
-    def __init__(self, masks: Sequence[int]):
-        self.masks = masks
-        self._twins: list[int] | None = None
-        self.left = MAX_SEARCH_NODES
-
-    def twins(self, v: int) -> int:
-        """The mask of v and of its twins in the color class."""
-        if self._twins is None:
-            self._twins = twin_masks(self.masks)
-        return self._twins[v]
-
-    def over_budget(self) -> UnsupportedSizeError:
-        return UnsupportedSizeError(
-            f"the search for a monochromatic copy passed its budget of {MAX_SEARCH_NODES} "
-            "nodes in one color class"
-        )
-
-
 def _matching_with_pairs(
-    masks: Sequence[int], allowed: int, r: int, state: _SearchState
+    masks: Sequence[int], allowed: int, r: int, state: SearchState
 ) -> list[int] | None:
     """A matching of exactly r edges inside the vertex set ``allowed`` of the
     graph given by neighbor bitmasks, found by exact branching, as the ends
@@ -550,7 +503,7 @@ def find_mono_copy_generic(
     assign = [-1] * t
     full = (1 << c.n) - 1
     roots = _degree_at_least(cmasks, hmasks[order[0]].bit_count())
-    state = _SearchState(cmasks)
+    state = SearchState(cmasks)
 
     def rec(pos: int, used: int) -> bool:
         state.left -= 1
@@ -593,7 +546,7 @@ def _find_centered(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding 
     so the twins are built at most once per color class."""
     masks = c.adj[color]
     star = H.family == FAMILY_STAR_PLUS
-    state = _SearchState(masks)
+    state = SearchState(masks)
     failed = 0
     for v in range(c.n):
         nb = masks[v]
@@ -616,7 +569,7 @@ def _find_complete(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding 
     """K_t: ``find_clique`` over the vertices of degree t - 1 or more in
     ``color``, the only ones a copy can use."""
     masks = c.adj[color]
-    clique = find_clique(masks, _degree_at_least(masks, H.t - 1), H.t, _SearchState(masks))
+    clique = find_clique(masks, _degree_at_least(masks, H.t - 1), H.t, SearchState(masks))
     if clique is None:
         return None
     return _embedding_from_assignment(c, H, color, clique)

@@ -4,6 +4,9 @@ Vertices are 0..n-1.  The C(n, 2) edges of K_n are kept in lexicographic
 order of their endpoint pairs, so an edge coloring is a flat tuple of ints.
 Colors are 1-based; a coloring with palette size k is *exact* when every
 color in 1..k actually appears on some edge.
+
+``find_clique``, the one clique search, always takes a ``SearchState``: the
+twin masks of its color class and a budget of ``MAX_SEARCH_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Protocol, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class UnsupportedSizeError(ValueError):
@@ -437,7 +440,9 @@ class TargetGraph:
     @cached_property
     def clique_number(self) -> int:
         """Clique number, in closed form for the structured families and by
-        clique search, once per target, for the arbitrary one."""
+        clique search, once per target, for the arbitrary one.  A target
+        has at most 12 vertices, so each search visits at most 2^12 nodes,
+        far below the budget of its ``SearchState``."""
         t = self.t
         if self.family == FAMILY_COMPLETE:
             return t
@@ -450,27 +455,92 @@ class TargetGraph:
             return (t + 1) // 2
         masks = self.adjacency_masks()
         omega = 0
-        while omega < t and find_clique(masks, (1 << t) - 1, omega + 1) is not None:
+        while omega < t and find_clique(masks, (1 << t) - 1, omega + 1, SearchState(masks)):
             omega += 1
         return omega
 
 
-class SearchState(Protocol):
-    """What a search in one color class shares between its calls (the
-    monochromatic-copy searches in ``detectors`` make one per host and
-    color): the nodes it may still visit, and the twin classes."""
+def color_rows(c: ColoredComplete) -> Iterator[list[int]]:
+    """Row v of the color matrix for v = 0, 1, ..., n-1: entry u is the color
+    of edge uv, and 0 on the diagonal."""
+    n, colors = c.n, c.colors
+    rows: list[list[int]] = []
+    start = 0
+    for v in range(n):
+        row = [r[v] for r in rows]
+        row.append(0)
+        end = start + n - 1 - v
+        row += colors[start:end]
+        rows.append(row)
+        start = end
+        yield row
 
-    left: int
+
+def twin_masks(masks: Sequence[int]) -> list[int]:
+    """``twin_masks(masks)[v]`` is the mask of v and of every vertex with the
+    same neighbours as v apart from each other, in the graph whose neighbour
+    bitmasks are ``masks``.
+
+    Non-adjacent twins share their open mask, adjacent twins their closed
+    mask, so one pass groups the vertices on both.  No vertex has twins of
+    both kinds: if u and v share an open mask and v and w a closed one, then
+    w is a neighbour of v and so of u, and u lies in the closed mask of w,
+    which is v's, against u and v being non-adjacent.  So the union of v's
+    two groups is its twin class."""
+    by_open: dict[int, int] = {}
+    by_closed: dict[int, int] = {}
+    for v, mask in enumerate(masks):
+        bit = 1 << v
+        by_open[mask] = by_open.get(mask, 0) | bit
+        by_closed[mask | bit] = by_closed.get(mask | bit, 0) | bit
+    return [by_open[mask] | by_closed[mask | 1 << v] for v, mask in enumerate(masks)]
+
+
+def twin_classes(c: ColoredComplete) -> list[int]:
+    """``twin_classes(c)[v]`` is the mask of v and of every vertex u that each
+    other vertex sees in the same color as v.  That holds exactly when u and
+    v are twins in every color class, so these are the ``twin_masks`` of
+    every color, intersected."""
+    classes = [(1 << c.n) - 1] * c.n
+    for masks in c.adj[1:]:
+        classes = list(map(int.__and__, classes, twin_masks(masks)))
+    return classes
+
+
+# Nodes that one search in one color class may visit before it gives up with
+# UnsupportedSizeError (README "Limits" states the largest count the
+# benchmark and the tests reach).
+MAX_SEARCH_NODES = 200_000
+
+
+class SearchState:
+    """What one exhaustive search in one color class keeps between its nodes
+    and calls (the monochromatic-copy searches in ``detectors`` make one per
+    host and color): the class's twin masks, built when a branch first
+    fails, and the nodes it may still visit."""
+
+    __slots__ = ("masks", "_twins", "left")
+
+    def __init__(self, masks: Sequence[int]):
+        self.masks = masks
+        self._twins: list[int] | None = None
+        self.left = MAX_SEARCH_NODES
 
     def twins(self, v: int) -> int:
         """The mask of v and of its twins in the color class."""
+        if self._twins is None:
+            self._twins = twin_masks(self.masks)
+        return self._twins[v]
 
-    def over_budget(self) -> Exception:
-        """The error to raise once ``left`` drops below 0."""
+    def over_budget(self) -> UnsupportedSizeError:
+        return UnsupportedSizeError(
+            f"the search for a monochromatic copy passed its budget of {MAX_SEARCH_NODES} "
+            "nodes in one color class"
+        )
 
 
 def find_clique(
-    masks: Sequence[int], start_mask: int, size: int, state: SearchState | None = None
+    masks: Sequence[int], start_mask: int, size: int, state: SearchState
 ) -> list[int] | None:
     """A clique of the given size inside the vertex set start_mask, where
     masks[v] is v's neighbor bitmask; lexicographically first, or None.
@@ -483,14 +553,14 @@ def find_clique(
     without a clique; branching still takes candidates in ascending order,
     so the clique returned is the one the plain search returns.
 
-    With a ``state`` of the graph ``masks``, every node counts against its
-    budget, and a branch vertex v that fails takes its twins with it: if a
-    twin w of v, still a candidate, completed the clique with a set K, then
-    K holds neither v nor w, every vertex of K is a neighbour of w and so of
-    v, and K lies among v's candidates, so v's branch would have found
-    K + v.  Only failing branches are cut, and the clique returned is the
-    same.  The twins are read only when a branch fails with enough
-    candidates left to go on.
+    ``state`` is a ``SearchState`` of the graph ``masks``.  Every node counts
+    against its budget, and a branch vertex v that fails takes its twins
+    with it: if a twin w of v, still a candidate, completed the clique with
+    a set K, then K holds neither v nor w, every vertex of K is a neighbour
+    of w and so of v, and K lies among v's candidates, so v's branch would
+    have found K + v.  Only failing branches are cut, and the clique
+    returned is the same.  The twins are read only when a branch fails with
+    enough candidates left to go on.
 
     A caller completing a clique in the neighbourhood of v to one through v
     may leave out of start_mask every vertex u whose own neighbourhood held
@@ -503,10 +573,9 @@ def find_clique(
     out: list[int] = []
 
     def grow(cand: int) -> bool:
-        if state is not None:
-            state.left -= 1
-            if state.left < 0:
-                raise state.over_budget()
+        state.left -= 1
+        if state.left < 0:
+            raise state.over_budget()
         need = size - len(out)
         if need == 0:
             return True
@@ -530,33 +599,12 @@ def find_clique(
             out.pop()
             if len(out) + c.bit_count() < size:
                 return False
-            if state is not None:
-                c &= ~state.twins(v)
+            c &= ~state.twins(v)
         return False
 
     if size == 0:
         return []
     return out if grow(start_mask) else None
-
-
-def twin_masks(masks: Sequence[int]) -> list[int]:
-    """``twin_masks(masks)[v]`` is the mask of v and of every vertex with the
-    same neighbours as v apart from each other, in the graph whose neighbour
-    bitmasks are ``masks``.
-
-    Non-adjacent twins share their open mask, adjacent twins their closed
-    mask, so one pass groups the vertices on both.  No vertex has twins of
-    both kinds: if u and v share an open mask and v and w a closed one, then
-    w is a neighbour of v and so of u, and u lies in the closed mask of w,
-    which is v's, against u and v being non-adjacent.  So the union of v's
-    two groups is its twin class."""
-    by_open: dict[int, int] = {}
-    by_closed: dict[int, int] = {}
-    for v, mask in enumerate(masks):
-        bit = 1 << v
-        by_open[mask] = by_open.get(mask, 0) | bit
-        by_closed[mask | bit] = by_closed.get(mask | bit, 0) | bit
-    return [by_open[mask] | by_closed[mask | 1 << v] for v, mask in enumerate(masks)]
 
 
 _RE_COMPLETE_MINUS = re.compile(r"K(\d+)-M")

@@ -27,7 +27,7 @@ from gallai.cli import (
     format_value,
     main,
 )
-from gallai import detectors
+from gallai import detectors, graphs
 from gallai.constructions import BUILDERS, construction_grid, sporadic
 from gallai.formulas import GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
@@ -307,7 +307,7 @@ class TestSearchBudget:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
             "error: the search for a monochromatic copy passed its budget of "
-            f"{detectors.MAX_SEARCH_NODES} nodes in one color class\n"
+            f"{graphs.MAX_SEARCH_NODES} nodes in one color class\n"
         )
 
     def test_clique_search_over_budget_is_refused(self, capsys, tmp_path):
@@ -322,7 +322,7 @@ class TestSearchBudget:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (
             "error: the search for a monochromatic copy passed its budget of "
-            f"{detectors.MAX_SEARCH_NODES} nodes in one color class\n"
+            f"{graphs.MAX_SEARCH_NODES} nodes in one color class\n"
         )
 
 

@@ -15,7 +15,6 @@ from gallai import detectors, structure
 from gallai.constructions import BUILDERS, blowup, build_named, construction_grid
 from gallai.detectors import (
     _matching_with_pairs,
-    _SearchState,
     find_mono_copy_generic,
     _rainbow_path,
     check_mono_embedding,
@@ -28,6 +27,7 @@ from gallai.graphs import (
     FAMILY_COMPLETE,
     FAMILY_STAR_PLUS,
     ColoredComplete,
+    SearchState,
     TargetGraph,
     edge_count,
     find_clique,
@@ -428,8 +428,8 @@ class TestPrunedScan:
         n 5..9 and k 4..6 are found rainbow-free from the pair table alone:
         no row of the color matrix is built for them."""
         rows = []
-        color_rows = detectors._color_rows
-        monkeypatch.setattr(detectors, "_color_rows", lambda c: rows.append(c) or color_rows(c))
+        color_rows = detectors.color_rows
+        monkeypatch.setattr(detectors, "color_rows", lambda c: rows.append(c) or color_rows(c))
         candidates = [
             c for n in range(5, 10) for k in range(4, 7)
             for gen in _GUARD_GENERATORS for c in gen(n, k)
@@ -539,7 +539,7 @@ def _matching_sizes(c, color, allowed=None):
         allowed = (1 << c.n) - 1
 
     def finds(r):
-        ends = _matching_with_pairs(c.adj[color], allowed, r, _SearchState(c.adj[color]))
+        ends = _matching_with_pairs(c.adj[color], allowed, r, SearchState(c.adj[color]))
         if ends is not None:
             assert len(ends) == 2 * r and len(set(ends)) == 2 * r
             assert all(allowed >> v & 1 for v in ends)
@@ -903,7 +903,7 @@ class TestTwinPruning:
                 for allowed in [(1 << c.n) - 1, *masks]:
                     for r in range(1, 5):
                         want = _unpruned_matching(masks, allowed, r)
-                        got = _matching_with_pairs(masks, allowed, r, _SearchState(masks))
+                        got = _matching_with_pairs(masks, allowed, r, SearchState(masks))
                         assert got == want
                         outcomes[want is None] += 1
         assert outcomes[True] > 500 and outcomes[False] > 500
@@ -931,7 +931,7 @@ class TestTwinPruning:
                 for start in [(1 << c.n) - 1, *masks]:
                     for size in range(1, 7):
                         want = _unpruned_clique(masks, start, size)
-                        got = find_clique(masks, start, size, _SearchState(masks))
+                        got = find_clique(masks, start, size, SearchState(masks))
                         assert got == want, (c, color, start, size)
                         outcomes[want is None] += 1
         assert outcomes[True] > 2000 and outcomes[False] > 2000

@@ -14,12 +14,14 @@ from gallai.constructions import build_named, construction_grid
 from gallai.detectors import find_mono_copy_in_color
 from gallai.graphs import (
     ColoredComplete,
+    SearchState,
     TargetGraph,
     UnsupportedSizeError,
     edge_count,
     edge_index,
     find_clique,
     pairs,
+    twin_classes,
     twin_masks,
     _json_int,
     _json_rows,
@@ -311,8 +313,8 @@ class TestTargetFamilies:
                 assert H.max_degree == max(m.bit_count() for m in masks), H
                 full = (1 << t) - 1
                 omega = H.clique_number
-                assert find_clique(masks, full, omega) is not None, H
-                assert find_clique(masks, full, omega + 1) is None, H
+                assert find_clique(masks, full, omega, SearchState(masks)) is not None, H
+                assert find_clique(masks, full, omega + 1, SearchState(masks)) is None, H
 
     def test_clique_number_computed_once_per_target(self, monkeypatch):
         """The arbitrary family's clique search runs on first use only."""
@@ -372,7 +374,7 @@ class TestFindClique:
             start = (1 << n) - 1 if rng.random() < 0.3 else rng.getrandbits(n)
             size = rng.randint(0, 7)
             want = _first_clique(masks, start, size)
-            assert find_clique(masks, start, size) == want, (masks, start, size)
+            assert find_clique(masks, start, size, SearchState(masks)) == want, (masks, start, size)
             found += want is not None
             missing += want is None
         assert found > 200 and missing > 200
@@ -401,6 +403,39 @@ def _twins_by_definition(masks):
         sum(1 << u for u in range(n) if masks[u] & ~(1 << v) == masks[v] & ~(1 << u))
         for v in range(n)
     ]
+
+
+def _color_twins_by_definition(c):
+    """Reference: u is in v's class when every other vertex sees u and v in
+    the same color."""
+    n = c.n
+    return [
+        sum(
+            1 << u
+            for u in range(n)
+            if all(c.color_of(u, w) == c.color_of(v, w) for w in range(n) if w not in (u, v))
+        )
+        for v in range(n)
+    ]
+
+
+def _random_blowup(rng):
+    """A random coloring of K_n, n <= 10, with k in 2..8, whose vertices fall
+    into random parts: each part is one color inside and each two parts are
+    joined in one color, so a part lies in one twin class.  Half the time
+    one random edge is recolored after that."""
+    n = rng.randint(1, 10)
+    k = rng.randint(2, 8)
+    part = [rng.randrange(n) for _ in range(n)]
+    inside = [rng.randint(1, k) for _ in range(n)]
+    between: dict[tuple[int, int], int] = {}
+    colors = []
+    for i, j in pairs(n):
+        a, b = sorted((part[i], part[j]))
+        colors.append(inside[a] if a == b else between.setdefault((a, b), rng.randint(1, k)))
+    if colors and rng.random() < 0.5:
+        colors[rng.randrange(len(colors))] = rng.randint(1, k)
+    return ColoredComplete(n, k, colors)
 
 
 class TestTwinMasks:
@@ -437,6 +472,36 @@ class TestTwinMasks:
         # 4 their closed one
         masks = [0b10, 0b101, 0b10, 0b10000, 0b1000]
         assert twin_masks(masks) == [0b101, 0b10, 0b101, 0b11000, 0b11000]
+
+    def test_all_colors_match_definition_on_random_colorings(self):
+        """``twin_classes``, the per-color twin masks intersected, gives the
+        classes of vertices that every other vertex sees in one color.  A
+        vertex that sees u and v in two different colors separates them in
+        both, so leaving out any one color changes nothing; leaving out two
+        fails here."""
+        rng = random.Random(2626)
+        nontrivial = 0
+        for _ in range(500):
+            c = _random_blowup(rng)
+            want = _color_twins_by_definition(c)
+            assert twin_classes(c) == want, c
+            nontrivial += any(mask & (mask - 1) for mask in want)
+        assert nontrivial > 300
+
+    def test_all_colors_match_definition_on_relabeled_grid_colorings(self):
+        """Every grid coloring with its vertices and colors renamed at random;
+        the blow-ups keep classes of size two or more."""
+        rng = random.Random(2627)
+        largest = 0
+        for row in construction_grid():
+            c = build_named(row["name"], row["params"])
+            vperm = list(range(c.n))
+            rng.shuffle(vperm)
+            d = c.permuted(vperm, [0] + rng.sample(range(1, c.k + 1), c.k))
+            got = twin_classes(d)
+            assert got == _color_twins_by_definition(d), row
+            largest = max(largest, max(mask.bit_count() for mask in got))
+        assert largest >= 10
 
 
 class TestHspecGrammar:
