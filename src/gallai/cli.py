@@ -14,6 +14,10 @@ re-verification) or any other unexpected exception, reported as one
 ``internal error:`` line on stderr.  It is never a negative answer.
 ``selftest`` reports a failed invariant as a FAIL line and exits 1.
 
+``check``, ``search`` and ``enumerate`` take ``--threads``.  ``main`` checks
+that count, or else ``GALLAI_THREADS``, before it runs one of them, and the
+count changes nothing else: all work runs in the calling thread.
+
 The argument parser is built once per process and shared by every ``main``
 call, so a caller that runs many commands in one process (a test suite, the
 benchmark) pays for it once.  ``eval --c -1e-3`` is read as ``--c=-1e-3``.
@@ -57,6 +61,7 @@ from gallai.structure import (
     classify_p5free,
     enumerate_p5free,
     p5free_classes,
+    resolve_threads,
 )
 
 EXIT_OK = 0
@@ -150,7 +155,7 @@ def _cmd_witness(args) -> int:
 def _cmd_check(args) -> int:
     H = _parse_target(args.H)
     start = time.monotonic()
-    outcome = check_n(H, args.k, args.n, threads=args.threads)
+    outcome = check_n(H, args.k, args.n)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = {
         "query": {"target": render_hspec(H), "k": args.k, "n": args.n},
@@ -167,7 +172,7 @@ def _cmd_check(args) -> int:
 def _cmd_search(args) -> int:
     H = _parse_target(args.H)
     start = time.monotonic()
-    result = compute_gr(H, args.k, args.n_max, threads=args.threads)
+    result = compute_gr(H, args.k, args.n_max)
     elapsed_ms = int((time.monotonic() - start) * 1000)
     report = {
         "query": {"target": render_hspec(H), "k": args.k, "n_max": args.n_max},
@@ -205,7 +210,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    reps = enumerate_p5free(args.n, args.k, threads=args.threads)
+    reps = enumerate_p5free(args.n, args.k)
     for rep in reps:
         print(_dumps(rep.to_json_dict()))
     return EXIT_OK
@@ -386,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if "threads" in args:
+            resolve_threads(args.threads)
         code = args.fn(args)
         sys.stdout.flush()
         return code

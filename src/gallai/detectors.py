@@ -29,16 +29,18 @@ for every b, are found once per host from the per-vertex color lists, by
 mask arithmetic over the vertices with at most three colors.  When no pair
 survives the host is rainbow-free, and the scan returns without building
 a row of the color matrix.  So it does on 155 of the 191 candidates that
-``structure`` guards for n 5..9 and k 4..6, and in the benchmark's
-workloads (seed 11) on 494 of the 595 m = 4 scans of a search pass, 116 of
-the 123 of a certify pass and 585 of the 603 relabeled builder outputs of
-a classify pass.  Otherwise the rows are walked, middle vertex ascending,
-and around each middle vertex only the surviving pairs whose edges to it
-differ in color, in the same ascending order, so the first hit is the one
-the scan over every pair finds.  The worst case stays O(n^3 k^2).  The 35
-distinct grid witnesses of order 5 to 25 hold 23,108 pairs with x != y
-around a middle vertex; 34 of them build no row, and 18 pairs, all in F3,
-reach the path test.
+``structure`` guards when it builds its class tables for n 5..9 and
+k 4..6.  It builds each table once per process, so the benchmark's search
+workload (seed 11) makes those 191 m = 4 scans on its first pass and none
+on later ones.  The scan also returns without a row on 116 of the 123
+m = 4 scans of a certify pass and on 585 of the 603 relabeled builder
+outputs of a classify pass.  Otherwise the rows are walked, middle vertex
+ascending, and around each middle vertex only the surviving pairs whose
+edges to it differ in color, in the same ascending order, so the first hit
+is the one the scan over every pair finds.  The worst case stays
+O(n^3 k^2).  The 35 distinct grid witnesses of order 5 to 25 hold 23,108
+pairs with x != y around a middle vertex; 34 of them build no row, and 18
+pairs, all in F3, reach the path test.
 
 The pair table only pays on hosts without a path.  So before building it
 the m = 4 scan probes its first pair row: mid 0, with b the lowest vertex
@@ -58,9 +60,10 @@ one pass of the benchmark's classify workload (seed 11) makes 9,603 m = 4
 calls: 6,292 hold a path, 6,175 of those paths have middle vertex 0, and
 the probe runs on 5,400 hosts and returns the path on 5,348.  On K5 with
 four colors the first pair row often misses: in that pass it holds a path
-on 124 of the 222 such hosts that pass the other two tests.  The search
-workload's rainbow guard meets the probe on 87 of its 595 candidates, all
-of shape (d) or (e) with their special vertices at 0..3.
+on 124 of the 222 such hosts that pass the other two tests.  The rainbow
+guard of the class tables for n 5..9 and k 4..6 meets the probe on 30 of
+its 191 candidates, 22 of shape (d) and 8 of shape (e), each with its
+vertices of three colors or more among 0..3.
 
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
@@ -118,8 +121,9 @@ before the twin rules, visit a few hundred nodes, and
 
 The twins are built once per host and color, and only when a branch or a
 centre first fails.  The matching search for r = 1 never backtracks, and
-most searches never fail a branch: one search pass of the benchmark makes
-804 searches and builds 84 twin tables, one certify pass 588 and 61.
+most searches never fail a branch: every search pass of the benchmark
+(seed 11), the first included, makes 804 searches and builds 84 twin
+tables, and every certify pass 588 and 61.
 Building the table for every search made the search workload's five S4^1
 and S5^1 jobs about 11 % slower together.
 

@@ -47,14 +47,9 @@ from gallai.graphs import (
     require_keys,
 )
 # The benchmark's tracer wraps names bound in this module (see
-# tests/test_bench_targets.py); enumerate_p5free stays imported for it,
-# though no function here calls it.
-from gallai.structure import (
-    enumerate_p5free,
-    p5free_classes,
-    parallel_map,
-    resolve_threads,
-)
+# tests/test_bench_targets.py); enumerate_p5free and parallel_map stay
+# imported for it, though no function here calls them.
+from gallai.structure import enumerate_p5free, p5free_classes, parallel_map
 
 STATUS_ALL_GOOD = "all-good"
 STATUS_BAD = "bad"
@@ -346,9 +341,7 @@ def _class_key(c: ColoredComplete) -> bytes:
     return canonical_form(c)
 
 
-def check_n(
-    H: TargetGraph, k: int, n: int, threads: int | None = None
-) -> CheckOutcome:
+def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
     """Decide whether every exact k-coloring of the complete graph on n
     vertices contains a rainbow 4-edge path or a monochromatic H.
 
@@ -358,22 +351,17 @@ def check_n(
     the least key of the bad members and verified afresh.  The classes come
     from per-process tables keyed on (n, k), which hold at most 48 entries
     (n 4..9), and each class is keyed at most once per process; only the
-    monochromatic tests and the witness depend on H.  The arguments and
-    ``threads`` are validated on every call, before any table is read.
+    monochromatic tests and the witness depend on H.  The arguments are
+    validated on every call, before any table is read.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
     if n < 1:
         raise ValueError(f"need n >= 1, got n={n}")
-    nthreads = resolve_threads(threads)
     if edge_count(n) < k:
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
-    if n <= 4:
-        classes = _small_order_classes(n, k)
-    else:
-        classes = p5free_classes(n, k, threads=nthreads)
-    misses = parallel_map(lambda c: find_mono_copy(c, H) is None, classes, nthreads)
-    bad = [c for c, miss in zip(classes, misses) if miss]
+    classes = _small_order_classes(n, k) if n <= 4 else p5free_classes(n, k)
+    bad = [c for c in classes if find_mono_copy(c, H) is None]
     if not bad:
         return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
     witness = verify_witness(coloring_from_key(min(map(_class_key, bad))), H)
@@ -392,9 +380,7 @@ class GrSearchResult:
     outcomes: tuple[CheckOutcome, ...]
 
 
-def compute_gr(
-    H: TargetGraph, k: int, n_max: int, threads: int | None = None
-) -> GrSearchResult:
+def compute_gr(H: TargetGraph, k: int, n_max: int) -> GrSearchResult:
     """Least N such that every order n in [N, n_max] is all-good, with the
     order below N certified not-all-good.
 
@@ -407,7 +393,7 @@ def compute_gr(
     outcomes: list[CheckOutcome] = []
     n = n_max
     while n >= 2:
-        outcome = check_n(H, k, n, threads=threads)
+        outcome = check_n(H, k, n)
         outcomes.append(outcome)
         if not outcome.all_good:
             break

@@ -41,7 +41,8 @@ candidates, and it returns them as they are, keying none.
 The classes depend on (n, k) alone, so ``p5free_classes`` generates and
 guards each (n, k) once per process and keeps the result in an immutable
 table that every later call reads; its arguments are validated on every
-call.  The domain, n 5..9 x k 4..12, bounds the table at 45 entries and
+call, and it takes no thread count (all work runs in the calling
+thread).  The domain, n 5..9 x k 4..12, bounds the table at 45 entries and
 202 colorings.  A process that asks for each (n, k) once, such as one CLI
 command, gains nothing from it; a process that checks many targets at the
 same orders, such as the tests or a benchmark pass, skips the repeats.
@@ -87,7 +88,8 @@ class TheoremViolation(RuntimeError):
 def resolve_threads(explicit: int | None = None) -> int:
     """Validated worker count: explicit argument, else GALLAI_THREADS, else
     cpu count.  The count is checked and accepted, but all work runs in the
-    calling thread."""
+    calling thread.  No library function takes a count: the CLI checks its
+    ``--threads`` flag and the variable once, before it runs a command."""
     if explicit is not None:
         if explicit < 1:
             raise ValueError(f"thread count must be >= 1, got {explicit}")
@@ -107,9 +109,10 @@ def resolve_threads(explicit: int | None = None) -> int:
 def parallel_map(
     fn: Callable[[_T], _U], items: Sequence[_T], threads: int
 ) -> list[_U]:
-    """Order-preserving map in the calling thread.  ``threads`` is accepted
-    for the callers' sake and ignored: the work is pure Python, so a thread
-    pool gains nothing under the interpreter lock."""
+    """Order-preserving map in the calling thread; ``threads`` is ignored.
+    The work is pure Python, so a thread pool gains nothing under the
+    interpreter lock.  No function calls it; the benchmark's tracer binds
+    it here and in ``search``."""
     return [fn(x) for x in items]
 
 
@@ -451,9 +454,7 @@ def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:
         yield _CASE_F
 
 
-def p5free_classes(
-    n: int, k: int, threads: int | None = None
-) -> list[ColoredComplete]:
+def p5free_classes(n: int, k: int) -> list[ColoredComplete]:
     """Every exact k-coloring of K_n with no rainbow 4-edge path, one member
     per vertex-and-color isomorphism class, not in key order.  Only k >= 4
     is supported: with fewer colors no rainbow 4-edge path exists and the
@@ -469,11 +470,11 @@ def p5free_classes(
     to (f) are fixed shapes.  The census tests key every candidate over the
     whole domain, n 5..9 x k 4..12, and find no two alike.
 
-    The arguments and ``threads`` are validated on every call.  The classes
-    then come from a per-process table keyed on (n, k) alone: each (n, k)
-    is generated and guarded once, on its first call, and every call gets
-    a fresh list of the same members.  The domain bounds the table at 45
-    entries and 202 colorings in all."""
+    The arguments are validated on every call.  The classes then come from
+    a per-process table keyed on (n, k) alone: each (n, k) is generated and
+    guarded once, on its first call, and every call gets a fresh list of
+    the same members.  The domain bounds the table at 45 entries and 202
+    colorings in all."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -484,7 +485,6 @@ def p5free_classes(
         raise UnsupportedSizeError(f"enumeration is limited to n <= {MAX_ENUM_N}, got {n}")
     if k > MAX_ENUM_K:
         raise UnsupportedSizeError(f"enumeration is limited to k <= {MAX_ENUM_K}, got {k}")
-    resolve_threads(threads)
     return list(_class_table(n, k))
 
 
@@ -512,10 +512,8 @@ def _class_table(n: int, k: int) -> tuple[ColoredComplete, ...]:
     return candidates
 
 
-def enumerate_p5free(
-    n: int, k: int, threads: int | None = None
-) -> list[ColoredComplete]:
+def enumerate_p5free(n: int, k: int) -> list[ColoredComplete]:
     """The classes of ``p5free_classes``, each decoded from its canonical
     key (the canonical representative), sorted by key."""
-    keys = sorted(map(canonical_form, p5free_classes(n, k, threads)))
+    keys = sorted(map(canonical_form, p5free_classes(n, k)))
     return [coloring_from_key(key) for key in keys]

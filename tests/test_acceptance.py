@@ -7,6 +7,9 @@ capture so it is always visible.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 import time
 from importlib import resources
@@ -14,12 +17,12 @@ from importlib import resources
 import pytest
 
 from gallai.canonical import canonical_form
-from gallai.cli import format_table_row
+from gallai.cli import format_table_row, main
 from gallai.constructions import build_named, construction_grid, r35_witness
 from gallai.detectors import find_mono_copy_in_color, find_rainbow_path
 from gallai.formulas import evaluate
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
-from gallai.search import check_n, compute_gr, rainbow_p5free_classes, verify_witness
+from gallai.search import compute_gr, rainbow_p5free_classes, verify_witness
 from gallai.structure import classify_p4free, classify_p5free, enumerate_p5free
 
 
@@ -191,16 +194,29 @@ def test_criterion_7_cross_rule_sweep(report):
     )
 
 
+def _cli(*argv: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
 def test_criterion_8_thread_count_independence(report):
-    """check and enumerate return identical results sequentially vs parallel."""
-    H = parse_hspec("S4^1")
+    """check and enumerate print the same output with --threads 1 as with
+    the default count (the check's elapsed_ms masked)."""
     for n, k in ((5, 4), (5, 5)):
-        seq = check_n(H, k, n, threads=1)
-        par = check_n(H, k, n, threads=None)
-        assert seq == par, (n, k)
-        stream_seq = [c.to_json_dict() for c in enumerate_p5free(n, k, threads=1)]
-        stream_par = [c.to_json_dict() for c in enumerate_p5free(n, k, threads=None)]
-        assert stream_seq == stream_par, (n, k)
+        check = ("check", "--H", "S4^1", "--k", str(k), "--n", str(n))
+        reports = []
+        for argv in (check, check + ("--threads", "1")):
+            code, out = _cli(*argv)
+            doc = json.loads(out)
+            doc.pop("elapsed_ms")
+            reports.append((code, doc))
+        assert reports[0] == reports[1], (n, k)
+        enum = ("enumerate", "--n", str(n), "--k", str(k))
+        streams = [_cli(*enum), _cli(*enum, "--threads", "1")]
+        assert streams[0] == streams[1], (n, k)
+        assert streams[0][1].count("\n") == len(enumerate_p5free(n, k)), (n, k)
     report(
         "PASS criterion 8: check and enumerate outputs identical for "
         "--threads 1 vs default on both oracle instances"

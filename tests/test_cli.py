@@ -409,12 +409,17 @@ class TestCheck:
             ("check", "--H", "K3", "--k", "4", "--n", "3", "--threads", "0"),
             ("search", "--H", "K3", "--k", "4", "--n-max", "3", "--threads", "0"),
             ("check", "--H", "K3", "--k", "4", "--n", "5", "--threads", "-1"),
+            ("check", "--H", "Q3", "--k", "4", "--n", "5", "--threads", "0"),
+            ("check", "--H", "K3", "--k", "3", "--n", "5", "--threads", "0"),
+            ("search", "--H", "K3", "--k", "4", "--n-max", "1", "--threads", "0"),
+            ("enumerate", "--n", "4", "--k", "4", "--threads", "0"),
         ],
-        ids=["check-no-exact-colorings", "search-no-exact-colorings", "check-enumerated"],
+        ids=["check-no-exact-colorings", "search-no-exact-colorings", "check-enumerated",
+             "check-bad-target", "check-bad-k", "search-bad-n-max", "enumerate-bad-n"],
     )
     def test_thread_count_below_one_is_usage_error(self, capsys, argv):
-        """The count is checked before anything else, so an order without
-        exact colorings does not answer first."""
+        """The count is checked before anything else, so neither an order
+        without exact colorings nor a second usage error answers first."""
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: thread count must be >= 1, got {argv[-1]}\n"
@@ -425,6 +430,28 @@ class TestCheck:
         code, out, err = run(capsys, "check", "--H", "K3", "--k", "4", "--n", "3")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: GALLAI_THREADS must be an integer >= 1, got {value!r}\n"
+
+    @pytest.mark.parametrize("command", ["eval", "witness", "verify", "classify"])
+    def test_commands_without_threads_ignore_the_environment(
+        self, capsys, monkeypatch, tmp_path, command
+    ):
+        """Only check, search and enumerate take a thread count, so only
+        they read GALLAI_THREADS; the other commands answer as without it."""
+        coloring = tmp_path / "coloring.json"
+        coloring.write_text(json.dumps(sporadic("F3").to_json_dict()))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(verify_witness(sporadic("F3"), parse_hspec("S4^1")).to_json_dict()))
+        argv = {
+            "eval": ("eval", "--H", "S4^1", "--k", "3"),
+            "witness": ("witness", "--H", "S4^1", "--k", "4"),
+            "verify": ("verify", "--file", str(cert)),
+            "classify": ("classify", "--file", str(coloring)),
+        }[command]
+        monkeypatch.delenv("GALLAI_THREADS", raising=False)
+        want = run(capsys, *argv)
+        assert want[0] == EXIT_OK
+        monkeypatch.setenv("GALLAI_THREADS", "abc")
+        assert run(capsys, *argv) == want
 
     def test_thread_flag_does_not_change_report(self, capsys):
         _, base, _ = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", "5")

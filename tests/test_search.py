@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 
@@ -157,10 +158,8 @@ class TestCheckN:
 
     def test_bad_witness_is_canonically_smallest(self):
         """The reported witness must be the first bad class in canonical-key
-        order, independent of scan schedule."""
-        out1 = check_n(parse_hspec("S4^1"), 4, 5, threads=1)
-        out8 = check_n(parse_hspec("S4^1"), 4, 5, threads=8)
-        assert out1.witness.coloring == out8.witness.coloring
+        order, not the first bad class the scan meets."""
+        out1 = check_n(parse_hspec("S4^1"), 4, 5)
         bad_keys = [
             canonical_form(c)
             for c in enumerate_p5free(5, 4)
@@ -243,8 +242,10 @@ class TestComputeGr:
 class TestCheckNOutputs:
     def test_outputs_byte_identical(self):
         """Status, examined count and witness JSON for six targets at
-        k = 4..6 and n = 2..9 (K4 at n <= 4), with 1 and 8 threads, hash to
-        the digest recorded when every class was keyed and decoded."""
+        k = 4..6 and n = 2..9 (K4 at n <= 4) hash to the digest recorded when
+        every class was keyed and decoded.  That digest was recorded with a
+        check at 1 and at 8 threads per case, so each row is hashed twice,
+        with the thread column it was recorded with."""
         cases = [
             (spec, k, n)
             for spec in ("S4^1", "S5^1", "K5", "PA6,5", "K6-M", C5)
@@ -254,9 +255,9 @@ class TestCheckNOutputs:
         cases += [("K4", k, n) for k in range(4, 7) for n in range(2, 5)]
         digest = hashlib.sha256()
         for spec, k, n in cases:
+            out = check_n(parse_hspec(spec), k, n)
+            witness = None if out.witness is None else out.witness.to_json_dict()
             for threads in (1, 8):
-                out = check_n(parse_hspec(spec), k, n, threads=threads)
-                witness = None if out.witness is None else out.witness.to_json_dict()
                 row = [spec, k, n, threads, out.status, out.examined, witness]
                 digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
         assert digest.hexdigest() == _CHECK_SHA256
@@ -407,3 +408,30 @@ class TestClassTables:
         classes = _small_order_classes(4, 5)
         assert len(witnesses) == 3
         assert sorted(decoded) == sorted([canonical_form(c) for c in classes] + witnesses)
+
+
+class TestNoThreadCount:
+    """The library takes no thread count and reads no ``GALLAI_THREADS``;
+    only the CLI checks them (``test_cli.py``)."""
+
+    @pytest.mark.parametrize(
+        "fn", [check_n, compute_gr, p5free_classes, enumerate_p5free], ids=lambda fn: fn.__name__
+    )
+    def test_no_threads_parameter(self, fn):
+        assert "threads" not in inspect.signature(fn).parameters
+
+    def test_thread_environment_changes_nothing(self, monkeypatch):
+        """A value the CLI refuses reaches no library function: each
+        returns what it returns without the variable."""
+        H = parse_hspec("S4^1")
+        calls = (
+            lambda: check_n(H, 4, 5),
+            lambda: check_n(H, 5, 4),
+            lambda: compute_gr(H, 4, 7),
+            lambda: p5free_classes(6, 4),
+            lambda: enumerate_p5free(6, 4),
+        )
+        monkeypatch.delenv("GALLAI_THREADS", raising=False)
+        want = [call() for call in calls]
+        monkeypatch.setenv("GALLAI_THREADS", "auto")
+        assert [call() for call in calls] == want

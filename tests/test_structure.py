@@ -8,6 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+import gallai
 from gallai import structure
 from gallai.canonical import canonical_form
 from gallai.constructions import build_named, sporadic
@@ -534,11 +535,6 @@ class TestEnumerate:
         monkeypatch.undo()
         assert p5free_classes(5, 4) == want
 
-    def test_thread_count_does_not_change_output(self):
-        one = enumerate_p5free(6, 5, threads=1)
-        many = enumerate_p5free(6, 5, threads=8)
-        assert one == many
-
 
 _GENERATORS = (
     structure._candidates_case_b,
@@ -582,21 +578,22 @@ class TestClassTable:
         p5free_classes(6, 4).clear()
         assert p5free_classes(6, 4) == want
 
-    def test_threads_share_one_entry_and_are_validated_on_every_call(self, monkeypatch):
+    def test_calls_share_one_entry_and_are_validated_on_every_call(self, monkeypatch):
         structure._class_table.cache_clear()
-        assert p5free_classes(6, 5, threads=1) == p5free_classes(6, 5, threads=8)
+        want = p5free_classes(6, 5)
+        assert p5free_classes(6, 5) == want
         info = structure._class_table.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        with pytest.raises(ValueError):
-            p5free_classes(6, 5, threads=0)
         with pytest.raises(UnsupportedSizeError):
             p5free_classes(10, 5)
         with pytest.raises(UnsupportedSizeError):
             p5free_classes(6, 13)
-        monkeypatch.setenv("GALLAI_THREADS", "zero")
-        with pytest.raises(ValueError):
-            p5free_classes(6, 5)
         assert structure._class_table.cache_info() == info
+        # the thread count is the CLI's to check; the table does not read it
+        monkeypatch.setenv("GALLAI_THREADS", "zero")
+        assert p5free_classes(6, 5) == want
+        after = structure._class_table.cache_info()
+        assert (after.misses, after.hits, after.currsize) == (1, 2, 1)
 
 
 class TestParallelHelpers:
@@ -613,6 +610,10 @@ class TestParallelHelpers:
         monkeypatch.setenv("GALLAI_THREADS", "zero")
         with pytest.raises(ValueError):
             resolve_threads(None)
+
+    def test_helpers_are_not_exported(self):
+        assert not {"parallel_map", "resolve_threads"} & set(gallai.__all__)
+        assert not hasattr(gallai, "parallel_map") and not hasattr(gallai, "resolve_threads")
 
     def test_parallel_map_preserves_order(self):
         items = list(range(100))
