@@ -29,10 +29,10 @@ for every b, are found once per host from the per-vertex color lists, by
 mask arithmetic over the vertices with at most three colors.  When no pair
 survives the host is rainbow-free, and the scan returns without building
 a row of the color matrix.  So it does on 155 of the 191 candidates that
-``structure`` guards when it builds its class tables for n 5..9 and
-k 4..6.  It builds each table once per process, so the benchmark's search
-workload (seed 11) makes those 191 m = 4 scans on its first pass and none
-on later ones.  The scan also returns without a row on 116 of the 123
+``structure`` guards when ``search`` builds its class table for n 5..9 and
+k 4..6.  ``search`` builds each entry once per process, so the benchmark's
+search workload (seed 11) makes those 191 m = 4 scans on its first pass
+and none on later ones.  The scan also returns without a row on 116 of the 123
 m = 4 scans of a certify pass and on 585 of the 603 relabeled builder
 outputs of a classify pass.  Otherwise the rows are walked, middle vertex
 ascending, and around each middle vertex only the surviving pairs whose
@@ -61,7 +61,7 @@ calls: 6,292 hold a path, 6,175 of those paths have middle vertex 0, and
 the probe runs on 5,400 hosts and returns the path on 5,348.  On K5 with
 four colors the first pair row often misses: in that pass it holds a path
 on 124 of the 222 such hosts that pass the other two tests.  The rainbow
-guard of the class tables for n 5..9 and k 4..6 meets the probe on 30 of
+guard of that class table for n 5..9 and k 4..6 meets the probe on 30 of
 its 191 candidates, 22 of shape (d) and 8 of shape (e), each with its
 vertices of three colors or more among 0..3.
 

@@ -352,42 +352,30 @@ def _rule_co3_1(q: _Query) -> _Contribution | None:
     return None
 
 
-def _rule_th3_4(q: _Query) -> _Contribution | None:
+def _rule_th3_4_5(q: _Query) -> _Contribution | None:
+    """Theorem 3.4 (odd t, rule th3-4) and Theorem 3.5 (even t, th3-5) state
+    one formula: with s = t - (t mod 2), the value is (3t-4)//2 when
+    3 <= r <= s//4 and t + 2r - 2 when ceil(s/4) <= r <= (t-2)//2.  For odd
+    t these read (3t-5)/2, r <= (t-1)//4, ceil((t-1)/4) and (t-3)/2, as
+    Theorem 3.4 states them."""
     if q.H.family != FAMILY_STAR_PLUS or q.k != 4:
         return None
     t, r = q.H.t, q.H.r
     assert r is not None
-    if t % 2 == 0 or r < 3:
+    if r < 3:
         return None
+    rule, parity = ("th3-4", "odd") if t % 2 else ("th3-5", "even")
+    s = t - t % 2
     values = []
-    if 3 <= r <= (t - 1) // 4:
-        values.append((3 * t - 5) // 2)
-    if -(-(t - 1) // 4) <= r <= (t - 3) // 2:
-        values.append(t + 2 * r - 2)
-    if not values:
-        return None
-    if len(set(values)) != 1:
-        raise FormulaInconsistency(f"th3-4 branch overlap disagrees at t={t}, r={r}")
-    return _exact("th3-4", values[0], f"k=4, odd t={t}, r={r}")
-
-
-def _rule_th3_5(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_STAR_PLUS or q.k != 4:
-        return None
-    t, r = q.H.t, q.H.r
-    assert r is not None
-    if t % 2 == 1 or r < 3:
-        return None
-    values = []
-    if 3 <= r <= t // 4:
+    if r <= s // 4:
         values.append((3 * t - 4) // 2)
-    if -(-t // 4) <= r <= (t - 2) // 2:
+    if -(-s // 4) <= r <= (t - 2) // 2:
         values.append(t + 2 * r - 2)
     if not values:
         return None
     if len(set(values)) != 1:
-        raise FormulaInconsistency(f"th3-5 branch overlap disagrees at t={t}, r={r}")
-    return _exact("th3-5", values[0], f"k=4, even t={t}, r={r}")
+        raise FormulaInconsistency(f"{rule} branch overlap disagrees at t={t}, r={r}")
+    return _exact(rule, values[0], f"k=4, {parity} t={t}, r={r}")
 
 
 def _piecewise_small_star(
@@ -495,8 +483,7 @@ _RULES = (
     partial(_point_rule, "le3-1", parse_hspec("S4^1"), 6),
     partial(_point_rule, "le3-2", parse_hspec("S5^1"), 6),
     _rule_co3_1,
-    _rule_th3_4,
-    _rule_th3_5,
+    _rule_th3_4_5,
     partial(_piecewise_small_star, "th3-6", 4,
             {3: (17, ("le3-3",)), 4: (6, ("le3-1",)), 5: (5, ()), 6: (5, ())}),
     partial(_piecewise_small_star, "th3-7", 5,

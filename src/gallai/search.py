@@ -9,14 +9,19 @@ cover a query and returns the largest one that verifies.  The per-order
 check tests one member coloring per class: the structure-guided classes of
 ``p5free_classes`` for n >= 5, and all exact colorings up to color renaming
 below that.  The reported bad coloring is the canonically smallest one,
-decoded from the least key of the bad classes.  Everything ``check_n``
-reads besides the target is built once per process: ``p5free_classes``
-reads its table, ``_small_order_classes`` caches its three entries, and
-``_class_key`` keeps the key of every class it is asked for, at most 212
-(202 for n 5..9 and 10 for n = 4), since only table members reach it.
-Checking many targets at the same orders in one process, as ``compute_gr``
-sweeps and the tests do, pays for generation, the rainbow guard and each
-key once; a one-shot CLI command builds what it needs and gains nothing.
+decoded from the least key of the bad classes.
+
+The classes depend on (n, k) alone, and ``check_n`` is the one caller that
+asks for the same (n, k) more than once, so this module keeps the only
+per-process class cache: ``_class_table``, one entry per (n, k) that
+``check_n`` reaches (n 4..9, at most 46 entries and 212 classes), each
+mapping a class member to its key.  The n = 4 keys are known when the
+entry is built; a class of order 5 or more is keyed when a check first
+finds it bad, and never again.  Checking many targets at the same orders in
+one process, as ``compute_gr`` sweeps and the tests do, pays for
+generation, the rainbow guard and each key once; a one-shot CLI command
+builds what it needs and gains nothing.  Arguments are validated on every
+call, and every witness is verified afresh.
 """
 
 from __future__ import annotations
@@ -325,20 +330,16 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
 
 
 @lru_cache(maxsize=None)
-def _small_order_classes(n: int, k: int) -> tuple[ColoredComplete, ...]:
-    """Exact coloring classes for n <= 4, where no 4-edge path fits and thus
-    every exact coloring qualifies, decoded from their keys in key order.
-    Cached per process like ``p5free_classes``; ``check_n`` asks only for
-    (4, 4), (4, 5) and (4, 6), 10 colorings in all."""
-    return tuple(coloring_from_key(key) for key in sorted(_rainbow_free_class_keys(n, k)))
-
-
-@lru_cache(maxsize=None)
-def _class_key(c: ColoredComplete) -> bytes:
-    """The canonical key of a class, computed once per process.  ``check_n``
-    asks only for members of the class tables, so this holds at most 212
-    keys."""
-    return canonical_form(c)
+def _class_table(n: int, k: int) -> dict[ColoredComplete, bytes | None]:
+    """One member coloring per class at (n, k), in a fixed order, each
+    mapped to its canonical key, or to None until ``check_n`` finds the
+    class bad.  Below order 5 no 4-edge path fits, so the classes are every
+    exact coloring up to color renaming, decoded from their keys in key
+    order; from order 5 they are the classes of ``p5free_classes``, keyed
+    by ``check_n`` on demand.  A failed build stores nothing."""
+    if n <= 4:
+        return {coloring_from_key(key): key for key in sorted(_rainbow_free_class_keys(n, k))}
+    return dict.fromkeys(p5free_classes(n, k))
 
 
 def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
@@ -348,11 +349,9 @@ def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
     ``examined`` counts the classes.  A class is one member coloring, tested
     as it is (a monochromatic copy survives renaming); when bad classes
     exist the reported witness is the canonically smallest, decoded from
-    the least key of the bad members and verified afresh.  The classes come
-    from per-process tables keyed on (n, k), which hold at most 48 entries
-    (n 4..9), and each class is keyed at most once per process; only the
-    monochromatic tests and the witness depend on H.  The arguments are
-    validated on every call, before any table is read.
+    the least key of the bad members and verified afresh.  The classes and
+    their keys come from the class table (see the module docstring); only
+    the monochromatic tests and the witness depend on H.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -360,12 +359,15 @@ def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
         raise ValueError(f"need n >= 1, got n={n}")
     if edge_count(n) < k:
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
-    classes = _small_order_classes(n, k) if n <= 4 else p5free_classes(n, k)
-    bad = [c for c in classes if find_mono_copy(c, H) is None]
+    table = _class_table(n, k)
+    bad = [c for c in table if find_mono_copy(c, H) is None]
     if not bad:
-        return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(classes))
-    witness = verify_witness(coloring_from_key(min(map(_class_key, bad))), H)
-    return CheckOutcome(H, k, n, STATUS_BAD, witness, len(classes))
+        return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(table))
+    for c in bad:
+        if table[c] is None:
+            table[c] = canonical_form(c)
+    witness = verify_witness(coloring_from_key(min(table[c] for c in bad)), H)
+    return CheckOutcome(H, k, n, STATUS_BAD, witness, len(table))
 
 
 @dataclass(frozen=True)

@@ -38,14 +38,8 @@ isomorphism class: the case generators emit pairwise non-isomorphic
 candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
 
-The classes depend on (n, k) alone, so ``p5free_classes`` generates and
-guards each (n, k) once per process and keeps the result in an immutable
-table that every later call reads; its arguments are validated on every
-call, and it takes no thread count (all work runs in the calling
-thread).  The domain, n 5..9 x k 4..12, bounds the table at 45 entries and
-202 colorings.  A process that asks for each (n, k) once, such as one CLI
-command, gains nothing from it; a process that checks many targets at the
-same orders, such as the tests or a benchmark pass, skips the repeats.
+``p5free_classes`` validates its arguments, generates and guards on every
+call and keeps no table; ``check_n`` (``search``) keeps the one class cache.
 """
 
 from __future__ import annotations
@@ -468,13 +462,7 @@ def p5free_classes(n: int, k: int) -> list[ColoredComplete]:
     parts; their sizes, and the graphs of equal-size parts, are chosen as
     multisets.  Case (c) chooses its spoke counts as a multiset.  Cases (d)
     to (f) are fixed shapes.  The census tests key every candidate over the
-    whole domain, n 5..9 x k 4..12, and find no two alike.
-
-    The arguments are validated on every call.  The classes then come from
-    a per-process table keyed on (n, k) alone: each (n, k) is generated and
-    guarded once, on its first call, and every call gets a fresh list of
-    the same members.  The domain bounds the table at 45 entries and 202
-    colorings in all."""
+    whole domain, n 5..9 x k 4..12, and find no two alike."""
     if n < 5:
         raise ValueError(f"enumeration needs n >= 5, got n={n}")
     if k <= 3:
@@ -485,15 +473,7 @@ def p5free_classes(n: int, k: int) -> list[ColoredComplete]:
         raise UnsupportedSizeError(f"enumeration is limited to n <= {MAX_ENUM_N}, got {n}")
     if k > MAX_ENUM_K:
         raise UnsupportedSizeError(f"enumeration is limited to k <= {MAX_ENUM_K}, got {k}")
-    return list(_class_table(n, k))
-
-
-@lru_cache(maxsize=None)
-def _class_table(n: int, k: int) -> tuple[ColoredComplete, ...]:
-    """The guarded candidates of every case generator at (n, k), the table
-    behind ``p5free_classes``.  A guard failure raises, and the cache
-    stores nothing for that (n, k)."""
-    candidates = tuple(
+    candidates = [
         c
         for gen in (
             _candidates_case_b,
@@ -503,7 +483,7 @@ def _class_table(n: int, k: int) -> tuple[ColoredComplete, ...]:
             _candidates_case_f,
         )
         for c in gen(n, k)
-    )
+    ]
     for c in candidates:
         if not c.exact or find_rainbow_path(c, 4) is not None:
             raise TheoremViolation(

@@ -13,14 +13,13 @@ import gallai.search
 from gallai import structure
 from gallai.canonical import canonical_form
 from gallai.constructions import sporadic
-from gallai.graphs import ColoredComplete, TargetGraph, UnsupportedSizeError, parse_hspec
+from gallai.graphs import ColoredComplete, TargetGraph, UnsupportedSizeError, pairs, parse_hspec
 from gallai.search import (
     STATUS_ALL_GOOD,
     STATUS_BAD,
     STATUS_NO_EXACT,
     WitnessFailure,
-    _class_key,
-    _small_order_classes,
+    _class_table,
     brute_force_colorings,
     check_n,
     compute_gr,
@@ -29,7 +28,7 @@ from gallai.search import (
     verify_witness,
 )
 from gallai.detectors import find_mono_copy
-from gallai.structure import enumerate_p5free, p5free_classes
+from gallai.structure import TheoremViolation, enumerate_p5free, p5free_classes
 
 C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
 
@@ -44,9 +43,7 @@ _SWEEP_SHA256 = "f0b69bbe7a225623f65b6e19407e2a40ecfeebfec5c8fc897ac3940a9712a43
 
 
 def _clear_class_tables():
-    structure._class_table.cache_clear()
-    _small_order_classes.cache_clear()
-    _class_key.cache_clear()
+    _class_table.cache_clear()
 
 
 class TestVerifyWitness:
@@ -120,10 +117,12 @@ class TestSmallOrderClasses:
     )
     def test_matches_brute_force_reference(self, n, k):
         """The classes check_n scans below order 5 are exactly the canonical
-        forms of every exact coloring, in canonical-key order."""
+        forms of every exact coloring, in canonical-key order, each stored
+        with its key."""
         want = sorted({canonical_form(c) for c in brute_force_colorings(n, k)})
-        classes = _small_order_classes(n, k)
+        classes = _class_table(n, k)
         assert [canonical_form(c) for c in classes] == want
+        assert list(classes.values()) == want
         assert all(c.exact and (c.n, c.k) == (n, k) for c in classes)
 
 
@@ -327,17 +326,23 @@ class TestWitnessByIndependentRoute:
 
     def test_key_memo_is_bounded_by_the_class_tables(self):
         """K10 has no copy at n <= 9, so every class is bad and keyed; over
-        every (n, k) check_n accepts, the memo ends with the 212 classes of
-        the tables (202 for n 5..9, 10 for n = 4) and nothing else."""
+        every (n, k) check_n accepts, the table ends with one entry per
+        order and color count that has exact colorings, holding the 212
+        classes (202 for n 5..9, 10 for n = 4), each with its distinct key,
+        and nothing else."""
+        _clear_class_tables()
         H = parse_hspec("K10")
+        reached = []
         for n in range(1, 10):
             for k in range(4, 13):
                 out = check_n(H, k, n)
                 assert out.status == STATUS_BAD or out.examined == 0
-        tables = sum(len(p5free_classes(n, k)) for n in range(5, 10) for k in range(4, 13))
-        tables += sum(len(_small_order_classes(4, k)) for k in range(4, 7))
-        assert tables == 212
-        assert _class_key.cache_info().currsize == tables
+                if out.status != STATUS_NO_EXACT:
+                    reached.append((n, k))
+        assert _class_table.cache_info().currsize == len(reached) == 46
+        keys = [key for n, k in reached for key in _class_table(n, k).values()]
+        assert len(set(keys)) == len(keys) == 212
+        assert None not in keys
 
 
 class TestSmallGraphSweep:
@@ -388,8 +393,7 @@ class TestClassTables:
         _clear_class_tables()
         for spec in ("S4^1", "K5"):
             check_n(parse_hspec(spec), 4, 6)
-        classes = p5free_classes(6, 4)
-        assert guarded == classes
+        assert guarded == list(_class_table(6, 4))
 
     def test_small_order_classes_are_decoded_once(self, monkeypatch):
         """Below order 5, three checks at (k, n) = (5, 4) decode each class
@@ -405,9 +409,66 @@ class TestClassTables:
             out = check_n(parse_hspec(spec), 5, 4)
             if out.status == STATUS_BAD:
                 witnesses.append(canonical_form(out.witness.coloring))
-        classes = _small_order_classes(4, 5)
+        keys = list(_class_table(4, 5).values())
         assert len(witnesses) == 3
-        assert sorted(decoded) == sorted([canonical_form(c) for c in classes] + witnesses)
+        assert sorted(decoded) == sorted(keys + witnesses)
+
+    def test_small_order_classes_are_keyed_once(self, monkeypatch):
+        """Cold checks of K4 at (k, n) = (4..6, 4), where no exact coloring
+        holds a monochromatic K4 and every class is bad, key the 81
+        surjections of the six edges onto 4, 5 and 6 colors, up to
+        renaming, and not their 10 classes again."""
+        keyed = []
+        real = gallai.search.canonical_form
+        monkeypatch.setattr(
+            gallai.search, "canonical_form", lambda c: keyed.append(c) or real(c)
+        )
+        _clear_class_tables()
+        for k in (4, 5, 6):
+            assert check_n(parse_hspec("K4"), k, 4).status == STATUS_BAD
+        assert len(keyed) == 65 + 15 + 1
+
+    def test_calls_share_one_entry_and_are_validated_on_every_call(self, monkeypatch):
+        """Checks of two targets at one (k, n) share one table entry; an
+        order or color count past the enumerator's limits is refused on
+        every call and stores nothing."""
+        _clear_class_tables()
+        want = check_n(parse_hspec("S4^1"), 5, 6)
+        assert check_n(parse_hspec("S4^1"), 5, 6) == want
+        check_n(parse_hspec("K5"), 5, 6)
+        info = _class_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for _ in range(2):
+            with pytest.raises(UnsupportedSizeError):
+                check_n(parse_hspec("S4^1"), 5, 10)
+            with pytest.raises(UnsupportedSizeError):
+                check_n(parse_hspec("S4^1"), 13, 6)
+        after = _class_table.cache_info()
+        assert (after.hits, after.currsize) == (info.hits, info.currsize)
+        # the thread count is the CLI's to check; the table does not read it
+        monkeypatch.setenv("GALLAI_THREADS", "zero")
+        assert check_n(parse_hspec("S4^1"), 5, 6) == want
+        after = _class_table.cache_info()
+        assert (after.hits, after.currsize) == (3, 1)
+
+    def test_failed_build_stores_nothing(self, monkeypatch):
+        """A generator that emits a rainbow candidate fails every check at
+        its order, and the table keeps nothing of it: once the generators
+        are mended, the check scans the true classes."""
+        H = parse_hspec("K5")
+        want = check_n(H, 4, 5)
+        _clear_class_tables()
+        rainbow = ColoredComplete.from_edge_triples(
+            5, 4, [(i, j, j if j == i + 1 else 1) for i, j in pairs(5)]
+        )
+        monkeypatch.setattr(structure, "_candidates_case_f", lambda n, k: iter([rainbow]))
+        for _ in range(2):
+            with pytest.raises(TheoremViolation):
+                check_n(H, 4, 5)
+        assert _class_table.cache_info().currsize == 0
+        monkeypatch.undo()
+        assert check_n(H, 4, 5) == want
+        assert list(_class_table(5, 4)) == p5free_classes(5, 4)
 
 
 class TestNoThreadCount:

@@ -523,11 +523,9 @@ class TestEnumerate:
     )
     def test_bad_candidate_is_a_theorem_violation(self, monkeypatch, bad):
         """A generator emitting a rainbow or non-exact candidate is a bug,
-        reported instead of silently dropped, on every call: a generation
-        that fails leaves nothing in the class table, so the mended
+        reported instead of silently dropped, on every call; the mended
         generators give the true classes again."""
         want = [c for gen in _GENERATORS for c in gen(5, 4)]
-        structure._class_table.cache_clear()
         monkeypatch.setattr(structure, "_candidates_case_f", lambda n, k: iter([bad]))
         for _ in range(2):
             with pytest.raises(TheoremViolation):
@@ -578,22 +576,16 @@ class TestClassTable:
         p5free_classes(6, 4).clear()
         assert p5free_classes(6, 4) == want
 
-    def test_calls_share_one_entry_and_are_validated_on_every_call(self, monkeypatch):
-        structure._class_table.cache_clear()
+    def test_every_call_generates_and_guards(self, monkeypatch):
+        """``structure`` keeps no table: each call runs the rainbow guard on
+        every class again."""
+        guarded = []
+        monkeypatch.setattr(
+            structure, "find_rainbow_path", lambda c, m: guarded.append(c) or find_rainbow_path(c, m)
+        )
         want = p5free_classes(6, 5)
         assert p5free_classes(6, 5) == want
-        info = structure._class_table.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
-        with pytest.raises(UnsupportedSizeError):
-            p5free_classes(10, 5)
-        with pytest.raises(UnsupportedSizeError):
-            p5free_classes(6, 13)
-        assert structure._class_table.cache_info() == info
-        # the thread count is the CLI's to check; the table does not read it
-        monkeypatch.setenv("GALLAI_THREADS", "zero")
-        assert p5free_classes(6, 5) == want
-        after = structure._class_table.cache_info()
-        assert (after.misses, after.hits, after.currsize) == (1, 2, 1)
+        assert guarded == want + want
 
 
 class TestParallelHelpers:
