@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import collections
+import hashlib
+import json
 import math
 
 import pytest
@@ -20,7 +23,12 @@ from gallai.formulas import (
     pq_decompose,
     ramsey_known,
 )
-from gallai.graphs import TargetGraph, UnsupportedSizeError, parse_hspec
+from gallai.graphs import TargetGraph, UnsupportedSizeError, parse_hspec, render_hspec
+
+# sha256 over every evaluate answer of TestEvaluateOutputs: (kind, value, lo,
+# hi, provenance, assumptions), or (exception type, message) for a refusal;
+# recorded before the rules returned GrResult.
+_EVALUATE_SHA256 = "5a5e9514e20652057e35caf72eeba7473a9436d019ce6b6a821064684631fc3e"
 
 
 def inject(monkeypatch, *rows: RamseyEntry) -> None:
@@ -380,3 +388,48 @@ class TestGridSweep:
             for t in range(w + 1, 11):
                 res = evaluate(TargetGraph.pineapple(t, w), w)
                 assert res.value == (w - 1) * (t - 1) + 1
+
+
+class TestEvaluateOutputs:
+    @staticmethod
+    def _targets() -> list[TargetGraph]:
+        targets = [TargetGraph.complete(t) for t in range(2, 21)]
+        targets += [TargetGraph.complete_minus_matching(t) for t in range(2, 21)]
+        targets += [
+            TargetGraph.star_plus(t, r) for t in range(2, 21) for r in range((t - 1) // 2 + 1)
+        ]
+        targets += [TargetGraph.pineapple(t, w) for w in range(2, 12) for t in range(w + 1, 21)]
+        targets.append(parse_hspec('{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'))
+        targets.append(parse_hspec('{"order":3,"edges":[]}'))
+        return targets
+
+    @staticmethod
+    def _row(H: TargetGraph, k: int, c: float | None) -> list:
+        try:
+            res = evaluate(H, k, c=c)
+        except (ConstantOutOfRange, UnsupportedSizeError) as exc:
+            return [render_hspec(H), k, c, type(exc).__name__, str(exc)]
+        return [
+            render_hspec(H), k, c, res.kind, res.value, res.lo, res.hi,
+            list(res.provenance), list(res.assumptions),
+        ]
+
+    def test_every_answer_is_pinned(self):
+        """Every answer, assumptions and refusals included, over 21,300
+        queries plus the th4-7 size refusal, hashes to the recorded digest."""
+        rows = [
+            self._row(H, k, c)
+            for H in self._targets()
+            for k in range(1, 26)
+            for c in (None, 0.5, 10.0)
+        ]
+        kinds = collections.Counter(row[3] for row in rows)
+        assert kinds == {
+            "Exact": 14040, "Unknown": 5715, "Bounds": 1321, "ConstantOutOfRange": 224,
+        }
+        rows.append(self._row(parse_hspec("PA520,516"), 4, 1.0))
+        assert rows[-1][3] == "UnsupportedSizeError"
+        digest = hashlib.sha256()
+        for row in rows:
+            digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
+        assert digest.hexdigest() == _EVALUATE_SHA256
