@@ -1,11 +1,15 @@
 """Closed-form values and bounds for gr_k(P5 : H), rule by rule.
 
-Each rule carries the identifier used in provenance output (th2-1, le3-1,
-co3-1, ...), a literal hypothesis check, and a value or bound formula.
-``evaluate`` collects every applicable rule: exact values must agree with
-each other and fit inside every applicable bound (a contradiction raises
-FormulaInconsistency, since it can only come from a transcription bug), and
-bounds are intersected otherwise.  A contradiction caused by the caller's
+A rule is a function of (H, k, c) that returns a GrResult or None: its
+provenance is the rule's identifier (th2-1, le3-1, co3-1, ...), then the
+dependencies it cites, and its assumptions are the one hypothesis it checked.
+``_RULES`` pairs each rule with the family its theorem is stated for (None
+for every family), and ``evaluate`` calls the rules of H's family in table
+order, then merges once: exact values must agree with each other and fit
+inside every applicable bound (a contradiction raises FormulaInconsistency,
+since it can only come from a transcription bug), and bounds are intersected
+otherwise.  The merge lists the rule identifiers in table order, then the
+cited dependencies, each once.  A contradiction caused by the caller's
 constant c of the pineapple bound th4-7 raises ConstantOutOfRange instead.
 """
 
@@ -198,149 +202,122 @@ def ramsey_known(
     return None
 
 
-@dataclass(frozen=True)
-class _Contribution:
-    rule: str
-    kind: str  # "exact" | "bounds"
-    value: int | None
-    lo: int | None
-    hi: int | None
-    deps: tuple[str, ...]
-    assumption: str
-
-
-def _exact(rule: str, value: int, assumption: str, deps: Iterable[str] = ()) -> _Contribution:
-    return _Contribution(rule, "exact", value, value, value, tuple(deps), assumption)
+def _exact(rule: str, value: int, assumption: str, deps: Iterable[str] = ()) -> GrResult:
+    return GrResult(KIND_EXACT, value, value, value, (rule, *deps), (assumption,))
 
 
 def _bounds(
     rule: str, lo: int, hi: int | None, assumption: str, deps: Iterable[str] = ()
-) -> _Contribution:
-    return _Contribution(rule, "bounds", None, lo, hi, tuple(deps), assumption)
+) -> GrResult:
+    return GrResult(KIND_BOUNDS, None, lo, hi, (rule, *deps), (assumption,))
 
 
-@dataclass(frozen=True)
-class _Query:
-    H: TargetGraph
-    k: int
-    c: float | None
-
-
-def _point_rule(rule: str, point: TargetGraph, value: int, q: _Query) -> _Contribution | None:
+def _point_rule(
+    rule: str, point: TargetGraph, value: int, H: TargetGraph, k: int, c: float | None
+) -> GrResult | None:
     """A rule that holds at the single point H = point, k = 4."""
-    if q.k == 4 and q.H == point:
-        return _exact(rule, value, f"H = {render_hspec(point)} and k = {q.k}")
+    if k == 4 and H == point:
+        return _exact(rule, value, f"H = {render_hspec(point)} and k = {k}")
     return None
 
 
-def _rule_th2_1(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if q.k >= 7 and q.k >= t + 1:
+def _rule_th2_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if k >= 7 and k >= t + 1:
         return _exact(
-            "th2-1", min_order_with_pair_count(q.k), f"k={q.k} >= 7 and k >= t+1={t + 1}"
+            "th2-1", min_order_with_pair_count(k), f"k={k} >= 7 and k >= t+1={t + 1}"
         )
     return None
 
 
-def _rule_th2_2_1(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if q.k in (5, 6) and q.k >= t + 1 and t >= 3:
-        return _exact("th2-2-1", 5, f"k={q.k} in {{5,6}} and k >= t+1={t + 1}")
+def _rule_th2_2_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if k in (5, 6) and k >= t + 1 and t >= 3:
+        return _exact("th2-2-1", 5, f"k={k} in {{5,6}} and k >= t+1={t + 1}")
     return None
 
 
-def _rule_th2_2(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if q.k == t and q.k >= 5 and not q.H.is_complete:
+def _rule_th2_2(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if k == t and k >= 5 and not H.is_complete:
         return _exact("th2-2", t + 1, f"k = t = {t} >= 5 and H not complete")
     return None
 
 
-def _rule_th2_4(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if q.k == t and t >= 5 and q.H.is_complete:
+def _rule_th2_4(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if k == t and t >= 5 and H.is_complete:
         return _exact("th2-4", (t - 1) ** 2 + 1, f"k = t = {t} >= 5 and H complete")
     return None
 
 
-def _rule_coro2_4(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if not (q.k >= 5 and q.k >= t and t >= 3):
+def _rule_coro2_4(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if not (k >= 5 and k >= t and t >= 3):
         return None
-    if q.k >= t + 1:
-        value = max(min_order_with_pair_count(q.k), 5)
-        return _exact("coro2-4", value, f"k={q.k} >= max(5, t+1)")
-    if q.H.is_complete:
+    if k >= t + 1:
+        value = max(min_order_with_pair_count(k), 5)
+        return _exact("coro2-4", value, f"k={k} >= max(5, t+1)")
+    if H.is_complete:
         return _exact("coro2-4", (t - 1) ** 2 + 1, f"k = t = {t} and H complete")
     return _exact("coro2-4", t + 1, f"k = t = {t} and H not complete")
 
 
-def _rule_th2_5(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if q.H.family != FAMILY_COMPLETE_MINUS_MATCHING:
-        return None
-    if q.k >= 5 and (t + 3) // 2 <= q.k <= t - 1:
-        value = max(min_order_with_pair_count(q.k), t + 1)
-        return _exact("th2-5", value, f"ceil((t+2)/2) <= k={q.k} <= t-1={t - 1}")
+def _rule_th2_5(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if k >= 5 and (t + 3) // 2 <= k <= t - 1:
+        value = max(min_order_with_pair_count(k), t + 1)
+        return _exact("th2-5", value, f"ceil((t+2)/2) <= k={k} <= t-1={t - 1}")
     return None
 
 
-def _rule_th2_6(q: _Query) -> _Contribution | None:
-    t = q.H.t
-    if not (q.k >= 5 and q.k <= t - 1):
+def _rule_th2_6(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t = H.t
+    if not (k >= 5 and k <= t - 1):
         return None
-    entry = ramsey_known(q.H, 2, c=q.c)
+    entry = ramsey_known(H, 2, c=c)
     if entry is None or not entry.is_exact or entry.lo < t + 1:
         return None
-    p, _ = pq_decompose(q.H.max_degree - 1, q.k - 2)
-    lo = max(q.H.max_degree + p, t + 1)
+    p, _ = pq_decompose(H.max_degree - 1, k - 2)
+    lo = max(H.max_degree + p, t + 1)
     return _bounds(
         "th2-6",
         lo,
         entry.lo,
-        f"5 <= k={q.k} <= t-1 and two-color value known",
+        f"5 <= k={k} <= t-1 and two-color value known",
         deps=(entry.citation,),
     )
 
 
-def _rule_lem2_1(q: _Query) -> _Contribution | None:
-    a = q.H.clique_number
-    if 4 <= q.k <= a and a >= 3:
-        lo = (a - 1) * (q.H.t - 1) + 1
-        return _bounds("lem2-1", lo, None, f"4 <= k={q.k} <= a={a}")
+def _rule_lem2_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    a = H.clique_number
+    if 4 <= k <= a and a >= 3:
+        lo = (a - 1) * (H.t - 1) + 1
+        return _bounds("lem2-1", lo, None, f"4 <= k={k} <= a={a}")
     return None
 
 
-def _rule_th3_1(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_STAR_PLUS:
-        return None
-    t, r = q.H.t, q.H.r
-    assert r is not None
-    if 5 <= q.k <= t - 1 and 1 <= r <= q.k - 2:
-        p, _ = pq_decompose(t - 2, q.k - 2)
+def _rule_th3_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t, r = H.t, H.r
+    if 5 <= k <= t - 1 and 1 <= r <= k - 2:
+        p, _ = pq_decompose(t - 2, k - 2)
         return _exact(
-            "th3-1", max(t + p - 1, t + 1), f"5 <= k={q.k} <= t-1 and 1 <= r <= k-2"
+            "th3-1", max(t + p - 1, t + 1), f"5 <= k={k} <= t-1 and 1 <= r <= k-2"
         )
     return None
 
 
-def _rule_th3_2(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_STAR_PLUS:
-        return None
-    t, r = q.H.t, q.H.r
-    assert r is not None
-    if q.k == 4 and t >= 6 and r in (1, 2):
+def _rule_th3_2(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t, r = H.t, H.r
+    if k == 4 and t >= 6 and r in (1, 2):
         p, _ = pq_decompose(t - 2, 2)
         return _exact("th3-2", t + p - 1, f"k=4, t={t} >= 6, r={r} in {{1,2}}")
     return None
 
 
-def _rule_co3_1(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_STAR_PLUS or q.k != 4:
-        return None
-    t, r = q.H.t, q.H.r
-    assert r is not None
-    if r not in (1, 2):
+def _rule_co3_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t, r = H.t, H.r
+    if k != 4 or r not in (1, 2):
         return None
     if t == 4 and r == 1:
         return _exact("co3-1", 6, "k=4, t=4, r=1")
@@ -352,17 +329,14 @@ def _rule_co3_1(q: _Query) -> _Contribution | None:
     return None
 
 
-def _rule_th3_4_5(q: _Query) -> _Contribution | None:
+def _rule_th3_4_5(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
     """Theorem 3.4 (odd t, rule th3-4) and Theorem 3.5 (even t, th3-5) state
     one formula: with s = t - (t mod 2), the value is (3t-4)//2 when
     3 <= r <= s//4 and t + 2r - 2 when ceil(s/4) <= r <= (t-2)//2.  For odd
     t these read (3t-5)/2, r <= (t-1)//4, ceil((t-1)/4) and (t-3)/2, as
     Theorem 3.4 states them."""
-    if q.H.family != FAMILY_STAR_PLUS or q.k != 4:
-        return None
-    t, r = q.H.t, q.H.r
-    assert r is not None
-    if r < 3:
+    t, r = H.t, H.r
+    if k != 4 or r < 3:
         return None
     rule, parity = ("th3-4", "odd") if t % 2 else ("th3-5", "even")
     s = t - t % 2
@@ -379,68 +353,58 @@ def _rule_th3_4_5(q: _Query) -> _Contribution | None:
 
 
 def _piecewise_small_star(
-    rule: str, t: int, by_k: dict[int, tuple[int, tuple[str, ...]]], q: _Query
-) -> _Contribution | None:
+    rule: str, t: int, by_k: dict[int, tuple[int, tuple[str, ...]]],
+    H: TargetGraph, k: int, c: float | None,
+) -> GrResult | None:
     """A rule for H = S_t^1 alone: ``by_k`` maps k to (value, deps) and
     every k >= 7 gets the least order carrying k colors."""
-    if q.H.family != FAMILY_STAR_PLUS or (q.H.t, q.H.r) != (t, 1):
+    if (H.t, H.r) != (t, 1):
         return None
-    if q.k in by_k:
-        value, deps = by_k[q.k]
-        return _exact(rule, value, f"H = S{t}^1, k={q.k}", deps=deps)
-    if q.k >= 7:
-        return _exact(rule, min_order_with_pair_count(q.k), f"H = S{t}^1, k={q.k} >= 7")
+    if k in by_k:
+        value, deps = by_k[k]
+        return _exact(rule, value, f"H = S{t}^1, k={k}", deps=deps)
+    if k >= 7:
+        return _exact(rule, min_order_with_pair_count(k), f"H = S{t}^1, k={k} >= 7")
     return None
 
 
-def _rule_th3_9(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_STAR_PLUS:
-        return None
-    t, r = q.H.t, q.H.r
-    assert r is not None
+def _rule_th3_9(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    t, r = H.t, H.r
     if t < 6 or r not in (1, 2):
         return None
-    if q.k == 3:
-        entry = ramsey_known(q.H, 3, c=q.c)
+    if k == 3:
+        entry = ramsey_known(H, 3, c=c)
         if entry is None:
             return _bounds("th3-9", 5 * t - 4, None, "k=3, three-color value open", deps=("le3-4",))
         return _bounds(
             "th3-9", entry.lo, entry.hi, "k=3 via the three-color value", deps=("le3-4", entry.citation)
         )
-    if 4 <= q.k <= t - 1:
-        p, _ = pq_decompose(t - 2, q.k - 2)
-        return _exact("th3-9", max(t + p - 1, t + 1), f"4 <= k={q.k} <= t-1={t - 1}")
-    if q.k == t:
+    if 4 <= k <= t - 1:
+        p, _ = pq_decompose(t - 2, k - 2)
+        return _exact("th3-9", max(t + p - 1, t + 1), f"4 <= k={k} <= t-1={t - 1}")
+    if k == t:
         return _exact("th3-9", t + 1, f"k = t = {t}")
-    return _exact("th3-9", min_order_with_pair_count(q.k), f"k={q.k} >= t+1={t + 1}")
+    return _exact("th3-9", min_order_with_pair_count(k), f"k={k} >= t+1={t + 1}")
 
 
-def _rule_th4_1(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_PINEAPPLE:
-        return None
-    w = q.H.omega
-    assert w is not None
-    if q.k == w and w >= 4:
-        return _exact("th4-1", (w - 1) * (q.H.t - 1) + 1, f"k = omega = {w} >= 4")
+def _rule_th4_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    w = H.omega
+    if k == w and w >= 4:
+        return _exact("th4-1", (w - 1) * (H.t - 1) + 1, f"k = omega = {w} >= 4")
     return None
 
 
-def _rule_th4_2(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_PINEAPPLE:
-        return None
-    if q.k == 4 and q.H.omega == 5 and q.H.t >= 8:
-        return _exact("th4-2", 4 * q.H.t - 3, f"k=4, omega=5, t={q.H.t} >= 8")
+def _rule_th4_2(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    if k == 4 and H.omega == 5 and H.t >= 8:
+        return _exact("th4-2", 4 * H.t - 3, f"k=4, omega=5, t={H.t} >= 8")
     return None
 
 
-def _rule_th4_5(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_PINEAPPLE:
-        return None
-    w = q.H.omega
-    assert w is not None
-    if q.k == 4 and w >= 6:
-        lo = (w - 1) * (q.H.t - 1) + 1
-        entry = ramsey_known(q.H, 2, c=q.c)
+def _rule_th4_5(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    w = H.omega
+    if k == 4 and w >= 6:
+        lo = (w - 1) * (H.t - 1) + 1
+        entry = ramsey_known(H, 2, c=c)
         if entry is None or entry.hi is None:
             return _bounds("th4-5", lo, None, f"k=4, omega={w} >= 6")
         return _bounds(
@@ -449,67 +413,64 @@ def _rule_th4_5(q: _Query) -> _Contribution | None:
     return None
 
 
-def _rule_cor4_4(q: _Query) -> _Contribution | None:
-    if q.H.family != FAMILY_PINEAPPLE:
-        return None
-    w = q.H.omega
-    assert w is not None
-    if 5 <= q.k <= w - 1 and w >= 6:
-        lo = (w - 1) * (q.H.t - 1) + 1
-        entry = ramsey_known(q.H, 2, c=q.c)
+def _rule_cor4_4(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
+    w = H.omega
+    if 5 <= k <= w - 1 and w >= 6:
+        lo = (w - 1) * (H.t - 1) + 1
+        entry = ramsey_known(H, 2, c=c)
         if entry is None or entry.hi is None:
-            return _bounds("cor4-4", lo, None, f"5 <= k={q.k} <= omega-1={w - 1}")
+            return _bounds("cor4-4", lo, None, f"5 <= k={k} <= omega-1={w - 1}")
         return _bounds(
             "cor4-4",
             lo,
             entry.hi,
-            f"5 <= k={q.k} <= omega-1={w - 1}",
+            f"5 <= k={k} <= omega-1={w - 1}",
             deps=(entry.citation,),
         )
     return None
 
 
 _RULES = (
-    _rule_th2_1,
-    _rule_th2_2_1,
-    _rule_th2_2,
-    _rule_th2_4,
-    _rule_coro2_4,
-    _rule_th2_5,
-    _rule_th2_6,
-    _rule_lem2_1,
-    _rule_th3_1,
-    _rule_th3_2,
-    partial(_point_rule, "le3-1", parse_hspec("S4^1"), 6),
-    partial(_point_rule, "le3-2", parse_hspec("S5^1"), 6),
-    _rule_co3_1,
-    _rule_th3_4_5,
-    partial(_piecewise_small_star, "th3-6", 4,
-            {3: (17, ("le3-3",)), 4: (6, ("le3-1",)), 5: (5, ()), 6: (5, ())}),
-    partial(_piecewise_small_star, "th3-7", 5,
-            {3: (21, ("le3-3",)), 4: (6, ("le3-2",)), 5: (6, ()), 6: (5, ())}),
-    partial(_piecewise_small_star, "th3-8", 6,
-            {3: (26, ("le3-3",)), 4: (7, ()), 5: (7, ()), 6: (7, ())}),
-    _rule_th3_9,
-    _rule_th4_1,
-    _rule_th4_2,
-    partial(_point_rule, "th4-3", parse_hspec("PA6,5"), 24),
-    partial(_point_rule, "th4-4", parse_hspec("PA7,5"), 26),
-    _rule_th4_5,
-    _rule_cor4_4,
+    (None, _rule_th2_1),
+    (None, _rule_th2_2_1),
+    (None, _rule_th2_2),
+    (None, _rule_th2_4),
+    (None, _rule_coro2_4),
+    (FAMILY_COMPLETE_MINUS_MATCHING, _rule_th2_5),
+    (None, _rule_th2_6),
+    (None, _rule_lem2_1),
+    (FAMILY_STAR_PLUS, _rule_th3_1),
+    (FAMILY_STAR_PLUS, _rule_th3_2),
+    (FAMILY_STAR_PLUS, partial(_point_rule, "le3-1", parse_hspec("S4^1"), 6)),
+    (FAMILY_STAR_PLUS, partial(_point_rule, "le3-2", parse_hspec("S5^1"), 6)),
+    (FAMILY_STAR_PLUS, _rule_co3_1),
+    (FAMILY_STAR_PLUS, _rule_th3_4_5),
+    (FAMILY_STAR_PLUS, partial(_piecewise_small_star, "th3-6", 4,
+                               {3: (17, ("le3-3",)), 4: (6, ("le3-1",)), 5: (5, ()), 6: (5, ())})),
+    (FAMILY_STAR_PLUS, partial(_piecewise_small_star, "th3-7", 5,
+                               {3: (21, ("le3-3",)), 4: (6, ("le3-2",)), 5: (6, ()), 6: (5, ())})),
+    (FAMILY_STAR_PLUS, partial(_piecewise_small_star, "th3-8", 6,
+                               {3: (26, ("le3-3",)), 4: (7, ()), 5: (7, ()), 6: (7, ())})),
+    (FAMILY_STAR_PLUS, _rule_th3_9),
+    (FAMILY_PINEAPPLE, _rule_th4_1),
+    (FAMILY_PINEAPPLE, _rule_th4_2),
+    (FAMILY_PINEAPPLE, partial(_point_rule, "th4-3", parse_hspec("PA6,5"), 24)),
+    (FAMILY_PINEAPPLE, partial(_point_rule, "th4-4", parse_hspec("PA7,5"), 26)),
+    (FAMILY_PINEAPPLE, _rule_th4_5),
+    (FAMILY_PINEAPPLE, _rule_cor4_4),
 )
 
 
-def _provenance(chosen: Sequence[_Contribution]) -> tuple[str, ...]:
-    prov: list[str] = []
-    for co in chosen:
-        if co.rule not in prov:
-            prov.append(co.rule)
-    for co in chosen:
-        for dep in co.deps:
-            if dep not in prov:
-                prov.append(dep)
-    return tuple(prov)
+def _merge(
+    chosen: Sequence[GrResult], kind: str, value: int | None, lo: int, hi: int | None
+) -> GrResult:
+    """One result citing every rule in ``chosen``: their identifiers in table
+    order, then the dependencies they cite, each once, and their
+    assumptions in table order."""
+    provenance = dict.fromkeys(res.provenance[0] for res in chosen)
+    provenance.update(dict.fromkeys(dep for res in chosen for dep in res.provenance[1:]))
+    assumptions = tuple(text for res in chosen for text in res.assumptions)
+    return GrResult(kind, value, lo, hi, tuple(provenance), assumptions)
 
 
 def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
@@ -518,44 +479,40 @@ def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
         raise ValueError(f"need k >= 1, got k={k}")
     if c is not None and not math.isfinite(c):
         raise ConstantOutOfRange(f"c must be finite, got c={c}")
-    q = _Query(H=H, k=k, c=c)
-    contributions = [co for rule in _RULES if (co := rule(q)) is not None]
-    exacts = [co for co in contributions if co.kind == "exact"]
-    bounds = [co for co in contributions if co.kind == "bounds"]
+    rules = [rule for family, rule in _RULES if family in (None, H.family)]
+    results = [res for rule in rules if (res := rule(H, k, c)) is not None]
+    exacts = [res for res in results if res.kind == KIND_EXACT]
+    bounds = [res for res in results if res.kind == KIND_BOUNDS]
 
     if exacts:
-        values = {co.value for co in exacts}
+        values = {res.value for res in exacts}
         if len(values) != 1:
-            detail = ", ".join(f"{co.rule}={co.value}" for co in exacts)
+            detail = ", ".join(f"{res.provenance[0]}={res.value}" for res in exacts)
             raise FormulaInconsistency(
                 f"exact rules disagree for H={render_hspec(H)}, k={k}: {detail}"
             )
         value = exacts[0].value
         assert value is not None
-        for co in bounds:
-            if (co.lo is not None and value < co.lo) or (
-                co.hi is not None and value > co.hi
+        for res in bounds:
+            if (res.lo is not None and value < res.lo) or (
+                res.hi is not None and value > res.hi
             ):
                 raise FormulaInconsistency(
-                    f"exact value {value} violates {co.rule} bounds "
-                    f"[{co.lo}, {co.hi}] for H={render_hspec(H)}, k={k}"
+                    f"exact value {value} violates {res.provenance[0]} bounds "
+                    f"[{res.lo}, {res.hi}] for H={render_hspec(H)}, k={k}"
                 )
-        return GrResult.exact(
-            value, _provenance(exacts), tuple(co.assumption for co in exacts)
-        )
+        return _merge(exacts, KIND_EXACT, value, value, value)
 
     if bounds:
-        lo = max(co.lo for co in bounds if co.lo is not None)
-        his = [co.hi for co in bounds if co.hi is not None]
+        lo = max(res.lo for res in bounds if res.lo is not None)
+        his = [res.hi for res in bounds if res.hi is not None]
         hi = min(his) if his else None
         if hi is not None and lo > hi:
-            if any(co.hi == hi and "th4-7" in co.deps for co in bounds):
+            if any(res.hi == hi and "th4-7" in res.provenance for res in bounds):
                 raise ConstantOutOfRange(f"c={c} puts the th4-7 upper bound {hi} below {lo}")
             raise FormulaInconsistency(
                 f"bound rules cross for H={render_hspec(H)}, k={k}: lo={lo} > hi={hi}"
             )
-        return GrResult.bounds(
-            lo, hi, _provenance(bounds), tuple(co.assumption for co in bounds)
-        )
+        return _merge(bounds, KIND_BOUNDS, None, lo, hi)
 
     return GrResult.unknown()
