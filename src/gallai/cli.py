@@ -35,7 +35,14 @@ import time
 
 from gallai.canonical import canonical_form
 from gallai.constructions import BUILDERS, build_named, construction_grid
-from gallai.formulas import KIND_EXACT, KIND_BOUNDS, ConstantOutOfRange, GrResult, evaluate
+from gallai.formulas import (
+    KIND_BOUNDS,
+    KIND_EXACT,
+    KIND_UNKNOWN,
+    ConstantOutOfRange,
+    GrResult,
+    evaluate,
+)
 from gallai.graphs import (
     ColoredComplete,
     TargetGraph,
@@ -116,7 +123,7 @@ def _cmd_eval(args) -> int:
         print(format_table_row(render_hspec(H), args.k, result))
     else:
         print(_dumps(result.to_json_dict()))
-    return EXIT_OK if result.kind != "Unknown" else EXIT_NEGATIVE
+    return EXIT_OK if result.kind != KIND_UNKNOWN else EXIT_NEGATIVE
 
 
 def _cmd_witness(args) -> int:

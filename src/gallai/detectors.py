@@ -587,9 +587,6 @@ def find_mono_copy_in_color(
         raise ValueError(f"color {color} outside 1..{c.k}")
     if H.order > c.n:
         return None
-    if H.num_edges == 0:
-        assign = list(range(H.order))
-        return _embedding_from_assignment(c, H, color, assign)
     if H.family == FAMILY_COMPLETE:
         return _find_complete(c, H, color)
     if H.family in (FAMILY_STAR_PLUS, FAMILY_PINEAPPLE):

@@ -645,11 +645,14 @@ class TestMonoCopy:
             find_mono_copy_in_color(c, TargetGraph.complete(3), 3)
 
     def test_edgeless_target_embeds_trivially(self):
-        c = ColoredComplete.constant(4, 1)
-        H = TargetGraph.arbitrary(3, [])
-        emb = find_mono_copy_in_color(c, H, 1)
-        assert emb is not None
-        assert len(emb.vertices) == 3
+        """An edgeless target, arbitrary or K2-M, maps onto the host's
+        lowest vertices in every color, used or not."""
+        c = ColoredComplete(4, 3, [1, 1, 2, 1, 2, 1])
+        for H in (TargetGraph.arbitrary(3, []), TargetGraph.complete_minus_matching(2)):
+            for color in (1, 2, 3):
+                emb = find_mono_copy_in_color(c, H, color)
+                assert emb is not None
+                assert emb.vertices == tuple(range(H.order))
 
 
 # sha256 over find_mono_copy_in_color (embedding JSON or None) for every
