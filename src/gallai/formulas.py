@@ -467,10 +467,10 @@ def _merge(
     """One result citing every rule in ``chosen``: their identifiers in table
     order, then the dependencies they cite, each once, and their
     assumptions in table order."""
-    provenance = dict.fromkeys(res.provenance[0] for res in chosen)
-    provenance.update(dict.fromkeys(dep for res in chosen for dep in res.provenance[1:]))
-    assumptions = tuple(text for res in chosen for text in res.assumptions)
-    return GrResult(kind, value, lo, hi, tuple(provenance), assumptions)
+    rules = [res.provenance[0] for res in chosen]
+    deps = [dep for res in chosen for dep in res.provenance[1:]]
+    assumptions = tuple([text for res in chosen for text in res.assumptions])
+    return GrResult(kind, value, lo, hi, tuple(dict.fromkeys(rules + deps)), assumptions)
 
 
 def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
@@ -479,7 +479,7 @@ def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
         raise ValueError(f"need k >= 1, got k={k}")
     if c is not None and not math.isfinite(c):
         raise ConstantOutOfRange(f"c must be finite, got c={c}")
-    rules = [rule for family, rule in _RULES if family in (None, H.family)]
+    rules = [rule for family, rule in _RULES if family is None or family == H.family]
     results = [res for rule in rules if (res := rule(H, k, c)) is not None]
     exacts = [res for res in results if res.kind == KIND_EXACT]
     bounds = [res for res in results if res.kind == KIND_BOUNDS]
