@@ -543,6 +543,11 @@ _GENERATORS = (
 )
 
 
+# sha256 updated with repr([c.colors for c in p5free_classes(n, k)]) for n
+# 5..9 and k 4..12 in that order.
+_MEMBER_SHA256 = "a2fa319225b49a57a2c28af45b5e6826b7c2b816f5e87dc4fbea4be45a91349f"
+
+
 class TestClassPartition:
     def test_classes_match_enumeration_and_candidate_keys(self):
         """Over the whole census, one class per key: the same count and key
@@ -565,6 +570,20 @@ class TestClassPartition:
             for k in range(4, 13):
                 candidates = [c for gen in _GENERATORS for c in gen(n, k)]
                 assert p5free_classes(n, k) == candidates, (n, k)
+
+    def test_member_colorings_pinned(self):
+        """The member colorings themselves, in generation order, over the
+        whole census: 202 members, pinned by one digest recorded before the
+        generators shared a candidate writer."""
+        digest = hashlib.sha256()
+        members = 0
+        for n in range(5, 10):
+            for k in range(4, 13):
+                classes = p5free_classes(n, k)
+                members += len(classes)
+                digest.update(repr([c.colors for c in classes]).encode())
+        assert members == 202
+        assert digest.hexdigest() == _MEMBER_SHA256
 
 
 class TestClassTable:
