@@ -201,12 +201,6 @@ def _rainbow_edges(
     return tuple(edges) if seen.bit_count() == len(edges) else None
 
 
-def check_rainbow_embedding(c: ColoredComplete, emb: Embedding) -> bool:
-    """True iff emb is a simple path in c whose edge colors are all distinct."""
-    edges = _rainbow_edges(c, emb.vertices)
-    return edges is not None and edges == tuple(tuple(sorted(e)) for e in emb.edges)
-
-
 def check_mono_embedding(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> bool:
     """True iff emb maps every edge of H onto a host edge of emb.color."""
     vs = emb.vertices

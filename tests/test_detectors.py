@@ -18,7 +18,6 @@ from gallai.detectors import (
     find_mono_copy_generic,
     _rainbow_path,
     check_mono_embedding,
-    check_rainbow_embedding,
     find_mono_copy,
     find_mono_copy_in_color,
     find_rainbow_path,
@@ -98,7 +97,6 @@ class TestRainbowPath:
         )
         emb = find_rainbow_path(c, 4)
         assert emb is not None
-        assert check_rainbow_embedding(c, emb)
         assert len(set(emb.vertices)) == 5
 
     def test_none_on_two_colors(self):
@@ -120,8 +118,6 @@ class TestRainbowPath:
                 got = find_rainbow_path(c, m)
                 want = _brute_force_rainbow(c, m)
                 assert (got is not None) == want
-                if got is not None:
-                    assert check_rainbow_embedding(c, got)
 
     def test_m_bounds(self):
         c = ColoredComplete.constant(5, 2)
@@ -523,13 +519,6 @@ class TestReverification:
         )
         with pytest.raises(RuntimeError, match="failed re-verification"):
             find_mono_copy_in_color(c, TargetGraph.complete(3), 1)
-
-    def test_checker_refuses_edges_not_on_the_path(self):
-        emb = find_rainbow_path(self.HOST, 4)
-        assert check_rainbow_embedding(self.HOST, emb)
-        moved = emb.edges[:-1] + ((0, 4),)
-        assert not check_rainbow_embedding(self.HOST, replace(emb, edges=moved))
-        assert not check_rainbow_embedding(self.HOST, replace(emb, vertices=(0, 1, 2, 3, 5)))
 
 
 def _matching_sizes(c, color, allowed=None):

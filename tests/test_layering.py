@@ -77,3 +77,54 @@ def test_detects_nested_and_relative_imports():
 def test_every_exported_name_resolves():
     missing = [name for name in gallai.__all__ if not hasattr(gallai, name)]
     assert not missing, f"gallai.__all__ names that do not resolve: {missing}"
+
+
+def _named_outside(trees: list[ast.AST], name: str, definition: ast.AST) -> bool:
+    """Whether some name, attribute or import in the package reads ``name``
+    outside the top-level statement that defines it."""
+    inside = {id(node) for node in ast.walk(definition)}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (
+                isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name
+            ):
+                return True
+    return False
+
+
+def _top_level_definitions(tree: ast.Module):
+    """(name, statement) for every top-level function, class and constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node
+
+
+def test_every_top_level_name_has_a_reader():
+    """Every top-level function, class and constant of the package is named
+    elsewhere in the package, exported, or bound by the benchmark's tracer."""
+    from test_bench_targets import TRACER
+
+    traced = {attr for _, attr, _, _ in TRACER.TARGETS}
+    exported = set(gallai.__all__)
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    dead = [
+        f"{path.stem}.{name}"
+        for path, tree in zip(paths, trees)
+        for name, definition in _top_level_definitions(tree)
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in exported
+        and name not in traced
+        and not _named_outside(trees, name, definition)
+    ]
+    assert not dead, f"top-level names nothing reads: {dead}"
