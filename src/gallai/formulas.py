@@ -49,7 +49,8 @@ class ConstantOutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class GrResult:
-    """Exact value or [lo, hi] bounds, with the producing rule identifiers."""
+    """Exact value or [lo, hi] bounds, with the producing rule identifiers;
+    the rules build theirs through ``_exact`` and ``_bounds``."""
 
     kind: str
     value: int | None
@@ -57,22 +58,6 @@ class GrResult:
     hi: int | None
     provenance: tuple[str, ...]
     assumptions: tuple[str, ...]
-
-    @classmethod
-    def exact(
-        cls, value: int, provenance: Sequence[str], assumptions: Sequence[str]
-    ) -> GrResult:
-        return cls(KIND_EXACT, value, value, value, tuple(provenance), tuple(assumptions))
-
-    @classmethod
-    def bounds(
-        cls,
-        lo: int,
-        hi: int | None,
-        provenance: Sequence[str],
-        assumptions: Sequence[str],
-    ) -> GrResult:
-        return cls(KIND_BOUNDS, None, lo, hi, tuple(provenance), tuple(assumptions))
 
     @classmethod
     def unknown(cls) -> GrResult:

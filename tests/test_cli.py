@@ -29,7 +29,7 @@ from gallai.cli import (
 )
 from gallai import detectors, graphs
 from gallai.constructions import BUILDERS, construction_grid, sporadic
-from gallai.formulas import GrResult, evaluate
+from gallai.formulas import KIND_BOUNDS, KIND_EXACT, GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
 from gallai.search import replay_certificate, verify_witness
 from gallai.structure import enumerate_p5free
@@ -134,13 +134,13 @@ class TestGoldenTable:
 
 class TestFormatHelpers:
     def test_value_rendering(self):
-        assert format_value(GrResult.exact(17, ("th3-6",), ())) == "17"
-        assert format_value(GrResult.bounds(3, 9, ("x",), ())) == "[3,9]"
-        assert format_value(GrResult.bounds(3, None, ("x",), ())) == "[3,?]"
+        assert format_value(GrResult(KIND_EXACT, 17, 17, 17, ("th3-6",), ())) == "17"
+        assert format_value(GrResult(KIND_BOUNDS, None, 3, 9, ("x",), ())) == "[3,9]"
+        assert format_value(GrResult(KIND_BOUNDS, None, 3, None, ("x",), ())) == "[3,?]"
         assert format_value(GrResult.unknown()) == "?"
 
     def test_row_alignment(self):
-        row = format_table_row("S4^1", 3, GrResult.exact(17, ("th3-6", "le3-3"), ()))
+        row = format_table_row("S4^1", 3, GrResult(KIND_EXACT, 17, 17, 17, ("th3-6", "le3-3"), ()))
         assert row == "S4^1        3  17        th3-6,le3-3"
 
 
