@@ -11,27 +11,14 @@ renumbering colors, into at least one of six shapes:
       {bc} plus possibly more edges at a, everything else in one color;
   (e) four vertices a, b, c, d with classes {ab} (possibly plus cd),
       {ac, bd}, {ad, bc}, everything else in one color;
-  (f) one sporadic coloring of K5, taken from the construction registry
-      (``sporadic("TW-case-f")``).
+  (f) one sporadic coloring of K5 (``sporadic("TW-case-f")``): a lone edge
+      uv in one color, and for each other vertex x, with yz the edge of
+      the other two, the edges xu, xv and yz in a color of their own.
 
-``classify_p5free`` evaluates every shape on every call and cross-checks the
-combined answer against the rainbow detector.  It builds one profile per
-call, ``{color: (edge count, touched-vertex mask)}`` for the used colors,
-and each shape is read from it and from the per-color adjacency masks
-``c.adj``: (a) counts the colors; (b) marks in one pass over the profile
-the vertices touched twice and those touched three times or more, since the
-colors other than a dominant one are disjoint exactly when no vertex is
-touched three times and the dominant color touches every vertex touched
-twice, and takes the first such color in profile order; (c) looks for a
-color whose edge count minus a vertex's degree in it is C(n-1, 2); (d)
-pairs single-edge colors sharing a vertex a and checks that the third
-side's color has no edge beyond it off a; (e) scans only the quads spanned
-by a 2-edge color class touching four vertices, reading the colors of each
-quad's three perfect matchings from ``c.colors`` and the class sizes from
-the profile; (f) runs the template match only when the class sizes equal
-the template's, and then only over the 12 vertex permutations that send
-the template's one-edge class onto the host's.  Edge lists are built only
-for a witness.  The same shapes drive
+``classify_p5free`` evaluates every shape on every call, reading each from
+one color profile ``{color: (edge count, touched-vertex mask)}`` and the
+per-color adjacency masks ``c.adj``, and cross-checks the combined answer
+against the rainbow detector.  The same shapes drive
 ``p5free_classes``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, one member coloring per vertex-and-color
 isomorphism class: the case generators emit pairwise non-isomorphic
@@ -266,41 +253,35 @@ def _case_e(c: ColoredComplete, profile: dict):
 
 
 _CASE_F = sporadic("TW-case-f")
-_CASE_F_CLASSES = tuple(_CASE_F.edges_in_color(col) for col in range(1, _CASE_F.k + 1))
-_CASE_F_SIZES = sorted(len(cl) for cl in _CASE_F_CLASSES)
-
-
-@lru_cache(maxsize=None)
-def _case_f_tries() -> dict[int, list]:
-    """For every edge of K5, keyed by its vertex mask: the vertex
-    permutations that send the template's one-edge class onto it, in
-    ``permutations`` order, each with the positions in ``colors`` of the
-    images of the template's three-edge classes."""
-    ((i, j),) = (cl[0] for cl in _CASE_F_CLASSES if len(cl) == 1)
-    tries: dict[int, list] = {}
-    for perm in permutations(range(5)):
-        images = tuple(
-            tuple(edge_index(*sorted((perm[a], perm[b])), 5) for a, b in cl)
-            for cl in _CASE_F_CLASSES
-            if len(cl) == 3
-        )
-        tries.setdefault(1 << perm[i] | 1 << perm[j], []).append((perm, images))
-    return tries
 
 
 def _case_f(c: ColoredComplete, profile: dict):
-    if c.n != 5 or sorted(count for count, _ in profile.values()) != _CASE_F_SIZES:
+    # Case (f) is K5 with a lone edge uv whose other three vertices x each
+    # see u, v and the edge of the other two in one color; the class sizes
+    # 1, 3, 3, 3 then force the three colors apart.  The witness is the
+    # first vertex permutation, in ``permutations`` order, that maps the
+    # template (lone edge 34) onto the host: every match sends {0, 1, 2}
+    # onto {a, b, d} and {3, 4} onto {u, v}, and all 12 such are matches.
+    if c.n != 5 or sorted(count for count, _ in profile.values()) != [1, 3, 3, 3]:
         return None
-    # A match sends every template class onto a host class, so the
-    # template's one-edge class onto the host's, and since the class sizes
-    # are equal, three-edge classes that each map into one color map into
-    # distinct ones.
     lone = next(touched for count, touched in profile.values() if count == 1)
-    colors = c.colors
-    for perm, images in _case_f_tries()[lone]:
-        if all(colors[e] == colors[f] == colors[g] for e, f, g in images):
-            return perm
-    return None
+    u, v = (x for x in range(5) if lone >> x & 1)
+    a, b, d = (x for x in range(5) if not lone >> x & 1)
+    color = c.color_of
+    for x, y, z in ((a, b, d), (b, a, d), (d, a, b)):
+        if not color(x, u) == color(x, v) == color(y, z):
+            return None
+    return a, b, d, u, v
+
+
+_CASES = (
+    ("a", _case_a),
+    ("b", _case_b),
+    ("c", _case_c),
+    ("d", _case_d),
+    ("e", _case_e),
+    ("f", _case_f),
+)
 
 
 def classify_p5free(c: ColoredComplete) -> StructureReport:
@@ -311,15 +292,7 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
         raise ValueError(f"classification needs n >= 5, got n={c.n}")
     profile = _color_profile(c)
     witnesses: dict = {}
-    checks = {
-        "a": _case_a,
-        "b": _case_b,
-        "c": _case_c,
-        "d": _case_d,
-        "e": _case_e,
-        "f": _case_f,
-    }
-    for name, fn in checks.items():
+    for name, fn in _CASES:
         witness = fn(c, profile)
         if witness is not None:
             witnesses[name] = witness
@@ -331,6 +304,15 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     return StructureReport(
         cases=frozenset(witnesses), witnesses=witnesses, rainbow=rainbow
     )
+
+
+def _on_color_one(n: int, k: int, special: dict[tuple[int, int], int]) -> ColoredComplete:
+    """K_n in color 1, except the edges ij (i < j) of ``special``, each in
+    its mapped color."""
+    cols = [1] * edge_count(n)
+    for (i, j), color in special.items():
+        cols[edge_index(i, j, n)] = color
+    return ColoredComplete(n, k, cols)
 
 
 @lru_cache(maxsize=None)
@@ -355,10 +337,7 @@ def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             deg[j] += 1
         if min(deg, default=0) == 0:
             continue
-        cols = [1] * edge_count(s + 1)
-        for i, j in edges:
-            cols[edge_index(i, j, s + 1)] = 2
-        key = canonical_form(ColoredComplete(s + 1, 2, cols))
+        key = canonical_form(_on_color_one(s + 1, 2, dict.fromkeys(edges, 2)))
         if key not in seen:
             seen.add(key)
             out.append(edges)
@@ -376,14 +355,13 @@ def _candidates_case_b(n: int, k: int) -> Iterable[ColoredComplete]:
         if sum(sizes) > n:
             continue
         for choice in _choices_respecting_ties(sizes):
-            cols = [1] * edge_count(n)
+            special = {}
             offset = 0
-            for part_idx, (s, edges) in enumerate(zip(sizes, choice)):
-                color = part_idx + 2
+            for color, (s, edges) in enumerate(zip(sizes, choice), start=2):
                 for i, j in edges:
-                    cols[edge_index(offset + i, offset + j, n)] = color
+                    special[offset + i, offset + j] = color
                 offset += s
-            yield ColoredComplete(n, k, cols)
+            yield _on_color_one(n, k, special)
 
 
 def _choices_respecting_ties(sizes: Sequence[int]) -> Iterable[tuple]:
@@ -419,28 +397,16 @@ def _candidates_case_d(n: int, k: int) -> Iterable[ColoredComplete]:
     if k != 4:
         return
     for s in range(n - 2):
-        cols = [1] * edge_count(n)
-        cols[edge_index(0, 1, n)] = 2
-        cols[edge_index(0, 2, n)] = 3
-        cols[edge_index(1, 2, n)] = 4
-        for v in range(3, 3 + s):
-            cols[edge_index(0, v, n)] = 4
-        yield ColoredComplete(n, k, cols)
+        extra = {(0, v): 4 for v in range(3, 3 + s)}
+        yield _on_color_one(n, k, {(0, 1): 2, (0, 2): 3, (1, 2): 4, **extra})
 
 
 def _candidates_case_e(n: int, k: int) -> Iterable[ColoredComplete]:
     if k != 4:
         return
-    for cd_in in (False, True):
-        cols = [1] * edge_count(n)
-        cols[edge_index(0, 1, n)] = 2
-        if cd_in:
-            cols[edge_index(2, 3, n)] = 2
-        cols[edge_index(0, 2, n)] = 3
-        cols[edge_index(1, 3, n)] = 3
-        cols[edge_index(0, 3, n)] = 4
-        cols[edge_index(1, 2, n)] = 4
-        yield ColoredComplete(n, k, cols)
+    shape = {(0, 1): 2, (0, 2): 3, (1, 3): 3, (0, 3): 4, (1, 2): 4}
+    yield _on_color_one(n, k, shape)
+    yield _on_color_one(n, k, {**shape, (2, 3): 2})
 
 
 def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:
