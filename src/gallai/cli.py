@@ -202,16 +202,11 @@ def _cmd_classify(args) -> int:
     coloring = ColoredComplete.from_json_dict(_read_json(args.file))
     if args.path_edges == 3:
         report = classify_p4free(coloring)
-        out = {
-            "case": report.case,
-            "rainbow": None if report.rainbow is None else report.rainbow.to_json_dict(),
-        }
+        out = {"case": report.case}
     else:
         report = classify_p5free(coloring)
-        out = {
-            "cases": sorted(report.cases),
-            "rainbow": None if report.rainbow is None else report.rainbow.to_json_dict(),
-        }
+        out = {"cases": sorted(report.cases)}
+    out["rainbow"] = None if report.rainbow is None else report.rainbow.to_json_dict()
     print(_dumps(out))
     return EXIT_OK
 
