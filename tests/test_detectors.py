@@ -97,6 +97,9 @@ class TestRainbowPath:
         )
         emb = find_rainbow_path(c, 4)
         assert emb is not None
+        vs = emb.vertices
+        assert emb.edges == tuple(tuple(sorted(e)) for e in zip(vs, vs[1:]))
+        assert len({c.color_of(*e) for e in emb.edges}) == 4
         assert len(set(emb.vertices)) == 5
 
     def test_none_on_two_colors(self):
