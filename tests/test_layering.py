@@ -4,6 +4,7 @@ strictly lower layer, so there is no import cycle, lazy or otherwise."""
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -79,21 +80,17 @@ def test_every_exported_name_resolves():
     assert not missing, f"gallai.__all__ names that do not resolve: {missing}"
 
 
-def _named_outside(trees: list[ast.AST], name: str, definition: ast.AST) -> bool:
-    """Whether some name, attribute or import in the package reads ``name``
-    outside the top-level statement that defines it."""
-    inside = {id(node) for node in ast.walk(definition)}
-    for tree in trees:
-        for node in ast.walk(tree):
-            if id(node) in inside:
-                continue
-            if (
-                isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name
-                or isinstance(node, ast.alias) and node.name == name
-            ):
-                return True
-    return False
+def _names_read(node: ast.AST) -> Counter:
+    """How often each name, attribute or imported name occurs under node."""
+    found: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
 
 
 def _top_level_definitions(tree: ast.Module):
@@ -118,6 +115,7 @@ def test_every_top_level_name_has_a_reader():
     exported = set(gallai.__all__)
     paths = sorted(PACKAGE.glob("*.py"))
     trees = [ast.parse(path.read_text()) for path in paths]
+    everywhere = sum(map(_names_read, trees), Counter())
     dead = [
         f"{path.stem}.{name}"
         for path, tree in zip(paths, trees)
@@ -125,6 +123,6 @@ def test_every_top_level_name_has_a_reader():
         if not (name.startswith("__") and name.endswith("__"))
         and name not in exported
         and name not in traced
-        and not _named_outside(trees, name, definition)
+        and everywhere[name] == _names_read(definition)[name]
     ]
     assert not dead, f"top-level names nothing reads: {dead}"
