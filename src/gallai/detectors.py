@@ -2,10 +2,12 @@
 
 Both detectors are exhaustive and deterministic: hosts are scanned in
 ascending vertex order, colors in ascending order, and the first embedding
-found is returned.  Every returned embedding is re-checked against the host
-before it leaves this module: a rainbow path in one pass over its edges'
-colors, a monochromatic copy in one pass over the target's edge list (built
-once per target), reading the host's flat color tuple.
+found is returned.  ``_checked`` builds every embedding they return, and
+re-checks it first in one pass over the pattern's edges (the path's, or the
+target's edge list, built once per target), reading the host's flat color
+tuple: as many vertices as the pattern has, distinct and inside the host;
+edge colors all distinct for a rainbow path, all the one color for a
+monochromatic copy.  A failure raises RuntimeError, an internal error.
 
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
@@ -148,7 +150,6 @@ from gallai.graphs import (
     SearchState,
     TargetGraph,
     color_rows,
-    edge_index,
     find_clique,
 )
 
@@ -163,7 +164,8 @@ class Embedding:
     ``vertices`` realizes the pattern: for monochromatic copies it lists the
     host images of target vertices 0..t-1 in target-label order; for rainbow
     paths it lists the path in traversal order.  ``edges`` are the host edges
-    used, and ``color`` is set for monochromatic findings only.
+    used, smaller end first, in the order of the pattern's edges, and
+    ``color`` is set for monochromatic findings only.
     """
 
     kind: str
@@ -180,54 +182,37 @@ class Embedding:
         }
 
 
-def _rainbow_edges(
-    c: ColoredComplete, vs: tuple[int, ...]
-) -> tuple[tuple[int, int], ...] | None:
-    """The edges of vs, smaller end first, if vs is a simple path of c whose
-    edge colors are all distinct; None otherwise.  One pass over c.colors,
-    indexed as ``graphs.edge_index`` does, inline."""
+# the edges of the path on vertices 0..m, by m
+_PATH_EDGES = {m: tuple((i, i + 1) for i in range(m)) for m in (3, 4)}
+
+
+def _checked(
+    c: ColoredComplete, vs: Sequence[int], order: int, pattern: tuple, color: int | None = None
+) -> Embedding:
+    """The embedding of ``pattern``, the edge list of a target on vertices
+    0..order-1, at host vertices vs, re-checked in one pass over c.colors
+    (indexed as ``graphs.edge_index`` does, inline): vs must be order
+    distinct vertices of c, and the edges' colors distinct (color None, a
+    rainbow path) or all ``color``; RuntimeError otherwise."""
     n, colors = c.n, c.colors
-    if len(set(vs)) != len(vs) or len(vs) < 2:
-        return None
-    edges = []
-    seen = 0
-    for u, w in zip(vs, vs[1:]):
-        if u > w:
-            u, w = w, u
-        if u < 0 or w >= n:
-            return None
-        edges.append((u, w))
-        seen |= 1 << colors[u * n - u * (u + 1) // 2 + w - u - 1]
-    return tuple(edges) if seen.bit_count() == len(edges) else None
-
-
-def check_mono_embedding(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> bool:
-    """True iff emb maps every edge of H onto a host edge of emb.color."""
-    vs = emb.vertices
-    if len(vs) != H.order or len(set(vs)) != H.order:
-        return False
-    color = emb.color
-    if color is None or not 1 <= color <= c.k:
-        return False
-    n, colors = c.n, c.colors
-    mapped = []
-    for i, j in H.edges():
-        u, w = vs[i], vs[j]
-        if u > w:
-            u, w = w, u
-        if u < 0 or w >= n:
-            edge_index(u, w, n)  # raises the range error color_of would
-        if colors[u * n - u * (u + 1) // 2 + w - u - 1] != color:
-            return False
-        mapped.append((u, w))
-    edges = tuple(mapped)
-    return edges == emb.edges or edges == tuple(tuple(sorted(e)) for e in emb.edges)
-
-
-def _checked_mono(c: ColoredComplete, H: TargetGraph, emb: Embedding) -> Embedding:
-    if not check_mono_embedding(c, H, emb):
-        raise RuntimeError(f"monochromatic embedding failed re-verification: {emb}")
-    return emb
+    vs = tuple(vs)
+    if len(vs) == order == len(set(vs)) and min(vs) >= 0 and max(vs) < n:
+        edges = []
+        seen = 0
+        for i, j in pattern:
+            u, w = vs[i], vs[j]
+            if u > w:
+                u, w = w, u
+            edges.append((u, w))
+            seen |= 1 << colors[u * n - u * (u + 1) // 2 + w - u - 1]
+        if color is None:
+            if seen.bit_count() == len(edges):
+                return Embedding(RAINBOW_PATH, vs, None, tuple(edges))
+        elif not seen & ~(1 << color):
+            return Embedding(MONO_COPY, vs, color, tuple(edges))
+    if color is None:
+        raise RuntimeError(f"rainbow path {vs} failed re-verification")
+    raise RuntimeError(f"monochromatic copy {vs} in color {color} failed re-verification")
 
 
 def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
@@ -416,10 +401,7 @@ def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
     vs = _rainbow_path(c, m)
     if vs is None:
         return None
-    edges = _rainbow_edges(c, vs)
-    if edges is None or len(edges) != m:
-        raise RuntimeError(f"rainbow path {vs} failed re-verification")
-    return Embedding(RAINBOW_PATH, vs, None, edges)
+    return _checked(c, vs, m + 1, _PATH_EDGES[m])
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -471,18 +453,6 @@ def _degree_at_least(masks: Sequence[int], d: int) -> int:
     return found
 
 
-def _embedding_from_assignment(
-    c: ColoredComplete, H: TargetGraph, color: int, assign: list[int]
-) -> Embedding:
-    edges = []
-    for i, j in H.edges():
-        u, w = assign[i], assign[j]
-        edges.append((u, w) if u < w else (w, u))
-    return _checked_mono(
-        c, H, Embedding(MONO_COPY, tuple(assign), color, tuple(edges))
-    )
-
-
 def find_mono_copy_generic(
     c: ColoredComplete, H: TargetGraph, color: int
 ) -> Embedding | None:
@@ -528,7 +498,7 @@ def find_mono_copy_generic(
         return False
 
     if rec(0, 0):
-        return _embedding_from_assignment(c, H, color, assign)
+        return _checked(c, assign, H.order, H.edges(), color)
     return None
 
 
@@ -559,7 +529,7 @@ def _find_centered(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding 
             continue
         rest = [w for w in _iter_bits(nb) if w not in found]
         assign = [v] + found + rest[: H.t - 1 - len(found)]
-        return _embedding_from_assignment(c, H, color, assign)
+        return _checked(c, assign, H.order, H.edges(), color)
     return None
 
 
@@ -570,7 +540,7 @@ def _find_complete(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding 
     clique = find_clique(masks, _degree_at_least(masks, H.t - 1), H.t, SearchState(masks))
     if clique is None:
         return None
-    return _embedding_from_assignment(c, H, color, clique)
+    return _checked(c, clique, H.order, H.edges(), color)
 
 
 def find_mono_copy_in_color(

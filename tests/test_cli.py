@@ -564,6 +564,22 @@ class TestClassify:
         assert (code, out) == (EXIT_INTERNAL, "")
         assert err == f"internal error: RuntimeError: rainbow path {path} failed re-verification\n"
 
+    def test_failed_mono_reverification_exits_internal(self, capsys, monkeypatch, tmp_path):
+        """A clique search result outside the host is an internal error
+        (exit 3, one stderr line), never a usage error."""
+        monkeypatch.setattr(
+            "gallai.detectors.find_clique", lambda masks, start, size, state=None: [2, 3, 5]
+        )
+        data = {"coloring": ColoredComplete.constant(5, 1).to_json_dict(), "target": "K3"}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "verify", "--file", str(path))
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == (
+            "internal error: RuntimeError: monochromatic copy (2, 3, 5) in color 1 "
+            "failed re-verification\n"
+        )
+
 
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
     """Exit code and stderr of main(argv), for tests that run it many
