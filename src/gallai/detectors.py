@@ -29,43 +29,33 @@ any middle vertex, when one of three rules holds:
 No rule reads the middle vertex, so the pairs that survive, partners[b]
 for every b, are found once per host from the per-vertex color lists, by
 mask arithmetic over the vertices with at most three colors.  When no pair
-survives the host is rainbow-free, and the scan returns without building
-a row of the color matrix.  So it does on 155 of the 191 candidates that
-``structure`` guards when ``search`` builds its class table for n 5..9 and
-k 4..6.  ``search`` builds each entry once per process, so the benchmark's
-search workload (seed 11) makes those 191 m = 4 scans on its first pass
-and none on later ones.  The scan also returns without a row on 116 of the 123
-m = 4 scans of a certify pass and on 585 of the 603 relabeled builder
-outputs of a classify pass.  Otherwise the rows are walked, middle vertex
-ascending, and around each middle vertex only the surviving pairs whose
-edges to it differ in color, in the same ascending order, so the first hit
-is the one the scan over every pair finds.  The worst case stays
-O(n^3 k^2).  The 35 distinct grid witnesses of order 5 to 25 hold 23,108
-pairs with x != y around a middle vertex; 34 of them build no row, and 18
-pairs, all in F3, reach the path test.
+survives the host is rainbow-free, and the scan returns without walking a
+row of the color matrix past the probe's (below).  So it does on 155 of the
+191 candidates that ``structure`` guards when ``search`` builds its class
+table for n 5..9 and k 4..6.  ``search`` builds each entry once per
+process, so the benchmark's search workload (seed 11) makes those 191
+m = 4 scans on its first pass and none on later ones.  It does so too on
+116 of the 123 m = 4 scans of a certify pass and on 585 of the 603
+relabeled builder outputs of a classify pass.  Otherwise the rows
+are walked, middle vertex ascending, and around each middle vertex only the
+surviving pairs whose edges to it differ in color, in the same ascending
+order, so the first hit is the one the scan over every pair finds.  The
+worst case stays O(n^3 k^2).  The 35 distinct grid witnesses of order 5 to
+25 hold 23,108 pairs with x != y around a middle vertex; 34 of them walk no
+row past the probe's, their probes test 217 pairs, and 16 more, all in F3,
+reach the path test.
 
 The pair table only pays on hosts without a path.  So before building it
-the m = 4 scan probes its first pair row: mid 0, with b the lowest vertex
-that has two colors, and every d > b in ascending order, through the same
-path test.  The scan meets that row before any other, and the rules skip
-only pairs that hold no path, so a path the probe finds is the scan's
-first hit and is returned as it is.  On a miss the per-vertex color lists
-the probe built are kept, and at mid 0 the scan starts past that b.
-
-The probe runs only when vertex 0 and that b both have three colors or
-more, and not on K5 with exactly four colors.  By the structure theorem
-(``structure``), a rainbow-free host with five colors or more is of shape
-(b) or (c) and has at most one vertex with three colors, so the probe never
-runs on it; with four colors, shapes (d) to (f) have three to five such
-vertices.  In a random coloring nearly every vertex has three colors, and
-one pass of the benchmark's classify workload (seed 11) makes 9,603 m = 4
-calls: 6,292 hold a path, 6,175 of those paths have middle vertex 0, and
-the probe runs on 5,400 hosts and returns the path on 5,348.  On K5 with
-four colors the first pair row often misses: in that pass it holds a path
-on 124 of the 222 such hosts that pass the other two tests.  The rainbow
-guard of that class table for n 5..9 and k 4..6 meets the probe on 30 of
-its 191 candidates, 22 of shape (d) and 8 of shape (e), each with its
-vertices of three colors or more among 0..3.
+the m = 4 scan probes its first pair row, on every host: mid 0, read from
+the flat color tuple, with b the lowest vertex that has two colors, and
+every d > b in ascending order, through the same path test.  The scan meets
+that row before any other, and the rules skip only pairs that hold no
+path, so a path the probe finds is the scan's first hit and is returned as
+it is.  On a miss the per-vertex color lists the probe built are kept, and
+at mid 0 the scan starts past that b.  Of the 1,800 seeded uniform
+colorings of n 5..12 that the tests hold (``_palette_dense_colorings``),
+the probe returns the path on 1,467 and misses it on 128, and 205 hold no
+path.
 
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
@@ -222,11 +212,10 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     colors {x, y} to a vertex outside {b, mid, d}; a-b-mid-d-e (m = 4, b < d)
     needs colors z at b and w != z at d, both outside {x, y}, to reach ends
     outside {b, mid, d} that are not one and the same single vertex.  For
-    m = 4 the first pair row may be probed first; then the pairs the module
+    m = 4 the first pair row is probed first; then the pairs the module
     docstring's three rules leave are found once, and the rows are walked
     only when some pair is left."""
-    used = len(c.used_colors)
-    if used < m:
+    if len(c.used_colors) < m:
         return None
     n = c.n
     adj = c.adj
@@ -242,29 +231,22 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
                         a = next(_iter_bits(ends))
                         return (a, b, mid, d) if a < d else (d, mid, b, a)
         return None
-    # The probe: the scan's first pair row, mid 0 and b the lowest vertex
-    # with two colors, tested before any table is built when vertex 0 and b
-    # both have three colors or more, except on K5 with four colors (module
-    # docstring).
-    colors = c.colors
-    probed = 0
-    if (n == 5 and used == 4) or len(set(colors[: n - 1])) < 3:
-        around = [[(z, mask) for z, mask in enumerate(masks) if mask] for masks in zip(*adj)]
-    else:
-        # around[v] is built here only for the vertices the probe reads
-        around = [None] * n
-        for b in range(1, n):
-            at_b = around[b] = _colors_at(adj, b)
-            if len(at_b) > 1:
-                break
-        if len(at_b) > 2:
-            cm = (0,) + colors[: n - 1]
-            x = cm[b]
-            # every d > b whose edge to vertex 0 is not of color x
-            if path := _row_path(adj, around, b, 0, x, cm, (1 << n) - (2 << b) & ~adj[x][0]):
-                return path
-            probed = 1 << b
-        around = [_colors_at(adj, v) if at_v is None else at_v for v, at_v in enumerate(around)]
+    # The probe (module docstring): the first pair row, mid 0 and b the
+    # lowest vertex with two colors.  Four colors are used, so the loop
+    # breaks: were vertex 0 the only vertex with two, every edge would share
+    # one color.  around[v] is built only for the vertices the probe reads.
+    around = [None] * n
+    for b in range(1, n):
+        around[b] = _colors_at(adj, b)
+        if len(around[b]) > 1:
+            break
+    cm = (0,) + c.colors[: n - 1]
+    x = cm[b]
+    # every d > b whose edge to vertex 0 is not of color x
+    if path := _row_path(adj, around, b, 0, x, cm, (1 << n) - (2 << b) & ~adj[x][0]):
+        return path
+    probed = 1 << b
+    around = [_colors_at(adj, v) if at_v is None else at_v for v, at_v in enumerate(around)]
     partners, live = _pair_table(around)
     if not live:
         return None

@@ -116,16 +116,12 @@ def replay_certificate(data: dict) -> WitnessCertificate:
     coloring = ColoredComplete.from_json_dict(data["coloring"])
     H = parse_hspec(data["target"])
     cert = verify_witness(coloring, H, label=label)
-    replayed = {
-        "order": cert.order,
-        "colors": coloring.k,
-        "rainbow_absent": cert.rainbow_absent,
-        "mono_absent": list(cert.mono_absent),
-    }
-    for key, got in replayed.items():
-        if key in data and not _same_json(data[key], got):
+    got = cert.to_json_dict()
+    for key in ("order", "colors", "rainbow_absent", "mono_absent"):
+        if key in data and not _same_json(data[key], got[key]):
             raise CertificateMismatch(
-                f"certificate states {key} {json.dumps(data[key])}, replay gives {json.dumps(got)}"
+                f"certificate states {key} {json.dumps(data[key])}, "
+                f"replay gives {json.dumps(got[key])}"
             )
     return cert
 
