@@ -208,11 +208,6 @@ class ColoredComplete:
     def degree(self, v: int, color: int) -> int:
         return self.adj[color][v].bit_count()
 
-    def vertices_incident(self, color: int) -> frozenset[int]:
-        """Vertices touched by at least one edge of the given color."""
-        row = self.adj[color]
-        return frozenset(v for v in range(self.n) if row[v])
-
     def edges_in_color(self, color: int) -> tuple[tuple[int, int], ...]:
         return tuple(e for e, c in zip(pairs(self.n), self.colors) if c == color)
 

@@ -15,10 +15,11 @@ renumbering colors, into at least one of six shapes:
       uv in one color, and for each other vertex x, with yz the edge of
       the other two, the edges xu, xv and yz in a color of their own.
 
-``classify_p5free`` evaluates every shape on every call, reading each from
-one color profile ``{color: (edge count, touched-vertex mask)}`` and the
-per-color adjacency masks ``c.adj``, and cross-checks the combined answer
-against the rainbow detector.  The same shapes drive
+``classify_p5free`` evaluates every shape on every call and reports which
+shapes hold, not where they hold: each predicate is a yes-or-no test read
+from one color profile ``{color: (edge count, touched-vertex mask)}`` and
+the per-color adjacency masks ``c.adj``.  The combined answer is
+cross-checked against the rainbow detector.  The same shapes drive
 ``p5free_classes``, which generates every exact k-coloring of K_n
 without a rainbow 4-edge path, one member coloring per vertex-and-color
 isomorphism class: the case generators emit pairwise non-isomorphic
@@ -44,7 +45,7 @@ from operator import or_
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from gallai.canonical import canonical_form, coloring_from_key
-from gallai.constructions import sporadic, star_augmented
+from gallai.constructions import sporadic
 from gallai.detectors import Embedding, find_rainbow_path
 from gallai.graphs import (
     ColoredComplete,
@@ -109,11 +110,10 @@ class P4Report:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """All satisfied shapes among a-f with one witness each; ``rainbow``
-    holds the rainbow 4-edge path exactly when no shape applies."""
+    """The shapes among a-f that hold, by letter; ``rainbow`` holds the
+    rainbow 4-edge path exactly when no shape applies."""
 
     cases: frozenset[str]
-    witnesses: dict
     rainbow: Embedding | None
 
 
@@ -151,15 +151,12 @@ def _color_profile(c: ColoredComplete) -> dict[int, tuple[int, int]]:
     return profile
 
 
-def _case_a(c: ColoredComplete, profile: dict):
-    return len(profile) if len(profile) <= 3 else None
+def _case_a(c: ColoredComplete, profile: dict) -> bool:
+    return len(profile) <= 3
 
 
-def _case_b(c: ColoredComplete, profile: dict):
-    dom = _dominant_color(profile)
-    if dom is None:
-        return None
-    return dom, {col: c.vertices_incident(col) for col in profile if col != dom}
+def _case_b(c: ColoredComplete, profile: dict) -> bool:
+    return _dominant_color(profile) is not None
 
 
 def _dominant_color(profile: dict) -> int | None:
@@ -183,7 +180,7 @@ def _dominant_color(profile: dict) -> int | None:
     return None
 
 
-def _case_c(c: ColoredComplete, profile: dict):
+def _case_c(c: ColoredComplete, profile: dict) -> bool:
     # The C(n-1, 2) edges missing a vertex are more than half of all edges
     # once n >= 5, so at most one color can hold them.
     rest = edge_count(c.n - 1)
@@ -192,13 +189,13 @@ def _case_c(c: ColoredComplete, profile: dict):
             row = c.adj[col]
             for v in range(c.n):
                 if count - row[v].bit_count() == rest:
-                    return v, col
-    return None
+                    return True
+    return False
 
 
-def _case_d(c: ColoredComplete, profile: dict):
+def _case_d(c: ColoredComplete, profile: dict) -> bool:
     if len(profile) != 4:
-        return None
+        return False
     singles = [col for col, (count, _) in profile.items() if count == 1]
     for colx, coly in permutations(singles, 2):
         e1, e2 = profile[colx][1], profile[coly][1]
@@ -211,13 +208,13 @@ def _case_d(c: ColoredComplete, profile: dict):
         # bc is neither ab nor ac, so its color is neither colx nor coly.
         colz = c.color_of(b, cc)
         if profile[colz][0] - 1 == c.degree(a, colz):
-            return a, b, cc, frozenset(c.edges_in_color(colz))
-    return None
+            return True
+    return False
 
 
-def _case_e(c: ColoredComplete, profile: dict):
+def _case_e(c: ColoredComplete, profile: dict) -> bool:
     if len(profile) != 4:
-        return None
+        return False
     # Two classes must each be a perfect matching of the quad, so only the
     # vertex sets of 2-edge classes touching 4 vertices can match.
     quads = sorted(
@@ -239,39 +236,31 @@ def _case_e(c: ColoredComplete, profile: dict):
         for iz in range(3):
             if not all(exact[i] for i in range(3) if i != iz):
                 continue
-            (e1, e2), (col1, col2) = matchings[iz], pair_colors[iz]
             # The class of ab lies inside this matching: both its edges, or
-            # one of them, the lower color first when both are single.
-            if col1 == col2:
-                if profile[col1][0] == 2:
-                    return (*e1, *e2, True)
-            elif profile[col1][0] == 1 and (col1 < col2 or profile[col2][0] != 1):
-                return (*e1, *e2, False)
-            elif profile[col2][0] == 1:
-                return (*e2, *e1, False)
-    return None
+            # one edge alone in its class.
+            col1, col2 = pair_colors[iz]
+            if exact[iz] or 1 in (profile[col1][0], profile[col2][0]):
+                return True
+    return False
 
 
 _CASE_F = sporadic("TW-case-f")
 
 
-def _case_f(c: ColoredComplete, profile: dict):
+def _case_f(c: ColoredComplete, profile: dict) -> bool:
     # Case (f) is K5 with a lone edge uv whose other three vertices x each
     # see u, v and the edge of the other two in one color; the class sizes
-    # 1, 3, 3, 3 then force the three colors apart.  The witness is the
-    # first vertex permutation, in ``permutations`` order, that maps the
-    # template (lone edge 34) onto the host: every match sends {0, 1, 2}
-    # onto {a, b, d} and {3, 4} onto {u, v}, and all 12 such are matches.
+    # 1, 3, 3, 3 then force the three colors apart.
     if c.n != 5 or sorted(count for count, _ in profile.values()) != [1, 3, 3, 3]:
-        return None
+        return False
     lone = next(touched for count, touched in profile.values() if count == 1)
     u, v = (x for x in range(5) if lone >> x & 1)
     a, b, d = (x for x in range(5) if not lone >> x & 1)
     color = c.color_of
     for x, y, z in ((a, b, d), (b, a, d), (d, a, b)):
         if not color(x, u) == color(x, v) == color(y, z):
-            return None
-    return a, b, d, u, v
+            return False
+    return True
 
 
 _CASES = (
@@ -285,25 +274,19 @@ _CASES = (
 
 
 def classify_p5free(c: ColoredComplete) -> StructureReport:
-    """All satisfied shapes a-f with witnesses; empty exactly when the
-    coloring has a rainbow 4-edge path (cross-checked, TheoremViolation on
+    """The shapes among a-f that hold; empty exactly when the coloring has
+    a rainbow 4-edge path (cross-checked, TheoremViolation on
     disagreement)."""
     if c.n < 5:
         raise ValueError(f"classification needs n >= 5, got n={c.n}")
     profile = _color_profile(c)
-    witnesses: dict = {}
-    for name, fn in _CASES:
-        witness = fn(c, profile)
-        if witness is not None:
-            witnesses[name] = witness
+    cases = frozenset(name for name, holds in _CASES if holds(c, profile))
     rainbow = find_rainbow_path(c, 4)
-    if bool(witnesses) == (rainbow is not None):
+    if bool(cases) == (rainbow is not None):
         raise TheoremViolation(
-            f"cases {sorted(witnesses)} vs rainbow {rainbow} disagree on {c!r}"
+            f"cases {sorted(cases)} vs rainbow {rainbow} disagree on {c!r}"
         )
-    return StructureReport(
-        cases=frozenset(witnesses), witnesses=witnesses, rainbow=rainbow
-    )
+    return StructureReport(cases=cases, rainbow=rainbow)
 
 
 def _on_color_one(n: int, k: int, special: dict[tuple[int, int], int]) -> ColoredComplete:
@@ -390,7 +373,7 @@ def _candidates_case_c(n: int, k: int) -> Iterable[ColoredComplete]:
             spokes = [1] * c1
             for color, count in enumerate(rest, start=2):
                 spokes += [color] * count
-            yield star_augmented(n - 1, 1, spokes)
+            yield _on_color_one(n, k, {(v, n - 1): s for v, s in enumerate(spokes) if s != 1})
 
 
 def _candidates_case_d(n: int, k: int) -> Iterable[ColoredComplete]:

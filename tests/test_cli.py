@@ -537,7 +537,7 @@ class TestClassify:
     def test_theorem_violation_exits_internal(self, capsys, monkeypatch, tmp_path):
         """A case predicate contradicting the rainbow detector is an
         internal error (exit 3, one stderr line), never a negative answer."""
-        monkeypatch.setattr("gallai.structure._CASES", (("b", lambda c, profile: (1, {})),))
+        monkeypatch.setattr("gallai.structure._CASES", (("b", lambda c, profile: True),))
         c = ColoredComplete(5, 10, tuple(range(1, 11)))
         path = tmp_path / "rainbow.json"
         path.write_text(json.dumps(c.to_json_dict()))

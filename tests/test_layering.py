@@ -126,3 +126,35 @@ def test_every_top_level_name_has_a_reader():
         and everywhere[name] == _names_read(definition)[name]
     ]
     assert not dead, f"top-level names nothing reads: {dead}"
+
+
+def _class_members(tree: ast.Module):
+    """(class, name) for every method, property and annotated field of each
+    top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, item.name
+                elif isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node.name, item.target.id
+
+
+def test_every_class_member_has_a_reader():
+    """Every method, property and annotated field of a package class is read
+    as an attribute somewhere in the package; dunders are exempt."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in paths]
+    read = {
+        sub.attr
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    dead = [
+        f"{path.stem}.{cls}.{name}"
+        for path, tree in zip(paths, trees)
+        for cls, name in _class_members(tree)
+        if not (name.startswith("__") and name.endswith("__")) and name not in read
+    ]
+    assert not dead, f"class members nothing reads: {dead}"
