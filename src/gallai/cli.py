@@ -20,7 +20,11 @@ count changes nothing else: all work runs in the calling thread.
 
 The argument parser is built once per process and shared by every ``main``
 call, so a caller that runs many commands in one process (a test suite, the
-benchmark) pays for it once.  ``eval --c -1e-3`` is read as ``--c=-1e-3``.
+benchmark) pays for it once.  When the first argument names a command, the
+rest is parsed by that command's own parser alone, and leftover arguments
+are reported by the top parser, in the bytes the full parse prints; any
+other argument list goes through the full parser.  ``eval --c -1e-3`` is
+read as ``--c=-1e-3``.
 """
 
 from __future__ import annotations
@@ -304,11 +308,16 @@ def _cmd_selftest(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
     state between calls, so every ``main`` call shares it.  Callers must not
     change the parser it returns."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and, by command name, each command's own parser."""
     parser = argparse.ArgumentParser(
         prog="gallai",
         description="Verification and search for rainbow-path Ramsey thresholds.",
@@ -362,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selftest", help="run the built-in consistency suites")
     p.set_defaults(fn=_cmd_selftest)
 
-    return parser
+    return parser, sub.choices
 
 
 def _join_c_values(argv: list[str]) -> list[str]:
@@ -386,10 +395,25 @@ def _is_float(text: str) -> bool:
     return True
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What ``build_parser().parse_args(argv)`` returns or prints.  When
+    argv[0] names a command, the rest goes straight to that command's
+    parser; the top parser then only reports leftover arguments, with the
+    message ``parse_args`` gives them."""
+    commands = _parsers()[1]
+    if not argv or argv[0] not in commands:
+        return build_parser().parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if extra:
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = _join_c_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

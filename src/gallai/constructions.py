@@ -19,6 +19,17 @@ reject a non-exact result through one check.  The fixed small colorings
 are the ``sporadic`` table; its TW-case-f entry is also the template the
 ``structure`` module matches for case (f).
 
+``build_named`` checks the name and parameters on every call, then reads a
+per-process table of built colorings: a ``functools.lru_cache`` at its
+default bound of 128 entries, keyed on the builder function and the
+parameter values in the order the registry lists them, their types included
+(t = 6.0 is not t = 6).  Each construction is
+thus built once per process however often ``witness``, the dispatcher or the
+selftest asks for it.  Sharing is safe because a ``ColoredComplete`` is
+immutable; an error a builder raises is raised again on every call, never
+stored; and the table holds colorings only, so every caller still verifies
+what it gets.
+
 The registry names map onto fewer builders: G3 is G5 at k = t, F2 is G5 at
 k = 4 and F11 is G5 at t = k = 5; F1, F4 and F6 are G6 at k = 4 and
 max_degree t - 1, told apart only by their domains in t; F12 and F13 are
@@ -28,7 +39,7 @@ one builder at clique sizes 5 and 6.
 from __future__ import annotations
 
 import json
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from importlib import resources
 from itertools import repeat
 from typing import Callable, Mapping, Sequence
@@ -152,7 +163,9 @@ def sporadic(name: str) -> ColoredComplete:
 def r35_witness() -> ColoredComplete:
     """A 2-coloring of K13 whose color-1 graph is triangle-free and whose
     color-2 graph has no K5: the cyclic graph on Z13 with color 1 on
-    differences {1, 5}, machine-verified on every call."""
+    differences {1, 5}, machine-verified on every call.  F8, F12 and F13
+    build on it, and through ``build_named`` each of them calls it once per
+    process."""
     triples = [
         (i, j, 1 if min(j - i, 13 - (j - i)) in (1, 5) else 2)
         for i, j in pairs(13)
@@ -268,6 +281,7 @@ def _r35_plus_cliques(size: int) -> ColoredComplete:
     return blowup(4, [r35_witness()] + cliques)
 
 
+# name -> (builder, its parameters in the builder's positional order)
 BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {
     "G1": (partial(sporadic, "G1"), ()),
     "G2": (partial(sporadic, "G2"), ()),
@@ -293,7 +307,8 @@ BUILDERS: dict[str, tuple[Callable[..., ColoredComplete], tuple[str, ...]]] = {
 
 
 def build_named(name: str, params: Mapping[str, int]) -> ColoredComplete:
-    """Build a registered construction from CLI-style parameters."""
+    """Build a registered construction from CLI-style parameters; equal
+    calls share one coloring, built on the first."""
     if name not in BUILDERS:
         raise ValueError(f"unknown construction {name!r}")
     fn, needed = BUILDERS[name]
@@ -303,7 +318,14 @@ def build_named(name: str, params: Mapping[str, int]) -> ColoredComplete:
     extra = [p for p in params if p not in needed]
     if extra:
         raise ValueError(f"construction {name} does not take parameters {extra}")
-    return fn(**{p: params[p] for p in needed})
+    return _built(fn, *(params[p] for p in needed))
+
+
+@lru_cache(typed=True)
+def _built(fn: Callable[..., ColoredComplete], *values: int) -> ColoredComplete:
+    """``fn(*values)``, built once per process for each builder and
+    parameter tuple; a raised error is not stored."""
+    return fn(*values)
 
 
 @cache

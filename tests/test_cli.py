@@ -27,7 +27,7 @@ from gallai.cli import (
     format_value,
     main,
 )
-from gallai import detectors, graphs
+from gallai import cli, constructions, detectors, graphs
 from gallai.constructions import BUILDERS, construction_grid, sporadic
 from gallai.formulas import KIND_BOUNDS, KIND_EXACT, GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
@@ -330,7 +330,10 @@ class TestSearchNodeCounts:
     """Node counts, not timings, of the monochromatic-copy searches over the
     benchmark's certify job list: every grid row's witness and the replay
     of its certificate, then every eval-sweep query through ``eval`` and the
-    witness dispatcher."""
+    witness dispatcher.  Each command starts on an empty construction
+    table, as in a fresh process: the r35 self-checks inside the F12 and
+    F13 builds are 8 of the clique calls and 144 of the nodes, and the
+    counts do not depend on which tests ran before."""
 
     def test_certify_job_list(self, capsys, monkeypatch):
         counts = Counter()
@@ -351,19 +354,24 @@ class TestSearchNodeCounts:
 
         monkeypatch.setattr(detectors, "find_clique", counted_clique)
         monkeypatch.setattr(detectors, "_matching_with_pairs", counted_matching)
+
+        def fresh_run(*argv: str) -> tuple[int, str, str]:
+            constructions._built.cache_clear()
+            return run(capsys, *argv)
+
         for row in construction_grid():
             argv = ["witness", "--H", row["target"], "--construction", row["name"]]
             for key, value in row["params"].items():
                 argv += ["--param", f"{key}={value}"]
-            code, out, _ = run(capsys, *argv)
+            code, out, _ = fresh_run(*argv)
             assert code == EXIT_OK
             replay_certificate(json.loads(out))
         sweep = resources.files("gallai").joinpath("data/eval_sweep.txt").read_text()
         for line in sweep.splitlines():
             if line.strip() and not line.startswith("#"):
                 spec, k = line.split()
-                run(capsys, "eval", "--H", spec, "--k", k, "--mode", "table")
-                run(capsys, "witness", "--H", spec, "--k", k)
+                fresh_run("eval", "--H", spec, "--k", k, "--mode", "table")
+                fresh_run("witness", "--H", spec, "--k", k)
         # before the clique side skipped twins and failed centres: 652 clique
         # calls, 2,378 clique nodes and 422 matching calls
         assert counts == {"clique calls": 306, "clique nodes": 526, "matching calls": 152}
@@ -1044,6 +1052,60 @@ class TestUsage:
         assert capsys.readouterr().err == ""
 
 
+# Argument lists whose parse prints or fails, or that turn on an argparse
+# rule: abbreviations, ``=`` forms, negative numbers and ``--``.
+_USAGE_CORPUS = (
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "eval"],
+    ["nope"],
+    ["nope", "--H", "K5"],
+    ["--", "eval", "--H", "K5", "--k", "4"],
+    ["eval"],
+    ["eval", "--H"],
+    ["eval", "--H", "K5", "--k"],
+    ["eval", "--H", "K5", "--k", "four"],
+    ["eval", "--H", "K5", "--k", "4", "--mode", "xml"],
+    ["eval", "--H", "K5", "--k", "4", "--bogus"],
+    ["eval", "--H", "K5", "--k", "4", "stray"],
+    ["eval", "stray", "--H", "K5", "--k", "4", "--bogus", "x"],
+    ["eval", "-h"],
+    ["eval", "--H", "K5", "--k", "4", "-h"],
+    ["eval", "--h"],
+    ["witness", "--help"],
+    ["selftest", "-h"],
+    ["eval", "--H", "K5", "--k", "4", "--mo", "table"],
+    ["eval", "--H=K5", "--k=4"],
+    ["eval", "--H", "K5", "--k", "4", "--c", "-1e-3"],
+    ["eval", "--H", "K5", "--k", "4", "--c", "-inf"],
+    ["eval", "--", "--H", "K5", "--k", "4"],
+    ["eval", "--H", "K5", "--k", "4", "--"],
+    ["eval", "--H", "K5", "--", "--k", "4"],
+    ["witness", "--H", "S4^1", "--construction", "F3", "--param"],
+    ["witness", "--H", "S4^1", "--k", "3", "--construction", "F3"],
+    ["witness", "--H", "S4^1"],
+    ["check", "--H", "K3", "--k", "4"],
+    ["search", "--H", "K3", "--k", "4", "--n-max", "x"],
+    ["classify", "--path-edges", "5"],
+    ["enumerate", "--n", "4", "--k", "3", "--threads", "0"],
+    ["selftest", "extra"],
+)
+
+
+class TestCommandParser:
+    @pytest.mark.parametrize("argv", _USAGE_CORPUS, ids=" ".join)
+    def test_same_bytes_as_full_parse(self, capsys, monkeypatch, argv):
+        """``main`` hands the arguments after a command name to that
+        command's parser; with no command parser to hand them to, it parses
+        with ``build_parser().parse_args``.  Both give the same exit code,
+        stdout and stderr."""
+        got = run(capsys, *argv)
+        parser = build_parser()
+        monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+        assert got == run(capsys, *argv)
+
+
 class TestParserReuse:
     CALLS = (
         ["witness", "--H", "S6^1", "--construction", "G5", "--param", "t=6", "--param", "k=5"],
@@ -1055,7 +1117,8 @@ class TestParserReuse:
 
     @staticmethod
     def _first_call(argv: list[str]) -> tuple[int, str, str]:
-        build_parser.cache_clear()
+        cli._parsers.cache_clear()
+        constructions._built.cache_clear()
         return TestParserReuse._call(argv)
 
     @staticmethod
@@ -1073,7 +1136,8 @@ class TestParserReuse:
         assert [code for code, _, _ in want] == [EXIT_OK, EXIT_OK, EXIT_USAGE, EXIT_OK]
         assert json.loads(want[1][1])["label"] == "F3"
         assert want[3][1].startswith("usage: gallai eval")
-        build_parser.cache_clear()
+        cli._parsers.cache_clear()
+        constructions._built.cache_clear()
         got = [self._call(argv) for argv in self.CALLS + self.CALLS]
         assert got == want + want
 

@@ -6,10 +6,12 @@ import hashlib
 import itertools
 import json
 import random
+from functools import partial
 from importlib import resources
 
 import pytest
 
+from gallai import constructions
 from gallai.constructions import (
     BUILDERS,
     blowup,
@@ -275,6 +277,75 @@ class TestRegistry:
         coloring; only these domain checks tell the names apart."""
         with pytest.raises(ValueError, match=message):
             build_named(name, {"t": t})
+
+
+class TestBuildTable:
+    """``build_named`` builds each (builder, parameters) once per process."""
+
+    @pytest.fixture(autouse=True)
+    def empty_table(self):
+        constructions._built.cache_clear()
+        yield
+        constructions._built.cache_clear()
+
+    def test_equal_params_share_one_object(self):
+        c = build_named("G4", {"a": 4, "t": 4, "k": 3})
+        assert build_named("G4", {"k": 3, "t": 4, "a": 4}) is c
+        assert build_named("G4", {"t": 4, "a": 4, "k": 3}) is c
+        assert build_named("F12", {}) is build_named("F12", {})
+        info = constructions._built.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (3, 2, 128)
+
+    def test_other_value_misses(self):
+        c = build_named("G5", {"t": 5, "k": 3})
+        d = build_named("G5", {"t": 5, "k": 4})
+        assert d is not c and d != c and d.k == 4
+        assert constructions._built.cache_info().misses == 2
+
+    def test_value_of_other_type_misses(self):
+        """6.0 == 6 in Python, but F1 at t = 6.0 fails as it does in a
+        process that never built F1 at t = 6."""
+        assert build_named("F1", {"t": 6}).n == 6
+        with pytest.raises(TypeError):
+            build_named("F1", {"t": 6.0})
+
+    def test_swapped_builder_is_never_stale(self, monkeypatch):
+        assert build_named("F3", {}) == sporadic("F3")
+        monkeypatch.setitem(BUILDERS, "F3", (partial(sporadic, "F9"), ()))
+        assert build_named("F3", {}) == sporadic("F9")
+        monkeypatch.undo()
+        assert build_named("F3", {}) == sporadic("F3")
+
+    def test_builder_error_raised_on_every_call(self, monkeypatch):
+        calls = []
+
+        def failing(t):
+            calls.append(t)
+            raise ValueError(f"need t >= 3, got t={t}")
+
+        monkeypatch.setitem(BUILDERS, "G3", (failing, ("t",)))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="need t >= 3, got t=2"):
+                build_named("G3", {"t": 2})
+        assert calls == [2, 2, 2]
+        assert constructions._built.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("nope", {}, "unknown construction 'nope'"),
+            ("G3", {}, "needs parameters"),
+            ("F3", {"t": 5}, "does not take"),
+            ("G5", {"t": 5, "k": 3, "r": 1}, "does not take"),
+        ],
+    )
+    def test_bad_call_raises_before_lookup(self, monkeypatch, name, params, message):
+        def lookup(*_):
+            raise AssertionError("looked up the table")
+
+        monkeypatch.setattr(constructions, "_built", lookup)
+        with pytest.raises(ValueError, match=message):
+            build_named(name, params)
 
 
 class TestDispatcher:
