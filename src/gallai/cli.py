@@ -5,7 +5,7 @@ negative or unavailable (bad order, inconclusive search, failed verification,
 no known construction, unknown value), 2 on usage errors (including an
 unknown construction name, missing, extra or repeated parameters, a
 parameter outside the builder's domain, a ``--param`` without
-``--construction``, a thread count below 1, or a coloring order beyond
+``--construction``, a ``--threads`` count below 1, or a coloring order beyond
 ``MAX_COLORING_ORDER``) and when stdout is closed before the output
 is written (a pipe into ``head``, say), which ends the run without a
 traceback.  3 is an internal error: a failed invariant
@@ -15,8 +15,9 @@ re-verification) or any other unexpected exception, reported as one
 ``selftest`` reports a failed invariant as a FAIL line and exits 1.
 
 ``check``, ``search`` and ``enumerate`` take ``--threads``.  ``main`` checks
-that count, or else ``GALLAI_THREADS``, before it runs one of them, and the
-count changes nothing else: all work runs in the calling thread.
+that count before it runs one of them, and the count changes nothing else:
+all work runs in the calling thread.  No command reads a thread count from
+the environment.
 
 The argument parser is built once per process and shared by every ``main``
 call, so a caller that runs many commands in one process (a test suite, the

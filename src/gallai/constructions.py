@@ -13,9 +13,10 @@ Every coloring built from blocks expands through ``blowup``.  A block is
 any coloring: a monochromatic clique is ``ColoredComplete.constant``, a
 single vertex is a coloring of order 1, and a Ramsey coloring such as
 ``r35_witness`` enters as it is.  Blocks are joined by one dominant color
-or by a reduced coloring: a ``ColoredComplete`` with one vertex per block.
-``star_augmented``, a clique plus one apex, writes its rows directly.  Both
-reject a non-exact result through one check.  The fixed small colorings
+or by a reduced coloring: a ``ColoredComplete`` with one vertex per block;
+a result that misses a palette color is rejected.  G5, a clique plus one
+apex, is ``ColoredComplete.constant`` with the apex's spokes recolored; it
+uses every color of its palette by construction.  The fixed small colorings
 are the ``sporadic`` table; its TW-case-f entry is also the template the
 ``structure`` module matches for case (f).
 
@@ -46,15 +47,6 @@ from typing import Callable, Mapping, Sequence
 
 from gallai.detectors import find_mono_copy_in_color
 from gallai.graphs import ColoredComplete, TargetGraph, check_coloring_order, pairs
-
-
-def _exact(c: ColoredComplete) -> ColoredComplete:
-    """c itself if every palette color appears; ValueError naming the
-    unused colors otherwise."""
-    if not c.exact:
-        missing_colors = sorted(set(range(1, c.k + 1)) - c.used_colors)
-        raise ValueError(f"blow-up is not exact: colors {missing_colors} unused")
-    return c
 
 
 def blowup(
@@ -91,26 +83,11 @@ def blowup(
             colors += part.colors[start:end]
             colors += later
             start = end
-    return _exact(ColoredComplete(n, k, colors))
-
-
-def star_augmented(
-    base_order: int, base_color: int, spoke_colors: list[int]
-) -> ColoredComplete:
-    """A monochromatic K_base plus one new vertex whose i-th edge back into
-    the base is colored spoke_colors[i].  Palette size is the max color used;
-    a coloring that misses a palette color is rejected as ``blowup`` rejects
-    it.  Base vertex v's row is base_order - 1 - v base edges, then its
-    spoke."""
-    if len(spoke_colors) != base_order:
-        raise ValueError(f"need {base_order} spoke colors, got {len(spoke_colors)}")
-    check_coloring_order(base_order + 1)
-    k = max([base_color] + list(spoke_colors))
-    colors: list[int] = []
-    for v, spoke in enumerate(spoke_colors):
-        colors += [base_color] * (base_order - 1 - v)
-        colors.append(spoke)
-    return _exact(ColoredComplete(base_order + 1, k, colors))
+    c = ColoredComplete(n, k, colors)
+    if not c.exact:
+        missing_colors = sorted(set(range(1, k + 1)) - c.used_colors)
+        raise ValueError(f"blow-up is not exact: colors {missing_colors} unused")
+    return c
 
 
 _PENTAGON = ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))
@@ -219,7 +196,7 @@ def g5(t: int, k: int) -> ColoredComplete:
     spokes: list[int] = []
     for color, m in zip(range(2, k + 1), counts):
         spokes.extend([color] * m)
-    return star_augmented(t - 1, 1, spokes)
+    return ColoredComplete.constant(t, k, 1, {(v, t - 1): s for v, s in enumerate(spokes)})
 
 
 def g6(max_degree: int, k: int) -> ColoredComplete:

@@ -115,7 +115,9 @@ The twins are built once per host and color, and only when a branch or a
 centre first fails.  The matching search for r = 1 never backtracks, and
 most searches never fail a branch: every search pass of the benchmark
 (seed 11), the first included, makes 804 searches and builds 84 twin
-tables, and every certify pass 588 and 61.
+tables.  A certify pass makes 580 searches and builds 53 twin tables once
+the construction table is warm, and the first pass of a process, which
+also runs the self-checks of the r35 block, 584 and 57.
 Building the table for every search made the search workload's five S4^1
 and S5^1 jobs about 11 % slower together.
 

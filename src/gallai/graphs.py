@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class UnsupportedSizeError(ValueError):
@@ -145,9 +145,19 @@ class ColoredComplete:
         raise AttributeError("ColoredComplete is immutable")
 
     @classmethod
-    def constant(cls, n: int, k: int, color: int = 1) -> ColoredComplete:
-        """The coloring giving every edge the same color."""
-        return cls(n, k, [color] * edge_count(n))
+    def constant(
+        cls,
+        n: int,
+        k: int,
+        color: int = 1,
+        special: Mapping[tuple[int, int], int] | None = None,
+    ) -> ColoredComplete:
+        """Every edge in ``color``, except the edges ij (i < j) of
+        ``special``, each in its mapped color."""
+        colors = [color] * edge_count(n)
+        for (i, j), col in (special or {}).items():
+            colors[edge_index(i, j, n)] = col
+        return cls(n, k, colors)
 
     @classmethod
     def from_edge_triples(

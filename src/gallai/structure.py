@@ -51,7 +51,6 @@ from gallai.graphs import (
     ColoredComplete,
     UnsupportedSizeError,
     edge_count,
-    edge_index,
     pairs,
 )
 
@@ -68,24 +67,15 @@ class TheoremViolation(RuntimeError):
 
 
 def resolve_threads(explicit: int | None = None) -> int:
-    """Validated worker count: explicit argument, else GALLAI_THREADS, else
-    cpu count.  The count is checked and accepted, but all work runs in the
-    calling thread.  No library function takes a count: the CLI checks its
-    ``--threads`` flag and the variable once, before it runs a command."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"thread count must be >= 1, got {explicit}")
-        return explicit
-    env = os.environ.get("GALLAI_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            value = 0  # refused below, as a count below 1 is
-        if value < 1:
-            raise ValueError(f"GALLAI_THREADS must be an integer >= 1, got {env!r}")
-        return value
-    return os.cpu_count() or 1
+    """The explicit count, refused below 1, else the CPU count; no
+    environment variable is read.  All work runs in the calling thread, so
+    the count changes nothing: no library function takes one, and the CLI
+    checks its ``--threads`` flag here before it runs a command."""
+    if explicit is None:
+        return os.cpu_count() or 1
+    if explicit < 1:
+        raise ValueError(f"thread count must be >= 1, got {explicit}")
+    return explicit
 
 
 def parallel_map(
@@ -289,15 +279,6 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     return StructureReport(cases=cases, rainbow=rainbow)
 
 
-def _on_color_one(n: int, k: int, special: dict[tuple[int, int], int]) -> ColoredComplete:
-    """K_n in color 1, except the edges ij (i < j) of ``special``, each in
-    its mapped color."""
-    cols = [1] * edge_count(n)
-    for (i, j), color in special.items():
-        cols[edge_index(i, j, n)] = color
-    return ColoredComplete(n, k, cols)
-
-
 @lru_cache(maxsize=None)
 def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """All graphs on s labeled vertices with minimum degree >= 1, one
@@ -320,7 +301,7 @@ def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
             deg[j] += 1
         if min(deg, default=0) == 0:
             continue
-        key = canonical_form(_on_color_one(s + 1, 2, dict.fromkeys(edges, 2)))
+        key = canonical_form(ColoredComplete.constant(s + 1, 2, 1, dict.fromkeys(edges, 2)))
         if key not in seen:
             seen.add(key)
             out.append(edges)
@@ -344,7 +325,7 @@ def _candidates_case_b(n: int, k: int) -> Iterable[ColoredComplete]:
                 for i, j in edges:
                     special[offset + i, offset + j] = color
                 offset += s
-            yield _on_color_one(n, k, special)
+            yield ColoredComplete.constant(n, k, 1, special)
 
 
 def _choices_respecting_ties(sizes: Sequence[int]) -> Iterable[tuple]:
@@ -373,7 +354,9 @@ def _candidates_case_c(n: int, k: int) -> Iterable[ColoredComplete]:
             spokes = [1] * c1
             for color, count in enumerate(rest, start=2):
                 spokes += [color] * count
-            yield _on_color_one(n, k, {(v, n - 1): s for v, s in enumerate(spokes) if s != 1})
+            yield ColoredComplete.constant(
+                n, k, 1, {(v, n - 1): s for v, s in enumerate(spokes) if s != 1}
+            )
 
 
 def _candidates_case_d(n: int, k: int) -> Iterable[ColoredComplete]:
@@ -381,15 +364,15 @@ def _candidates_case_d(n: int, k: int) -> Iterable[ColoredComplete]:
         return
     for s in range(n - 2):
         extra = {(0, v): 4 for v in range(3, 3 + s)}
-        yield _on_color_one(n, k, {(0, 1): 2, (0, 2): 3, (1, 2): 4, **extra})
+        yield ColoredComplete.constant(n, k, 1, {(0, 1): 2, (0, 2): 3, (1, 2): 4, **extra})
 
 
 def _candidates_case_e(n: int, k: int) -> Iterable[ColoredComplete]:
     if k != 4:
         return
     shape = {(0, 1): 2, (0, 2): 3, (1, 3): 3, (0, 3): 4, (1, 2): 4}
-    yield _on_color_one(n, k, shape)
-    yield _on_color_one(n, k, {**shape, (2, 3): 2})
+    yield ColoredComplete.constant(n, k, 1, shape)
+    yield ColoredComplete.constant(n, k, 1, {**shape, (2, 3): 2})
 
 
 def _candidates_case_f(n: int, k: int) -> Iterable[ColoredComplete]:

@@ -8,6 +8,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -432,19 +433,39 @@ class TestCheck:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"error: thread count must be >= 1, got {argv[-1]}\n"
 
-    @pytest.mark.parametrize("value", ["0", "abc", "-3", "1.5"])
-    def test_bad_thread_environment_is_usage_error(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("GALLAI_THREADS", value)
-        code, out, err = run(capsys, "check", "--H", "K3", "--k", "4", "--n", "3")
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == f"error: GALLAI_THREADS must be an integer >= 1, got {value!r}\n"
+    @staticmethod
+    def _ignores_environment(capsys, monkeypatch, argv):
+        """With GALLAI_THREADS set to a value no count could have, ``argv``
+        answers as without it."""
+
+        def answer():
+            code, out, err = run(capsys, *argv)
+            return code, re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out), err
+
+        monkeypatch.delenv("GALLAI_THREADS", raising=False)
+        want = answer()
+        assert want[0] == EXIT_OK
+        monkeypatch.setenv("GALLAI_THREADS", "abc")
+        assert answer() == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--H", "S4^1", "--k", "4", "--n", "6"),
+            ("search", "--H", "S4^1", "--k", "4", "--n-max", "6"),
+            ("enumerate", "--n", "5", "--k", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_thread_commands_ignore_the_environment(self, capsys, monkeypatch, argv):
+        """check, search and enumerate take only ``--threads``; no command
+        reads a thread count from the environment."""
+        self._ignores_environment(capsys, monkeypatch, argv)
 
     @pytest.mark.parametrize("command", ["eval", "witness", "verify", "classify"])
     def test_commands_without_threads_ignore_the_environment(
         self, capsys, monkeypatch, tmp_path, command
     ):
-        """Only check, search and enumerate take a thread count, so only
-        they read GALLAI_THREADS; the other commands answer as without it."""
         coloring = tmp_path / "coloring.json"
         coloring.write_text(json.dumps(sporadic("F3").to_json_dict()))
         cert = tmp_path / "cert.json"
@@ -455,11 +476,7 @@ class TestCheck:
             "verify": ("verify", "--file", str(cert)),
             "classify": ("classify", "--file", str(coloring)),
         }[command]
-        monkeypatch.delenv("GALLAI_THREADS", raising=False)
-        want = run(capsys, *argv)
-        assert want[0] == EXIT_OK
-        monkeypatch.setenv("GALLAI_THREADS", "abc")
-        assert run(capsys, *argv) == want
+        self._ignores_environment(capsys, monkeypatch, argv)
 
     def test_thread_flag_does_not_change_report(self, capsys):
         _, base, _ = run(capsys, "check", "--H", "S4^1", "--k", "4", "--n", "5")
@@ -859,25 +876,26 @@ class TestVerify:
         assert run(capsys, "verify", "--file", str(path)) == (EXIT_OK, out, "")
 
     @pytest.mark.parametrize(
-        "field, value",
+        "field, value, replay",
         [
-            ("order", 999),
-            ("colors", 7),
-            ("mono_absent", []),
-            ("rainbow_absent", False),
-            ("order", 10.0),
-            ("colors", 3.0),
-            ("mono_absent", [1, 2, 3.0]),
-            ("rainbow_absent", 1),
+            ("order", 999, "10"),
+            ("colors", 7, "3"),
+            ("mono_absent", [], "[1, 2, 3]"),
+            ("rainbow_absent", False, "true"),
+            ("order", 10.0, "10"),
+            ("colors", 3.0, "3"),
+            ("mono_absent", [1, 2, 3.0], "[1, 2, 3]"),
+            ("rainbow_absent", 1, "true"),
         ],
         ids=[
             "order", "colors", "mono_absent", "rainbow_absent",
             "order-float", "colors-float", "mono_absent-float", "rainbow_absent-int",
         ],
     )
-    def test_tampered_stated_field_fails(self, capsys, tmp_path, field, value):
+    def test_tampered_stated_field_fails(self, capsys, tmp_path, field, value, replay):
         """A stated field the replay does not reproduce, value and JSON type
-        alike, is a failed verification."""
+        alike, is a failed verification, reported in one line that quotes
+        both values as JSON."""
         code, out, _ = run(capsys, "witness", "--H", "K3", "--k", "3")
         assert code == EXIT_OK
         data = json.loads(out)
@@ -886,8 +904,10 @@ class TestVerify:
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "verify", "--file", str(path))
         assert (code, out) == (EXIT_NEGATIVE, "")
-        assert err.startswith(f"verification failed: certificate states {field} ")
-        assert err.count("\n") == 1
+        assert err == (
+            f"verification failed: certificate states {field} {json.dumps(value)}, "
+            f"replay gives {replay}\n"
+        )
 
     @pytest.mark.parametrize(
         "tamper, message",

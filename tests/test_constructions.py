@@ -21,7 +21,6 @@ from gallai.constructions import (
     pentagon_blowup,
     r35_witness,
     sporadic,
-    star_augmented,
 )
 from gallai.detectors import find_mono_copy_in_color, find_rainbow_path
 from gallai.graphs import (
@@ -124,15 +123,16 @@ class TestBlowup:
 
 
 class TestHelpers:
-    def test_star_augmented_shape(self):
-        c = star_augmented(3, 1, [2, 3, 4])
-        assert c.n == 4 and c.k == 4
-        assert c.color_of(0, 3) == 2
-        assert c.color_of(1, 2) == 1
+    def test_g5_order_cap_before_building(self, monkeypatch):
+        """G5 checks its order in closed form, so an order past the cap is
+        refused before any coloring is allocated."""
 
-    def test_star_augmented_order_cap(self):
+        def build(*args, **kwargs):
+            raise AssertionError("built past the order cap")
+
+        monkeypatch.setattr(ColoredComplete, "constant", build)
         with pytest.raises(UnsupportedSizeError):
-            star_augmented(MAX_COLORING_ORDER, 1, [2] * MAX_COLORING_ORDER)
+            build_named("G5", {"t": MAX_COLORING_ORDER + 1, "k": 4})
 
     def test_pentagon_blowup_small(self):
         # single-vertex parts would leave color 1 unused
@@ -427,10 +427,8 @@ def _outcome(build, *args):
 
 
 # sha256 over the outcome of every registered builder on a small parameter
-# box, then of ``star_augmented`` on every spoke list over colors 0..3 of
-# length up to 5, with base colors 0..3 and a matching and a mismatched base
-# order; recorded before blow-ups took a reduced coloring.
-_BUILD_OUTCOMES_SHA256 = "ba11039e48cfe220281d4b6919d26ea80b179feef12d4662f20724dfdc1c8272"
+# box.
+_BUILD_OUTCOMES_SHA256 = "5d611737e7a5f52f1a81074823f4bd1ce3b6630c523165cab9d560bd437f78e8"
 
 
 class TestBuildOutcomes:
@@ -450,13 +448,6 @@ class TestBuildOutcomes:
                 params = dict(zip(needed, values))
                 entry = [name, params, _outcome(build_named, name, params)]
                 digest.update(json.dumps(entry).encode())
-        for size in range(6):
-            for spokes in itertools.product(range(4), repeat=size):
-                for base_color in range(4):
-                    for base_order in (size, size + 1):
-                        got = _outcome(star_augmented, base_order, base_color, list(spokes))
-                        entry = [base_order, base_color, spokes, got]
-                        digest.update(json.dumps(entry).encode())
         assert digest.hexdigest() == _BUILD_OUTCOMES_SHA256
 
 

@@ -213,6 +213,34 @@ class TestColoredComplete:
         assert d.color_of(0, 1) == 2
         assert c.color_of(0, 1) == 1
 
+    def test_constant_special_matches_edge_by_edge(self):
+        """Every edge in the base color unless ``special`` names it, edge by
+        edge, on seeded inputs."""
+        rng = random.Random(36)
+        for _ in range(300):
+            n = rng.randint(2, 10)
+            k = rng.randint(1, 6)
+            color = rng.randint(1, k)
+            special = {e: rng.randint(1, k) for e in pairs(n) if rng.random() < 0.3}
+            c = ColoredComplete.constant(n, k, color, special)
+            assert (c.n, c.k) == (n, k)
+            for i, j in pairs(n):
+                assert c.color_of(i, j) == special.get((i, j), color)
+
+    @pytest.mark.parametrize("special", [None, {}])
+    def test_constant_without_special_is_one_color(self, special):
+        for n in range(1, 8):
+            for color in (1, 2):
+                c = ColoredComplete.constant(n, 3, color, special)
+                assert c == ColoredComplete(n, 3, [color] * edge_count(n))
+
+    @pytest.mark.parametrize("pair", [(1, 0), (2, 2), (-1, 3), (0, 5)])
+    def test_constant_special_outside_pairs(self, pair):
+        """A special pair must be an edge ij of K_n with i < j; the refusal
+        is ``edge_index``'s."""
+        with pytest.raises(ValueError, match=r"need 0 <= i < j < n"):
+            ColoredComplete.constant(5, 2, 1, {pair: 2})
+
 
 class TestTargetFamilies:
     def test_complete(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
 from itertools import combinations, permutations
 
@@ -612,18 +613,15 @@ class TestClassTable:
 
 class TestParallelHelpers:
     def test_resolve_threads_explicit_wins(self, monkeypatch):
+        """The explicit count, else the CPU count; the environment is not
+        read."""
         monkeypatch.setenv("GALLAI_THREADS", "3")
         assert resolve_threads(2) == 2
-        assert resolve_threads(None) == 3
+        assert resolve_threads(None) == (os.cpu_count() or 1)
 
     def test_resolve_threads_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             resolve_threads(0)
-
-    def test_resolve_threads_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("GALLAI_THREADS", "zero")
-        with pytest.raises(ValueError):
-            resolve_threads(None)
 
     def test_helpers_are_not_exported(self):
         assert not {"parallel_map", "resolve_threads"} & set(gallai.__all__)
