@@ -122,7 +122,8 @@ Building the table for every search made the search workload's five S4^1
 and S5^1 jobs about 11 % slower together.
 
 The three searches count the nodes they visit in one color class against
-one budget, held with the twins by a ``graphs.SearchState``.  Past
+one budget, held with the twins by a ``graphs.SearchState``: each node
+calls ``SearchState.visit``, which spends it.  Past
 ``graphs.MAX_SEARCH_NODES`` they raise UnsupportedSizeError, so a host that
 twins do not simplify, for instance a random bipartite graph in one color
 checked for an odd cycle, or a random coloring of K600 checked for K14, is
@@ -404,9 +405,7 @@ def _matching_with_pairs(
     its twins with it, and so does the vertex u when it is left unmatched
     (module docstring).  ``state`` holds the twins and the node budget; the
     calls for one color class share it."""
-    state.left -= 1
-    if state.left < 0:
-        raise state.over_budget()
+    state.visit()
     if r == 0:
         return []
     a = allowed
@@ -458,9 +457,7 @@ def find_mono_copy_generic(
     state = SearchState(cmasks)
 
     def rec(pos: int, used: int) -> bool:
-        state.left -= 1
-        if state.left < 0:
-            raise state.over_budget()
+        state.visit()
         if pos == t:
             return True
         hv = order[pos]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -101,15 +101,21 @@ def _json_rows(rows: object, width: int, what: str) -> list[tuple[int, ...]]:
     return list(map(tuple, rows))
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class ColoredComplete:
     """An immutable edge coloring of K_n with colors drawn from 1..k.
 
     ``colors[edge_index(i, j, n)]`` is the color of edge ij.  Per-color
     adjacency is precomputed as vertex bitmasks (``adj[c][v]`` is the mask
-    of color-c neighbors of v) so neighborhood queries are O(1).
+    of color-c neighbors of v) so neighborhood queries are O(1).  Equality,
+    hash and repr read ``n``, ``k`` and ``colors`` only; ``adj`` follows
+    from them.
     """
 
-    __slots__ = ("n", "k", "colors", "adj", "_hash")
+    n: int
+    k: int
+    colors: tuple[int, ...]
+    adj: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     def __init__(self, n: int, k: int, colors: Sequence[int]):
         if n < 1:
@@ -139,10 +145,6 @@ class ColoredComplete:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "adj", tuple(tuple(row) for row in adj))
-        object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ColoredComplete is immutable")
 
     @classmethod
     def constant(
@@ -254,19 +256,6 @@ class ColoredComplete:
                 f"palettes are limited to k <= {MAX_COLORING_ORDER}, got k={k}"
             )
         return cls.from_edge_triples(n, k, _json_rows(data["edges"], 3, "coloring edges"))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ColoredComplete):
-            return NotImplemented
-        return (self.n, self.k, self.colors) == (other.n, other.k, other.colors)
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.n, self.k, self.colors)))
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"ColoredComplete(n={self.n}, k={self.k}, colors={self.colors})"
 
 
 FAMILY_COMPLETE = "complete"
@@ -408,28 +397,10 @@ class TargetGraph:
         return tuple(masks)
 
     @property
-    def num_edges(self) -> int:
-        """Edge count in closed form, so a huge target needs no edge list."""
-        t = self.t
-        if self.family == FAMILY_ARBITRARY:
-            assert self.edge_list is not None
-            return len(self.edge_list)
-        if self.family == FAMILY_COMPLETE:
-            return edge_count(t)
-        if self.family == FAMILY_STAR_PLUS:
-            assert self.r is not None
-            return t - 1 + self.r
-        if self.family == FAMILY_PINEAPPLE:
-            assert self.omega is not None
-            return edge_count(self.omega) + t - self.omega
-        if self.family == FAMILY_COMPLETE_MINUS_MATCHING:
-            return edge_count(t) - t // 2
-        raise ValueError(f"unknown family {self.family!r}")
-
-    @property
     def is_complete(self) -> bool:
-        """Structural completeness test: does every vertex pair carry an edge?"""
-        return self.num_edges == edge_count(self.t)
+        """Structural completeness test: does every vertex pair carry an
+        edge?  It does exactly when the clique number is the order."""
+        return self.clique_number == self.t
 
     @property
     def max_degree(self) -> int:
@@ -522,7 +493,8 @@ class SearchState:
     """What one exhaustive search in one color class keeps between its nodes
     and calls (the monochromatic-copy searches in ``detectors`` make one per
     host and color): the class's twin masks, built when a branch first
-    fails, and the nodes it may still visit."""
+    fails, and the nodes it may still visit.  Every node of the search
+    calls ``visit`` once, the one place the budget is spent."""
 
     __slots__ = ("masks", "_twins", "left")
 
@@ -537,11 +509,15 @@ class SearchState:
             self._twins = twin_masks(self.masks)
         return self._twins[v]
 
-    def over_budget(self) -> UnsupportedSizeError:
-        return UnsupportedSizeError(
-            f"the search for a monochromatic copy passed its budget of {MAX_SEARCH_NODES} "
-            "nodes in one color class"
-        )
+    def visit(self) -> None:
+        """Count one node; UnsupportedSizeError on the first node past the
+        budget of ``MAX_SEARCH_NODES``."""
+        self.left -= 1
+        if self.left < 0:
+            raise UnsupportedSizeError(
+                f"the search for a monochromatic copy passed its budget of {MAX_SEARCH_NODES} "
+                "nodes in one color class"
+            )
 
 
 def find_clique(
@@ -578,9 +554,7 @@ def find_clique(
     out: list[int] = []
 
     def grow(cand: int) -> bool:
-        state.left -= 1
-        if state.left < 0:
-            raise state.over_budget()
+        state.visit()
         need = size - len(out)
         if need == 0:
             return True

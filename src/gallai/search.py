@@ -304,18 +304,6 @@ def _has_rainbow_p5_direct(colors: tuple[int, ...], n: int) -> bool:
     return False
 
 
-def _rainbow_free_class_keys(n: int, k: int) -> set[bytes]:
-    """Canonical keys of every exact k-coloring class on n vertices with no
-    rainbow 4-edge path: each surjection of the edges onto k colors, up to
-    color renaming, that the direct scan finds no rainbow path in.  Below
-    n = 5 no 4-edge path fits and every exact coloring qualifies."""
-    return {
-        canonical_form(ColoredComplete(n, k, rgs))
-        for rgs in _restricted_growth_strings(edge_count(n), k)
-        if not _has_rainbow_p5_direct(rgs, n)
-    }
-
-
 def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
     """Canonical keys of every exact k-coloring class on n vertices with no
     rainbow 4-edge path, by unstructured enumeration of edge-set partitions.
@@ -327,7 +315,11 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
         raise ValueError(f"need n >= 5, got n={n}")
     if n > 5:
         raise UnsupportedSizeError("ground-truth enumeration supports n <= 5 only")
-    return frozenset(_rainbow_free_class_keys(n, k))
+    return frozenset(
+        canonical_form(ColoredComplete(n, k, rgs))
+        for rgs in _restricted_growth_strings(edge_count(n), k)
+        if not _has_rainbow_p5_direct(rgs, n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -335,11 +327,15 @@ def _class_table(n: int, k: int) -> dict[ColoredComplete, bytes | None]:
     """One member coloring per class at (n, k), in a fixed order, each
     mapped to its canonical key, or to None until ``check_n`` finds the
     class bad.  Below order 5 no 4-edge path fits, so the classes are every
-    exact coloring up to color renaming, decoded from their keys in key
-    order; from order 5 they are the classes of ``p5free_classes``, keyed
+    exact coloring: the keys of the restricted growth strings, decoded in
+    key order; from order 5 they are the classes of ``p5free_classes``, keyed
     by ``check_n`` on demand.  A failed build stores nothing."""
     if n <= 4:
-        return {coloring_from_key(key): key for key in sorted(_rainbow_free_class_keys(n, k))}
+        keys = {
+            canonical_form(ColoredComplete(n, k, rgs))
+            for rgs in _restricted_growth_strings(edge_count(n), k)
+        }
+        return {coloring_from_key(key): key for key in sorted(keys)}
     return dict.fromkeys(p5free_classes(n, k))
 
 

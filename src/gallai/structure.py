@@ -146,28 +146,19 @@ def _case_a(c: ColoredComplete, profile: dict) -> bool:
 
 
 def _case_b(c: ColoredComplete, profile: dict) -> bool:
-    return _dominant_color(profile) is not None
-
-
-def _dominant_color(profile: dict) -> int | None:
-    """The first color in profile order whose removal leaves the other
-    colors' touched masks pairwise disjoint; None when there is none or the
+    """Whether some color, the dominant one, leaves the other colors'
+    touched masks pairwise disjoint when it is removed; False when the
     profile has fewer than two colors.  They are disjoint exactly when no
     vertex is touched three times and the dominant color touches every
     vertex touched twice."""
     if len(profile) < 2:
-        return None
+        return False
     once = twice = thrice = 0
     for _, touched in profile.values():
         thrice |= twice & touched
         twice |= once & touched
         once |= touched
-    if thrice:
-        return None
-    for dom, (_, touched) in profile.items():
-        if not twice & ~touched:
-            return dom
-    return None
+    return not thrice and any(not twice & ~touched for _, touched in profile.values())
 
 
 def _case_c(c: ColoredComplete, profile: dict) -> bool:

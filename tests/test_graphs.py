@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from gallai.constructions import build_named, construction_grid
 from gallai.detectors import find_mono_copy_in_color
 from gallai.graphs import (
+    MAX_SEARCH_NODES,
     ColoredComplete,
     SearchState,
     TargetGraph,
@@ -92,8 +93,37 @@ class TestColoredComplete:
 
     def test_immutable(self):
         c = ColoredComplete.constant(4, 2, 1)
-        with pytest.raises(AttributeError):
-            c.n = 5
+        for name, value in (("n", 5), ("k", 3), ("colors", (2,) * 6), ("adj", ())):
+            with pytest.raises(AttributeError):
+                setattr(c, name, value)
+        assert c == ColoredComplete.constant(4, 2, 1)
+
+    def test_repr_bytes(self):
+        """``TheoremViolation`` messages embed the repr, so its bytes are
+        pinned: n, k and colors, never the masks."""
+        assert repr(ColoredComplete.constant(4, 2, 1)) == (
+            "ColoredComplete(n=4, k=2, colors=(1, 1, 1, 1, 1, 1))"
+        )
+        assert repr(ColoredComplete(3, 3, (1, 2, 3))) == "ColoredComplete(n=3, k=3, colors=(1, 2, 3))"
+        assert repr(ColoredComplete(2, 1, (1,))) == "ColoredComplete(n=2, k=1, colors=(1,))"
+        assert repr(ColoredComplete(1, 1, ())) == "ColoredComplete(n=1, k=1, colors=())"
+
+    def test_hash_and_equality_read_n_k_colors(self):
+        """The hash is that of (n, k, colors); equality reads the same three
+        fields and neither the masks nor their identity."""
+        rng = random.Random(41)
+        for _ in range(100):
+            n, k = rng.randint(1, 8), rng.randint(1, 4)
+            colors = tuple(rng.randint(1, k) for _ in range(edge_count(n)))
+            a, b = ColoredComplete(n, k, colors), ColoredComplete(n, k, list(colors))
+            assert hash(a) == hash((n, k, colors)) == hash(b)
+            assert a == b and a.adj is not b.adj
+            object.__setattr__(b, "adj", ())
+            assert a == b and hash(a) == hash(b)
+            assert a != ColoredComplete(n, k + 1, colors)
+        c = ColoredComplete.constant(4, 2, 1)
+        assert (c == object()) is False and (c != object()) is True
+        assert c != (4, 2, c.colors)
 
     def test_color_of_round_trips_triples(self):
         triples = ((0, 1, 2), (0, 2, 1), (1, 2, 2))
@@ -245,13 +275,13 @@ class TestColoredComplete:
 class TestTargetFamilies:
     def test_complete(self):
         H = TargetGraph.complete(5)
-        assert (H.order, H.num_edges, H.max_degree, H.clique_number) == (5, 10, 4, 5)
+        assert (H.order, len(H.edges()), H.max_degree, H.clique_number) == (5, 10, 4, 5)
         assert H.is_complete
 
     def test_star_plus(self):
         H = TargetGraph.star_plus(7, 2)
         assert H.order == 7
-        assert H.num_edges == 6 + 2
+        assert len(H.edges()) == 6 + 2
         assert H.max_degree == 6
         assert H.clique_number == 3
 
@@ -269,7 +299,7 @@ class TestTargetFamilies:
     def test_pineapple(self):
         H = TargetGraph.pineapple(7, 4)
         assert H.order == 7
-        assert H.num_edges == 6 + 3
+        assert len(H.edges()) == 6 + 3
         assert H.max_degree == 6
         assert H.clique_number == 4
 
@@ -311,9 +341,9 @@ class TestTargetFamilies:
         with pytest.raises(UnsupportedSizeError):
             TargetGraph.arbitrary(13, [(0, 1)])
 
-    def test_num_edges_closed_form_matches_edge_list(self):
-        """The closed-form edge count equals the length of the edge list for
-        every family member of order <= 12, and completeness follows."""
+    def test_is_complete_matches_edge_list(self):
+        """Completeness, read from the clique number, holds exactly when the
+        edge list has every pair, for every family member of order <= 12."""
         rng = random.Random(12)
         members = [
             TargetGraph.arbitrary(t, [e for e in pairs(t) if rng.random() < 0.5])
@@ -325,8 +355,21 @@ class TestTargetFamilies:
             members.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
             members.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
         for H in members:
-            assert H.num_edges == len(H.edges()), H
             assert H.is_complete == (len(H.edges()) == edge_count(H.t)), H
+
+    @pytest.mark.parametrize("spec", ["K100000", "S100000^3", "PA100000,50", "K100000-M"])
+    def test_huge_target_answers_without_an_edge_list(self, spec):
+        """Completeness, maximum degree and clique number are closed forms
+        for the structured families, so a huge target builds no edge list."""
+        H = parse_hspec(spec)
+        answers = (H.is_complete, H.max_degree, H.clique_number)
+        assert answers == {
+            "K100000": (True, 99999, 100000),
+            "S100000^3": (False, 99999, 3),
+            "PA100000,50": (False, 99999, 50),
+            "K100000-M": (False, 99998, 50000),
+        }[spec]
+        assert "_edges" not in H.__dict__
 
     def test_closed_forms_match_the_edge_list(self):
         """max_degree and clique_number of every structured family member
@@ -466,6 +509,21 @@ def _random_blowup(rng):
     return ColoredComplete(n, k, colors)
 
 
+class TestSearchState:
+    def test_visit_raises_past_the_budget(self):
+        """``visit`` counts one node a call and raises on exactly the
+        ``MAX_SEARCH_NODES + 1``-th."""
+        state = SearchState([])
+        for _ in range(MAX_SEARCH_NODES):
+            state.visit()
+        with pytest.raises(
+            UnsupportedSizeError,
+            match=rf"^the search for a monochromatic copy passed its budget of {MAX_SEARCH_NODES} "
+            "nodes in one color class$",
+        ):
+            state.visit()
+
+
 class TestTwinMasks:
     def test_matches_definition_on_random_graphs(self):
         rng = random.Random(4242)
@@ -548,7 +606,7 @@ class TestHspecGrammar:
     def test_inline_json(self):
         H = parse_hspec('{"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
         assert H.family == "arbitrary"
-        assert H.num_edges == 3
+        assert len(H.edges()) == 3
 
     @pytest.mark.parametrize("text", ["K", "S4", "PA5", "Q3", "S4^9", "K0"])
     def test_rejects_malformed(self, text):

@@ -90,7 +90,7 @@ class TestClassifyP5:
         rep = classify_p5free(c)
         assert "a" in rep.cases  # only 3 colors used
         assert "b" in rep.cases
-        assert structure._dominant_color(structure._color_profile(c)) == 1
+        assert structure._case_b(c, structure._color_profile(c))
 
     def test_apex_case_c(self):
         # K6 in color 1 plus an apex with rainbow spokes
@@ -423,27 +423,22 @@ def _random_profiles():
 
 class TestDominantColor:
     def test_one_pass_matches_pairwise_definition(self):
-        """The one-pass test names the first color in profile order that the
-        pairwise definition accepts, or None.  The profiles often have two
-        such colors, and often a vertex touched three times next to a color
-        touching every vertex touched twice or more, which only the
-        three-times check refuses."""
+        """The one-pass test of case (b) holds exactly when the pairwise
+        definition accepts some color of a profile with two colors or more.
+        The profiles often have two such colors, and often a vertex touched
+        three times next to a color touching every vertex touched twice or
+        more, which only the three-times check refuses."""
         ties = thrice = 0
         for profile in _random_profiles():
             accepted = [dom for dom in profile if _leaves_disjoint(profile, dom)]
-            want = accepted[0] if accepted and len(profile) >= 2 else None
-            assert structure._dominant_color(profile) == want, profile
+            want = bool(accepted) and len(profile) >= 2
+            assert structure._case_b(None, profile) is want, profile
             ties += len(accepted) >= 2 and len(profile) >= 2
             masks = [touched for _, touched in profile.values()]
             times = [sum(t >> v & 1 for t in masks) for v in range(10)]
             shared = sum(1 << v for v, count in enumerate(times) if count >= 2)
             thrice += max(times) >= 3 and any(not shared & ~t for t in masks)
         assert ties >= 200 and thrice >= 200, (ties, thrice)
-
-    def test_first_of_two_dominant_colors_wins(self):
-        assert structure._dominant_color({3: (1, 0b11), 5: (1, 0b11)}) == 3
-        assert structure._dominant_color({5: (1, 0b11), 3: (1, 0b11)}) == 5
-        assert structure._dominant_color({2: (3, 0b111)}) is None
 
 
 # Class counts of enumerate_p5free for n 5..9 and k 4..12 (pairs not listed
