@@ -59,6 +59,7 @@ from gallai.graphs import (
 from gallai.search import (
     CertificateMismatch,
     InexactWitness,
+    WitnessCertificate,
     WitnessFailure,
     check_n,
     compute_gr,
@@ -84,6 +85,15 @@ EXIT_INTERNAL = 3
 
 def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _report_json(report: dict, witness: WitnessCertificate | None) -> str:
+    """``_dumps`` of the report with the witness's JSON, when there is one,
+    as its last key."""
+    text = _dumps(report)
+    if witness is None:
+        return text
+    return f'{text[:-1]},"witness":{witness.to_json()}}}'
 
 
 def format_value(result: GrResult) -> str:
@@ -160,7 +170,7 @@ def _cmd_witness(args) -> int:
                 f"no known construction for H={args.H}, k={args.k}", file=sys.stderr
             )
             return EXIT_NEGATIVE
-    print(_dumps(cert.to_json_dict()))
+    print(cert.to_json())
     return EXIT_OK
 
 
@@ -175,9 +185,7 @@ def _cmd_check(args) -> int:
         "counts": {"examined": outcome.examined},
         "elapsed_ms": elapsed_ms,
     }
-    if outcome.witness is not None:
-        report["witness"] = outcome.witness.to_json_dict()
-    print(_dumps(report))
+    print(_report_json(report, outcome.witness))
     return EXIT_OK if outcome.all_good else EXIT_NEGATIVE
 
 
@@ -196,10 +204,8 @@ def _cmd_search(args) -> int:
         },
         "elapsed_ms": elapsed_ms,
     }
-    bad = next((o for o in result.outcomes if o.witness is not None), None)
-    if bad is not None:
-        report["witness"] = bad.witness.to_json_dict()
-    print(_dumps(report))
+    witness = next((o.witness for o in result.outcomes if o.witness is not None), None)
+    print(_report_json(report, witness))
     return EXIT_OK if result.status == "exact" else EXIT_NEGATIVE
 
 
@@ -219,7 +225,7 @@ def _cmd_classify(args) -> int:
 def _cmd_enumerate(args) -> int:
     reps = enumerate_p5free(args.n, args.k)
     for rep in reps:
-        print(_dumps(rep.to_json_dict()))
+        print(rep.to_json())
     return EXIT_OK
 
 
@@ -230,7 +236,7 @@ def _cmd_verify(args) -> int:
     except (WitnessFailure, InexactWitness, CertificateMismatch) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
-    print(_dumps(cert.to_json_dict()))
+    print(cert.to_json())
     return EXIT_OK
 
 

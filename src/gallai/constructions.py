@@ -24,9 +24,11 @@ are the ``sporadic`` table; its TW-case-f entry is also the template the
 per-process table of built colorings: a ``functools.lru_cache`` at its
 default bound of 128 entries, keyed on the builder function and the
 parameter values in the order the registry lists them, their types included
-(t = 6.0 is not t = 6).  Each construction is
-thus built once per process however often ``witness``, the dispatcher or the
-selftest asks for it.  Sharing is safe because a ``ColoredComplete`` is
+(t = 6.0 is not t = 6).  The table keeps colorings of order at most
+``MAX_TABLED_ORDER`` only; a larger one is built on every call.  Each
+construction of the grid and of the dispatcher's answers (order 57 at most)
+is thus built once per process however often ``witness``, the dispatcher or
+the selftest asks for it.  Sharing is safe because a ``ColoredComplete`` is
 immutable; an error a builder raises is raised again on every call, never
 stored; and the table holds colorings only, so every caller still verifies
 what it gets.
@@ -295,14 +297,36 @@ def build_named(name: str, params: Mapping[str, int]) -> ColoredComplete:
     extra = [p for p in params if p not in needed]
     if extra:
         raise ValueError(f"construction {name} does not take parameters {extra}")
-    return _built(fn, *(params[p] for p in needed))
+    try:
+        return _built(fn, *(params[p] for p in needed))
+    except _Untabled as large:
+        return large.coloring
+
+
+# Largest order of a coloring that ``build_named`` keeps in its table.  The
+# 128 largest such colorings hold 25.8 MB (README "Limits"), where 128
+# colorings of order up to MAX_COLORING_ORDER could hold about 1.7 GB.
+MAX_TABLED_ORDER = 128
+
+
+class _Untabled(Exception):
+    """Carries a coloring above ``MAX_TABLED_ORDER`` out of ``_built``: an
+    ``lru_cache`` stores no call that raises."""
+
+    def __init__(self, coloring: ColoredComplete):
+        super().__init__(coloring.n)
+        self.coloring = coloring
 
 
 @lru_cache(typed=True)
 def _built(fn: Callable[..., ColoredComplete], *values: int) -> ColoredComplete:
     """``fn(*values)``, built once per process for each builder and
-    parameter tuple; a raised error is not stored."""
-    return fn(*values)
+    parameter tuple; a raised error and a coloring above
+    ``MAX_TABLED_ORDER`` (raised as ``_Untabled``) are not stored."""
+    coloring = fn(*values)
+    if coloring.n > MAX_TABLED_ORDER:
+        raise _Untabled(coloring)
+    return coloring
 
 
 @cache

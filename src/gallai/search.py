@@ -103,6 +103,19 @@ class WitnessCertificate:
             "mono_absent": list(self.mono_absent),
         }
 
+    def to_json(self) -> str:
+        """``json.dumps(self.to_json_dict(), separators=(",", ":"))``, with
+        the coloring written by ``ColoredComplete.to_json``.  The label and
+        the target go through ``json.dumps``: an edge-list target is itself
+        JSON, and a label may hold any character."""
+        mono = ",".join(map(str, self.mono_absent))
+        return (
+            f'{{"label":{json.dumps(self.label)},"order":{self.order},'
+            f'"colors":{self.coloring.k},"target":{json.dumps(render_hspec(self.H))},'
+            f'"coloring":{self.coloring.to_json()},'
+            f'"rainbow_absent":{json.dumps(self.rainbow_absent)},"mono_absent":[{mono}]}}'
+        )
+
 
 def replay_certificate(data: dict) -> WitnessCertificate:
     """Rebuild a certificate from its JSON form, re-running every check;

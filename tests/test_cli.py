@@ -507,6 +507,36 @@ class TestSearch:
         assert report["value"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, has_witness",
+    [
+        (("check", "--H", "S4^1", "--k", "4", "--n", "6"), False),
+        (("check", "--H", "S4^1", "--k", "4", "--n", "5"), True),
+        (("check", "--H", '{"order":4,"edges":[[0,1],[0,2],[1,2],[0,3]]}', "--k", "4", "--n", "5"), True),
+        (("search", "--H", "S4^1", "--k", "5", "--n-max", "8"), True),
+        (("search", "--H", "K9", "--k", "4", "--n-max", "6"), True),
+        (("search", "--H", "K3", "--k", "4", "--n-max", "2"), False),
+    ],
+)
+def test_report_is_the_dumped_report_dict(capsys, monkeypatch, argv, has_witness):
+    """check and search print ``_dumps`` of the report dict that carries the
+    witness's ``to_json_dict`` as its last key, when there is a witness."""
+    seen = []
+    written = cli._report_json
+
+    def recorded(report, witness):
+        seen.append((report, witness))
+        return written(report, witness)
+
+    monkeypatch.setattr(cli, "_report_json", recorded)
+    _, out, _ = run(capsys, *argv)
+    [(report, witness)] = seen
+    assert (witness is not None) == has_witness
+    if witness is not None:
+        report = {**report, "witness": witness.to_json_dict()}
+    assert out == cli._dumps(report) + "\n"
+
+
 class TestClassify:
     def test_file_mode(self, capsys, tmp_path):
         path = tmp_path / "coloring.json"

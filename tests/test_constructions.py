@@ -14,6 +14,7 @@ import pytest
 from gallai import constructions
 from gallai.constructions import (
     BUILDERS,
+    MAX_TABLED_ORDER,
     blowup,
     build_named,
     construction_grid,
@@ -315,6 +316,32 @@ class TestBuildTable:
         assert build_named("F3", {}) == sporadic("F9")
         monkeypatch.undo()
         assert build_named("F3", {}) == sporadic("F3")
+
+    def test_order_at_the_bound_is_stored(self):
+        c = build_named("G5", {"t": MAX_TABLED_ORDER, "k": 4})
+        assert c.n == MAX_TABLED_ORDER == 128
+        assert build_named("G5", {"t": MAX_TABLED_ORDER, "k": 4}) is c
+        info = constructions._built.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+    def test_order_past_the_bound_is_built_on_every_call(self):
+        c = build_named("G5", {"t": MAX_TABLED_ORDER + 1, "k": 4})
+        d = build_named("G5", {"t": MAX_TABLED_ORDER + 1, "k": 4})
+        assert c.n == MAX_TABLED_ORDER + 1
+        assert d == c and d is not c
+        info = constructions._built.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+
+    def test_grid_and_dispatcher_colorings_are_shared(self):
+        """Every grid row and the dispatcher's largest answer of the ten
+        CI queries (S40^10 at k = 4, order 57) lie under the bound."""
+        for row in construction_grid():
+            c = build_named(row["name"], row["params"])
+            assert build_named(row["name"], row["params"]) is c
+        H = parse_hspec("S40^10")
+        cert = lower_bound_witness(H, 4)
+        assert cert.order == 57
+        assert lower_bound_witness(H, 4).coloring is cert.coloring
 
     def test_builder_error_raised_on_every_call(self, monkeypatch):
         calls = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -217,6 +218,10 @@ class TestColoredComplete:
     @given(colorings())
     def test_json_round_trip(self, c):
         assert ColoredComplete.from_json_dict(c.to_json_dict()) == c
+
+    @given(colorings(n_min=1, k_max=1024))
+    def test_written_json_round_trip(self, c):
+        assert ColoredComplete.from_json_dict(json.loads(c.to_json())) == c
 
     def test_permuted_relabels_vertices(self):
         c = ColoredComplete.from_edge_triples(
@@ -670,3 +675,164 @@ class TestJsonRows:
     def test_refused_long_value_is_cut_short(self):
         with pytest.raises(ValueError, match=r"^expected an integer, got 'xxx.*\(502 characters\)$"):
             _json_rows([[0, "x" * 500]], 2, "rows")
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _general_route(data: dict) -> ColoredComplete:
+    """The reader as it was before the one-pass route: every list goes
+    through ``_json_rows`` and ``from_edge_triples``."""
+    n, k = data["n"], data["k"]
+    return ColoredComplete.from_edge_triples(n, k, _json_rows(data["edges"], 3, "coloring edges"))
+
+
+def _outcome(read, data):
+    try:
+        return read(data)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestJsonWriter:
+    """``to_json`` writes the bytes of ``json.dumps`` of ``to_json_dict``."""
+
+    def test_every_grid_row(self):
+        for row in construction_grid():
+            c = build_named(row["name"], row["params"])
+            assert c.to_json() == _dumps(c.to_json_dict()), row
+
+    def test_seeded_random_colorings(self):
+        """Orders 1..60, colors of one to four digits; order 1 has no
+        edges."""
+        rng = random.Random(38)
+        for n in range(1, 61):
+            for k in (1, 9, 99, 999, 1024):
+                c = ColoredComplete(n, k, [rng.randint(1, k) for _ in range(edge_count(n))])
+                assert c.to_json() == _dumps(c.to_json_dict()), (n, k)
+        assert ColoredComplete(1, 3, []).to_json() == '{"n":1,"k":3,"edges":[]}'
+        assert ColoredComplete(2, 12, [10]).to_json() == '{"n":2,"k":12,"edges":[[0,1,10]]}'
+
+
+# A 3-coloring of K4 in the written order; the reader tests corrupt copies.
+_BASE_EDGES = [[0, 1, 1], [0, 2, 2], [0, 3, 3], [1, 2, 3], [1, 3, 2], [2, 3, 1]]
+
+
+def _variant(i: int, row: object) -> list:
+    """A copy of ``_BASE_EDGES`` with row i replaced."""
+    out = [list(e) for e in _BASE_EDGES]
+    out[i] = row
+    return out
+
+
+class TestJsonReader:
+    """``from_json_dict`` reads the written order in one pass and every
+    other list through the general route, with the same result and the
+    same error text."""
+
+    REFUSED = [
+        ("bool entry", 4, 3, _variant(1, [0, 2, True]), "expected an integer, got True"),
+        ("float entry", 4, 3, _variant(1, [0.0, 2, 2]), "expected an integer, got 0.0"),
+        ("string entry", 4, 3, _variant(1, [0, "2", 2]), "expected an integer, got '2'"),
+        ("row of width 2", 4, 3, _variant(3, [1, 2]),
+         "coloring edges must be a list of 3-integer lists"),
+        ("row of width 4", 4, 3, _variant(3, [1, 2, 3, 1]),
+         "coloring edges must be a list of 3-integer lists"),
+        ("non-list row", 4, 3, _variant(3, 7), "coloring edges must be a list of 3-integer lists"),
+        ("tuple rows", 4, 3, [tuple(e) for e in _BASE_EDGES],
+         "coloring edges must be a list of 3-integer lists"),
+        ("rows of width 2 and 4 holding the written entries", 4, 3,
+         [[0, 1], [1, 0, 2, 2], *_BASE_EDGES[2:]],
+         "coloring edges must be a list of 3-integer lists"),
+        ("non-list edges", 4, 3, {"x": 1}, "coloring edges must be a list of 3-integer lists"),
+        ("self-loop", 4, 3, _variant(0, [0, 0, 1]), "self-loop (0, 0) is not an edge of K_n"),
+        ("vertex out of range", 4, 3, _variant(0, [0, 99, 1]),
+         "edge (0, 99) outside vertex range 0..3"),
+        ("duplicate edge", 4, 3, _variant(1, [0, 1, 1]), "edge (0, 1) assigned twice"),
+        ("missing edge", 4, 3, _BASE_EDGES[:-1], "edge (2, 3) has no color"),
+        ("color 0", 4, 3, _variant(4, [1, 3, 0]), "edge color 0 outside 1..3"),
+        ("color k + 1", 4, 3, _variant(4, [1, 3, 4]), "edge color 4 outside 1..3"),
+        ("n = 0", 0, 3, [], "need n >= 1, got n=0"),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, k, edges, message", [case[1:] for case in REFUSED], ids=[case[0] for case in REFUSED]
+    )
+    def test_refused_with_pinned_text(self, n, k, edges, message):
+        data = {"n": n, "k": k, "edges": edges}
+        with pytest.raises(ValueError) as exc:
+            ColoredComplete.from_json_dict(data)
+        assert str(exc.value) == message
+        assert _outcome(_general_route, data) == f"ValueError: {message}"
+
+    def test_color_out_of_range_same_text_in_any_order(self):
+        """A bad color in the written order is refused by ``__init__``, in
+        another order by ``from_edge_triples``, with one text."""
+        for edges in (_variant(4, [1, 3, 0]), _variant(4, [1, 3, 4])):
+            shuffled = edges[::-1]
+            want = _outcome(ColoredComplete.from_json_dict, {"n": 4, "k": 3, "edges": edges})
+            assert _outcome(ColoredComplete.from_json_dict, {"n": 4, "k": 3, "edges": shuffled}) == want
+
+    def test_any_order_reads_as_the_written_order(self):
+        rng = random.Random(5)
+        for n in (2, 5, 13):
+            k = 4
+            c = ColoredComplete(n, k, [rng.randint(1, k) for _ in range(edge_count(n))])
+            edges = c.to_json_dict()["edges"]
+            shuffled = rng.sample(edges, len(edges))
+            swapped = [[j, i, col] for i, j, col in edges]
+            for other in (shuffled, swapped):
+                assert ColoredComplete.from_json_dict({"n": n, "k": k, "edges": other}) == c
+
+    def test_written_order_skips_the_general_route(self, monkeypatch):
+        c = ColoredComplete(5, 3, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
+        data = json.loads(c.to_json())
+        calls = []
+        general = ColoredComplete.from_edge_triples.__func__
+
+        def counted(cls, *args):
+            calls.append(args[:2])
+            return general(cls, *args)
+
+        monkeypatch.setattr(ColoredComplete, "from_edge_triples", classmethod(counted))
+        assert ColoredComplete.from_json_dict(data) == c
+        assert calls == []
+        data["edges"].reverse()
+        assert ColoredComplete.from_json_dict(data) == c
+        assert calls == [(5, 3)]
+
+    def test_same_outcome_as_the_general_route(self):
+        """Seeded corruptions of written lists: every outcome, a coloring
+        or an error text, is the general route's."""
+        rng = random.Random(16)
+        bad = [True, False, 1.0, "1", None, [1], -1, 0, 99]
+        routes = Counter()
+        for _ in range(600):
+            n = rng.randint(0, 7)
+            k = rng.randint(1, 5)
+            edges = [[i, j, rng.randint(1, k)] for i, j in pairs(n)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                if not edges:
+                    break
+                m = rng.randrange(len(edges))
+                move = rng.randrange(6)
+                if move < 3 and not isinstance(edges[m], list):
+                    continue
+                if move == 0:
+                    edges[m][rng.randrange(len(edges[m]))] = rng.choice(bad)
+                elif move == 1:
+                    edges[m] = edges[m][::-1]
+                elif move == 2:
+                    edges.insert(rng.randrange(len(edges) + 1), list(edges[m]))
+                elif move == 3:
+                    del edges[m]
+                elif move == 4:
+                    edges[m] = rng.choice(bad)
+                else:
+                    rng.shuffle(edges)
+            data = {"n": n, "k": k, "edges": edges}
+            want = _outcome(_general_route, data)
+            assert _outcome(ColoredComplete.from_json_dict, data) == want, data
+            routes[isinstance(want, ColoredComplete)] += 1
+        assert routes[True] >= 100 and routes[False] >= 100

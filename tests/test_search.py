@@ -6,6 +6,8 @@ import hashlib
 import inspect
 import json
 import math
+from dataclasses import replace
+from importlib import resources
 
 import pytest
 
@@ -23,6 +25,7 @@ from gallai.search import (
     brute_force_colorings,
     check_n,
     compute_gr,
+    lower_bound_witness,
     rainbow_p5free_classes,
     replay_certificate,
     verify_witness,
@@ -82,6 +85,26 @@ class TestVerifyWitness:
         blob = json.dumps(cert.to_json_dict())
         replayed = replay_certificate(json.loads(blob))
         assert replayed == cert
+
+    def test_written_json_is_the_dumped_dict(self):
+        """``to_json`` against ``json.dumps`` of ``to_json_dict`` on every
+        dispatcher answer of the eval sweep, a label that needs escaping and
+        an edge-list target."""
+        sweep = resources.files("gallai").joinpath("data/eval_sweep.txt").read_text()
+        certs = []
+        for line in sweep.splitlines():
+            if line.strip() and not line.startswith("#"):
+                spec, k = line.split()
+                cert = lower_bound_witness(parse_hspec(spec), int(k))
+                if cert is not None:
+                    certs.append(cert)
+        assert len(certs) >= 20
+        paw = lower_bound_witness(parse_hspec('{"order":4,"edges":[[0,1],[0,2],[1,2],[0,3]]}'), 4)
+        assert paw is not None and paw.H.edge_list is not None
+        certs += [paw, replace(paw, label='say "F3" \u00e9\u2603'), replace(paw, label=None)]
+        for cert in certs:
+            assert cert.to_json() == json.dumps(cert.to_json_dict(), separators=(",", ":"))
+        assert '"label":"say \\"F3\\" \\u00e9\\u2603"' in certs[-2].to_json()
 
     def test_replay_rejects_tampered(self):
         cert = verify_witness(sporadic("F3"), parse_hspec("S4^1"))
