@@ -35,15 +35,16 @@ row of the color matrix past the probe's (below).  So it does on 155 of the
 table for n 5..9 and k 4..6.  ``search`` builds each entry once per
 process, so the benchmark's search workload (seed 11) makes those 191
 m = 4 scans on its first pass and none on later ones.  It does so too on
-116 of the 123 m = 4 scans of a certify pass and on 585 of the 603
-relabeled builder outputs of a classify pass.  Otherwise the rows
-are walked, middle vertex ascending, and around each middle vertex only the
-surviving pairs whose edges to it differ in color, in the same ascending
-order, so the first hit is the one the scan over every pair finds.  The
-worst case stays O(n^3 k^2).  The 35 distinct grid witnesses of order 5 to
-25 hold 23,108 pairs with x != y around a middle vertex; 34 of them walk no
-row past the probe's, their probes test 217 pairs, and 16 more, all in F3,
-reach the path test.
+116 of the 123 m = 4 scans of a certify pass and on 387 of the 405
+relabeled builder outputs that a classify pass scans (its other 198 use
+three colors or fewer, and ``classify_p5free`` scans none of those).
+Otherwise the rows are walked, middle vertex ascending, and around each
+middle vertex only the surviving pairs whose edges to it differ in color,
+in the same ascending order, so the first hit is the one the scan over
+every pair finds.  The worst case stays O(n^3 k^2).  The 35 distinct grid
+witnesses of order 5 to 25 hold 23,108 pairs with x != y around a middle
+vertex; 34 of them walk no row past the probe's, their probes test 217
+pairs, and 16 more, all in F3, reach the path test.
 
 The pair table only pays on hosts without a path.  So before building it
 the m = 4 scan probes its first pair row, on every host: mid 0, read from
@@ -132,8 +133,7 @@ refused (exit code 2) within seconds, never answered negatively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -150,15 +150,15 @@ RAINBOW_PATH = "rainbow_path"
 MONO_COPY = "mono_copy"
 
 
-@dataclass(frozen=True)
-class Embedding:
+class Embedding(NamedTuple):
     """A concrete copy of a pattern inside a host coloring.
 
     ``vertices`` realizes the pattern: for monochromatic copies it lists the
     host images of target vertices 0..t-1 in target-label order; for rainbow
     paths it lists the path in traversal order.  ``edges`` are the host edges
     used, smaller end first, in the order of the pattern's edges, and
-    ``color`` is set for monochromatic findings only.
+    ``color`` is set for monochromatic findings only.  A named tuple: it
+    equals the plain tuple of its fields.
     """
 
     kind: str

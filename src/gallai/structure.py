@@ -16,14 +16,32 @@ renumbering colors, into at least one of six shapes:
       the other two, the edges xu, xv and yz in a color of their own.
 
 ``classify_p5free`` evaluates every shape on every call and reports which
-shapes hold, not where they hold: each predicate is a yes-or-no test read
-from one color profile ``{color: (edge count, touched-vertex mask)}`` and
-the per-color adjacency masks ``c.adj``.  The combined answer is
-cross-checked against the rainbow detector.  The same shapes drive
-``p5free_classes``, which generates every exact k-coloring of K_n
-without a rainbow 4-edge path, one member coloring per vertex-and-color
-isomorphism class: the case generators emit pairwise non-isomorphic
-candidates, and it returns them as they are, keying none.
+shapes hold, not where they hold.  Each predicate is a yes-or-no test that
+runs its cheapest exact disqualifier first, on the number of colors used or
+a few entries of the flat color tuple, and only then reads the color
+profile ``{color: (edge count, touched-vertex mask)}`` or the per-color
+adjacency masks ``c.adj``.  The profile is built at most once per call, on
+its first read, and kept by no coloring:
+
+  - (a) holds exactly with three colors or fewer, and (d), (e) and (f)
+    need exactly four, so with five colors or more those four fail on the
+    count alone;
+  - (b) holds with two colors and fails with one; with more it fails as
+    soon as vertex 0 sees three colors, because a vertex touched three
+    times rules it out;
+  - (c) reads no profile.  Its color can only be the color of edge 01 or
+    of edge (n-2)(n-1): the C(n-1, 2) edges missing a vertex v include edge
+    01 when v is not 0 or 1, and edge (n-2)(n-1) otherwise, since n >= 5;
+  - (e) needs two 2-edge classes on the same four vertices.
+
+The combined answer is cross-checked against the rainbow detector.  A
+rainbow 4-edge path has four colors, so a host with fewer holds none and
+is not scanned; the check still requires a shape of it.
+
+The same shapes drive ``p5free_classes``, which generates every exact
+k-coloring of K_n without a rainbow 4-edge path, one member coloring per
+vertex-and-color isomorphism class: the case generators emit pairwise
+non-isomorphic candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
 
 ``p5free_classes`` validates its arguments, generates and guards on every
@@ -33,7 +51,6 @@ call and keeps no table; ``check_n`` (``search``) keeps the one class cache.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import (
     combinations_with_replacement,
@@ -42,7 +59,7 @@ from itertools import (
     product,
 )
 from operator import or_
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import sporadic
@@ -88,8 +105,7 @@ def parallel_map(
     return [fn(x) for x in items]
 
 
-@dataclass(frozen=True)
-class P4Report:
+class P4Report(NamedTuple):
     """Outcome for the 2-edge-path-free structure check: ``case`` is "a"
     (at most two colors) or "b" (K4 in three perfect matchings); otherwise
     ``rainbow`` holds a rainbow 3-edge path."""
@@ -98,8 +114,7 @@ class P4Report:
     rainbow: Embedding | None
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """The shapes among a-f that hold, by letter; ``rainbow`` holds the
     rainbow 4-edge path exactly when no shape applies."""
 
@@ -133,19 +148,48 @@ def _color_profile(c: ColoredComplete) -> dict[int, tuple[int, int]]:
     """``{color: (edge count, touched-vertex mask)}`` for the used colors,
     in increasing color order."""
     profile = {}
-    colors = c.colors
-    for col, row in enumerate(c.adj):
-        touched = reduce(or_, row, 0)
+    colors, adj = c.colors, c.adj
+    # no edge has color 0, so its row is empty
+    for col in range(1, len(adj)):
+        touched = reduce(or_, adj[col], 0)
         if touched:
             profile[col] = (colors.count(col), touched)
     return profile
 
 
-def _case_a(c: ColoredComplete, profile: dict) -> bool:
-    return len(profile) <= 3
+class _Host:
+    """A coloring as the case predicates read it: ``used``, the number of
+    colors it uses, and ``profile()``, its ``_color_profile``, built on the
+    first call and kept for this host only."""
+
+    __slots__ = ("c", "used", "_profile")
+
+    def __init__(self, c: ColoredComplete):
+        self.c = c
+        self.used = len(set(c.colors))
+        self._profile = None
+
+    def profile(self) -> dict[int, tuple[int, int]]:
+        if self._profile is None:
+            self._profile = _color_profile(self.c)
+        return self._profile
 
 
-def _case_b(c: ColoredComplete, profile: dict) -> bool:
+def _case_a(h: _Host) -> bool:
+    return h.used <= 3
+
+
+def _case_b(h: _Host) -> bool:
+    # With two colors either one is dominant.  A vertex that sees three
+    # colors is touched three times (``_has_dominant``); vertex 0's colors
+    # are the first n - 1 edges'.
+    if h.used <= 2:
+        return h.used == 2
+    c = h.c
+    return len(set(c.colors[: c.n - 1])) < 3 and _has_dominant(h.profile())
+
+
+def _has_dominant(profile: dict[int, tuple[int, int]]) -> bool:
     """Whether some color, the dominant one, leaves the other colors'
     touched masks pairwise disjoint when it is removed; False when the
     profile has fewer than two colors.  They are disjoint exactly when no
@@ -161,22 +205,27 @@ def _case_b(c: ColoredComplete, profile: dict) -> bool:
     return not thrice and any(not twice & ~touched for _, touched in profile.values())
 
 
-def _case_c(c: ColoredComplete, profile: dict) -> bool:
-    # The C(n-1, 2) edges missing a vertex are more than half of all edges
-    # once n >= 5, so at most one color can hold them.
-    rest = edge_count(c.n - 1)
-    for col, (count, _) in profile.items():
-        if count >= rest:
-            row = c.adj[col]
-            for v in range(c.n):
-                if count - row[v].bit_count() == rest:
-                    return True
-    return False
+def _case_c(h: _Host) -> bool:
+    # The C(n-1, 2) edges missing a vertex v share one color, so it is the
+    # color of any one of them: of edge 01 when v is not 0 or 1, and of edge
+    # (n-2)(n-1) when it is, since n - 2 >= 3 once n >= 5.  The color needs
+    # C(n-1, 2) edges, more than half of all.
+    c = h.c
+    n, colors, adj = c.n, c.colors, c.adj
+    rest = edge_count(n - 1)
+    col = colors[0]
+    count = colors.count(col)
+    if count >= rest and any(count - adj[col][v].bit_count() == rest for v in range(2, n)):
+        return True
+    col = colors[-1]
+    count = colors.count(col)
+    return count >= rest and any(count - adj[col][v].bit_count() == rest for v in (0, 1))
 
 
-def _case_d(c: ColoredComplete, profile: dict) -> bool:
-    if len(profile) != 4:
+def _case_d(h: _Host) -> bool:
+    if h.used != 4:
         return False
+    c, profile = h.c, h.profile()
     singles = [col for col, (count, _) in profile.items() if count == 1]
     for colx, coly in permutations(singles, 2):
         e1, e2 = profile[colx][1], profile[coly][1]
@@ -193,20 +242,20 @@ def _case_d(c: ColoredComplete, profile: dict) -> bool:
     return False
 
 
-def _case_e(c: ColoredComplete, profile: dict) -> bool:
-    if len(profile) != 4:
+def _case_e(h: _Host) -> bool:
+    if h.used != 4:
         return False
-    # Two classes must each be a perfect matching of the quad, so only the
-    # vertex sets of 2-edge classes touching 4 vertices can match.
-    quads = sorted(
-        {
-            tuple(v for v in range(c.n) if touched >> v & 1)
-            for count, touched in profile.values()
-            if count == 2 and touched.bit_count() == 4
-        }
-    )
+    c, profile = h.c, h.profile()
+    # Two classes must each be a perfect matching of the quad, so only a
+    # vertex set that two 2-edge classes both touch can be the quad.
+    touched4 = [
+        touched
+        for count, touched in profile.values()
+        if count == 2 and touched.bit_count() == 4
+    ]
     n, colors = c.n, c.colors
-    for q0, q1, q2, q3 in quads:
+    for quad in {t for t in touched4 if touched4.count(t) > 1}:
+        q0, q1, q2, q3 = (v for v in range(n) if quad >> v & 1)
         matchings = (((q0, q1), (q2, q3)), ((q0, q2), (q1, q3)), ((q0, q3), (q1, q2)))
         # pair_colors[i]: the colors of matching i's two edges, as listed
         pair_colors = [
@@ -228,11 +277,15 @@ def _case_e(c: ColoredComplete, profile: dict) -> bool:
 _CASE_F = sporadic("TW-case-f")
 
 
-def _case_f(c: ColoredComplete, profile: dict) -> bool:
+def _case_f(h: _Host) -> bool:
     # Case (f) is K5 with a lone edge uv whose other three vertices x each
     # see u, v and the edge of the other two in one color; the class sizes
     # 1, 3, 3, 3 then force the three colors apart.
-    if c.n != 5 or sorted(count for count, _ in profile.values()) != [1, 3, 3, 3]:
+    c = h.c
+    if c.n != 5 or h.used != 4:
+        return False
+    profile = h.profile()
+    if sorted(count for count, _ in profile.values()) != [1, 3, 3, 3]:
         return False
     lone = next(touched for count, touched in profile.values() if count == 1)
     u, v = (x for x in range(5) if lone >> x & 1)
@@ -260,9 +313,10 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     disagreement)."""
     if c.n < 5:
         raise ValueError(f"classification needs n >= 5, got n={c.n}")
-    profile = _color_profile(c)
-    cases = frozenset(name for name, holds in _CASES if holds(c, profile))
-    rainbow = find_rainbow_path(c, 4)
+    host = _Host(c)
+    cases = frozenset([name for name, holds in _CASES if holds(host)])
+    # a rainbow 4-edge path has four colors
+    rainbow = find_rainbow_path(c, 4) if host.used >= 4 else None
     if bool(cases) == (rainbow is not None):
         raise TheoremViolation(
             f"cases {sorted(cases)} vs rainbow {rainbow} disagree on {c!r}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -33,7 +34,7 @@ from gallai.constructions import BUILDERS, construction_grid, sporadic
 from gallai.formulas import KIND_BOUNDS, KIND_EXACT, GrResult, evaluate
 from gallai.graphs import ColoredComplete, parse_hspec, render_hspec
 from gallai.search import replay_certificate, verify_witness
-from gallai.structure import enumerate_p5free
+from gallai.structure import enumerate_p5free, p5free_classes
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -219,6 +220,17 @@ class TestWitness:
         code, _, err = run(capsys, "witness", "--H", "K2", "--construction", "G1")
         assert code == EXIT_NEGATIVE
         assert "verification failed" in err
+
+    def test_failed_verification_prints_the_copy(self, capsys):
+        """The stderr line names the copy found by its repr."""
+        code, out, err = run(
+            capsys, "witness", "--H", "K3", "--construction", "G3", "--param", "t=5"
+        )
+        assert (code, out) == (EXIT_NEGATIVE, "")
+        assert err == (
+            "verification failed: monochromatic copy in color 1: Embedding(kind='mono_copy', "
+            "vertices=(0, 1, 2), color=1, edges=((0, 1), (0, 2), (1, 2)))\n"
+        )
 
     def test_no_construction_available(self, capsys):
         code, _, err = run(capsys, "witness", "--H", "K2", "--k", "4")
@@ -592,15 +604,38 @@ class TestClassify:
     def test_theorem_violation_exits_internal(self, capsys, monkeypatch, tmp_path):
         """A case predicate contradicting the rainbow detector is an
         internal error (exit 3, one stderr line), never a negative answer."""
-        monkeypatch.setattr("gallai.structure._CASES", (("b", lambda c, profile: True),))
+        monkeypatch.setattr("gallai.structure._CASES", (("b", lambda host: True),))
         c = ColoredComplete(5, 10, tuple(range(1, 11)))
         path = tmp_path / "rainbow.json"
         path.write_text(json.dumps(c.to_json_dict()))
         code, out, err = run(capsys, "classify", "--file", str(path))
         assert code == EXIT_INTERNAL
         assert out == ""
-        assert err.startswith("internal error: TheoremViolation: ")
-        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err == (
+            "internal error: TheoremViolation: cases ['b'] vs rainbow "
+            "Embedding(kind='rainbow_path', vertices=(3, 1, 0, 2, 4), color=None, "
+            "edges=((1, 3), (0, 1), (0, 2), (2, 4))) disagree on "
+            "ColoredComplete(n=5, k=10, colors=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10))\n"
+        )
+
+    def test_corpus_digest(self, monkeypatch):
+        """Exit code, stdout and stderr of ``classify`` at both path lengths
+        on every host of ``_classify_corpus``, pinned by a digest recorded
+        before the case predicates ran their cheapest test first and the
+        reports became tuples."""
+        digest = hashlib.sha256()
+        codes = Counter()
+        for c in _classify_corpus():
+            payload = c.to_json()
+            for edges in ("3", "4"):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["classify", "--path-edges", edges])
+                codes[edges, code] += 1
+                digest.update(f"{code}\n{out.getvalue()}{err.getvalue()}".encode())
+        assert codes == _CORPUS_CODES
+        assert digest.hexdigest() == _CORPUS_SHA256
 
 
     @pytest.mark.parametrize(
@@ -634,6 +669,26 @@ class TestClassify:
             "internal error: RuntimeError: monochromatic copy (2, 3, 5) in color 1 "
             "failed re-verification\n"
         )
+
+
+def _classify_corpus():
+    """300 seeded colorings of order 4..8 with 1..8 colors, and every class
+    of ``p5free_classes`` for n 5..7 and k 4..5, as it is and with one edge
+    recolored."""
+    rng = random.Random(4181)
+    for _ in range(300):
+        n, k = rng.randint(4, 8), rng.randint(1, 8)
+        yield ColoredComplete(n, k, [rng.randint(1, k) for _ in range(graphs.edge_count(n))])
+    for n in range(5, 8):
+        for k in (4, 5):
+            for c in p5free_classes(n, k):
+                yield c
+                yield c.recolored(*rng.sample(range(n), 2), rng.randint(1, k))
+
+
+# (--path-edges, exit code): runs; n = 4 is refused at 4 edges.
+_CORPUS_CODES = {("3", 0): 386, ("4", 0): 326, ("4", 2): 60}
+_CORPUS_SHA256 = "6129fdf0ff01ccfbda2849e8a31411f5b882269d2abdef01c74a009bcf60c193"
 
 
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
@@ -1201,6 +1256,19 @@ class TestSelftest:
             "PASS enumeration",
             "PASS classifier",
         ]
+
+    def test_classifier_suite_reaches_a_five_color_b_host(self, capsys, monkeypatch):
+        """The classifier suite checks a case-(b) host with five colors,
+        where the color count alone rules out (a), (d), (e) and (f)."""
+        reports = []
+        classify = cli.classify_p5free
+        monkeypatch.setattr(
+            cli, "classify_p5free", lambda c: reports.append((c, classify(c))) or reports[-1][1]
+        )
+        code, out, _ = run(capsys, "selftest")
+        assert code == EXIT_OK and out.endswith("PASS classifier\n")
+        five_b = [c for c, rep in reports if "b" in rep.cases and len(c.used_colors) >= 5]
+        assert [c.n for c in five_b] == [8]
 
     def test_theorem_violation_is_a_fail_line(self, capsys, monkeypatch):
         """A disagreement between the classifier and the rainbow detector is

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import random
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -13,8 +15,15 @@ import gallai
 from gallai import structure
 from gallai.canonical import canonical_form
 from gallai.constructions import build_named, sporadic
-from gallai.detectors import find_rainbow_path
-from gallai.graphs import ColoredComplete, UnsupportedSizeError, edge_count, edge_index, pairs
+from gallai.detectors import find_mono_copy, find_rainbow_path
+from gallai.graphs import (
+    ColoredComplete,
+    TargetGraph,
+    UnsupportedSizeError,
+    edge_count,
+    edge_index,
+    pairs,
+)
 from gallai.structure import (
     TheoremViolation,
     classify_p4free,
@@ -90,7 +99,7 @@ class TestClassifyP5:
         rep = classify_p5free(c)
         assert "a" in rep.cases  # only 3 colors used
         assert "b" in rep.cases
-        assert structure._case_b(c, structure._color_profile(c))
+        assert structure._case_b(structure._Host(c))
 
     def test_apex_case_c(self):
         # K6 in color 1 plus an apex with rainbow spokes
@@ -383,8 +392,8 @@ class TestCaseEFWitnesses:
         edge-list reference finds a witness; 1836 hosts are (e), 107 (f)."""
         hits = {"e": 0, "f": 0}
         for c in _case_e_f_hosts():
-            profile = structure._color_profile(c)
-            e, f = structure._case_e(c, profile), structure._case_f(c, profile)
+            host = structure._Host(c)
+            e, f = structure._case_e(host), structure._case_f(host)
             assert (e, f) == (
                 _reference_case_e(c) is not None,
                 _reference_case_f(c) is not None,
@@ -392,6 +401,193 @@ class TestCaseEFWitnesses:
             hits["e"] += e
             hits["f"] += f
         assert hits == {"e": 1836, "f": 107}
+
+
+def _parts_shape(rng, n, k, sizes):
+    """K_n in color 1 except disjoint parts of the given sizes on random
+    vertices; part i holds a random nonempty set of its own edges in color
+    i + 2."""
+    vs = rng.sample(range(n), sum(sizes))
+    special = {}
+    for color, s in enumerate(sizes, start=2):
+        part = sorted(vs[:s])
+        del vs[:s]
+        edges = list(combinations(part, 2))
+        special.update(dict.fromkeys(rng.sample(edges, rng.randint(1, len(edges))), color))
+    return _with_special(n, k, special)
+
+
+def _recolored_once(rng, c):
+    """c, or with one random edge in a random color of its palette: each
+    half the time."""
+    if rng.random() < 0.5:
+        return c
+    return c.recolored(*rng.sample(range(c.n), 2), rng.randint(1, c.k))
+
+
+def _cheap_test_hosts():
+    """Seeded hosts for the predicates' cheapest tests, by label:
+
+    - "b5": a dominant color plus four part colors at n 8 and 9, five
+      colors or more, relabeled and half of them recolored once;
+    - "c5": a K_{n-1} plus an apex at vertex 0, 1, n-2 or n-1 with four
+      spoke colors or more (five colors or more in all), colors renamed and
+      half of them recolored once, so both of (c)'s candidate edges, 01 and
+      (n-2)(n-1), are reached;
+    - "v0": hosts whose vertex 0 sees exactly two colors, half of them
+      built round a dominant color and half uniform off vertex 0;
+    - "quad": four colors, two of them perfect matchings of one quad, the
+      fourth on two or three edges not all inside that quad's third
+      matching, relabeled.  Color 1 keeps three edges or more, so no class
+      but the two matchings has two edges on one quad or is a lone edge:
+      never (e)."""
+    rng = random.Random(5040)
+    for _ in range(600):
+        n = rng.choice((8, 9))
+        sizes = [2, 2, 2, rng.choice((2, 3))] if n == 9 else [2, 2, 2, 2]
+        c = _recolored_once(rng, _relabeled(rng, _parts_shape(rng, n, rng.choice((5, 6)), sizes)))
+        if len(c.used_colors) >= 5:
+            yield "b5", c
+    for _ in range(600):
+        n, k = rng.randint(5, 9), rng.randint(5, 8)
+        apex = rng.choice((0, 1, n - 2, n - 1))
+        spokes = rng.sample(range(2, k + 1), 4) + [rng.randint(1, k) for _ in range(n - 5)]
+        rng.shuffle(spokes)
+        others = [v for v in range(n) if v != apex]
+        special = {(min(v, apex), max(v, apex)): col for v, col in zip(others, spokes)}
+        cperm = [0] + rng.sample(range(1, k + 1), k)
+        c = _recolored_once(rng, _with_special(n, k, special).permuted(range(n), cperm))
+        if len(c.used_colors) >= 5:
+            yield "c5", c
+    for i in range(1200):
+        n = rng.randint(5, 9)
+        if i % 2:
+            k = rng.randint(2, 8)
+            row = rng.sample(range(1, k + 1), 2)
+            colors = [rng.choice(row) for _ in range(n - 1)]
+            colors += [rng.randint(1, k) for _ in range(edge_count(n) - n + 1)]
+            c = ColoredComplete(n, k, colors)
+        else:
+            sizes = [rng.randint(2, 3) for _ in range(rng.randint(1, n // 2))]
+            while sum(sizes) > n:
+                sizes.pop()
+            c = _relabeled(rng, _parts_shape(rng, n, len(sizes) + rng.randint(1, 2), sizes))
+            c = _recolored_once(rng, c)
+        if len(set(c.colors[: n - 1])) == 2:
+            yield "v0", c
+    for _ in range(600):
+        n = rng.randint(5, 9)
+        q0, q1, q2, q3 = rng.sample(range(n), 4)
+        matched = {(q0, q1): 2, (q2, q3): 2, (q0, q2): 3, (q1, q3): 3}
+        special = {(min(e), max(e)): col for e, col in matched.items()}
+        third = {(min(q0, q3), max(q0, q3)), (min(q1, q2), max(q1, q2))}
+        rest = [e for e in pairs(n) if e not in special]
+        fourth = rng.sample(rest, rng.randint(2, 3))
+        if set(fourth) <= third:
+            continue
+        special.update(dict.fromkeys(fourth, 4))
+        yield "quad", _relabeled(rng, _with_special(n, 4, special))
+
+
+class TestCheapestTests:
+    def test_hosts_match_reference_case_by_case(self):
+        """On every host of ``_cheap_test_hosts`` the classifier holds a
+        case exactly when the edge-list reference finds a witness for it;
+        the hosts per label and the hits per label and case are pinned."""
+        hosts = Counter()
+        hits = Counter()
+        for label, c in _cheap_test_hosts():
+            want = _reference_witnesses(c)
+            assert classify_p5free(c).cases == frozenset(want), (label, c)
+            hosts[label] += 1
+            hits.update(f"{label} {case}" for case in want)
+            if label in ("b5", "c5"):
+                assert len(c.used_colors) >= 5, c
+            if label == "quad":
+                assert len(c.used_colors) == 4 and "e" not in want, c
+            if label == "c5" and "c" in want:
+                apex = want["c"][0]
+                hits["c5 apex at " + ("0, 1" if apex < 2 else "n-2, n-1")] += 1
+        assert hosts == {"b5": 574, "c5": 566, "v0": 938, "quad": 591}
+        assert hits == {
+            "b5 b": 361,
+            "c5 c": 392, "c5 apex at 0, 1": 214, "c5 apex at n-2, n-1": 178,
+            "v0 a": 446, "v0 b": 397, "v0 c": 69,
+        }
+
+
+_RAINBOW_HOST = ColoredComplete(5, 10, tuple(range(1, 11)))
+_PATH4 = (
+    "Embedding(kind='rainbow_path', vertices=(3, 1, 0, 2, 4), color=None, "
+    "edges=((1, 3), (0, 1), (0, 2), (2, 4)))"
+)
+_PATH3 = (
+    "Embedding(kind='rainbow_path', vertices=(2, 0, 1, 3), color=None, "
+    "edges=((0, 2), (0, 1), (1, 3)))"
+)
+
+
+class TestRecords:
+    """``Embedding``, ``P4Report`` and ``StructureReport``: immutable
+    records whose repr bytes, field order and JSON form are pinned."""
+
+    def _records(self):
+        mono = find_mono_copy(ColoredComplete.constant(5, 2).recolored(0, 1, 2), TargetGraph.complete(3))
+        return {
+            "path4": find_rainbow_path(_RAINBOW_HOST, 4),
+            "mono": mono,
+            "p5 rainbow": classify_p5free(_RAINBOW_HOST),
+            "p5 f": classify_p5free(sporadic("TW-case-f")),
+            "p4 rainbow": classify_p4free(ColoredComplete(4, 6, range(1, 7))),
+            "p4 b": classify_p4free(ColoredComplete(4, 3, (1, 2, 3, 3, 2, 1))),
+        }
+
+    def test_repr_bytes(self):
+        """Each report holds at most one case: a frozenset's repr order
+        follows the string hash seed."""
+        assert {name: repr(rec) for name, rec in self._records().items()} == {
+            "path4": _PATH4,
+            "mono": (
+                "Embedding(kind='mono_copy', vertices=(0, 2, 3), color=1, "
+                "edges=((0, 2), (0, 3), (2, 3)))"
+            ),
+            "p5 rainbow": f"StructureReport(cases=frozenset(), rainbow={_PATH4})",
+            "p5 f": "StructureReport(cases=frozenset({'f'}), rainbow=None)",
+            "p4 rainbow": f"P4Report(case=None, rainbow={_PATH3})",
+            "p4 b": "P4Report(case='b', rainbow=None)",
+        }
+
+    def test_fields_are_read_only(self):
+        fields = {
+            "Embedding": ("kind", "vertices", "color", "edges"),
+            "StructureReport": ("cases", "rainbow"),
+            "P4Report": ("case", "rainbow"),
+        }
+        for rec in self._records().values():
+            for name in fields[type(rec).__name__]:
+                before = getattr(rec, name)
+                with pytest.raises(AttributeError):
+                    setattr(rec, name, None)
+                assert getattr(rec, name) == before
+
+    def test_records_are_tuples_of_their_fields(self):
+        records = self._records()
+        path = records["path4"]
+        assert path == ("rainbow_path", (3, 1, 0, 2, 4), None, ((1, 3), (0, 1), (0, 2), (2, 4)))
+        assert records["p5 f"] == (frozenset({"f"}), None)
+        assert records["p4 rainbow"] == (None, find_rainbow_path(ColoredComplete(4, 6, range(1, 7)), 3))
+        assert tuple(records["p5 rainbow"]) == (frozenset(), path)
+
+    def test_embedding_json_form(self):
+        records = self._records()
+        assert json.dumps(records["path4"].to_json_dict()) == (
+            '{"kind": "rainbow_path", "vertices": [3, 1, 0, 2, 4], "color": null, '
+            '"edges": [[1, 3], [0, 1], [0, 2], [2, 4]]}'
+        )
+        assert json.dumps(records["mono"].to_json_dict()) == (
+            '{"kind": "mono_copy", "vertices": [0, 2, 3], "color": 1, '
+            '"edges": [[0, 2], [0, 3], [2, 3]]}'
+        )
 
 
 def _leaves_disjoint(profile, dom):
@@ -432,7 +628,7 @@ class TestDominantColor:
         for profile in _random_profiles():
             accepted = [dom for dom in profile if _leaves_disjoint(profile, dom)]
             want = bool(accepted) and len(profile) >= 2
-            assert structure._case_b(None, profile) is want, profile
+            assert structure._has_dominant(profile) is want, profile
             ties += len(accepted) >= 2 and len(profile) >= 2
             masks = [touched for _, touched in profile.values()]
             times = [sum(t >> v & 1 for t in masks) for v in range(10)]
