@@ -275,18 +275,19 @@ def _selftest_classifier() -> list[str]:
     """``classify_p5free`` cross-checks its cases against the rainbow
     detector and raises TheoremViolation when they disagree.  Few uniform
     colorings with four colors or more are rainbow-free, so every class of
-    ``p5free_classes`` for n 5..7 and k 4..5, and for n = 8 and k = 5, is
-    checked too, relabeled, and once more with one edge recolored: hosts on
-    both sides of the boundary.  The classes at n = 8 and k = 5 hold the
-    smallest five-color hosts of case (b), a dominant color and four
-    parts."""
+    ``p5free_classes`` for n 5..7 and k 4..5, for n = 8 and k = 5, and for
+    n = 9 and k = 4, is checked too, relabeled, and once more with one edge
+    recolored: hosts on both sides of the boundary.  The classes at n = 8
+    and k = 5 hold the smallest five-color hosts of case (b), a dominant
+    color and four parts; those at n = 9 and k = 4 are the only ones built
+    from five-vertex parts."""
     rng = random.Random(20240817)
     for _ in range(300):
         n = rng.randint(5, 8)
         k = rng.randint(2, 8)
         colors = tuple(rng.randint(1, k) for _ in range(n * (n - 1) // 2))
         classify_p5free(ColoredComplete(n, k, colors))
-    for n, k in [(n, k) for n in range(5, 8) for k in (4, 5)] + [(8, 5)]:
+    for n, k in [(n, k) for n in range(5, 8) for k in (4, 5)] + [(8, 5), (9, 4)]:
         for c in p5free_classes(n, k):
             c = c.permuted(rng.sample(range(n), n), [0] + rng.sample(range(1, k + 1), k))
             classify_p5free(c)

@@ -280,27 +280,19 @@ def brute_force_colorings(n: int, k: int):
 
 def _restricted_growth_strings(m: int, k: int):
     """All surjections from m positions onto blocks 1..k, up to renaming
-    blocks by first occurrence."""
-    if k > m:
-        return
-    rgs = [1] * m
-    maxes = [1] * m
+    blocks by first occurrence: a prefix grows by one of its ``top`` blocks
+    so far or by block ``top + 1``."""
 
-    def rec(i: int):
-        if i == m:
-            if maxes[m - 1] == k:
-                yield tuple(rgs)
-            return
-        prev_max = maxes[i - 1] if i > 0 else 0
-        # Still need k - prev_max fresh blocks among the remaining slots.
-        if k - prev_max > m - i:
-            return
-        for v in range(1, min(prev_max + 1, k) + 1):
-            rgs[i] = v
-            maxes[i] = max(prev_max, v)
-            yield from rec(i + 1)
+    def grow(prefix: tuple[int, ...], top: int):
+        if len(prefix) == m:
+            if top == k:
+                yield prefix
+        # Still need k - top fresh blocks among the remaining slots.
+        elif k - top <= m - len(prefix):
+            for v in range(1, min(top + 1, k) + 1):
+                yield from grow(prefix + (v,), max(top, v))
 
-    yield from rec(0)
+    yield from grow((), 0)
 
 
 def _has_rainbow_p5_direct(colors: tuple[int, ...], n: int) -> bool:

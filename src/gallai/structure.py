@@ -43,6 +43,8 @@ k-coloring of K_n without a rainbow 4-edge path, one member coloring per
 vertex-and-color isomorphism class: the case generators emit pairwise
 non-isomorphic candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
+The part graphs of case (b), on s <= 5 vertices, come from orbit marking
+(``_graphs_min_deg1``), which keys nothing.
 
 ``p5free_classes`` validates its arguments, generates and guards on every
 call and keeps no table; ``check_n`` (``search``) keeps the one class cache.
@@ -51,7 +53,7 @@ call and keeps no table; ``check_n`` (``search``) keeps the one class cache.
 from __future__ import annotations
 
 import os
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import (
     combinations_with_replacement,
     groupby,
@@ -68,6 +70,7 @@ from gallai.graphs import (
     ColoredComplete,
     UnsupportedSizeError,
     edge_count,
+    edge_index,
     pairs,
 )
 
@@ -324,31 +327,28 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     return StructureReport(cases=cases, rainbow=rainbow)
 
 
-@lru_cache(maxsize=None)
 def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All graphs on s labeled vertices with minimum degree >= 1, one
-    representative per isomorphism class, as edge tuples.
-
-    A graph is keyed as a 2-coloring of K_{s+1}: graph edges in color 2,
-    non-edges in color 1, and an apex s joined to every vertex in color 1.
-    With no isolated vertex, every other vertex sees both colors, so the
-    apex is the only vertex whose edges share one color.  An isomorphism of
-    two such colorings therefore maps apex to apex and color 1 to color 1,
-    and equal canonical keys mean isomorphic graphs."""
+    """All graphs on s labeled vertices with minimum degree >= 1, one per
+    isomorphism class, as edge tuples: the least edge mask of each class,
+    in increasing order.  The masks of K_s are walked in increasing order;
+    one with no isolated vertex that is not yet marked is the least of its
+    orbit under the s! vertex permutations, so it is kept and marks that
+    orbit.  Case (b) asks for s <= 5; s = 6 takes about 0.1 s."""
     all_pairs = list(pairs(s))
-    seen: set[bytes] = set()
-    out: list[tuple[tuple[int, int], ...]] = []
-    for mask in range(1 << len(all_pairs)):
-        edges = tuple(e for idx, e in enumerate(all_pairs) if mask >> idx & 1)
-        deg = [0] * s
-        for i, j in edges:
-            deg[i] += 1
-            deg[j] += 1
-        if min(deg, default=0) == 0:
+    # images[p][i]: the bit of edge i's image under vertex permutation p
+    images = [
+        [1 << edge_index(*sorted((p[i], p[j])), s) for i, j in all_pairs]
+        for p in permutations(range(s))
+    ]
+    seen: set[int] = set()
+    out = []
+    for mask in range(1, 1 << len(all_pairs)):
+        if mask in seen:
             continue
-        key = canonical_form(ColoredComplete.constant(s + 1, 2, 1, dict.fromkeys(edges, 2)))
-        if key not in seen:
-            seen.add(key)
+        kept = [idx for idx in range(len(all_pairs)) if mask >> idx & 1]
+        edges = tuple(all_pairs[idx] for idx in kept)
+        if len({v for e in edges for v in e}) == s:
+            seen.update(sum(image[idx] for idx in kept) for image in images)
             out.append(edges)
     return tuple(out)
 

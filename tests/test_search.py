@@ -22,6 +22,7 @@ from gallai.search import (
     STATUS_NO_EXACT,
     WitnessFailure,
     _class_table,
+    _restricted_growth_strings,
     brute_force_colorings,
     check_n,
     compute_gr,
@@ -132,6 +133,23 @@ class TestBruteForce:
     def test_refuses_oversized(self):
         with pytest.raises(UnsupportedSizeError):
             list(brute_force_colorings(8, 9))
+
+
+class TestRestrictedGrowthStrings:
+    def test_one_string_per_set_partition(self):
+        """For m <= 10 positions and k <= 6 blocks, the strings are
+        distinct, each of length m, their blocks first occur in the order
+        1..k, and they number S(m, k), the Stirling number of the second
+        kind: S(m, k) = k S(m - 1, k) + S(m - 1, k - 1)."""
+        stirling = {(0, 0): 1}
+        for m in range(1, 11):
+            for k in range(1, 7):
+                stirling[m, k] = k * stirling.get((m - 1, k), 0) + stirling.get((m - 1, k - 1), 0)
+                strings = list(_restricted_growth_strings(m, k))
+                assert len(set(strings)) == len(strings) == stirling[m, k], (m, k)
+                blocks = list(range(1, k + 1))
+                for rgs in strings:
+                    assert len(rgs) == m and list(dict.fromkeys(rgs)) == blocks, (m, k)
 
 
 class TestSmallOrderClasses:
@@ -297,7 +315,6 @@ class TestCheckNOutputs:
         nothing; a cold check keys exactly its bad classes, once each; a
         check of another target then keys only its bad classes not keyed
         before; a repeated check keys nothing and decodes only its witness."""
-        p5free_classes(9, 4)  # warms the cached part graphs, which are keyed
         _clear_class_tables()
         keyed, decoded = [], []
         real_key, real_decode = gallai.search.canonical_form, gallai.search.coloring_from_key

@@ -673,6 +673,26 @@ class TestEnumerate:
         digest = hashlib.sha256(repr(graphs).encode()).hexdigest()
         assert digest == "d1f8f2605df35ef3c8ac061c7274e7217f1e55e6096a9d086e40ec9728a30aff"
 
+    def test_min_degree_one_graphs_distinct_at_order_six(self):
+        """Past the pinned range, s = 6: 122 graphs (OEIS A002494), each with
+        no isolated vertex, pairwise non-isomorphic by a route the generator
+        does not take.  A graph is keyed as a 2-coloring of K_7: graph edges
+        in color 2, non-edges in color 1, and an apex 6 joined to every
+        vertex in color 1.  Isomorphic graphs give isomorphic colorings and
+        so equal keys; 122 distinct keys therefore mean 122 classes.  The
+        key is also exact: with no isolated vertex, every other vertex sees
+        both colors, so the apex is the only vertex whose edges share one
+        color, an isomorphism of two such colorings maps apex to apex and
+        color 1 to color 1, and equal keys mean isomorphic graphs."""
+        graphs = structure._graphs_min_deg1(6)
+        assert len(graphs) == 122
+        assert all({v for e in edges for v in e} == set(range(6)) for edges in graphs)
+        keys = {
+            canonical_form(ColoredComplete.constant(7, 2, 1, dict.fromkeys(edges, 2)))
+            for edges in graphs
+        }
+        assert len(keys) == 122
+
     def test_counts_at_order_five(self):
         assert len(enumerate_p5free(5, 4)) == 8
         assert len(enumerate_p5free(5, 5)) == 1
@@ -792,7 +812,8 @@ class TestClassTable:
 
     def test_every_call_generates_and_guards(self, monkeypatch):
         """``structure`` keeps no table: each call runs the rainbow guard on
-        every class again."""
+        every class again, and generates the part graphs of case (b) again,
+        as many times on a second call as on the first."""
         guarded = []
         monkeypatch.setattr(
             structure, "find_rainbow_path", lambda c, m: guarded.append(c) or find_rainbow_path(c, m)
@@ -800,6 +821,18 @@ class TestClassTable:
         want = p5free_classes(6, 5)
         assert p5free_classes(6, 5) == want
         assert guarded == want + want
+        # 13 part graph lists (six of s = 2, four of 3, two of 4, one of 5),
+        # each mapping every edge of K_s under all s! permutations anew
+        parts, images = [], []
+        generate, index = structure._graphs_min_deg1, structure.edge_index
+        monkeypatch.setattr(structure, "_graphs_min_deg1", lambda s: parts.append(s) or generate(s))
+        monkeypatch.setattr(structure, "edge_index", lambda i, j, s: images.append(s) or index(i, j, s))
+        counts = []
+        for _ in range(2):
+            del parts[:], images[:]
+            p5free_classes(9, 4)
+            counts.append((len(parts), len(images)))
+        assert counts == [(13, 6 * 2 + 4 * 18 + 2 * 144 + 1200)] * 2
 
 
 class TestParallelHelpers:
