@@ -44,7 +44,9 @@ vertex-and-color isomorphism class: the case generators emit pairwise
 non-isomorphic candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
 The part graphs of case (b), on s <= 5 vertices, come from orbit marking
-(``_graphs_min_deg1``), which keys nothing.
+(``_graphs_min_deg1``), which keys nothing; each call lists them once per
+part size.  Case (c) draws no block count larger than its apex edges left
+over allow once every other block has one.
 
 ``p5free_classes`` validates its arguments, generates and guards on every
 call and keeps no table; ``check_n`` (``search``) keeps the one class cache.
@@ -333,7 +335,8 @@ def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     in increasing order.  The masks of K_s are walked in increasing order;
     one with no isolated vertex that is not yet marked is the least of its
     orbit under the s! vertex permutations, so it is kept and marks that
-    orbit.  Case (b) asks for s <= 5; s = 6 takes about 0.1 s."""
+    orbit.  Case (b) asks for s <= 5; s = 6 takes 70 to 110 ms (2 vCPUs,
+    Python 3.11)."""
     all_pairs = list(pairs(s))
     # images[p][i]: the bit of edge i's image under vertex permutation p
     images = [
@@ -356,45 +359,37 @@ def _graphs_min_deg1(s: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def _candidates_case_b(n: int, k: int) -> Iterable[ColoredComplete]:
     """Disjoint vertex sets per color 2..k, each inducing a graph of its
     color with minimum degree 1 (the rest of the part in color 1), all other
-    edges color 1."""
-    groups = k - 1
-    if 2 * groups > n:
-        return
-    for sizes in combinations_with_replacement(range(2, n - 2 * (groups - 1) + 1), groups):
+    edges color 1.  The k - 1 part sizes lie in 2..n - 2(k - 2), as the other
+    parts have two vertices or more, and (2, ..., 2, s) reaches each s there,
+    so the part graphs of each size are generated once per call, up front."""
+    top = n - 2 * (k - 2)
+    graphs = {s: _graphs_min_deg1(s) for s in range(2, top + 1)}
+    for sizes in combinations_with_replacement(range(2, top + 1), k - 1):
         if sum(sizes) > n:
             continue
-        for choice in _choices_respecting_ties(sizes):
+        per_run = [
+            combinations_with_replacement(graphs[s], len(list(run))) for s, run in groupby(sizes)
+        ]
+        for combos in product(*per_run):
             special = {}
             offset = 0
-            for color, (s, edges) in enumerate(zip(sizes, choice), start=2):
+            for color, (s, edges) in enumerate(zip(sizes, sum(combos, ())), start=2):
                 for i, j in edges:
                     special[offset + i, offset + j] = color
                 offset += s
             yield ColoredComplete.constant(n, k, 1, special)
 
 
-def _choices_respecting_ties(sizes: Sequence[int]) -> Iterable[tuple]:
-    """One min-degree-1 graph per part: a Cartesian product over the runs of
-    equal part sizes, with unordered selection inside each run (equal-size
-    parts are interchangeable up to renaming their colors)."""
-    per_run = (
-        combinations_with_replacement(_graphs_min_deg1(s), len(list(run)))
-        for s, run in groupby(sizes)
-    )
-    for combos in product(*per_run):
-        yield sum(combos, ())
-
-
 def _candidates_case_c(n: int, k: int) -> Iterable[ColoredComplete]:
     """Monochromatic K_{n-1} in color 1 plus an apex; apex edge colors cover
-    2..k, sorted into blocks."""
-    apex_degree = n - 1
-    spare = apex_degree - (k - 1)
-    if spare < 0:
-        return
-    for c1 in range(spare + 1):
-        for rest in combinations_with_replacement(range(1, apex_degree + 1), k - 1):
-            if c1 + sum(rest) != apex_degree:
+    2..k, sorted into blocks.  With c1 apex edges in color 1, the k - 1
+    block counts are positive and sum to n - 1 - c1, so each is at most
+    n - 1 - c1 - (k - 2), its count when every other block has one; only
+    counts up to that bound are drawn.  With k > n no c1 is left."""
+    for c1 in range(n - k + 1):
+        total = n - 1 - c1
+        for rest in combinations_with_replacement(range(1, total - k + 3), k - 1):
+            if sum(rest) != total:
                 continue
             spokes = [1] * c1
             for color, count in enumerate(rest, start=2):

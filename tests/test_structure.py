@@ -7,7 +7,7 @@ import json
 import os
 import random
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, groupby, permutations, product
 
 import pytest
 
@@ -763,6 +763,44 @@ _GENERATORS = (
 _MEMBER_SHA256 = "a2fa319225b49a57a2c28af45b5e6826b7c2b816f5e87dc4fbea4be45a91349f"
 
 
+def _reference_case_b(n, k):
+    """Case (b) as first written: the part graphs listed anew for every run
+    of equal part sizes in every size tuple."""
+    groups = k - 1
+    if 2 * groups > n:
+        return
+    for sizes in combinations_with_replacement(range(2, n - 2 * (groups - 1) + 1), groups):
+        if sum(sizes) > n:
+            continue
+        per_run = (
+            combinations_with_replacement(structure._graphs_min_deg1(s), len(list(run)))
+            for s, run in groupby(sizes)
+        )
+        for combos in product(*per_run):
+            special = {}
+            offset = 0
+            for color, (s, edges) in enumerate(zip(sizes, sum(combos, ())), start=2):
+                for i, j in edges:
+                    special[offset + i, offset + j] = color
+                offset += s
+            yield ColoredComplete.constant(n, k, 1, special)
+
+
+def _reference_case_c(n, k):
+    """Case (c) as first written: every multiset of k - 1 block counts from
+    1..n - 1, kept when the counts sum to the apex edges left over."""
+    for c1 in range(n - k + 1):
+        for rest in combinations_with_replacement(range(1, n), k - 1):
+            if c1 + sum(rest) != n - 1:
+                continue
+            spokes = [1] * c1
+            for color, count in enumerate(rest, start=2):
+                spokes += [color] * count
+            yield ColoredComplete.constant(
+                n, k, 1, {(v, n - 1): s for v, s in enumerate(spokes) if s != 1}
+            )
+
+
 class TestClassPartition:
     def test_classes_match_enumeration_and_candidate_keys(self):
         """Over the whole census, one class per key: the same count and key
@@ -785,6 +823,18 @@ class TestClassPartition:
             for k in range(4, 13):
                 candidates = [c for gen in _GENERATORS for c in gen(n, k)]
                 assert p5free_classes(n, k) == candidates, (n, k)
+
+    def test_generators_match_references_past_the_window(self):
+        """Cases (b) and (c) give their references' candidates, in the same
+        order, up to n = 10, one order past ``MAX_ENUM_N``; at n = 10 the five
+        generators give 304, 31, 13, 7, 4, 2, 1, 0 and 0 candidates over
+        k = 4..12.  Nothing is keyed."""
+        for n in range(5, 11):
+            for k in range(4, 13):
+                assert list(structure._candidates_case_b(n, k)) == list(_reference_case_b(n, k))
+                assert list(structure._candidates_case_c(n, k)) == list(_reference_case_c(n, k))
+        counts = [sum(1 for gen in _GENERATORS for _ in gen(10, k)) for k in range(4, 13)]
+        assert counts == [304, 31, 13, 7, 4, 2, 1, 0, 0]
 
     def test_member_colorings_pinned(self):
         """The member colorings themselves, in generation order, over the
@@ -813,7 +863,7 @@ class TestClassTable:
     def test_every_call_generates_and_guards(self, monkeypatch):
         """``structure`` keeps no table: each call runs the rainbow guard on
         every class again, and generates the part graphs of case (b) again,
-        as many times on a second call as on the first."""
+        once per part size, as many times on a second call as on the first."""
         guarded = []
         monkeypatch.setattr(
             structure, "find_rainbow_path", lambda c, m: guarded.append(c) or find_rainbow_path(c, m)
@@ -821,8 +871,8 @@ class TestClassTable:
         want = p5free_classes(6, 5)
         assert p5free_classes(6, 5) == want
         assert guarded == want + want
-        # 13 part graph lists (six of s = 2, four of 3, two of 4, one of 5),
-        # each mapping every edge of K_s under all s! permutations anew
+        # one part graph list per size s = 2..5, each mapping every edge of
+        # K_s under all s! permutations anew
         parts, images = [], []
         generate, index = structure._graphs_min_deg1, structure.edge_index
         monkeypatch.setattr(structure, "_graphs_min_deg1", lambda s: parts.append(s) or generate(s))
@@ -832,7 +882,7 @@ class TestClassTable:
             del parts[:], images[:]
             p5free_classes(9, 4)
             counts.append((len(parts), len(images)))
-        assert counts == [(13, 6 * 2 + 4 * 18 + 2 * 144 + 1200)] * 2
+        assert counts == [(4, 2 + 18 + 144 + 1200)] * 2
 
 
 class TestParallelHelpers:
