@@ -2,16 +2,19 @@
 
 Both detectors are exhaustive and deterministic: hosts are scanned in
 ascending vertex order, colors in ascending order, and the first embedding
-found is returned.  ``_checked`` builds every embedding they return, and
-re-checks it first in one pass over the pattern's edges (the path's, or the
-target's edge list, built once per target), reading the host's flat color
-tuple: as many vertices as the pattern has, distinct and inside the host;
-edge colors all distinct for a rainbow path, all the one color for a
-monochromatic copy.  A failure raises RuntimeError, an internal error.
+found is returned.  Every embedding they return is re-checked first,
+reading the host's flat color tuple: a rainbow path in one walk along its m
+edges (m + 1 distinct vertices inside the host, m distinct edge colors), a
+monochromatic copy by ``_checked`` in one pass over the target's edge list,
+built once per target (as many vertices as the target has, distinct and
+inside the host, every edge in the one color).  A failure raises
+RuntimeError, an internal error.
 
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
-per-color adjacency masks.  The path returned is the scan's first hit,
+per-color adjacency masks.  A host that uses fewer than m colors holds
+none and is not scanned: the guard reads ``c.used``, the count the host
+made when it was built.  The path returned is the scan's first hit,
 smaller end first, not the lexicographically first path.
 
 For m = 4 a path a-b-mid-d-e has colors z, x, y, w, all distinct, with x
@@ -175,18 +178,14 @@ class Embedding(NamedTuple):
         }
 
 
-# the edges of the path on vertices 0..m, by m
-_PATH_EDGES = {m: tuple((i, i + 1) for i in range(m)) for m in (3, 4)}
-
-
 def _checked(
-    c: ColoredComplete, vs: Sequence[int], order: int, pattern: tuple, color: int | None = None
+    c: ColoredComplete, vs: Sequence[int], order: int, pattern: tuple, color: int
 ) -> Embedding:
-    """The embedding of ``pattern``, the edge list of a target on vertices
-    0..order-1, at host vertices vs, re-checked in one pass over c.colors
-    (indexed as ``graphs.edge_index`` does, inline): vs must be order
-    distinct vertices of c, and the edges' colors distinct (color None, a
-    rainbow path) or all ``color``; RuntimeError otherwise."""
+    """The monochromatic copy of ``pattern``, the edge list of a target on
+    vertices 0..order-1, at host vertices vs, re-checked in one pass over
+    c.colors (indexed as ``graphs.edge_index`` does, inline): vs must be
+    order distinct vertices of c, and every edge in ``color``; RuntimeError
+    otherwise."""
     n, colors = c.n, c.colors
     vs = tuple(vs)
     if len(vs) == order == len(set(vs)) and min(vs) >= 0 and max(vs) < n:
@@ -198,13 +197,8 @@ def _checked(
                 u, w = w, u
             edges.append((u, w))
             seen |= 1 << colors[u * n - u * (u + 1) // 2 + w - u - 1]
-        if color is None:
-            if seen.bit_count() == len(edges):
-                return Embedding(RAINBOW_PATH, vs, None, tuple(edges))
-        elif not seen & ~(1 << color):
+        if not seen & ~(1 << color):
             return Embedding(MONO_COPY, vs, color, tuple(edges))
-    if color is None:
-        raise RuntimeError(f"rainbow path {vs} failed re-verification")
     raise RuntimeError(f"monochromatic copy {vs} in color {color} failed re-verification")
 
 
@@ -218,7 +212,7 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     m = 4 the first pair row is probed first; then the pairs the module
     docstring's three rules leave are found once, and the rows are walked
     only when some pair is left."""
-    if len(c.used_colors) < m:
+    if c.used < m:
         return None
     n = c.n
     adj = c.adj
@@ -380,13 +374,35 @@ def _row_path(
 
 def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
     """The rainbow path with m in {3, 4} edges that the middle-vertex scan
-    finds first, or None if none exists."""
-    if m not in (3, 4) or m > c.n - 1:
-        raise ValueError(f"rainbow paths need m in {{3, 4}} and m <= n-1, got m={m}, n={c.n}")
+    finds first, or None if none exists.  The scan's path is re-checked in
+    one walk along its m edges: m + 1 distinct vertices of c, and m distinct
+    edge colors; RuntimeError otherwise."""
+    n = c.n
+    if m not in (3, 4) or m > n - 1:
+        raise ValueError(f"rainbow paths need m in {{3, 4}} and m <= n-1, got m={m}, n={n}")
     vs = _rainbow_path(c, m)
     if vs is None:
         return None
-    return _checked(c, vs, m + 1, _PATH_EDGES[m])
+    vs = tuple(vs)
+    if len(vs) == m + 1 and 0 <= vs[0] < n:
+        colors = c.colors
+        u = vs[0]
+        # on: the vertices walked so far; hues: the colors of their edges
+        on = 1 << u
+        hues = 0
+        edges = []
+        for w in vs[1:]:
+            if not 0 <= w < n or on >> w & 1:
+                break
+            on |= 1 << w
+            a, b = (u, w) if u < w else (w, u)
+            edges.append((a, b))
+            hues |= 1 << colors[a * n - a * (a + 1) // 2 + b - a - 1]
+            u = w
+        else:
+            if hues.bit_count() == m:
+                return Embedding(RAINBOW_PATH, vs, None, tuple(edges))
+    raise RuntimeError(f"rainbow path {vs} failed re-verification")
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

@@ -159,8 +159,9 @@ def verify_witness(
     raise InexactWitness or WitnessFailure (with the offending embedding)
     otherwise."""
     if not coloring.exact:
-        used = len(coloring.used_colors)
-        raise InexactWitness(f"witness must use all {coloring.k} colors, found {used}")
+        raise InexactWitness(
+            f"witness must use all {coloring.k} colors, found {coloring.used}"
+        )
     if coloring.n >= 5:
         rainbow = find_rainbow_path(coloring, 4)
         if rainbow is not None:

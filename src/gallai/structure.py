@@ -17,11 +17,12 @@ renumbering colors, into at least one of six shapes:
 
 ``classify_p5free`` evaluates every shape on every call and reports which
 shapes hold, not where they hold.  Each predicate is a yes-or-no test that
-runs its cheapest exact disqualifier first, on the number of colors used or
-a few entries of the flat color tuple, and only then reads the color
+runs its cheapest exact disqualifiers first, on the number of colors used
+(``c.used``, counted when the coloring was built), the sorted class sizes
+or a few entries of the flat color tuple, and only then reads the color
 profile ``{color: (edge count, touched-vertex mask)}`` or the per-color
-adjacency masks ``c.adj``.  The profile is built at most once per call, on
-its first read, and kept by no coloring:
+adjacency masks ``c.adj``.  The class sizes and the profile are each built
+at most once per call, on their first read, and kept by no coloring:
 
   - (a) holds exactly with three colors or fewer, and (d), (e) and (f)
     need exactly four, so with five colors or more those four fail on the
@@ -32,7 +33,10 @@ its first read, and kept by no coloring:
   - (c) reads no profile.  Its color can only be the color of edge 01 or
     of edge (n-2)(n-1): the C(n-1, 2) edges missing a vertex v include edge
     01 when v is not 0 or 1, and edge (n-2)(n-1) otherwise, since n >= 5;
-  - (e) needs two 2-edge classes on the same four vertices.
+  - with four colors, the class sizes come before the profile: (d) needs
+    two 1-edge classes, (e) two 2-edge classes, and (f) n = 5 with sizes
+    1, 3, 3, 3.  (e) then needs its two 2-edge classes on the same four
+    vertices.
 
 The combined answer is cross-checked against the rainbow detector.  A
 rainbow 4-edge path has four colors, so a host with fewer holds none and
@@ -45,8 +49,8 @@ non-isomorphic candidates, and it returns them as they are, keying none.
 ``enumerate_p5free`` keys the members and returns the key-sorted decode.
 The part graphs of case (b), on s <= 5 vertices, come from orbit marking
 (``_graphs_min_deg1``), which keys nothing; each call lists them once per
-part size.  Case (c) draws no block count larger than its apex edges left
-over allow once every other block has one.
+part size.  Case (c) lists its block counts directly, as the multisets
+of positive counts with the right total, and draws none it discards.
 
 ``p5free_classes`` validates its arguments, generates and guards on every
 call and keeps no table; ``check_n`` (``search``) keeps the one class cache.
@@ -63,7 +67,7 @@ from itertools import (
     product,
 )
 from operator import or_
-from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import sporadic
@@ -132,11 +136,10 @@ def classify_p4free(c: ColoredComplete) -> P4Report:
     TheoremViolation if neither shape applies yet no rainbow path exists."""
     if c.n < 4:
         raise ValueError(f"classification needs n >= 4, got n={c.n}")
-    used = c.used_colors
-    if len(used) <= 2:
+    if c.used <= 2:
         return P4Report(case="a", rainbow=None)
-    if c.n == 4 and len(used) == 3:
-        factors = [c.edges_in_color(col) for col in sorted(used)]
+    if c.n == 4 and c.used == 3:
+        factors = [c.edges_in_color(col) for col in sorted(c.used_colors)]
         if all(
             len(f) == 2 and len({v for e in f for v in e}) == 4 for f in factors
         ):
@@ -163,16 +166,22 @@ def _color_profile(c: ColoredComplete) -> dict[int, tuple[int, int]]:
 
 
 class _Host:
-    """A coloring as the case predicates read it: ``used``, the number of
-    colors it uses, and ``profile()``, its ``_color_profile``, built on the
-    first call and kept for this host only."""
+    """A coloring as the case predicates read it: ``sizes()``, its class
+    sizes in increasing order, and ``profile()``, its ``_color_profile``,
+    each built on the first call and kept for this host only."""
 
-    __slots__ = ("c", "used", "_profile")
+    __slots__ = ("c", "_sizes", "_profile")
 
     def __init__(self, c: ColoredComplete):
         self.c = c
-        self.used = len(set(c.colors))
+        self._sizes = None
         self._profile = None
+
+    def sizes(self) -> list[int]:
+        if self._sizes is None:
+            colors = self.c.colors
+            self._sizes = sorted(map(colors.count, set(colors)))
+        return self._sizes
 
     def profile(self) -> dict[int, tuple[int, int]]:
         if self._profile is None:
@@ -181,16 +190,16 @@ class _Host:
 
 
 def _case_a(h: _Host) -> bool:
-    return h.used <= 3
+    return h.c.used <= 3
 
 
 def _case_b(h: _Host) -> bool:
     # With two colors either one is dominant.  A vertex that sees three
     # colors is touched three times (``_has_dominant``); vertex 0's colors
     # are the first n - 1 edges'.
-    if h.used <= 2:
-        return h.used == 2
     c = h.c
+    if c.used <= 2:
+        return c.used == 2
     return len(set(c.colors[: c.n - 1])) < 3 and _has_dominant(h.profile())
 
 
@@ -228,7 +237,8 @@ def _case_c(h: _Host) -> bool:
 
 
 def _case_d(h: _Host) -> bool:
-    if h.used != 4:
+    # ab and ac are two 1-edge classes
+    if h.c.used != 4 or h.sizes()[1] != 1:
         return False
     c, profile = h.c, h.profile()
     singles = [col for col, (count, _) in profile.items() if count == 1]
@@ -248,7 +258,8 @@ def _case_d(h: _Host) -> bool:
 
 
 def _case_e(h: _Host) -> bool:
-    if h.used != 4:
+    # {ac, bd} and {ad, bc} are two 2-edge classes
+    if h.c.used != 4 or h.sizes().count(2) < 2:
         return False
     c, profile = h.c, h.profile()
     # Two classes must each be a perfect matching of the quad, so only a
@@ -287,12 +298,9 @@ def _case_f(h: _Host) -> bool:
     # see u, v and the edge of the other two in one color; the class sizes
     # 1, 3, 3, 3 then force the three colors apart.
     c = h.c
-    if c.n != 5 or h.used != 4:
+    if c.n != 5 or c.used != 4 or h.sizes() != [1, 3, 3, 3]:
         return False
-    profile = h.profile()
-    if sorted(count for count, _ in profile.values()) != [1, 3, 3, 3]:
-        return False
-    lone = next(touched for count, touched in profile.values() if count == 1)
+    lone = next(touched for count, touched in h.profile().values() if count == 1)
     u, v = (x for x in range(5) if lone >> x & 1)
     a, b, d = (x for x in range(5) if not lone >> x & 1)
     color = c.color_of
@@ -321,7 +329,7 @@ def classify_p5free(c: ColoredComplete) -> StructureReport:
     host = _Host(c)
     cases = frozenset([name for name, holds in _CASES if holds(host)])
     # a rainbow 4-edge path has four colors
-    rainbow = find_rainbow_path(c, 4) if host.used >= 4 else None
+    rainbow = find_rainbow_path(c, 4) if c.used >= 4 else None
     if bool(cases) == (rainbow is not None):
         raise TheoremViolation(
             f"cases {sorted(cases)} vs rainbow {rainbow} disagree on {c!r}"
@@ -380,17 +388,30 @@ def _candidates_case_b(n: int, k: int) -> Iterable[ColoredComplete]:
             yield ColoredComplete.constant(n, k, 1, special)
 
 
+def _spoke_counts(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every nondecreasing tuple of ``parts`` positive counts summing to
+    ``total``, in lexicographic order; ``total >= parts >= 1``.  An entry
+    that leaves too little for the later entries, each at least as large,
+    is never tried, so every tuple begun is completed."""
+
+    def grow(total: int, parts: int, least: int) -> Iterator[tuple[int, ...]]:
+        if parts == 1:
+            yield (total,)
+            return
+        for first in range(least, total // parts + 1):
+            for rest in grow(total - first, parts - 1, first):
+                yield (first, *rest)
+
+    return grow(total, parts, 1)
+
+
 def _candidates_case_c(n: int, k: int) -> Iterable[ColoredComplete]:
     """Monochromatic K_{n-1} in color 1 plus an apex; apex edge colors cover
     2..k, sorted into blocks.  With c1 apex edges in color 1, the k - 1
-    block counts are positive and sum to n - 1 - c1, so each is at most
-    n - 1 - c1 - (k - 2), its count when every other block has one; only
-    counts up to that bound are drawn.  With k > n no c1 is left."""
+    block counts are positive and sum to n - 1 - c1; they are chosen as a
+    multiset, listed by ``_spoke_counts``.  With k > n no c1 is left."""
     for c1 in range(n - k + 1):
-        total = n - 1 - c1
-        for rest in combinations_with_replacement(range(1, total - k + 3), k - 1):
-            if sum(rest) != total:
-                continue
+        for rest in _spoke_counts(n - 1 - c1, k - 1):
             spokes = [1] * c1
             for color, count in enumerate(rest, start=2):
                 spokes += [color] * count

@@ -473,6 +473,26 @@ class TestReverification:
             find_rainbow_path(c, 4)
         assert find_rainbow_path(self.HOST, 4).vertices == (0, 1, 2, 3, 4)
 
+    def test_long_path_raises(self, monkeypatch):
+        """A path of m + 2 vertices is no m-edge path, whether its m + 1
+        edges have m + 1 colors or m."""
+        monkeypatch.setattr(detectors, "_rainbow_path", lambda c, m: (0, 1, 2, 3, 4))
+        for c in (self.HOST, self.HOST.recolored(3, 4, self.HOST.color_of(0, 1))):
+            with pytest.raises(RuntimeError, match="failed re-verification"):
+                find_rainbow_path(c, 3)
+
+    def test_first_and_last_edge_colors_are_compared(self, monkeypatch):
+        """The walk reads every edge: the first and the last sharing a color
+        fail the re-check, in either direction of the path."""
+        c = self.HOST.recolored(3, 4, self.HOST.color_of(0, 1))
+        for path in ((0, 1, 2, 3, 4), (4, 3, 2, 1, 0)):
+            monkeypatch.setattr(detectors, "_rainbow_path", lambda c, m: path)
+            with pytest.raises(RuntimeError, match="failed re-verification"):
+                find_rainbow_path(c, 4)
+        monkeypatch.setattr(detectors, "_rainbow_path", lambda c, m: (0, 1, 2, 3))
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            find_rainbow_path(c.recolored(2, 3, c.color_of(0, 1)), 3)
+
     @pytest.mark.parametrize(
         "clique",
         [[0, 1, 2], [2, 3, 5], [-1, 2, 3], [2, 2, 3], [2, 3]],

@@ -92,9 +92,22 @@ class TestColoredComplete:
                 want[color][j] |= 1 << i
             assert ColoredComplete(n, k, colors).adj == tuple(map(tuple, want))
 
+    def test_used_counts_the_colors_on_edges(self):
+        """``used`` is the number of distinct edge colors, counted when the
+        coloring is built; n = 1 has no edges and uses none."""
+        rng = random.Random(29)
+        for _ in range(300):
+            n, k = rng.randint(1, 12), rng.randint(1, 8)
+            colors = [rng.randint(1, k) for _ in range(edge_count(n))]
+            c = ColoredComplete(n, k, colors)
+            assert c.used == len(set(colors)) == len(c.used_colors)
+            assert c.exact == (c.used == k)
+        assert ColoredComplete(1, 3, ()).used == 0
+        assert ColoredComplete.constant(6, 5, 4).recolored(0, 5, 2).used == 2
+
     def test_immutable(self):
         c = ColoredComplete.constant(4, 2, 1)
-        for name, value in (("n", 5), ("k", 3), ("colors", (2,) * 6), ("adj", ())):
+        for name, value in (("n", 5), ("k", 3), ("colors", (2,) * 6), ("adj", ()), ("used", 2)):
             with pytest.raises(AttributeError):
                 setattr(c, name, value)
         assert c == ColoredComplete.constant(4, 2, 1)

@@ -516,6 +516,89 @@ class TestCheapestTests:
         }
 
 
+def _sized(rng, n, sizes):
+    """A four-coloring of K_n whose classes 1..4 have the given sizes, the
+    edges placed at random."""
+    colors = [col for col, size in enumerate(sizes, start=1) for _ in range(size)]
+    rng.shuffle(colors)
+    return ColoredComplete(n, 4, colors)
+
+
+def _size_gate_hosts():
+    """Seeded four-color hosts on the edge of the class-size gates of (d),
+    (e) and (f), by label:
+
+    - "d": the (d) shape at n 5..9, whose colors 2 and 3 are lone edges,
+      and the same with one more edge put into color 2 or 3, leaving one
+      1-edge class; then random placements with two 1-edge classes against
+      one;
+    - "e": the (e) shape at n 5..9, with or without cd in the color of ab,
+      and the same with one more edge put into color 3 or 4; then random
+      placements with two 2-edge classes against one;
+    - "f": relabeled copies of the (f) template and random K5 placements
+      with sizes 1, 3, 3, 3, against the near misses 2, 2, 3, 3 and
+      1, 2, 3, 4 and the template with one edge recolored.
+
+    Every host is relabeled or placed at random, so vertex 0 often sees
+    three colors and (b) builds no profile."""
+    rng = random.Random(1443)
+    d_shape = {(0, 1): 2, (0, 2): 3, (1, 2): 4}
+    e_shape = {(0, 1): 2, (0, 2): 3, (1, 3): 3, (0, 3): 4, (1, 2): 4}
+    for n in range(5, 10):
+        m = edge_count(n)
+        for _ in range(30):
+            shape = {**d_shape, **dict.fromkeys([(0, v) for v in range(3, rng.randint(3, n))], 4)}
+            yield "d", _relabeled(rng, _with_special(n, 4, shape))
+            free = [e for e in pairs(n) if e not in shape]
+            shape[rng.choice(free)] = rng.choice((2, 3))
+            yield "d", _relabeled(rng, _with_special(n, 4, shape))
+            low = rng.randint(3, m - 5)
+            yield "d", _sized(rng, n, [1, 1, low, m - 2 - low])
+            yield "d", _sized(rng, n, [1, 2, low, m - 3 - low])
+        for _ in range(30):
+            shape = dict(e_shape)
+            if rng.random() < 0.5:
+                shape[2, 3] = 2
+            yield "e", _relabeled(rng, _with_special(n, 4, shape))
+            free = [e for e in pairs(n) if e not in shape]
+            shape[rng.choice(free)] = rng.choice((3, 4))
+            yield "e", _relabeled(rng, _with_special(n, 4, shape))
+            low = rng.randint(3, m - 7)
+            yield "e", _sized(rng, n, [2, 2, low, m - 4 - low])
+            yield "e", _sized(rng, n, [2, 3, low, m - 5 - low])
+    template = sporadic("TW-case-f")
+    for _ in range(40):
+        yield "f", _relabeled(rng, template)
+        yield "f", _relabeled(rng, template.recolored(*rng.sample(range(5), 2), rng.randint(1, 4)))
+        for sizes in ([1, 3, 3, 3], [2, 2, 3, 3], [1, 2, 3, 4]):
+            rng.shuffle(sizes)
+            yield "f", _sized(rng, 5, sizes)
+
+
+class TestSizeGates:
+    def test_gated_hosts_match_reference(self, monkeypatch):
+        """On every host of ``_size_gate_hosts`` the classifier holds a case
+        exactly when the edge-list reference finds a witness for it.  The
+        hosts, the hits and the color profiles built are pinned: a host that
+        fails its case's size test builds none, so a dropped gate raises the
+        count."""
+        built = []
+        profile = structure._color_profile
+        monkeypatch.setattr(structure, "_color_profile", lambda c: built.append(c) or profile(c))
+        hosts = Counter()
+        hits = Counter()
+        for label, c in _size_gate_hosts():
+            want = _reference_witnesses(c)
+            assert classify_p5free(c).cases == frozenset(want), (label, c)
+            hosts[label] += 1
+            hits.update(f"{label} {case}" for case in want)
+        assert hosts == {"d": 600, "e": 600, "f": 200}
+        assert hits == {"d d": 156, "d e": 3, "e e": 150, "f f": 49, "f a": 2}
+        # every gate in place: 1,079; with any one of them dropped, 1,169 or
+        # more
+        assert len(built) == 1079
+
+
 _RAINBOW_HOST = ColoredComplete(5, 10, tuple(range(1, 11)))
 _PATH4 = (
     "Embedding(kind='rainbow_path', vertices=(3, 1, 0, 2, 4), color=None, "
@@ -835,6 +918,26 @@ class TestClassPartition:
                 assert list(structure._candidates_case_c(n, k)) == list(_reference_case_c(n, k))
         counts = [sum(1 for gen in _GENERATORS for _ in gen(10, k)) for k in range(4, 13)]
         assert counts == [304, 31, 13, 7, 4, 2, 1, 0, 0]
+
+    def test_spoke_counts_draw_nothing_to_discard(self, monkeypatch):
+        """Case (c) lists its spoke counts directly: over the census it draws
+        91 tuples, one per candidate, each k - 1 positive counts in
+        nondecreasing order summing to the apex edges left over."""
+        drawn = []
+        spoke_counts = structure._spoke_counts
+
+        def listed(total, parts):
+            for rest in spoke_counts(total, parts):
+                assert len(rest) == parts and sum(rest) == total
+                assert list(rest) == sorted(rest) and rest[0] >= 1
+                drawn.append(rest)
+                yield rest
+
+        monkeypatch.setattr(structure, "_spoke_counts", listed)
+        candidates = sum(
+            1 for n in range(5, 10) for k in range(4, 13) for _ in structure._candidates_case_c(n, k)
+        )
+        assert len(drawn) == candidates == 91
 
     def test_member_colorings_pinned(self):
         """The member colorings themselves, in generation order, over the
