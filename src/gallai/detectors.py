@@ -8,7 +8,10 @@ edges (m + 1 distinct vertices inside the host, m distinct edge colors), a
 monochromatic copy by ``_checked`` in one pass over the target's edge list,
 built once per target (as many vertices as the target has, distinct and
 inside the host, every edge in the one color).  A failure raises
-RuntimeError, an internal error.
+RuntimeError, an internal error.  ``_checked`` is ``mono_copy_at`` plus
+that error: ``mono_copy_at`` makes the same check and returns None on a
+miss, stopping at the first edge off the color, and ``search.check_n``
+calls it to try a class on the vertices of a copy found in another.
 
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
@@ -118,8 +121,9 @@ before the twin rules, visit a few hundred nodes, and
 The twins are built once per host and color, and only when a branch or a
 centre first fails.  The matching search for r = 1 never backtracks, and
 most searches never fail a branch: every search pass of the benchmark
-(seed 11), the first included, makes 804 searches and builds 84 twin
-tables.  A certify pass makes 580 searches and builds 53 twin tables once
+(seed 11), the first included, makes 392 searches and builds 60 twin
+tables (804 and 84 before ``check_n`` tried each class on the last copy it
+found).  A certify pass makes 580 searches and builds 53 twin tables once
 the construction table is warm, and the first pass of a process, which
 also runs the self-checks of the r35 block, 584 and 57.
 Building the table for every search made the search workload's five S4^1
@@ -178,28 +182,49 @@ class Embedding(NamedTuple):
         }
 
 
+def mono_copy_at(
+    c: ColoredComplete,
+    vs: Sequence[int],
+    order: int,
+    pattern: tuple,
+    color: int | None = None,
+) -> Embedding | None:
+    """The monochromatic copy of ``pattern``, the edge list of a target on
+    vertices 0..order-1, at host vertices vs, checked in one pass over
+    c.colors (indexed as ``graphs.edge_index`` does, inline), or None: vs
+    must be order distinct vertices of c, and every edge in one color,
+    ``color`` when it is given.  An edgeless pattern is a copy on any order
+    distinct vertices, in ``color``, or in color 1 when none is given."""
+    n, colors = c.n, c.colors
+    vs = tuple(vs)
+    if not (len(vs) == order == len(set(vs)) and min(vs) >= 0 and max(vs) < n):
+        return None
+    edges = []
+    for i, j in pattern:
+        u, w = vs[i], vs[j]
+        if u > w:
+            u, w = w, u
+        hue = colors[u * n - u * (u + 1) // 2 + w - u - 1]
+        if hue != color:
+            if color is not None:
+                return None
+            # the first edge fixes the color
+            color = hue
+        edges.append((u, w))
+    return Embedding(MONO_COPY, vs, 1 if color is None else color, tuple(edges))
+
+
 def _checked(
     c: ColoredComplete, vs: Sequence[int], order: int, pattern: tuple, color: int
 ) -> Embedding:
-    """The monochromatic copy of ``pattern``, the edge list of a target on
-    vertices 0..order-1, at host vertices vs, re-checked in one pass over
-    c.colors (indexed as ``graphs.edge_index`` does, inline): vs must be
-    order distinct vertices of c, and every edge in ``color``; RuntimeError
-    otherwise."""
-    n, colors = c.n, c.colors
-    vs = tuple(vs)
-    if len(vs) == order == len(set(vs)) and min(vs) >= 0 and max(vs) < n:
-        edges = []
-        seen = 0
-        for i, j in pattern:
-            u, w = vs[i], vs[j]
-            if u > w:
-                u, w = w, u
-            edges.append((u, w))
-            seen |= 1 << colors[u * n - u * (u + 1) // 2 + w - u - 1]
-        if not seen & ~(1 << color):
-            return Embedding(MONO_COPY, vs, color, tuple(edges))
-    raise RuntimeError(f"monochromatic copy {vs} in color {color} failed re-verification")
+    """The copy a search found, re-checked by ``mono_copy_at`` in ``color``;
+    RuntimeError when it is none."""
+    found = mono_copy_at(c, vs, order, pattern, color)
+    if found is None:
+        raise RuntimeError(
+            f"monochromatic copy {tuple(vs)} in color {color} failed re-verification"
+        )
+    return found
 
 
 def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:

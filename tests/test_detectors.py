@@ -13,12 +13,15 @@ import pytest
 from gallai import detectors, structure
 from gallai.constructions import BUILDERS, blowup, build_named, construction_grid
 from gallai.detectors import (
+    MONO_COPY,
+    Embedding,
     _matching_with_pairs,
     find_mono_copy_generic,
     _rainbow_path,
     find_mono_copy,
     find_mono_copy_in_color,
     find_rainbow_path,
+    mono_copy_at,
 )
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -28,9 +31,12 @@ from gallai.graphs import (
     TargetGraph,
     edge_count,
     find_clique,
+    parse_hspec,
 )
 from gallai.search import _has_rainbow_p5_direct
-from gallai.structure import enumerate_p5free
+from gallai.structure import enumerate_p5free, p5free_classes
+
+C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
 
 
 def _random_coloring(rng, n_min=2, n_max=8, k_max=6):
@@ -522,6 +528,83 @@ class TestReverification:
         c = ColoredComplete.constant(5, 1)
         with pytest.raises(RuntimeError, match="failed re-verification"):
             detectors._checked(c, vs, H.order, H.edges(), 1)
+
+
+def _reference_copy_at(c, vs, H):
+    """Reference: vs are H.order distinct vertices of c and every edge of H
+    maps to one color, read by ``color_of``."""
+    if len(vs) != H.order or len(set(vs)) != len(vs) or not all(0 <= v < c.n for v in vs):
+        return False
+    return len({c.color_of(vs[i], vs[j]) for i, j in H.edges()}) <= 1
+
+
+class TestMonoCopyAt:
+    """``mono_copy_at``, the re-check behind ``_checked`` that returns None on
+    a miss; ``check_n`` tries each class on the last copy it found."""
+
+    K3 = TargetGraph.complete(3)
+
+    def test_hit_in_each_color(self):
+        for color in range(1, 5):
+            c = ColoredComplete.constant(6, 4, color)
+            want = Embedding(MONO_COPY, (0, 2, 5), color, ((0, 2), (0, 5), (2, 5)))
+            assert mono_copy_at(c, [0, 2, 5], 3, self.K3.edges()) == want
+            assert mono_copy_at(c, (0, 2, 5), 3, self.K3.edges(), color) == want
+            other = color % 4 + 1
+            assert mono_copy_at(c, (0, 2, 5), 3, self.K3.edges(), other) is None
+
+    def test_miss_when_two_edges_differ(self):
+        c = ColoredComplete.constant(5, 2, 1).recolored(1, 2, 2)
+        for color in (None, 1, 2):
+            assert mono_copy_at(c, (0, 1, 2), 3, self.K3.edges(), color) is None
+        assert mono_copy_at(c, (0, 1, 3), 3, self.K3.edges()).color == 1
+
+    @pytest.mark.parametrize(
+        "vs",
+        [(0, 1, 1), (0, 1, 5), (-1, 0, 1), (0, 1), (0, 1, 2, 3)],
+        ids=["repeated-vertex", "vertex-outside-host", "negative-vertex", "short", "long"],
+    )
+    def test_bad_vertex_tuple_is_a_miss(self, vs):
+        c = ColoredComplete.constant(5, 1)
+        assert mono_copy_at(c, vs, 3, self.K3.edges()) is None
+        with pytest.raises(RuntimeError, match="failed re-verification"):
+            detectors._checked(c, vs, 3, self.K3.edges(), 1)
+
+    def test_edgeless_target(self):
+        H = TargetGraph.arbitrary(3, [])
+        c = ColoredComplete(4, 6, tuple(range(1, 7)))
+        assert mono_copy_at(c, (3, 0, 2), 3, H.edges()) == Embedding(MONO_COPY, (3, 0, 2), 1, ())
+        assert mono_copy_at(c, (3, 0, 2), 3, H.edges(), 5).color == 5
+        assert mono_copy_at(c, (3, 0, 3), 3, H.edges()) is None
+        assert mono_copy_at(c, (3, 0, 4), 3, H.edges()) is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["S4^1", "S5^1", "K5", "PA6,5", "K6-M", C5],
+        ids=["S4^1", "S5^1", "K5", "PA6,5", "K6-M", "C5"],
+    )
+    def test_agrees_with_checked_on_class_tables(self, spec):
+        """Every embedding ``find_mono_copy`` returns over the classes at
+        (9, 4), (8, 4) and (9, 5) passes in its own color and in the one its
+        edges read, equal to ``_checked``'s; and on the next class, as
+        ``check_n`` tries it, it is a copy exactly when the reference says."""
+        H = parse_hspec(spec)
+        found = hits = 0
+        for n, k in ((9, 4), (8, 4), (9, 5)):
+            classes = p5free_classes(n, k)
+            for c, after in zip(classes, classes[1:] + classes[:1]):
+                e = find_mono_copy(c, H)
+                if e is None:
+                    continue
+                found += 1
+                checked = detectors._checked(c, e.vertices, H.order, H.edges(), e.color)
+                assert checked == e
+                assert mono_copy_at(c, e.vertices, H.order, H.edges(), e.color) == e
+                assert mono_copy_at(c, e.vertices, H.order, H.edges()) == e
+                again = mono_copy_at(after, e.vertices, H.order, H.edges())
+                assert (again is not None) == _reference_copy_at(after, e.vertices, H)
+                hits += again is not None
+        assert found > 0 and 0 < hits < found
 
 
 def _matching_sizes(c, color, allowed=None):

@@ -203,10 +203,7 @@ class TestCheckN:
         bad_keys = [
             canonical_form(c)
             for c in enumerate_p5free(5, 4)
-            if __import__("gallai.detectors", fromlist=["find_mono_copy"]).find_mono_copy(
-                c, parse_hspec("S4^1")
-            )
-            is None
+            if find_mono_copy(c, parse_hspec("S4^1")) is None
         ]
         assert canonical_form(out1.witness.coloring) == min(bad_keys)
 
@@ -239,6 +236,65 @@ class TestCheckN:
     def test_rejects_k_up_to_three(self):
         with pytest.raises(ValueError):
             check_n(parse_hspec("S4^1"), 3, 6)
+
+    @staticmethod
+    def _searches(monkeypatch):
+        """The list that every ``find_mono_copy`` call of ``check_n`` appends
+        its host to."""
+        hosts = []
+        real = gallai.search.find_mono_copy
+        monkeypatch.setattr(
+            gallai.search, "find_mono_copy", lambda c, H: hosts.append(c) or real(c, H)
+        )
+        return hosts
+
+    def test_edgeless_target_is_searched_once(self, monkeypatch):
+        """An edgeless target lies on any t distinct vertices: the first
+        class's copy is a copy in every later class."""
+        hosts = self._searches(monkeypatch)
+        for n, k in ((9, 4), (6, 5), (4, 4)):
+            out = check_n(parse_hspec('{"order":3,"edges":[]}'), k, n)
+            assert out.status == STATUS_ALL_GOOD
+            assert out.examined == len(_class_table(n, k))
+            assert hosts == [next(iter(_class_table(n, k)))]
+            hosts.clear()
+
+    def test_target_above_the_order_searches_every_class(self, monkeypatch):
+        """With no copy found there is no copy to try first: every class is
+        searched, every class is bad, and the witness is the least key.  The
+        target's edge list is never built, as it would be for nothing: for
+        a target like K100000 it would not fit in memory."""
+        hosts = self._searches(monkeypatch)
+        for spec, n, k in (("K7", 6, 4), ("S10^1", 9, 5), ("K12", 9, 4), ("K5", 4, 4)):
+            H = parse_hspec(spec)
+            out = check_n(H, k, n)
+            table = _class_table(n, k)
+            assert out.status == STATUS_BAD
+            assert hosts == list(table)
+            assert canonical_form(out.witness.coloring) == min(map(canonical_form, table))
+            assert "_edges" not in vars(H)
+            hosts.clear()
+
+    def test_searches_per_check_are_pinned(self, monkeypatch):
+        """On a warm table, the seven ``check --n 9`` queries of the search
+        workload make these ``find_mono_copy`` calls each; trying every class
+        on the last copy found first, 120 in all where searching every class
+        made 417 (79 at k = 4, 15 at k = 5, 7 at k = 6).  Each bad class is
+        still searched."""
+        queries = [
+            ("S5^1", 4), ("K5", 4), ("PA6,5", 4), ("K6-M", 4), (C5, 4), ("S4^1", 5), ("S4^1", 6),
+        ]
+        for spec, k in queries:
+            check_n(parse_hspec(spec), k, 9)
+        hosts = self._searches(monkeypatch)
+        counts, bad = [], []
+        for spec, k in queries:
+            check_n(parse_hspec(spec), k, 9)
+            counts.append(len(hosts))
+            bad.append(sum(find_mono_copy(c, parse_hspec(spec)) is None for c in hosts))
+            hosts.clear()
+        assert counts == [7, 48, 46, 7, 10, 1, 1]
+        assert bad == [0, 23, 24, 0, 0, 0, 0]
 
 
 class TestComputeGr:

@@ -846,7 +846,7 @@ _GENERATORS = (
 _MEMBER_SHA256 = "a2fa319225b49a57a2c28af45b5e6826b7c2b816f5e87dc4fbea4be45a91349f"
 
 
-def _reference_case_b(n, k):
+def _reference_candidates_b(n, k):
     """Case (b) as first written: the part graphs listed anew for every run
     of equal part sizes in every size tuple."""
     groups = k - 1
@@ -869,7 +869,7 @@ def _reference_case_b(n, k):
             yield ColoredComplete.constant(n, k, 1, special)
 
 
-def _reference_case_c(n, k):
+def _reference_candidates_c(n, k):
     """Case (c) as first written: every multiset of k - 1 block counts from
     1..n - 1, kept when the counts sum to the apex edges left over."""
     for c1 in range(n - k + 1):
@@ -914,8 +914,11 @@ class TestClassPartition:
         k = 4..12.  Nothing is keyed."""
         for n in range(5, 11):
             for k in range(4, 13):
-                assert list(structure._candidates_case_b(n, k)) == list(_reference_case_b(n, k))
-                assert list(structure._candidates_case_c(n, k)) == list(_reference_case_c(n, k))
+                for generated, reference in (
+                    (structure._candidates_case_b, _reference_candidates_b),
+                    (structure._candidates_case_c, _reference_candidates_c),
+                ):
+                    assert list(generated(n, k)) == list(reference(n, k))
         counts = [sum(1 for gen in _GENERATORS for _ in gen(10, k)) for k in range(4, 13)]
         assert counts == [304, 31, 13, 7, 4, 2, 1, 0, 0]
 
