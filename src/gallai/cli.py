@@ -5,19 +5,13 @@ negative or unavailable (bad order, inconclusive search, failed verification,
 no known construction, unknown value), 2 on usage errors (including an
 unknown construction name, missing, extra or repeated parameters, a
 parameter outside the builder's domain, a ``--param`` without
-``--construction``, a ``--threads`` count below 1, or a coloring order beyond
-``MAX_COLORING_ORDER``) and when stdout is closed before the output
-is written (a pipe into ``head``, say), which ends the run without a
-traceback.  3 is an internal error: a failed invariant
-(``TheoremViolation``, ``FormulaInconsistency``, an embedding that fails
-re-verification) or any other unexpected exception, reported as one
-``internal error:`` line on stderr.  It is never a negative answer.
-``selftest`` reports a failed invariant as a FAIL line and exits 1.
-
-``check``, ``search`` and ``enumerate`` take ``--threads``.  ``main`` checks
-that count before it runs one of them, and the count changes nothing else:
-all work runs in the calling thread.  No command reads a thread count from
-the environment.
+``--construction``, or a coloring order beyond ``MAX_COLORING_ORDER``) and
+when stdout is closed before the output is written (a pipe into ``head``,
+say), which ends the run without a traceback.  3 is an internal error: a
+failed invariant (``TheoremViolation``, ``FormulaInconsistency``, an
+embedding that fails re-verification) or any other unexpected exception,
+reported as one ``internal error:`` line on stderr.  It is never a negative
+answer.  ``selftest`` reports a failed invariant as a FAIL line and exits 1.
 
 The argument parser is built once per process and shared by every ``main``
 call, so a caller that runs many commands in one process (a test suite, the
@@ -74,7 +68,6 @@ from gallai.structure import (
     classify_p5free,
     enumerate_p5free,
     p5free_classes,
-    resolve_threads,
 )
 
 EXIT_OK = 0
@@ -352,14 +345,12 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p.add_argument("--H", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("search", help="pin the exact threshold by downward scan")
     p.add_argument("--H", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("classify", help="structure cases of a coloring (JSON on stdin)")
@@ -370,7 +361,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     p = sub.add_parser("enumerate", help="stream rainbow-path-free classes, one JSON per line")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--threads", type=int, default=None)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="replay a certificate JSON")
@@ -426,8 +416,6 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        if "threads" in args:
-            resolve_threads(args.threads)
         code = args.fn(args)
         sys.stdout.flush()
         return code

@@ -92,16 +92,11 @@ class TheoremViolation(RuntimeError):
     bug in a predicate or detector, never a property of the input."""
 
 
-def resolve_threads(explicit: int | None = None) -> int:
-    """The explicit count, refused below 1, else the CPU count; no
-    environment variable is read.  All work runs in the calling thread, so
-    the count changes nothing: no library function takes one, and the CLI
-    checks its ``--threads`` flag here before it runs a command."""
-    if explicit is None:
-        return os.cpu_count() or 1
-    if explicit < 1:
-        raise ValueError(f"thread count must be >= 1, got {explicit}")
-    return explicit
+def resolve_threads() -> int:
+    """The CPU count, for the ``# env`` line of ``perfbench/run.py``, its
+    only reader.  No command or library function takes a thread count or
+    reads one from the environment: all work runs in the calling thread."""
+    return os.cpu_count() or 1
 
 
 def parallel_map(

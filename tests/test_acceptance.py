@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import io
-import json
 import random
+import re
 import time
 from importlib import resources
 
@@ -22,7 +22,7 @@ from gallai.constructions import build_named, construction_grid, r35_witness
 from gallai.detectors import find_mono_copy_in_color, find_rainbow_path
 from gallai.formulas import evaluate
 from gallai.graphs import ColoredComplete, TargetGraph, parse_hspec, render_hspec
-from gallai.search import compute_gr, rainbow_p5free_classes, verify_witness
+from gallai.search import _class_table, compute_gr, rainbow_p5free_classes, verify_witness
 from gallai.structure import classify_p4free, classify_p5free, enumerate_p5free
 
 
@@ -201,23 +201,28 @@ def _cli(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def test_criterion_8_thread_count_independence(report):
-    """check and enumerate print the same output with --threads 1 as with
-    the default count (the check's elapsed_ms masked)."""
+def test_criterion_8_thread_count_independence(report, monkeypatch):
+    """Run independence: check and enumerate print the same bytes on a cold
+    class table, on a warm one, and with GALLAI_THREADS set to a value no
+    thread count could have (the check's elapsed_ms masked)."""
+
+    def outputs(n: int, k: int) -> tuple[tuple[int, str], tuple[int, str]]:
+        code, out = _cli("check", "--H", "S4^1", "--k", str(k), "--n", str(n))
+        masked = re.sub(r'"elapsed_ms":\d+', '"elapsed_ms":0', out)
+        return (code, masked), _cli("enumerate", "--n", str(n), "--k", str(k))
+
+    monkeypatch.delenv("GALLAI_THREADS", raising=False)
     for n, k in ((5, 4), (5, 5)):
-        check = ("check", "--H", "S4^1", "--k", str(k), "--n", str(n))
-        reports = []
-        for argv in (check, check + ("--threads", "1")):
-            code, out = _cli(*argv)
-            doc = json.loads(out)
-            doc.pop("elapsed_ms")
-            reports.append((code, doc))
-        assert reports[0] == reports[1], (n, k)
-        enum = ("enumerate", "--n", str(n), "--k", str(k))
-        streams = [_cli(*enum), _cli(*enum, "--threads", "1")]
-        assert streams[0] == streams[1], (n, k)
-        assert streams[0][1].count("\n") == len(enumerate_p5free(n, k)), (n, k)
+        _class_table.cache_clear()
+        cold = outputs(n, k)
+        warm = outputs(n, k)
+        monkeypatch.setenv("GALLAI_THREADS", "abc")
+        with_env = outputs(n, k)
+        monkeypatch.delenv("GALLAI_THREADS")
+        assert cold == warm == with_env, (n, k)
+        assert cold[1][1].count("\n") == len(enumerate_p5free(n, k)), (n, k)
     report(
-        "PASS criterion 8: check and enumerate outputs identical for "
-        "--threads 1 vs default on both oracle instances"
+        "PASS criterion 8: run independence, check and enumerate outputs "
+        "identical on a cold class table, a warm one and with "
+        "GALLAI_THREADS=abc, on both oracle instances"
     )

@@ -108,10 +108,12 @@ def _top_level_definitions(tree: ast.Module):
 
 def test_every_top_level_name_has_a_reader():
     """Every top-level function, class and constant of the package is named
-    elsewhere in the package, exported, or bound by the benchmark's tracer."""
-    from test_bench_targets import TRACER
+    elsewhere in the package, exported, bound by the benchmark's tracer, or
+    imported by a benchmark script."""
+    from test_bench_targets import BENCH_IMPORTS, TRACER
 
     traced = {attr for _, attr, _, _ in TRACER.TARGETS}
+    bench_read = {f"{module.removeprefix('gallai.')}.{name}" for module, name in BENCH_IMPORTS}
     exported = set(gallai.__all__)
     paths = sorted(PACKAGE.glob("*.py"))
     trees = [ast.parse(path.read_text()) for path in paths]
@@ -123,6 +125,7 @@ def test_every_top_level_name_has_a_reader():
         if not (name.startswith("__") and name.endswith("__"))
         and name not in exported
         and name not in traced
+        and f"{path.stem}.{name}" not in bench_read
         and everywhere[name] == _names_read(definition)[name]
     ]
     assert not dead, f"top-level names nothing reads: {dead}"

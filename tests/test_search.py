@@ -339,9 +339,10 @@ class TestCheckNOutputs:
     def test_outputs_byte_identical(self):
         """Status, examined count and witness JSON for six targets at
         k = 4..6 and n = 2..9 (K4 at n <= 4) hash to the digest recorded when
-        every class was keyed and decoded.  That digest was recorded with a
-        check at 1 and at 8 threads per case, so each row is hashed twice,
-        with the thread column it was recorded with."""
+        every class was keyed and decoded.  Each row is hashed twice, with
+        the literals 1 and 8 in its ``threads`` column: no call takes a
+        thread count, and the literals are kept so the recorded digest
+        holds."""
         cases = [
             (spec, k, n)
             for spec in ("S4^1", "S5^1", "K5", "PA6,5", "K6-M", C5)
@@ -541,7 +542,6 @@ class TestClassTables:
                 check_n(parse_hspec("S4^1"), 13, 6)
         after = _class_table.cache_info()
         assert (after.hits, after.currsize) == (info.hits, info.currsize)
-        # the thread count is the CLI's to check; the table does not read it
         monkeypatch.setenv("GALLAI_THREADS", "zero")
         assert check_n(parse_hspec("S4^1"), 5, 6) == want
         after = _class_table.cache_info()
@@ -569,7 +569,7 @@ class TestClassTables:
 
 class TestNoThreadCount:
     """The library takes no thread count and reads no ``GALLAI_THREADS``;
-    only the CLI checks them (``test_cli.py``)."""
+    nor does any command (``test_cli.py``)."""
 
     @pytest.mark.parametrize(
         "fn", [check_n, compute_gr, p5free_classes, enumerate_p5free], ids=lambda fn: fn.__name__
@@ -578,7 +578,7 @@ class TestNoThreadCount:
         assert "threads" not in inspect.signature(fn).parameters
 
     def test_thread_environment_changes_nothing(self, monkeypatch):
-        """A value the CLI refuses reaches no library function: each
+        """With a value no thread count could have, each library function
         returns what it returns without the variable."""
         H = parse_hspec("S4^1")
         calls = (

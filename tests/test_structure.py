@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import random
 from collections import Counter
 from itertools import combinations, combinations_with_replacement, groupby, permutations, product
@@ -31,7 +30,6 @@ from gallai.structure import (
     enumerate_p5free,
     p5free_classes,
     parallel_map,
-    resolve_threads,
 )
 
 
@@ -992,17 +990,6 @@ class TestClassTable:
 
 
 class TestParallelHelpers:
-    def test_resolve_threads_explicit_wins(self, monkeypatch):
-        """The explicit count, else the CPU count; the environment is not
-        read."""
-        monkeypatch.setenv("GALLAI_THREADS", "3")
-        assert resolve_threads(2) == 2
-        assert resolve_threads(None) == (os.cpu_count() or 1)
-
-    def test_resolve_threads_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            resolve_threads(0)
-
     def test_helpers_are_not_exported(self):
         assert not {"parallel_map", "resolve_threads"} & set(gallai.__all__)
         assert not hasattr(gallai, "parallel_map") and not hasattr(gallai, "resolve_threads")
