@@ -5,13 +5,21 @@ ascending vertex order, colors in ascending order, and the first embedding
 found is returned.  Every embedding they return is re-checked first,
 reading the host's flat color tuple: a rainbow path in one walk along its m
 edges (m + 1 distinct vertices inside the host, m distinct edge colors), a
-monochromatic copy by ``_checked`` in one pass over the target's edge list,
-built once per target (as many vertices as the target has, distinct and
-inside the host, every edge in the one color).  A failure raises
-RuntimeError, an internal error.  ``_checked`` is ``mono_copy_at`` plus
-that error: ``mono_copy_at`` makes the same check and returns None on a
+monochromatic copy by ``mono_copy_at`` in one pass over the target's edge
+list, built once per target (as many vertices as the target has, distinct
+and inside the host, every edge in the one color).  A failure raises
+RuntimeError, an internal error.  ``mono_copy_at`` itself returns None on a
 miss, stopping at the first edge off the color, and ``search.check_n``
 calls it to try a class on the vertices of a copy found in another.
+
+Every monochromatic search starts and ends in ``_search_color``, behind
+the entry ``find_mono_copy_in_color``, which picks the search of the
+target's family, and ``find_mono_copy_generic``, which runs the generic
+search for any family.  It checks the color and the target's order once,
+builds the color class's one ``graphs.SearchState``, runs the search, a
+function of that state and the target that returns host vertices or None,
+and re-checks the vertices with ``mono_copy_at``.  The searches read the
+class only from the state, so its twins are always the class's own.
 
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
@@ -122,16 +130,17 @@ The twins are built once per host and color, and only when a branch or a
 centre first fails.  The matching search for r = 1 never backtracks, and
 most searches never fail a branch: every search pass of the benchmark
 (seed 11), the first included, makes 392 searches and builds 60 twin
-tables (804 and 84 before ``check_n`` tried each class on the last copy it
-found).  A certify pass makes 580 searches and builds 53 twin tables once
-the construction table is warm, and the first pass of a process, which
-also runs the self-checks of the r35 block, 584 and 57.
+tables; they visit 814 nodes, at most 13 in one search.  A certify pass
+makes 580 searches and builds 53 twin tables once the construction table
+is warm, and the first pass of a process, which also runs the self-checks
+of the r35 block, 584 and 57.
 Building the table for every search made the search workload's five S4^1
 and S5^1 jobs about 11 % slower together.
 
 The three searches count the nodes they visit in one color class against
-one budget, held with the twins by a ``graphs.SearchState``: each node
-calls ``SearchState.visit``, which spends it.  Past
+one budget, held with the twins by the entry's ``graphs.SearchState``: each
+node calls ``SearchState.visit``, which spends it, and the centres of one
+S_t^r or PA_{t,omega} search spend it together.  Past
 ``graphs.MAX_SEARCH_NODES`` they raise UnsupportedSizeError, so a host that
 twins do not simplify, for instance a random bipartite graph in one color
 checked for an odd cycle, or a random coloring of K600 checked for K14, is
@@ -140,7 +149,7 @@ refused (exit code 2) within seconds, never answered negatively.
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -212,19 +221,6 @@ def mono_copy_at(
             color = hue
         edges.append((u, w))
     return Embedding(MONO_COPY, vs, 1 if color is None else color, tuple(edges))
-
-
-def _checked(
-    c: ColoredComplete, vs: Sequence[int], order: int, pattern: tuple, color: int
-) -> Embedding:
-    """The copy a search found, re-checked by ``mono_copy_at`` in ``color``;
-    RuntimeError when it is none."""
-    found = mono_copy_at(c, vs, order, pattern, color)
-    if found is None:
-        raise RuntimeError(
-            f"monochromatic copy {tuple(vs)} in color {color} failed re-verification"
-        )
-    return found
 
 
 def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
@@ -437,18 +433,17 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _matching_with_pairs(
-    masks: Sequence[int], allowed: int, r: int, state: SearchState
-) -> list[int] | None:
+def _matching_with_pairs(state: SearchState, allowed: int, r: int) -> list[int] | None:
     """A matching of exactly r edges inside the vertex set ``allowed`` of the
-    graph given by neighbor bitmasks, found by exact branching, as the ends
-    u1, w1, u2, w2, ... of its edges; or None.  A partner w that fails takes
-    its twins with it, and so does the vertex u when it is left unmatched
-    (module docstring).  ``state`` holds the twins and the node budget; the
-    calls for one color class share it."""
+    graph ``state.masks``, found by exact branching, as the ends u1, w1, u2,
+    w2, ... of its edges; or None.  A partner w that fails takes its twins
+    with it, and so does the vertex u when it is left unmatched (module
+    docstring).  ``state`` holds the twins and the node budget; the calls
+    for one color class share it."""
     state.visit()
     if r == 0:
         return []
+    masks = state.masks
     a = allowed
     while a:
         u = (a & -a).bit_length() - 1
@@ -460,12 +455,12 @@ def _matching_with_pairs(
     cand = masks[u] & allowed
     while cand:
         w = (cand & -cand).bit_length() - 1
-        rest = _matching_with_pairs(masks, allowed & ~(1 << u) & ~(1 << w), r - 1, state)
+        rest = _matching_with_pairs(state, allowed & ~(1 << u) & ~(1 << w), r - 1)
         if rest is not None:
             return [u, w] + rest
         cand &= ~state.twins(w)
     # leave u unmatched, and its twins with it
-    return _matching_with_pairs(masks, allowed & ~state.twins(u), r, state)
+    return _matching_with_pairs(state, allowed & ~state.twins(u), r)
 
 
 def _degree_at_least(masks: Sequence[int], d: int) -> int:
@@ -477,25 +472,19 @@ def _degree_at_least(masks: Sequence[int], d: int) -> int:
     return found
 
 
-def find_mono_copy_generic(
-    c: ColoredComplete, H: TargetGraph, color: int
-) -> Embedding | None:
-    """Backtracking embedding of H into one color class, highest-degree
-    target vertices first.  The first position takes only host vertices of
-    at least its degree, and a host vertex that fails at a position takes
-    its twins with it (module docstring).  Works for every family; the tests
-    check it and the fast paths against a search over every injective vertex
-    map."""
+def _generic(state: SearchState, H: TargetGraph) -> list[int] | None:
+    """Backtracking embedding of H into the color class ``state.masks``,
+    highest-degree target vertices first: the host image of each target
+    vertex, or None.  The first position takes only host vertices of at
+    least its degree, and a host vertex that fails at a position takes its
+    twins with it (module docstring).  Works for every family."""
     t = H.order
-    if t > c.n:
-        return None
     hmasks = H.adjacency_masks()
     order = sorted(range(t), key=lambda v: (-hmasks[v].bit_count(), v))
-    cmasks = c.adj[color]
+    cmasks = state.masks
     assign = [-1] * t
-    full = (1 << c.n) - 1
+    full = (1 << len(cmasks)) - 1
     roots = _degree_at_least(cmasks, hmasks[order[0]].bit_count())
-    state = SearchState(cmasks)
 
     def rec(pos: int, used: int) -> bool:
         state.visit()
@@ -519,64 +508,88 @@ def find_mono_copy_generic(
         assign[hv] = -1
         return False
 
-    if rec(0, 0):
-        return _checked(c, assign, H.order, H.edges(), color)
-    return None
+    return assign if rec(0, 0) else None
 
 
-def _find_centered(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
+def _centered(state: SearchState, H: TargetGraph) -> list[int] | None:
     """S_t^r or PA_{t,omega}: the lowest centre v with t - 1 neighbours in
-    ``color`` among which the inner search finds the inner pattern: r
-    independent edges by the matching search, or a clique of order
-    omega - 1 by ``find_clique``.  Target vertex 0 goes to v, the next ones
-    to the inner pattern's vertices in the order found, the rest to v's
-    lowest remaining neighbours.  A centre whose inner search fails takes
-    its twins with it, and for PA_{t,omega} it leaves every later clique
-    search too (module docstring).  Every centre's search shares one state,
-    so the twins are built at most once per color class."""
-    masks = c.adj[color]
+    the color class ``state.masks`` among which the inner search finds the
+    inner pattern: r independent edges by the matching search, or a clique
+    of order omega - 1 by ``find_clique``.  Target vertex 0 goes to v, the
+    next ones to the inner pattern's vertices in the order found, the rest
+    to v's lowest remaining neighbours.  A centre whose inner search fails
+    takes its twins with it, and for PA_{t,omega} it leaves every later
+    clique search too (module docstring).  Every centre's search shares
+    ``state``, so the twins are built at most once per color class."""
+    masks = state.masks
     star = H.family == FAMILY_STAR_PLUS
-    state = SearchState(masks)
     failed = 0
-    for v in range(c.n):
-        nb = masks[v]
+    for v, nb in enumerate(masks):
         if failed >> v & 1 or nb.bit_count() < H.t - 1:
             continue
         if star:
-            found = _matching_with_pairs(masks, nb, H.r, state)
+            found = _matching_with_pairs(state, nb, H.r)
         else:
-            found = find_clique(masks, nb & ~failed, H.omega - 1, state)
+            found = find_clique(state, nb & ~failed, H.omega - 1)
         if found is None:
             failed |= state.twins(v)
             continue
         rest = [w for w in _iter_bits(nb) if w not in found]
-        assign = [v] + found + rest[: H.t - 1 - len(found)]
-        return _checked(c, assign, H.order, H.edges(), color)
+        return [v] + found + rest[: H.t - 1 - len(found)]
     return None
 
 
-def _find_complete(c: ColoredComplete, H: TargetGraph, color: int) -> Embedding | None:
+def _complete(state: SearchState, H: TargetGraph) -> list[int] | None:
     """K_t: ``find_clique`` over the vertices of degree t - 1 or more in
-    ``color``, the only ones a copy can use."""
-    masks = c.adj[color]
-    clique = find_clique(masks, _degree_at_least(masks, H.t - 1), H.t, SearchState(masks))
-    if clique is None:
+    the color class, the only ones a copy can use."""
+    return find_clique(state, _degree_at_least(state.masks, H.t - 1), H.t)
+
+
+def _search_color(
+    search: Callable[[SearchState, TargetGraph], Sequence[int] | None],
+    c: ColoredComplete,
+    H: TargetGraph,
+    color: int,
+) -> Embedding | None:
+    """The copy of H that ``search`` finds in the color class ``color``, or
+    None: the one place a monochromatic search starts and ends.  It checks
+    the color and the order, builds the class's one ``SearchState``, and
+    re-checks the vertices found by ``mono_copy_at``; RuntimeError when they
+    are no copy."""
+    if not 1 <= color <= c.k:
+        raise ValueError(f"color {color} outside 1..{c.k}")
+    if H.order > c.n:
         return None
-    return _checked(c, clique, H.order, H.edges(), color)
+    vs = search(SearchState(c.adj[color]), H)
+    if vs is None:
+        return None
+    found = mono_copy_at(c, vs, H.order, H.edges(), color)
+    if found is None:
+        raise RuntimeError(
+            f"monochromatic copy {tuple(vs)} in color {color} failed re-verification"
+        )
+    return found
+
+
+def find_mono_copy_generic(
+    c: ColoredComplete, H: TargetGraph, color: int
+) -> Embedding | None:
+    """A copy of H inside the single color class ``color`` by the generic
+    embedding search, whatever the family, or None.  The tests check it and
+    the family searches against a search over every injective vertex map."""
+    return _search_color(_generic, c, H, color)
 
 
 def find_mono_copy_in_color(
     c: ColoredComplete, H: TargetGraph, color: int
 ) -> Embedding | None:
-    """A copy of H inside the single color class ``color``, or None."""
-    if not 1 <= color <= c.k:
-        raise ValueError(f"color {color} outside 1..{c.k}")
-    if H.order > c.n:
-        return None
+    """A copy of H inside the single color class ``color``, or None, by the
+    search of H's family: the clique search for K_t, the search over
+    centres for S_t^r and PA_{t,omega}, the generic search otherwise."""
     if H.family == FAMILY_COMPLETE:
-        return _find_complete(c, H, color)
+        return _search_color(_complete, c, H, color)
     if H.family in (FAMILY_STAR_PLUS, FAMILY_PINEAPPLE):
-        return _find_centered(c, H, color)
+        return _search_color(_centered, c, H, color)
     return find_mono_copy_generic(c, H, color)
 
 

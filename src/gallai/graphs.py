@@ -5,8 +5,10 @@ order of their endpoint pairs, so an edge coloring is a flat tuple of ints.
 Colors are 1-based; a coloring with palette size k is *exact* when every
 color in 1..k actually appears on some edge.
 
-``find_clique``, the one clique search, always takes a ``SearchState``: the
-twin masks of its color class and a budget of ``MAX_SEARCH_NODES`` nodes.
+``find_clique``, the one clique search, reads its graph from a
+``SearchState``, which holds that graph's twin masks and a budget of
+``MAX_SEARCH_NODES`` nodes; ``detectors.find_mono_copy_in_color``, the
+entry of every monochromatic-copy search, builds one per call.
 
 A coloring's JSON form is ``{"n": n, "k": k, "edges": [[i, j, c], ...]}``.
 ``ColoredComplete.to_json`` writes it compact, in the edge order above,
@@ -507,7 +509,7 @@ class TargetGraph:
             return (t + 1) // 2
         masks = self.adjacency_masks()
         omega = 0
-        while omega < t and find_clique(masks, (1 << t) - 1, omega + 1, SearchState(masks)):
+        while omega < t and find_clique(SearchState(masks), (1 << t) - 1, omega + 1):
             omega += 1
         return omega
 
@@ -567,10 +569,11 @@ MAX_SEARCH_NODES = 200_000
 
 class SearchState:
     """What one exhaustive search in one color class keeps between its nodes
-    and calls (the monochromatic-copy searches in ``detectors`` make one per
-    host and color): the class's twin masks, built when a branch first
-    fails, and the nodes it may still visit.  Every node of the search
-    calls ``visit`` once, the one place the budget is spent."""
+    and calls (the entry of the monochromatic-copy searches in ``detectors``
+    makes one per host and color): the class's neighbour masks, its twin
+    masks, built when a branch first fails, and the nodes it may still
+    visit.  Every node of the search calls ``visit`` once, the one place the
+    budget is spent."""
 
     __slots__ = ("masks", "_twins", "left")
 
@@ -596,11 +599,10 @@ class SearchState:
             )
 
 
-def find_clique(
-    masks: Sequence[int], start_mask: int, size: int, state: SearchState
-) -> list[int] | None:
-    """A clique of the given size inside the vertex set start_mask, where
-    masks[v] is v's neighbor bitmask; lexicographically first, or None.
+def find_clique(state: SearchState, start_mask: int, size: int) -> list[int] | None:
+    """A clique of the given size inside the vertex set start_mask of the
+    graph ``state.masks``, where masks[v] is v's neighbor bitmask;
+    lexicographically first, or None.
 
     Branch and bound: a node that still needs ``need`` vertices first colors
     its candidates greedily into independent sets, lowest vertex first, and
@@ -610,14 +612,15 @@ def find_clique(
     without a clique; branching still takes candidates in ascending order,
     so the clique returned is the one the plain search returns.
 
-    ``state`` is a ``SearchState`` of the graph ``masks``.  Every node counts
-    against its budget, and a branch vertex v that fails takes its twins
-    with it: if a twin w of v, still a candidate, completed the clique with
-    a set K, then K holds neither v nor w, every vertex of K is a neighbour
-    of w and so of v, and K lies among v's candidates, so v's branch would
-    have found K + v.  Only failing branches are cut, and the clique
-    returned is the same.  The twins are read only when a branch fails with
-    enough candidates left to go on.
+    ``state`` holds the graph with its twins and budget, so the twins read
+    are always the graph's own.  Every node counts against its budget, and
+    a branch vertex v that fails takes its twins with it: if a twin w of v,
+    still a candidate, completed the clique with a set K, then K holds
+    neither v nor w, every vertex of K is a neighbour of w and so of v, and
+    K lies among v's candidates, so v's branch would have found K + v.  Only
+    failing branches are cut, and the clique returned is the same.  The
+    twins are read only when a branch fails with enough candidates left to
+    go on.
 
     A caller completing a clique in the neighbourhood of v to one through v
     may leave out of start_mask every vertex u whose own neighbourhood held
@@ -627,6 +630,7 @@ def find_clique(
     completes through v uses them, so the clique returned is the same (the
     PA_{t,omega} search in ``detectors`` does this with its failed
     centres)."""
+    masks = state.masks
     out: list[int] = []
 
     def grow(cand: int) -> bool:

@@ -353,10 +353,10 @@ class TestSearchNodeCounts:
         clique = detectors.find_clique
         matching = detectors._matching_with_pairs
 
-        def counted_clique(masks, start, size, state):
+        def counted_clique(state, start, size):
             before = state.left
             try:
-                return clique(masks, start, size, state)
+                return clique(state, start, size)
             finally:
                 counts["clique calls"] += 1
                 counts["clique nodes"] += before - state.left
@@ -388,6 +388,36 @@ class TestSearchNodeCounts:
         # before the clique side skipped twins and failed centres: 652 clique
         # calls, 2,378 clique nodes and 422 matching calls
         assert counts == {"clique calls": 306, "clique nodes": 526, "matching calls": 152}
+
+    def test_search_job_list(self, capsys, monkeypatch):
+        """The benchmark's twelve search jobs, five ``search`` and seven
+        ``check --n 9`` commands, on a warm class table: every
+        ``find_mono_copy_in_color`` call builds one state, 392 in all; 60
+        of them build their twin table, and they visit 814 nodes, at most 13
+        in one state."""
+        c5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
+        searches = (("S4^1", "4"), ("S4^1", "5"), ("S4^1", "6"), ("S5^1", "4"), ("S5^1", "5"))
+        checks = (
+            ("S5^1", "4"), ("K5", "4"), ("PA6,5", "4"), ("K6-M", "4"), (c5, "4"),
+            ("S4^1", "5"), ("S4^1", "6"),
+        )
+        jobs = [("search", "--H", spec, "--k", k, "--n-max", "8") for spec, k in searches]
+        jobs += [("check", "--H", spec, "--k", k, "--n", "9") for spec, k in checks]
+        for argv in jobs:
+            assert run(capsys, *argv)[0] in (EXIT_OK, EXIT_NEGATIVE)
+        built = []
+
+        class Counted(graphs.SearchState):
+            def __init__(self, masks):
+                super().__init__(masks)
+                built.append(self)
+
+        monkeypatch.setattr(detectors, "SearchState", Counted)
+        for argv in jobs:
+            run(capsys, *argv)
+        nodes = [graphs.MAX_SEARCH_NODES - state.left for state in built]
+        twin_tables = sum(state._twins is not None for state in built)
+        assert (len(built), twin_tables, sum(nodes), max(nodes)) == (392, 60, 814, 13)
 
 
 # check, search and enumerate, the commands that once took ``--threads``
@@ -635,7 +665,7 @@ class TestClassify:
         """A clique search result outside the host is an internal error
         (exit 3, one stderr line), never a usage error."""
         monkeypatch.setattr(
-            "gallai.detectors.find_clique", lambda masks, start, size, state=None: [2, 3, 5]
+            "gallai.detectors.find_clique", lambda state, start, size: [2, 3, 5]
         )
         data = {"coloring": ColoredComplete.constant(5, 1).to_json_dict(), "target": "K3"}
         path = tmp_path / "cert.json"

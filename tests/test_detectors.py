@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from gallai import detectors, structure
+from gallai import detectors, graphs, structure
 from gallai.constructions import BUILDERS, blowup, build_named, construction_grid
 from gallai.detectors import (
     MONO_COPY,
@@ -25,10 +25,12 @@ from gallai.detectors import (
 )
 from gallai.graphs import (
     FAMILY_COMPLETE,
+    FAMILY_PINEAPPLE,
     FAMILY_STAR_PLUS,
     ColoredComplete,
     SearchState,
     TargetGraph,
+    UnsupportedSizeError,
     edge_count,
     find_clique,
     parse_hspec,
@@ -500,34 +502,50 @@ class TestReverification:
             find_rainbow_path(c.recolored(2, 3, c.color_of(0, 1)), 3)
 
     @pytest.mark.parametrize(
-        "clique",
-        [[0, 1, 2], [2, 3, 5], [-1, 2, 3], [2, 2, 3], [2, 3]],
-        ids=["other-color", "vertex-outside-host", "negative-vertex", "repeated-vertex", "short"],
+        "search, spec, found",
+        [
+            ("find_clique", "K3", [0, 1, 2]),
+            ("find_clique", "K3", [2, 3, 5]),
+            ("find_clique", "K3", [-1, 2, 3]),
+            ("find_clique", "K3", [2, 2, 3]),
+            ("find_clique", "K3", [2, 3]),
+            # centre 2, the first of degree 4; its leaves 0 and 1 meet in color 2
+            ("_matching_with_pairs", "S5^2", [0, 1, 3, 4]),
+            # centre 0 with clique vertices 1 and 2: the edge 01 is in color 2
+            ("find_clique", "PA4,3", [1, 2]),
+            ("_generic", "K4-M", [0, 2, 1, 3]),
+        ],
+        ids=[
+            "other-color", "vertex-outside-host", "negative-vertex", "repeated-vertex", "short",
+            "matching", "centered-pineapple", "generic",
+        ],
     )
-    def test_bad_mono_search_result_raises(self, monkeypatch, clique):
-        """A clique search result that is no monochromatic copy fails the
-        re-check inside the detector."""
+    def test_bad_mono_search_result_raises(self, monkeypatch, search, spec, found):
+        """A search result that is no monochromatic copy fails the re-check
+        inside the detector: a clique search result for K_t, a matching
+        search result for S_t^r, the vertices the search over centres builds
+        around a clique search result for PA_{t,omega}, and a generic search
+        result for K_t - M.  The host is K5 in color 1 but for the edge 01."""
         c = ColoredComplete.constant(5, 2, 1).recolored(0, 1, 2)
-        monkeypatch.setattr(
-            detectors, "find_clique", lambda masks, start, size, state=None: clique
-        )
+        monkeypatch.setattr(detectors, search, lambda *args: found)
         with pytest.raises(RuntimeError, match="failed re-verification"):
-            find_mono_copy_in_color(c, TargetGraph.complete(3), 1)
+            find_mono_copy_in_color(c, parse_hspec(spec), 1)
 
     @pytest.mark.parametrize(
         "H, vs",
         [
-            (TargetGraph.complete_minus_matching(2), (0, 5)),
-            (TargetGraph.arbitrary(3, [(0, 1)]), (2, 3, -1)),
+            (TargetGraph.complete_minus_matching(2), [0, 5]),
+            (TargetGraph.arbitrary(3, [(0, 1)]), [2, 3, -1]),
         ],
         ids=["no-edges", "isolated-vertex"],
     )
-    def test_vertex_on_no_target_edge_is_checked(self, H, vs):
+    def test_vertex_on_no_target_edge_is_checked(self, monkeypatch, H, vs):
         """Every vertex is range-checked, also one that no target edge
         reaches."""
         c = ColoredComplete.constant(5, 1)
+        monkeypatch.setattr(detectors, "_generic", lambda state, H: vs)
         with pytest.raises(RuntimeError, match="failed re-verification"):
-            detectors._checked(c, vs, H.order, H.edges(), 1)
+            find_mono_copy_in_color(c, H, 1)
 
 
 def _reference_copy_at(c, vs, H):
@@ -539,8 +557,9 @@ def _reference_copy_at(c, vs, H):
 
 
 class TestMonoCopyAt:
-    """``mono_copy_at``, the re-check behind ``_checked`` that returns None on
-    a miss; ``check_n`` tries each class on the last copy it found."""
+    """``mono_copy_at``, the re-check of every copy a search finds, which
+    returns None on a miss; ``check_n`` tries each class on the last copy it
+    found."""
 
     K3 = TargetGraph.complete(3)
 
@@ -564,11 +583,12 @@ class TestMonoCopyAt:
         [(0, 1, 1), (0, 1, 5), (-1, 0, 1), (0, 1), (0, 1, 2, 3)],
         ids=["repeated-vertex", "vertex-outside-host", "negative-vertex", "short", "long"],
     )
-    def test_bad_vertex_tuple_is_a_miss(self, vs):
+    def test_bad_vertex_tuple_is_a_miss(self, monkeypatch, vs):
         c = ColoredComplete.constant(5, 1)
         assert mono_copy_at(c, vs, 3, self.K3.edges()) is None
+        monkeypatch.setattr(detectors, "find_clique", lambda state, start, size: list(vs))
         with pytest.raises(RuntimeError, match="failed re-verification"):
-            detectors._checked(c, vs, 3, self.K3.edges(), 1)
+            find_mono_copy_in_color(c, self.K3, 1)
 
     def test_edgeless_target(self):
         H = TargetGraph.arbitrary(3, [])
@@ -585,9 +605,10 @@ class TestMonoCopyAt:
     )
     def test_agrees_with_checked_on_class_tables(self, spec):
         """Every embedding ``find_mono_copy`` returns over the classes at
-        (9, 4), (8, 4) and (9, 5) passes in its own color and in the one its
-        edges read, equal to ``_checked``'s; and on the next class, as
-        ``check_n`` tries it, it is a copy exactly when the reference says."""
+        (9, 4), (8, 4) and (9, 5), checked by the entry, passes again in its
+        own color and in the one its edges read, equal to itself; and on the
+        next class, as ``check_n`` tries it, it is a copy exactly when the
+        reference says."""
         H = parse_hspec(spec)
         found = hits = 0
         for n, k in ((9, 4), (8, 4), (9, 5)):
@@ -597,8 +618,6 @@ class TestMonoCopyAt:
                 if e is None:
                     continue
                 found += 1
-                checked = detectors._checked(c, e.vertices, H.order, H.edges(), e.color)
-                assert checked == e
                 assert mono_copy_at(c, e.vertices, H.order, H.edges(), e.color) == e
                 assert mono_copy_at(c, e.vertices, H.order, H.edges()) == e
                 again = mono_copy_at(after, e.vertices, H.order, H.edges())
@@ -614,7 +633,7 @@ def _matching_sizes(c, color, allowed=None):
         allowed = (1 << c.n) - 1
 
     def finds(r):
-        ends = _matching_with_pairs(c.adj[color], allowed, r, SearchState(c.adj[color]))
+        ends = _matching_with_pairs(SearchState(c.adj[color]), allowed, r)
         if ends is not None:
             assert len(ends) == 2 * r and len(set(ends)) == 2 * r
             assert all(allowed >> v & 1 for v in ends)
@@ -970,7 +989,7 @@ class TestTwinPruning:
                 for allowed in [(1 << c.n) - 1, *masks]:
                     for r in range(1, 5):
                         want = _unpruned_matching(masks, allowed, r)
-                        got = _matching_with_pairs(masks, allowed, r, SearchState(masks))
+                        got = _matching_with_pairs(SearchState(masks), allowed, r)
                         assert got == want
                         outcomes[want is None] += 1
         assert outcomes[True] > 500 and outcomes[False] > 500
@@ -983,7 +1002,7 @@ class TestTwinPruning:
                 for start in [(1 << c.n) - 1, *masks]:
                     for size in range(1, 7):
                         want = _unpruned_clique(masks, start, size)
-                        got = find_clique(masks, start, size, SearchState(masks))
+                        got = find_clique(SearchState(masks), start, size)
                         assert got == want, (c, color, start, size)
                         outcomes[want is None] += 1
         assert outcomes[True] > 2000 and outcomes[False] > 2000
@@ -1025,3 +1044,74 @@ class TestTwinPruning:
                         continue
                     got = find_mono_copy_generic(c, H, color)
                     assert (got is not None) == _brute_force_mono(c, H, color), (c, H, color)
+
+
+class TestSearchEntry:
+    """``find_mono_copy_in_color`` builds one ``SearchState`` per call, and
+    every search of the call, every centre's included, shares it."""
+
+    TARGETS = [parse_hspec(spec) for spec in ("K4", "S5^2", "S7^3", "PA5,3", "PA6,4", "K5-M", C5)]
+
+    @staticmethod
+    def _counted_states(monkeypatch) -> list:
+        """Patch the detectors' ``SearchState`` so that every state it builds
+        is listed, in the order built."""
+        built = []
+
+        class Counted(SearchState):
+            def __init__(self, masks):
+                super().__init__(masks)
+                built.append(self)
+
+        monkeypatch.setattr(detectors, "SearchState", Counted)
+        return built
+
+    def test_one_state_per_call(self, monkeypatch):
+        built = self._counted_states(monkeypatch)
+        calls = Counter()
+        for c in _blowup_hosts(41, 30, 4) + _random_hosts(42, 30):
+            for H in self.TARGETS:
+                if H.order > c.n:
+                    continue
+                for color in range(1, c.k + 1):
+                    before = len(built)
+                    emb = find_mono_copy_in_color(c, H, color)
+                    assert len(built) == before + 1, (c, H, color)
+                    assert built[-1].masks is c.adj[color]
+                    if H.family not in (FAMILY_STAR_PLUS, FAMILY_PINEAPPLE):
+                        calls[H.family] += 1
+                        continue
+                    centres = [v for v in range(c.n) if c.degree(v, color) >= H.t - 1]
+                    # some centre failed: the search passed the lowest one
+                    failed = centres and (emb is None or emb.vertices[0] != centres[0])
+                    calls[H.family, bool(failed)] += 1
+        assert min(calls.values()) > 50 and len(calls) == 3 + 2 * 2, calls
+
+    def test_centres_share_one_budget(self, monkeypatch):
+        """On a host whose color 1 holds no S5^2, the search over centres
+        tries several centres.  With the budget lowered to one node below
+        what they visit together, the search is refused, though each
+        centre's matching search alone stays within it."""
+        rng = random.Random(0)
+        triples = [
+            (a, b, 1 if rng.random() < 0.4 else 2) for a, b in itertools.combinations(range(14), 2)
+        ]
+        c = ColoredComplete.from_edge_triples(14, 2, triples)
+        H = parse_hspec("S5^2")
+        masks = c.adj[1]
+        alone = []
+        for nb in masks:
+            if nb.bit_count() >= H.t - 1:
+                state = SearchState(masks)
+                assert _matching_with_pairs(state, nb, H.r) is None
+                alone.append(graphs.MAX_SEARCH_NODES - state.left)
+        built = self._counted_states(monkeypatch)
+        assert find_mono_copy_in_color(c, H, 1) is None
+        [state] = built
+        together = graphs.MAX_SEARCH_NODES - state.left
+        assert len(alone) >= 2 and max(alone) < together
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", together)
+        assert find_mono_copy_in_color(c, H, 1) is None
+        monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", together - 1)
+        with pytest.raises(UnsupportedSizeError, match=f"budget of {together - 1} nodes"):
+            find_mono_copy_in_color(c, H, 1)

@@ -402,8 +402,8 @@ class TestTargetFamilies:
                 assert H.max_degree == max(m.bit_count() for m in masks), H
                 full = (1 << t) - 1
                 omega = H.clique_number
-                assert find_clique(masks, full, omega, SearchState(masks)) is not None, H
-                assert find_clique(masks, full, omega + 1, SearchState(masks)) is None, H
+                assert find_clique(SearchState(masks), full, omega) is not None, H
+                assert find_clique(SearchState(masks), full, omega + 1) is None, H
 
     def test_clique_number_computed_once_per_target(self, monkeypatch):
         """The arbitrary family's clique search runs on first use only."""
@@ -463,7 +463,7 @@ class TestFindClique:
             start = (1 << n) - 1 if rng.random() < 0.3 else rng.getrandbits(n)
             size = rng.randint(0, 7)
             want = _first_clique(masks, start, size)
-            assert find_clique(masks, start, size, SearchState(masks)) == want, (masks, start, size)
+            assert find_clique(SearchState(masks), start, size) == want, (masks, start, size)
             found += want is not None
             missing += want is None
         assert found > 200 and missing > 200
