@@ -355,6 +355,18 @@ def _probe_outcome(c):
     return "hit" if mid == 0 and min(pair) == b else "miss"
 
 
+def _row0_outcome(c):
+    """Which way the m = 3 scan's first row, mid 0 read from the flat color
+    tuple, goes on c, read from the unpruned scan: "hit" when its path has
+    vertex 0 inside, "miss" when it lies beyond, "free" when there is no
+    path.  The row around vertex 0 holds a path exactly when vertex 0 is an
+    inner vertex of one, and the scan meets that row first."""
+    path = _reference_rainbow_path(c, 3)
+    if path is None:
+        return "free"
+    return "hit" if 0 in path[1:3] else "miss"
+
+
 def _has_lone_edge(c):
     """Whether some vertex of c has two colors, one of them on a single
     edge: the hosts where the third pruning rule drops a pair."""
@@ -419,6 +431,33 @@ class TestPrunedScan:
         outcomes = Counter(map(_probe_outcome, _palette_dense_colorings()))
         assert outcomes == {"hit": 1467, "miss": 128, "free": 205}, outcomes
 
+    @pytest.mark.parametrize(
+        "name, want",
+        [
+            ("palette-dense", {"hit": 1710, "miss": 1, "free": 89}),
+            ("palette-biased", {"hit": 1473, "miss": 14, "free": 13}),
+            ("four-color-k5", {"hit": 591, "miss": 9}),
+        ],
+        ids=["palette-dense", "palette-biased", "four-color-k5"],
+    )
+    def test_dense_sets_hold_each_row0_outcome(self, monkeypatch, name, want):
+        """For m = 3 each set reaches a path in row 0 and a miss there
+        followed by a later hit, and the first two hold hosts with no path;
+        a miss is rare, so the three sets pin 24 between them.  The rows
+        past row 0 are built exactly on the hosts whose row 0 holds no path
+        and that use three colors or more."""
+        rows = []
+        color_rows = detectors.color_rows
+        monkeypatch.setattr(detectors, "color_rows", lambda c: rows.append(c) or color_rows(c))
+        outcomes = Counter()
+        for c in _DIFFERENTIAL_SETS[name]():
+            outcome = _row0_outcome(c)
+            outcomes[outcome] += 1
+            rows.clear()
+            _rainbow_path(c, 3)
+            assert len(rows) == (outcome != "hit" and c.used >= 3), (outcome, c)
+        assert outcomes == want
+
     def test_probe_miss_keeps_its_b_for_later_middles(self):
         """The probe walks mid 0 with b = 1 and finds nothing; the first
         path of the scan then has b = 1 again, at middle vertex 2.  Only
@@ -465,14 +504,22 @@ class TestReverification:
     HOST = ColoredComplete(5, 10, tuple(range(1, 11)))
 
     @pytest.mark.parametrize(
-        "path",
-        [(0, 1, 2, 3, 0), (0, 1, 2, 3, 5), (-1, 0, 1, 2, 3), (0, 1, 1, 2, 3), (0, 1, 2, 3)],
-        ids=["repeated-vertex", "vertex-outside-host", "negative-vertex", "loop", "short"],
+        "m, path",
+        [
+            (4, (0, 1, 2, 3, 0)), (4, (0, 1, 2, 3, 5)), (4, (-1, 0, 1, 2, 3)),
+            (4, (0, 1, 1, 2, 3)), (4, (0, 1, 2, 3)),
+            (3, (0, 1, 2, 0)), (3, (0, 1, 2, 5)), (3, (-1, 0, 1, 2)),
+            (3, (0, 1, 1, 2)), (3, (0, 1, 2)),
+        ],
+        ids=[
+            name + suffix for suffix in ("", "-m3")
+            for name in ("repeated-vertex", "vertex-outside-host", "negative-vertex", "loop", "short")
+        ],
     )
-    def test_bad_scan_result_raises(self, monkeypatch, path):
+    def test_bad_scan_result_raises(self, monkeypatch, m, path):
         monkeypatch.setattr(detectors, "_rainbow_path", lambda c, m: path)
         with pytest.raises(RuntimeError, match="failed re-verification"):
-            find_rainbow_path(self.HOST, 4)
+            find_rainbow_path(self.HOST, m)
 
     def test_repeated_color_raises(self, monkeypatch):
         c = self.HOST.recolored(2, 3, self.HOST.color_of(0, 1))

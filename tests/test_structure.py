@@ -24,6 +24,7 @@ from gallai.graphs import (
     pairs,
 )
 from gallai.structure import (
+    _CASES,
     TheoremViolation,
     classify_p4free,
     classify_p5free,
@@ -595,6 +596,76 @@ class TestSizeGates:
         # every gate in place: 1,079; with any one of them dropped, 1,169 or
         # more
         assert len(built) == 1079
+
+
+def _every_count_hosts():
+    """Seeded colorings of K_n, n 5..9, that use exactly 1..8 colors, ten
+    per order and count: each color placed on one edge, the rest drawn
+    from the same colors."""
+    rng = random.Random(4711)
+    for n in range(5, 10):
+        m = edge_count(n)
+        for used in range(1, 9):
+            for _ in range(10):
+                colors = list(range(1, used + 1)) + [rng.randint(1, used) for _ in range(m - used)]
+                rng.shuffle(colors)
+                yield ColoredComplete(n, 8, colors)
+
+
+def _count_gate_hosts():
+    yield from _differential_inputs()
+    for _, c in _size_gate_hosts():
+        yield c
+    yield from _every_count_hosts()
+
+
+class TestCountGate:
+    """``classify_p5free`` calls (a) only with three colors or fewer, and
+    (d), (e) and (f) only with exactly four."""
+
+    def _record_calls(self, monkeypatch):
+        """Patch ``_CASES`` so that each predicate call appends its name to
+        the list returned."""
+        called = []
+        monkeypatch.setattr(
+            structure,
+            "_CASES",
+            tuple(
+                (name, lambda h, name=name, holds=holds: called.append(name) or holds(h))
+                for name, holds in _CASES
+            ),
+        )
+        return called
+
+    def test_skipped_predicates_fail_on_their_own(self, monkeypatch):
+        """Every predicate the gate skips returns False when called directly:
+        the gate changes no answer."""
+        called = self._record_calls(monkeypatch)
+        skipped = set()
+        for c in _count_gate_hosts():
+            called.clear()
+            classify_p5free(c)
+            for name, holds in _CASES:
+                if name not in called:
+                    assert not holds(structure._Host(c)), (name, c)
+                    skipped.add((name, c.used))
+        # every count 1..9 is skipped past: (a) from four colors on, (d)-(f)
+        # below four and above
+        assert {used for name, used in skipped if name == "a"} == set(range(4, 10))
+        for gated in "def":
+            assert {used for name, used in skipped if name == gated} == set(range(1, 10)) - {4}
+
+    def test_predicate_calls_pinned(self, monkeypatch):
+        """The calls made over the hosts of ``_count_gate_hosts`` are pinned
+        by predicate: a dropped gate raises a count."""
+        called = self._record_calls(monkeypatch)
+        used = Counter()
+        for c in _count_gate_hosts():
+            classify_p5free(c)
+            used["<= 3" if c.used <= 3 else "4" if c.used == 4 else ">= 5"] += 1
+        assert used == {"<= 3": 766, "4": 1987, ">= 5": 1380}
+        # without the gate every predicate is called on all 4,133 hosts
+        assert Counter(called) == {"a": 766, "b": 4133, "c": 4133, "d": 1987, "e": 1987, "f": 1987}
 
 
 _RAINBOW_HOST = ColoredComplete(5, 10, tuple(range(1, 11)))
