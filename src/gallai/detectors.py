@@ -2,15 +2,18 @@
 
 Both detectors are exhaustive and deterministic: hosts are scanned in
 ascending vertex order, colors in ascending order, and the first embedding
-found is returned.  Every embedding they return is re-checked first,
-reading the host's flat color tuple: a rainbow path in one walk along its m
-edges (m + 1 distinct vertices inside the host, m distinct edge colors), a
-monochromatic copy by ``mono_copy_at`` in one pass over the target's edge
-list, built once per target (as many vertices as the target has, distinct
-and inside the host, every edge in the one color).  A failure raises
-RuntimeError, an internal error.  ``mono_copy_at`` itself returns None on a
-miss, stopping at the first edge off the color, and ``search.check_n``
-calls it to try a class on the vertices of a copy found in another.
+found is returned.  Every embedding they return is re-checked first.  A
+rainbow path is walked along its m edges on the host's flat color tuple
+(m + 1 distinct vertices inside the host, m distinct edge colors).  A
+monochromatic copy is checked by ``mono_copy_at`` in one pass over the
+target's edge list, built once per target: as many vertices as the target
+has, distinct and inside the host, and every edge a bit of the color
+class's neighbour masks ``c.adj[color]``, the masks the search itself
+reads.  A failure raises RuntimeError, an internal error.  ``mono_copy_at``
+itself returns None on a miss, stopping at the first edge off the color.
+Given no color, it takes the first target edge's, read by ``c.color_of``;
+``search.check_n`` calls it so to try a class on the vertices of a copy
+found in another.
 
 Every monochromatic search starts and ends in ``_search_color``, behind
 the entry ``find_mono_copy_in_color``, which picks the search of the
@@ -19,7 +22,9 @@ search for any family.  It checks the color and the target's order once,
 builds the color class's one ``graphs.SearchState``, runs the search, a
 function of that state and the target that returns host vertices or None,
 and re-checks the vertices with ``mono_copy_at``.  The searches read the
-class only from the state, so its twins are always the class's own.
+class only from the state, so its twins are always the class's own, and
+the re-check reads the same masks: the monochromatic side reads a color
+class only through them.
 
 Rainbow paths with m = 3 or 4 edges, the only lengths the structure
 theorems use, are found by one scan over the path's middle vertex on the
@@ -120,10 +125,6 @@ other does.  Hence:
     automorphism each twin of u, lies in no K_omega, and no clique in a
     later neighbourhood that completes to one can use them.
 
-Two degree counts cut more: K_t is searched among the vertices of degree
-t - 1 or more only, and the generic search's first position, its target
-vertex of highest degree d, takes only host vertices of degree d or more.
-
 Only branches without a copy are cut.  The generic and clique searches
 meet their copies in the same order, the matching search's answer depends
 only on the set of r-matchings inside its vertex set (the lowest vertex
@@ -135,16 +136,22 @@ parts are twin classes.  In one certify pass of the benchmark (seed 11)
 the matching search visits 152 nodes, against 10,198 without any twin
 rule and 422 with the twin rules inside the matching search alone; the
 clique search makes 306 calls that visit 526 nodes, against 652 and
-2,378 without its twin rules, the skipped centres and the degree count.
+2,378 without its twin rules and the skipped centres.
 ``witness --H K9-M --k 4`` or ``--H S28^7 --k 4``, which ran without end
 before the twin rules, visit a few hundred nodes, and
 ``witness --H PA9,6 --k 6`` makes 5 clique searches where it made 40.
 
+No degree count cuts a search: K_t is searched over the whole class, and
+the generic search's first position takes every host vertex.  Counts that
+held both to the vertices of high enough degree cost a count of every
+vertex's degree per search and left the certify counts above as they are;
+a search pass (below) visits 835 nodes without them, 814 with them.
+
 The twins are built once per host and color, and only when a branch or a
 centre first fails.  The matching search for r = 1 never backtracks, and
 most searches never fail a branch: every search pass of the benchmark
-(seed 11), the first included, makes 392 searches and builds 60 twin
-tables; they visit 814 nodes, at most 13 in one search.  A certify pass
+(seed 11), the first included, makes 392 searches and builds 63 twin
+tables; they visit 835 nodes, at most 23 in one search.  A certify pass
 makes 580 searches and builds 53 twin tables once the construction table
 is warm, and the first pass of a process, which also runs the self-checks
 of the r35 block, 584 and 57.
@@ -163,7 +170,7 @@ refused (exit code 2) within seconds, never answered negatively.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from gallai.graphs import (
     FAMILY_COMPLETE,
@@ -206,35 +213,34 @@ class Embedding(NamedTuple):
 
 
 def mono_copy_at(
-    c: ColoredComplete,
-    vs: Sequence[int],
-    order: int,
-    pattern: tuple,
-    color: int | None = None,
+    c: ColoredComplete, vs: Sequence[int], H: TargetGraph, color: int | None = None
 ) -> Embedding | None:
-    """The monochromatic copy of ``pattern``, the edge list of a target on
-    vertices 0..order-1, at host vertices vs, checked in one pass over
-    c.colors (indexed as ``graphs.edge_index`` does, inline), or None: vs
-    must be order distinct vertices of c, and every edge in one color,
-    ``color`` when it is given.  An edgeless pattern is a copy on any order
-    distinct vertices, in ``color``, or in color 1 when none is given."""
-    n, colors = c.n, c.colors
+    """The monochromatic copy of H at host vertices vs, target vertex i at
+    vs[i], or None: vs must be H.order distinct vertices of c, and every
+    edge of H must map to an edge of the color class ``color``, each tested
+    as a bit of its masks ``c.adj[color]``.  With no color given, the first
+    edge's color, read by ``c.color_of``, is the one.  A color outside
+    1..k holds no copy.  An edgeless H is a copy on any H.order distinct
+    vertices, in ``color``, or in color 1 when none is given."""
     vs = tuple(vs)
-    if not (len(vs) == order == len(set(vs)) and min(vs) >= 0 and max(vs) < n):
+    if not (len(vs) == H.order == len(set(vs)) and min(vs) >= 0 and max(vs) < c.n):
         return None
+    if color is not None and not 1 <= color <= c.k:
+        return None
+    pattern = H.edges()
+    if not pattern:
+        return Embedding(MONO_COPY, vs, 1 if color is None else color, ())
+    if color is None:
+        i, j = pattern[0]
+        color = c.color_of(vs[i], vs[j])
+    masks = c.adj[color]
     edges = []
     for i, j in pattern:
         u, w = vs[i], vs[j]
-        if u > w:
-            u, w = w, u
-        hue = colors[u * n - u * (u + 1) // 2 + w - u - 1]
-        if hue != color:
-            if color is not None:
-                return None
-            # the first edge fixes the color
-            color = hue
-        edges.append((u, w))
-    return Embedding(MONO_COPY, vs, 1 if color is None else color, tuple(edges))
+        if not masks[u] >> w & 1:
+            return None
+        edges.append((u, w) if u < w else (w, u))
+    return Embedding(MONO_COPY, vs, color, tuple(edges))
 
 
 def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
@@ -459,13 +465,6 @@ def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
     raise RuntimeError(f"rainbow path {vs} failed re-verification")
 
 
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _matching_with_pairs(state: SearchState, allowed: int, r: int) -> list[int] | None:
     """A matching of exactly r edges inside the vertex set ``allowed`` of the
     graph ``state.masks``, found by exact branching, as the ends u1, w1, u2,
@@ -496,20 +495,10 @@ def _matching_with_pairs(state: SearchState, allowed: int, r: int) -> list[int] 
     return _matching_with_pairs(state, allowed & ~state.twins(u), r)
 
 
-def _degree_at_least(masks: Sequence[int], d: int) -> int:
-    """The mask of the vertices with at least d neighbours."""
-    found = 0
-    for v, mask in enumerate(masks):
-        if mask.bit_count() >= d:
-            found |= 1 << v
-    return found
-
-
 def _generic(state: SearchState, H: TargetGraph) -> list[int] | None:
     """Backtracking embedding of H into the color class ``state.masks``,
     highest-degree target vertices first: the host image of each target
-    vertex, or None.  The first position takes only host vertices of at
-    least its degree, and a host vertex that fails at a position takes its
+    vertex, or None.  A host vertex that fails at a position takes its
     twins with it (module docstring).  Works for every family."""
     t = H.order
     hmasks = H.adjacency_masks()
@@ -517,14 +506,13 @@ def _generic(state: SearchState, H: TargetGraph) -> list[int] | None:
     cmasks = state.masks
     assign = [-1] * t
     full = (1 << len(cmasks)) - 1
-    roots = _degree_at_least(cmasks, hmasks[order[0]].bit_count())
 
     def rec(pos: int, used: int) -> bool:
         state.visit()
         if pos == t:
             return True
         hv = order[pos]
-        cand = full & ~used if pos else roots
+        cand = full & ~used
         for q in range(pos):
             hu = order[q]
             if hmasks[hv] >> hu & 1:
@@ -567,15 +555,14 @@ def _centered(state: SearchState, H: TargetGraph) -> list[int] | None:
         if found is None:
             failed |= state.twins(v)
             continue
-        rest = [w for w in _iter_bits(nb) if w not in found]
+        rest = [w for w in range(len(masks)) if nb >> w & 1 and w not in found]
         return [v] + found + rest[: H.t - 1 - len(found)]
     return None
 
 
 def _complete(state: SearchState, H: TargetGraph) -> list[int] | None:
-    """K_t: ``find_clique`` over the vertices of degree t - 1 or more in
-    the color class, the only ones a copy can use."""
-    return find_clique(state, _degree_at_least(state.masks, H.t - 1), H.t)
+    """K_t: ``find_clique`` over the whole color class."""
+    return find_clique(state, (1 << len(state.masks)) - 1, H.t)
 
 
 def _search_color(
@@ -596,7 +583,7 @@ def _search_color(
     vs = search(SearchState(c.adj[color]), H)
     if vs is None:
         return None
-    found = mono_copy_at(c, vs, H.order, H.edges(), color)
+    found = mono_copy_at(c, vs, H, color)
     if found is None:
         raise RuntimeError(
             f"monochromatic copy {tuple(vs)} in color {color} failed re-verification"

@@ -101,14 +101,25 @@ class CertificateMismatch(Exception):
 @dataclass(frozen=True)
 class WitnessCertificate:
     """A verified lower-bound coloring: exact, no rainbow 4-edge path, and
-    no monochromatic copy of the target in any color."""
+    no monochromatic copy of the target in any color.  ``verify_witness``
+    is the one constructor, so the order, the rainbow claim and the colors
+    free of the target follow from the coloring."""
 
     coloring: ColoredComplete
     H: TargetGraph
-    order: int
-    rainbow_absent: bool
-    mono_absent: tuple[int, ...]
     label: str | None = None
+
+    @property
+    def order(self) -> int:
+        return self.coloring.n
+
+    @property
+    def rainbow_absent(self) -> bool:
+        return True
+
+    @property
+    def mono_absent(self) -> tuple[int, ...]:
+        return tuple(range(1, self.coloring.k + 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,14 +199,7 @@ def verify_witness(
         mono = find_mono_copy_in_color(coloring, H, color)
         if mono is not None:
             raise WitnessFailure(f"monochromatic copy in color {color}", mono)
-    return WitnessCertificate(
-        coloring=coloring,
-        H=H,
-        order=coloring.n,
-        rainbow_absent=True,
-        mono_absent=tuple(range(1, coloring.k + 1)),
-        label=label,
-    )
+    return WitnessCertificate(coloring, H, label)
 
 
 def lower_bound_witness(H: TargetGraph, k: int) -> WitnessCertificate | None:
@@ -386,10 +390,9 @@ def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
     table = _class_table(n, k)
     bad = []
     # The vertices of the last copy found, tried first on each later class.
-    # H.edges() is read only once a copy is found, so H fits in n vertices.
     last = None
     for c in table:
-        if last is not None and mono_copy_at(c, last, H.order, H.edges()) is not None:
+        if last is not None and mono_copy_at(c, last, H) is not None:
             continue
         found = find_mono_copy(c, H)
         if found is None:

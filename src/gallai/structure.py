@@ -272,14 +272,11 @@ def _case_e(h: _Host) -> bool:
         for count, touched in profile.values()
         if count == 2 and touched.bit_count() == 4
     ]
-    n, colors = c.n, c.colors
     for quad in {t for t in touched4 if touched4.count(t) > 1}:
-        q0, q1, q2, q3 = (v for v in range(n) if quad >> v & 1)
+        q0, q1, q2, q3 = (v for v in range(c.n) if quad >> v & 1)
         matchings = (((q0, q1), (q2, q3)), ((q0, q2), (q1, q3)), ((q0, q3), (q1, q2)))
         # pair_colors[i]: the colors of matching i's two edges, as listed
-        pair_colors = [
-            tuple(colors[u * n - u * (u + 1) // 2 + w - u - 1] for u, w in m) for m in matchings
-        ]
+        pair_colors = [tuple(c.color_of(u, w) for u, w in m) for m in matchings]
         # exact[i]: the color whose class is matching i, or 0
         exact = [a if a == b and profile[a][0] == 2 else 0 for a, b in pair_colors]
         for iz in range(3):

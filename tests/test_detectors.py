@@ -614,16 +614,16 @@ class TestMonoCopyAt:
         for color in range(1, 5):
             c = ColoredComplete.constant(6, 4, color)
             want = Embedding(MONO_COPY, (0, 2, 5), color, ((0, 2), (0, 5), (2, 5)))
-            assert mono_copy_at(c, [0, 2, 5], 3, self.K3.edges()) == want
-            assert mono_copy_at(c, (0, 2, 5), 3, self.K3.edges(), color) == want
+            assert mono_copy_at(c, [0, 2, 5], self.K3) == want
+            assert mono_copy_at(c, (0, 2, 5), self.K3, color) == want
             other = color % 4 + 1
-            assert mono_copy_at(c, (0, 2, 5), 3, self.K3.edges(), other) is None
+            assert mono_copy_at(c, (0, 2, 5), self.K3, other) is None
 
     def test_miss_when_two_edges_differ(self):
         c = ColoredComplete.constant(5, 2, 1).recolored(1, 2, 2)
         for color in (None, 1, 2):
-            assert mono_copy_at(c, (0, 1, 2), 3, self.K3.edges(), color) is None
-        assert mono_copy_at(c, (0, 1, 3), 3, self.K3.edges()).color == 1
+            assert mono_copy_at(c, (0, 1, 2), self.K3, color) is None
+        assert mono_copy_at(c, (0, 1, 3), self.K3).color == 1
 
     @pytest.mark.parametrize(
         "vs",
@@ -632,18 +632,29 @@ class TestMonoCopyAt:
     )
     def test_bad_vertex_tuple_is_a_miss(self, monkeypatch, vs):
         c = ColoredComplete.constant(5, 1)
-        assert mono_copy_at(c, vs, 3, self.K3.edges()) is None
+        assert mono_copy_at(c, vs, self.K3) is None
         monkeypatch.setattr(detectors, "find_clique", lambda state, start, size: list(vs))
         with pytest.raises(RuntimeError, match="failed re-verification"):
             find_mono_copy_in_color(c, self.K3, 1)
 
+    def test_color_outside_palette_is_a_miss(self):
+        """Colors 0, -1 and k + 1 hold no copy: none of them indexes the
+        masks of another color or past the last one."""
+        k = 4
+        c = ColoredComplete.constant(6, k, k)
+        assert mono_copy_at(c, (0, 2, 5), self.K3, k).color == k
+        for color in (0, -1, k + 1):
+            assert mono_copy_at(c, (0, 2, 5), self.K3, color) is None
+
     def test_edgeless_target(self):
         H = TargetGraph.arbitrary(3, [])
         c = ColoredComplete(4, 6, tuple(range(1, 7)))
-        assert mono_copy_at(c, (3, 0, 2), 3, H.edges()) == Embedding(MONO_COPY, (3, 0, 2), 1, ())
-        assert mono_copy_at(c, (3, 0, 2), 3, H.edges(), 5).color == 5
-        assert mono_copy_at(c, (3, 0, 3), 3, H.edges()) is None
-        assert mono_copy_at(c, (3, 0, 4), 3, H.edges()) is None
+        assert mono_copy_at(c, (3, 0, 2), H) == Embedding(MONO_COPY, (3, 0, 2), 1, ())
+        assert mono_copy_at(c, (3, 0, 2), H, 5).color == 5
+        for color in (0, -1, 7):
+            assert mono_copy_at(c, (3, 0, 2), H, color) is None
+        assert mono_copy_at(c, (3, 0, 3), H) is None
+        assert mono_copy_at(c, (3, 0, 4), H) is None
 
     @pytest.mark.parametrize(
         "spec",
@@ -665,9 +676,9 @@ class TestMonoCopyAt:
                 if e is None:
                     continue
                 found += 1
-                assert mono_copy_at(c, e.vertices, H.order, H.edges(), e.color) == e
-                assert mono_copy_at(c, e.vertices, H.order, H.edges()) == e
-                again = mono_copy_at(after, e.vertices, H.order, H.edges())
+                assert mono_copy_at(c, e.vertices, H, e.color) == e
+                assert mono_copy_at(c, e.vertices, H) == e
+                again = mono_copy_at(after, e.vertices, H)
                 assert (again is not None) == _reference_copy_at(after, e.vertices, H)
                 hits += again is not None
         assert found > 0 and 0 < hits < found
@@ -1055,8 +1066,8 @@ class TestTwinPruning:
         assert outcomes[True] > 2000 and outcomes[False] > 2000
 
     def test_clique_and_centered_embeddings_match_unpruned(self):
-        """K_t searched from the vertices of degree t - 1 or more only, and
-        S_t^r and PA_{t,omega} with failed centres and their twins skipped;
+        """K_t searched over the whole color class, and S_t^r and
+        PA_{t,omega} with failed centres and their twins skipped;
         every centre's inner search shares one twin table."""
         targets = [TargetGraph.complete(t) for t in range(2, 8)]
         targets += [TargetGraph.pineapple(t, w) for t in range(3, 10) for w in range(2, t)]
