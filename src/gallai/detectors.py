@@ -216,18 +216,18 @@ def mono_copy_at(
     c: ColoredComplete, vs: Sequence[int], H: TargetGraph, color: int | None = None
 ) -> Embedding | None:
     """The monochromatic copy of H at host vertices vs, target vertex i at
-    vs[i], or None: vs must be H.order distinct vertices of c, and every
+    vs[i], or None: vs must be H.t distinct vertices of c, and every
     edge of H must map to an edge of the color class ``color``, each tested
     as a bit of its masks ``c.adj[color]``.  With no color given, the first
     edge's color, read by ``c.color_of``, is the one.  A color outside
-    1..k holds no copy.  An edgeless H is a copy on any H.order distinct
+    1..k holds no copy.  An edgeless H is a copy on any H.t distinct
     vertices, in ``color``, or in color 1 when none is given."""
     vs = tuple(vs)
-    if not (len(vs) == H.order == len(set(vs)) and min(vs) >= 0 and max(vs) < c.n):
+    if not (len(vs) == H.t == len(set(vs)) and min(vs) >= 0 and max(vs) < c.n):
         return None
     if color is not None and not 1 <= color <= c.k:
         return None
-    pattern = H.edges()
+    pattern = H.edges
     if not pattern:
         return Embedding(MONO_COPY, vs, 1 if color is None else color, ())
     if color is None:
@@ -500,8 +500,8 @@ def _generic(state: SearchState, H: TargetGraph) -> list[int] | None:
     highest-degree target vertices first: the host image of each target
     vertex, or None.  A host vertex that fails at a position takes its
     twins with it (module docstring).  Works for every family."""
-    t = H.order
-    hmasks = H.adjacency_masks()
+    t = H.t
+    hmasks = H.adjacency_masks
     order = sorted(range(t), key=lambda v: (-hmasks[v].bit_count(), v))
     cmasks = state.masks
     assign = [-1] * t
@@ -578,7 +578,7 @@ def _search_color(
     are no copy."""
     if not 1 <= color <= c.k:
         raise ValueError(f"color {color} outside 1..{c.k}")
-    if H.order > c.n:
+    if H.t > c.n:
         return None
     vs = search(SearchState(c.adj[color]), H)
     if vs is None:
@@ -615,7 +615,7 @@ def find_mono_copy_in_color(
 
 def find_mono_copy(c: ColoredComplete, H: TargetGraph) -> Embedding | None:
     """A monochromatic copy of H in any color class, lowest color first."""
-    if H.order > c.n:
+    if H.t > c.n:
         return None
     for color in range(1, c.k + 1):
         emb = find_mono_copy_in_color(c, H, color)

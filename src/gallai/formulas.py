@@ -50,10 +50,10 @@ class ConstantOutOfRange(ValueError):
 @dataclass(frozen=True)
 class GrResult:
     """Exact value or [lo, hi] bounds, with the producing rule identifiers;
-    the rules build theirs through ``_exact`` and ``_bounds``."""
+    the rules build theirs through ``_exact`` and ``_bounds``.  An exact
+    answer is the interval [value, value], so its value is read from it."""
 
     kind: str
-    value: int | None
     lo: int | None
     hi: int | None
     provenance: tuple[str, ...]
@@ -61,7 +61,12 @@ class GrResult:
 
     @classmethod
     def unknown(cls) -> GrResult:
-        return cls(KIND_UNKNOWN, None, None, None, (), ())
+        return cls(KIND_UNKNOWN, None, None, (), ())
+
+    @property
+    def value(self) -> int | None:
+        """``lo`` for an exact answer, None otherwise."""
+        return self.lo if self.kind == KIND_EXACT else None
 
     def to_json_dict(self) -> dict:
         if self.kind == KIND_EXACT:
@@ -188,13 +193,13 @@ def ramsey_known(
 
 
 def _exact(rule: str, value: int, assumption: str, deps: Iterable[str] = ()) -> GrResult:
-    return GrResult(KIND_EXACT, value, value, value, (rule, *deps), (assumption,))
+    return GrResult(KIND_EXACT, value, value, (rule, *deps), (assumption,))
 
 
 def _bounds(
     rule: str, lo: int, hi: int | None, assumption: str, deps: Iterable[str] = ()
 ) -> GrResult:
-    return GrResult(KIND_BOUNDS, None, lo, hi, (rule, *deps), (assumption,))
+    return GrResult(KIND_BOUNDS, lo, hi, (rule, *deps), (assumption,))
 
 
 def _point_rule(
@@ -447,7 +452,7 @@ _RULES = (
 
 
 def _merge(
-    chosen: Sequence[GrResult], kind: str, value: int | None, lo: int, hi: int | None
+    chosen: Sequence[GrResult], kind: str, lo: int, hi: int | None
 ) -> GrResult:
     """One result citing every rule in ``chosen``: their identifiers in table
     order, then the dependencies they cite, each once, and their
@@ -455,7 +460,7 @@ def _merge(
     rules = [res.provenance[0] for res in chosen]
     deps = [dep for res in chosen for dep in res.provenance[1:]]
     assumptions = tuple([text for res in chosen for text in res.assumptions])
-    return GrResult(kind, value, lo, hi, tuple(dict.fromkeys(rules + deps)), assumptions)
+    return GrResult(kind, lo, hi, tuple(dict.fromkeys(rules + deps)), assumptions)
 
 
 def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
@@ -486,7 +491,7 @@ def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
                     f"exact value {value} violates {res.provenance[0]} bounds "
                     f"[{res.lo}, {res.hi}] for H={render_hspec(H)}, k={k}"
                 )
-        return _merge(exacts, KIND_EXACT, value, value, value)
+        return _merge(exacts, KIND_EXACT, value, value)
 
     if bounds:
         lo = max(res.lo for res in bounds if res.lo is not None)
@@ -498,6 +503,6 @@ def evaluate(H: TargetGraph, k: int, c: float | None = None) -> GrResult:
             raise FormulaInconsistency(
                 f"bound rules cross for H={render_hspec(H)}, k={k}: lo={lo} > hi={hi}"
             )
-        return _merge(bounds, KIND_BOUNDS, None, lo, hi)
+        return _merge(bounds, KIND_BOUNDS, lo, hi)
 
     return GrResult.unknown()

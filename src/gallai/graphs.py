@@ -351,8 +351,13 @@ class TargetGraph:
 
     Structured families keep their defining parameters, so rules keyed on a
     family stay literal even when two parameterizations happen to build
-    isomorphic graphs (S_3^1 and K_3, say).  ``edge_list`` is populated only
-    for the arbitrary family.
+    isomorphic graphs (S_3^1 and K_3, say).  ``t`` is the order.
+    ``edge_list`` is the arbitrary family's input, None for the others;
+    ``edges`` is the derived edge list of every family.  ``edges``,
+    ``adjacency_masks``, ``max_degree`` and ``clique_number`` are cached
+    attributes, each computed at most once per target, and only when read:
+    the rule table reads the closed forms of the structured families, so it
+    never builds an edge list.
     """
 
     family: str
@@ -430,21 +435,9 @@ class TargetGraph:
             normalized.append((i, j))
         return cls(FAMILY_ARBITRARY, order, edge_list=tuple(sorted(normalized)))
 
-    @property
-    def order(self) -> int:
-        return self.t
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The canonical edge list on vertices 0..t-1, built once per target."""
-        return self._edges
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Per-vertex neighbor bitmasks of the target graph, built once per
-        target."""
-        return self._masks
-
     @cached_property
-    def _edges(self) -> tuple[tuple[int, int], ...]:
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The canonical edge list on vertices 0..t-1."""
         t = self.t
         if self.family == FAMILY_ARBITRARY:
             assert self.edge_list is not None
@@ -467,9 +460,10 @@ class TargetGraph:
         raise ValueError(f"unknown family {self.family!r}")
 
     @cached_property
-    def _masks(self) -> tuple[int, ...]:
+    def adjacency_masks(self) -> tuple[int, ...]:
+        """Per-vertex neighbor bitmasks of the target graph."""
         masks = [0] * self.t
-        for i, j in self.edges():
+        for i, j in self.edges:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return tuple(masks)
@@ -480,13 +474,13 @@ class TargetGraph:
         edge?  It does exactly when the clique number is the order."""
         return self.clique_number == self.t
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         """Maximum degree, in closed form for the structured families.  For
         odd t one vertex of K_t-M is untouched by the removed matching and
         keeps degree t - 1; for even t every vertex drops to t - 2."""
         if self.family == FAMILY_ARBITRARY:
-            return max(mask.bit_count() for mask in self.adjacency_masks())
+            return max(mask.bit_count() for mask in self.adjacency_masks)
         if self.family == FAMILY_COMPLETE_MINUS_MATCHING and self.t % 2 == 0:
             return self.t - 2
         return self.t - 1
@@ -507,7 +501,7 @@ class TargetGraph:
             return self.omega
         if self.family == FAMILY_COMPLETE_MINUS_MATCHING:
             return (t + 1) // 2
-        masks = self.adjacency_masks()
+        masks = self.adjacency_masks
         omega = 0
         while omega < t and find_clique(SearchState(masks), (1 << t) - 1, omega + 1):
             omega += 1
@@ -705,5 +699,5 @@ def render_hspec(H: TargetGraph) -> str:
     if H.family == FAMILY_COMPLETE_MINUS_MATCHING:
         return f"K{H.t}-M"
     return json.dumps(
-        {"order": H.t, "edges": [list(e) for e in H.edges()]}, separators=(",", ":")
+        {"order": H.t, "edges": [list(e) for e in H.edges]}, separators=(",", ":")
     )

@@ -209,7 +209,7 @@ def lower_bound_witness(H: TargetGraph, k: int) -> WitnessCertificate | None:
     build error here is a fault in this table and propagates."""
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
-    t = H.order
+    t = H.t
     a = H.clique_number
     delta = H.max_degree
 

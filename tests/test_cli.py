@@ -136,13 +136,13 @@ class TestGoldenTable:
 
 class TestFormatHelpers:
     def test_value_rendering(self):
-        assert format_value(GrResult(KIND_EXACT, 17, 17, 17, ("th3-6",), ())) == "17"
-        assert format_value(GrResult(KIND_BOUNDS, None, 3, 9, ("x",), ())) == "[3,9]"
-        assert format_value(GrResult(KIND_BOUNDS, None, 3, None, ("x",), ())) == "[3,?]"
+        assert format_value(GrResult(KIND_EXACT, 17, 17, ("th3-6",), ())) == "17"
+        assert format_value(GrResult(KIND_BOUNDS, 3, 9, ("x",), ())) == "[3,9]"
+        assert format_value(GrResult(KIND_BOUNDS, 3, None, ("x",), ())) == "[3,?]"
         assert format_value(GrResult.unknown()) == "?"
 
     def test_row_alignment(self):
-        row = format_table_row("S4^1", 3, GrResult(KIND_EXACT, 17, 17, 17, ("th3-6", "le3-3"), ()))
+        row = format_table_row("S4^1", 3, GrResult(KIND_EXACT, 17, 17, ("th3-6", "le3-3"), ()))
         assert row == "S4^1        3  17        th3-6,le3-3"
 
 

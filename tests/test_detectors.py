@@ -65,8 +65,8 @@ def _brute_force_mono(c, H, color):
     """Reference: try every injective vertex map."""
     from itertools import permutations
 
-    h_edges = H.edges()
-    t = H.order
+    h_edges = H.edges
+    t = H.t
     if t > c.n:
         return False
     for img in permutations(range(c.n), t):
@@ -596,11 +596,11 @@ class TestReverification:
 
 
 def _reference_copy_at(c, vs, H):
-    """Reference: vs are H.order distinct vertices of c and every edge of H
+    """Reference: vs are H.t distinct vertices of c and every edge of H
     maps to one color, read by ``color_of``."""
-    if len(vs) != H.order or len(set(vs)) != len(vs) or not all(0 <= v < c.n for v in vs):
+    if len(vs) != H.t or len(set(vs)) != len(vs) or not all(0 <= v < c.n for v in vs):
         return False
-    return len({c.color_of(vs[i], vs[j]) for i, j in H.edges()}) <= 1
+    return len({c.color_of(vs[i], vs[j]) for i, j in H.edges}) <= 1
 
 
 class TestMonoCopyAt:
@@ -751,9 +751,9 @@ class TestMonoCopy:
                 assert (got is not None) == want, (c, H, color)
                 if got is not None:
                     vs = got.vertices
-                    assert len(set(vs)) == H.order and got.color == color
+                    assert len(set(vs)) == H.t and got.color == color
                     assert got.edges == tuple(
-                        tuple(sorted((vs[i], vs[j]))) for i, j in H.edges()
+                        tuple(sorted((vs[i], vs[j]))) for i, j in H.edges
                     )
                     assert all(c.color_of(*e) == color for e in got.edges)
 
@@ -809,7 +809,7 @@ class TestMonoCopy:
             for color in (1, 2, 3):
                 emb = find_mono_copy_in_color(c, H, color)
                 assert emb is not None
-                assert emb.vertices == tuple(range(H.order))
+                assert emb.vertices == tuple(range(H.t))
 
 
 # sha256 over find_mono_copy_in_color (embedding JSON or None) for every
@@ -867,10 +867,10 @@ def _unpruned_generic(c, H, color):
     """Reference: ``find_mono_copy_generic`` as it was before twin pruning
     and the node budget, returning the host image of each target vertex, or
     None."""
-    t = H.order
+    t = H.t
     if t > c.n:
         return None
-    hmasks = H.adjacency_masks()
+    hmasks = H.adjacency_masks
     order = sorted(range(t), key=lambda v: (-hmasks[v].bit_count(), v))
     cmasks = c.adj[color]
     assign = [-1] * t
@@ -1098,7 +1098,7 @@ class TestTwinPruning:
                 finds = _matching_sizes(c, color)
                 assert finds(best) and not finds(best + 1)
                 for H in _GENERIC_TARGETS[:6] + [_random_target(rng)]:
-                    if H.order > 5:
+                    if H.t > 5:
                         continue
                     got = find_mono_copy_generic(c, H, color)
                     assert (got is not None) == _brute_force_mono(c, H, color), (c, H, color)
@@ -1129,7 +1129,7 @@ class TestSearchEntry:
         calls = Counter()
         for c in _blowup_hosts(41, 30, 4) + _random_hosts(42, 30):
             for H in self.TARGETS:
-                if H.order > c.n:
+                if H.t > c.n:
                     continue
                 for color in range(1, c.k + 1):
                     before = len(built)

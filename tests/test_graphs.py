@@ -11,8 +11,10 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from gallai import graphs
 from gallai.constructions import build_named, construction_grid
 from gallai.detectors import find_mono_copy_in_color
+from gallai.formulas import KIND_BOUNDS, KIND_EXACT, KIND_UNKNOWN, evaluate
 from gallai.graphs import (
     MAX_SEARCH_NODES,
     ColoredComplete,
@@ -293,13 +295,13 @@ class TestColoredComplete:
 class TestTargetFamilies:
     def test_complete(self):
         H = TargetGraph.complete(5)
-        assert (H.order, len(H.edges()), H.max_degree, H.clique_number) == (5, 10, 4, 5)
+        assert (H.t, len(H.edges), H.max_degree, H.clique_number) == (5, 10, 4, 5)
         assert H.is_complete
 
     def test_star_plus(self):
         H = TargetGraph.star_plus(7, 2)
-        assert H.order == 7
-        assert len(H.edges()) == 6 + 2
+        assert H.t == 7
+        assert len(H.edges) == 6 + 2
         assert H.max_degree == 6
         assert H.clique_number == 3
 
@@ -316,8 +318,8 @@ class TestTargetFamilies:
 
     def test_pineapple(self):
         H = TargetGraph.pineapple(7, 4)
-        assert H.order == 7
-        assert len(H.edges()) == 6 + 3
+        assert H.t == 7
+        assert len(H.edges) == 6 + 3
         assert H.max_degree == 6
         assert H.clique_number == 4
 
@@ -373,21 +375,33 @@ class TestTargetFamilies:
             members.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
             members.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
         for H in members:
-            assert H.is_complete == (len(H.edges()) == edge_count(H.t)), H
+            assert H.is_complete == (len(H.edges) == edge_count(H.t)), H
 
-    @pytest.mark.parametrize("spec", ["K100000", "S100000^3", "PA100000,50", "K100000-M"])
+    @pytest.mark.parametrize(
+        "spec",
+        ["K100000", "S100000^3", "PA100000,50", "K100000-M", "K200", "S200^3", "PA200,50", "K200-M"],
+    )
     def test_huge_target_answers_without_an_edge_list(self, spec):
         """Completeness, maximum degree and clique number are closed forms
-        for the structured families, so a huge target builds no edge list."""
+        for the structured families, and the rule table reads only those,
+        so neither they nor ``evaluate`` build an edge list or the masks.
+        The order-200 members would fit in memory, so a closed form that
+        read the edge list fails here on the assertion, not on memory."""
         H = parse_hspec(spec)
-        answers = (H.is_complete, H.max_degree, H.clique_number)
-        assert answers == {
+        assert (H.is_complete, H.max_degree, H.clique_number) == {
             "K100000": (True, 99999, 100000),
             "S100000^3": (False, 99999, 3),
             "PA100000,50": (False, 99999, 50),
             "K100000-M": (False, 99998, 50000),
+            "K200": (True, 199, 200),
+            "S200^3": (False, 199, 3),
+            "PA200,50": (False, 199, 50),
+            "K200-M": (False, 198, 100),
         }[spec]
-        assert "_edges" not in H.__dict__
+        c = 0.1 if H.family == "pineapple" else None
+        for k in sorted({4, 5, 6, H.t - 1, H.t, H.t + 1}):
+            assert evaluate(H, k, c).kind in (KIND_EXACT, KIND_BOUNDS, KIND_UNKNOWN)
+        assert "edges" not in vars(H) and "adjacency_masks" not in vars(H)
 
     def test_closed_forms_match_the_edge_list(self):
         """max_degree and clique_number of every structured family member
@@ -398,7 +412,7 @@ class TestTargetFamilies:
             members.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
             members.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
             for H in members:
-                masks = H.adjacency_masks()
+                masks = H.adjacency_masks
                 assert H.max_degree == max(m.bit_count() for m in masks), H
                 full = (1 << t) - 1
                 omega = H.clique_number
@@ -409,19 +423,23 @@ class TestTargetFamilies:
         """The arbitrary family's clique search runs on first use only."""
         H = TargetGraph.arbitrary(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
         assert H.clique_number == 3
-        monkeypatch.setattr(TargetGraph, "adjacency_masks", None)
+        monkeypatch.setattr(graphs, "find_clique", None)
         assert H.clique_number == 3
 
     def test_edges_and_masks_built_once_per_target(self):
-        """The edge list and the masks are built on first use and kept; a
-        target that has built them still equals and hashes as a fresh one."""
+        """The edge list, the masks, the maximum degree and the clique number
+        are built on first use and kept; a target that has built them still
+        equals and hashes as a fresh one."""
+        derived = ("edges", "adjacency_masks", "max_degree", "clique_number")
         for spec in ("K5", "S7^2", "PA6,4", "K6-M", '{"order":4,"edges":[[0,1],[2,3]]}'):
             H = parse_hspec(spec)
-            edges, masks = H.edges(), H.adjacency_masks()
-            assert H.edges() is edges and H.adjacency_masks() is masks
+            edges, masks = H.edges, H.adjacency_masks
+            assert H.edges is edges and H.adjacency_masks is masks
+            assert H.max_degree < H.t and H.clique_number <= H.t
+            assert all(name in vars(H) for name in derived)
             fresh = parse_hspec(spec)
             assert H == fresh and hash(H) == hash(fresh) and repr(H) == repr(fresh)
-            assert fresh.edges() == edges and fresh.adjacency_masks() == masks
+            assert fresh.edges == edges and fresh.adjacency_masks == masks
 
     def test_structural_completeness_not_family_name(self):
         """S3^1 is a triangle but stays in its declared family."""
@@ -432,7 +450,7 @@ class TestTargetFamilies:
     @given(st.integers(2, 10))
     def test_complete_adjacency_masks(self, t):
         H = TargetGraph.complete(t)
-        masks = H.adjacency_masks()
+        masks = H.adjacency_masks
         assert all(masks[v] == ((1 << t) - 1) ^ (1 << v) for v in range(t))
 
 
@@ -624,7 +642,7 @@ class TestHspecGrammar:
     def test_inline_json(self):
         H = parse_hspec('{"order": 4, "edges": [[0, 1], [1, 2], [2, 3]]}')
         assert H.family == "arbitrary"
-        assert len(H.edges()) == 3
+        assert len(H.edges) == 3
 
     @pytest.mark.parametrize("text", ["K", "S4", "PA5", "Q3", "S4^9", "K0"])
     def test_rejects_malformed(self, text):

@@ -272,7 +272,7 @@ class TestCheckN:
             assert out.status == STATUS_BAD
             assert hosts == list(table)
             assert canonical_form(out.witness.coloring) == min(map(canonical_form, table))
-            assert "_edges" not in vars(H)
+            assert "edges" not in vars(H)
             hosts.clear()
 
     def test_searches_per_check_are_pinned(self, monkeypatch):
