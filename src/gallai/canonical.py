@@ -35,7 +35,7 @@ from gallai.graphs import (
     UnsupportedSizeError,
     color_rows,
     edge_count,
-    edge_index,
+    pairs,
     twin_classes,
 )
 
@@ -174,11 +174,5 @@ def coloring_from_key(key: bytes) -> ColoredComplete:
         raise ValueError(
             f"canonical key body has {len(body)} entries, expected {edge_count(n)}"
         )
-    cols = [0] * edge_count(n)
-    pos = 0
-    for p in range(1, n):
-        for q in range(p):
-            cols[edge_index(q, p, n)] = body[pos]
-            pos += 1
-    return ColoredComplete(n, k, cols)
-
+    # edge qp (q < p) is entry p(p - 1)/2 + q of the column-by-column body
+    return ColoredComplete(n, k, [body[p * (p - 1) // 2 + q] for q, p in pairs(n)])

@@ -45,6 +45,7 @@ from gallai.formulas import (
 from gallai.graphs import (
     ColoredComplete,
     TargetGraph,
+    edge_count,
     load_json,
     parse_hspec,
     render_hspec,
@@ -278,7 +279,7 @@ def _selftest_classifier() -> list[str]:
     for _ in range(300):
         n = rng.randint(5, 8)
         k = rng.randint(2, 8)
-        colors = tuple(rng.randint(1, k) for _ in range(n * (n - 1) // 2))
+        colors = tuple(rng.randint(1, k) for _ in range(edge_count(n)))
         classify_p5free(ColoredComplete(n, k, colors))
     for n, k in [(n, k) for n in range(5, 8) for k in (4, 5)] + [(8, 5), (9, 4)]:
         for c in p5free_classes(n, k):

@@ -27,6 +27,7 @@ from gallai.graphs import (
     FAMILY_STAR_PLUS,
     TargetGraph,
     UnsupportedSizeError,
+    edge_count,
     parse_hspec,
     render_hspec,
 )
@@ -100,24 +101,15 @@ class RamseyEntry:
         return self.hi is not None and self.lo == self.hi
 
 
-def pq_decompose(x: int, m: int) -> tuple[int, int]:
-    """x = p*m + q with 0 <= q < m."""
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    if x < 0:
-        raise ValueError(f"need x >= 0, got {x}")
-    return divmod(x, m)
-
-
 def min_order_with_pair_count(k: int) -> int:
     """Least v with C(v, 2) >= k: the smallest complete graph carrying k
     distinct edge colors."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
     v = max(2, (1 + math.isqrt(1 + 8 * k)) // 2)
-    while v * (v - 1) // 2 >= k:
+    while edge_count(v) >= k:
         v -= 1
-    while v * (v - 1) // 2 < k:
+    while edge_count(v) < k:
         v += 1
     return v
 
@@ -268,7 +260,7 @@ def _rule_th2_6(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
     entry = ramsey_known(H, 2, c=c)
     if entry is None or not entry.is_exact or entry.lo < t + 1:
         return None
-    p, _ = pq_decompose(H.max_degree - 1, k - 2)
+    p = (H.max_degree - 1) // (k - 2)
     lo = max(H.max_degree + p, t + 1)
     return _bounds(
         "th2-6",
@@ -290,7 +282,7 @@ def _rule_lem2_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
 def _rule_th3_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
     t, r = H.t, H.r
     if 5 <= k <= t - 1 and 1 <= r <= k - 2:
-        p, _ = pq_decompose(t - 2, k - 2)
+        p = (t - 2) // (k - 2)
         return _exact(
             "th3-1", max(t + p - 1, t + 1), f"5 <= k={k} <= t-1 and 1 <= r <= k-2"
         )
@@ -300,7 +292,7 @@ def _rule_th3_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
 def _rule_th3_2(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
     t, r = H.t, H.r
     if k == 4 and t >= 6 and r in (1, 2):
-        p, _ = pq_decompose(t - 2, 2)
+        p = (t - 2) // 2
         return _exact("th3-2", t + p - 1, f"k=4, t={t} >= 6, r={r} in {{1,2}}")
     return None
 
@@ -314,7 +306,7 @@ def _rule_co3_1(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
     if t == 5:
         return _exact("co3-1", 6, f"k=4, t=5, r={r}")
     if t >= 6:
-        p, _ = pq_decompose(t - 2, 2)
+        p = (t - 2) // 2
         return _exact("co3-1", t + p - 1, f"k=4, t={t} >= 6, r={r}")
     return None
 
@@ -370,7 +362,7 @@ def _rule_th3_9(H: TargetGraph, k: int, c: float | None) -> GrResult | None:
             "th3-9", entry.lo, entry.hi, "k=3 via the three-color value", deps=("le3-4", entry.citation)
         )
     if 4 <= k <= t - 1:
-        p, _ = pq_decompose(t - 2, k - 2)
+        p = (t - 2) // (k - 2)
         return _exact("th3-9", max(t + p - 1, t + 1), f"4 <= k={k} <= t-1={t - 1}")
     if k == t:
         return _exact("th3-9", t + 1, f"k = t = {t}")

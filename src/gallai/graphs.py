@@ -14,18 +14,20 @@ A coloring's JSON form is ``{"n": n, "k": k, "edges": [[i, j, c], ...]}``.
 ``ColoredComplete.to_json`` writes it compact, in the edge order above,
 with the bytes ``json.dumps`` gives ``to_json_dict``: row i of that order
 is one string join of the prefix "[i," and the strings "j,c]".
-``from_json_dict`` first reads the list in one pass that accepts only that
-order, every entry an int, and hands the colors to ``__init__``, which
-checks them.  Any other list, in another order, with reversed pairs or
-malformed, goes the general route of ``_json_rows`` and
-``from_edge_triples``, so every list read before is read alike and every
-refusal keeps its text.  Neither side keeps a table per order.  On a 2-vCPU
-x86-64 host under Python 3.11, at order 841, the writer takes 38 ms against
-175 ms for ``to_json_dict`` and ``json.dumps``, and the one pass with
-``__init__`` 120 ms against 180 ms for the general route.  A cached table
-of "[i,j," prefixes wrote three times faster when warm, but took 65 ms to
-build at order 841 and made a cold ``witness --H K30 --k 30`` slower; an
-edge-bit table for ``__init__`` took 110 ms to build there.
+``_json_rows`` is the one check of a JSON row list, a coloring's edges or
+an inline target's: it refuses any other shape and any entry that is not
+an int, and returns the entries flat, row by row.  ``from_json_dict`` then
+takes one of two branches.  When the pairs are those of the edge order
+above, it hands the colors, every third entry, to ``__init__``, which
+checks them.  Any other pairs, in another order, reversed, missing or
+repeated, go to ``from_edge_triples`` as triples, which reads or refuses
+them.  Neither side keeps a table per order.  On a 2-vCPU x86-64 host
+under Python 3.11, at order 841, the writer takes 38 ms against 175 ms for
+``to_json_dict`` and ``json.dumps``, and the written-order branch with
+``__init__`` 120 ms against 180 ms for ``from_edge_triples``.  A cached
+table of "[i,j," prefixes wrote three times faster when warm, but took
+65 ms to build at order 841 and made a cold ``witness --H K30 --k 30``
+slower; an edge-bit table for ``__init__`` took 110 ms to build there.
 
 ``ColoredComplete.__init__`` builds the per-color masks in one walk over
 the edge order, one list per color, row i's slice with a running column
@@ -119,19 +121,23 @@ def _json_int(value: object) -> int:
     return value
 
 
-def _json_rows(rows: object, width: int, what: str) -> list[tuple[int, ...]]:
-    """A JSON list of integer rows of the given width, as tuples; ValueError
-    on any other shape.  The entries' types are checked in one pass over all
-    rows; ``_json_int`` runs only to name the first entry that is refused."""
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and len(row) == width for row in rows
+def _json_rows(rows: object, width: int, what: str) -> list[int]:
+    """The entries of a JSON list of integer rows of the given width, flat
+    and row by row; ValueError on any other shape.  The shape is checked by
+    passes over the rows' types and lengths, the entries' types in one pass
+    over the flat entries; ``_json_int`` runs only to name the first entry
+    that is refused."""
+    if not (
+        type(rows) is list
+        and set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {width}
     ):
         raise ValueError(f"{what} must be a list of {width}-integer lists")
-    if not set(map(type, chain.from_iterable(rows))) <= {int}:
-        for row in rows:
-            for x in row:
-                _json_int(x)
-    return list(map(tuple, rows))
+    flat = list(chain.from_iterable(rows))
+    if not set(map(type, flat)) <= {int}:
+        for x in flat:
+            _json_int(x)
+    return flat
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -310,30 +316,12 @@ class ColoredComplete:
             raise UnsupportedSizeError(
                 f"palettes are limited to k <= {MAX_COLORING_ORDER}, got k={k}"
             )
-        colors = _written_colors(data["edges"], n)
-        if colors is not None:
+        flat = _json_rows(data["edges"], 3, "coloring edges")
+        colors = flat[2::3]
+        del flat[2::3]
+        if flat == list(chain.from_iterable(pairs(n))):
             return cls(n, k, colors)
-        return cls.from_edge_triples(n, k, _json_rows(data["edges"], 3, "coloring edges"))
-
-
-def _written_colors(edges: object, n: int) -> list[int] | None:
-    """The colors of ``edges`` when it lists every edge of K_n in the order
-    ``to_json`` writes: row m is [i, j, c], with (i, j) the m-th pair of
-    ``pairs(n)`` and every entry of type int.  None for any other value,
-    which the general route then reads or refuses."""
-    if not (
-        type(edges) is list
-        and len(edges) == edge_count(n)
-        and set(map(type, edges)) <= {list}
-        and set(map(len, edges)) <= {3}
-    ):
-        return None
-    flat = list(chain.from_iterable(edges))
-    if not set(map(type, flat)) <= {int}:
-        return None
-    colors = flat[2::3]
-    del flat[2::3]
-    return colors if flat == list(chain.from_iterable(pairs(n))) else None
+        return cls.from_edge_triples(n, k, zip(flat[0::2], flat[1::2], colors))
 
 
 FAMILY_COMPLETE = "complete"
@@ -675,8 +663,8 @@ def parse_hspec(text: str) -> TargetGraph:
     s = text.strip()
     if s.startswith("{"):
         data = require_keys(load_json(s), ("order", "edges"), "an inline target")
-        edges = _json_rows(data["edges"], 2, "target edges")
-        return TargetGraph.arbitrary(_json_int(data["order"]), edges)
+        flat = _json_rows(data["edges"], 2, "target edges")
+        return TargetGraph.arbitrary(_json_int(data["order"]), zip(flat[0::2], flat[1::2]))
     if m := _RE_COMPLETE_MINUS.fullmatch(s):
         return TargetGraph.complete_minus_matching(int(m.group(1)))
     if m := _RE_COMPLETE.fullmatch(s):

@@ -7,9 +7,10 @@ which re-runs both detectors and returns a replayable certificate;
 ``lower_bound_witness`` picks the registry constructions whose hypotheses
 cover a query and returns the largest one that verifies.  The per-order
 check tests one member coloring per class: the structure-guided classes of
-``p5free_classes`` for n >= 5, and all exact colorings up to color renaming
-below that.  The reported bad coloring is the canonically smallest one,
-decoded from the least key of the bad classes.
+``p5free_classes`` for n >= 5, and below that every exact coloring up to
+renaming, the classes of ``rainbow_p5free_classes`` at orders 2..4.  The
+reported bad coloring is the canonically smallest one, decoded from the
+least key of the bad classes.
 
 The classes depend on (n, k) alone, and ``check_n`` is the one caller that
 asks for the same (n, k) more than once, so this module keeps the only
@@ -337,10 +338,10 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
     rainbow 4-edge path, by unstructured enumeration of edge-set partitions.
 
     Slow by design (it is the ground truth the structure-guided enumerator
-    is compared against); supports n <= 5 only.
+    is compared against); supports n <= 5 only.  Below order 5 no 4-edge
+    path fits, so every exact class is kept: these are the classes
+    ``check_n`` scans there.
     """
-    if n < 5:
-        raise ValueError(f"need n >= 5, got n={n}")
     if n > 5:
         raise UnsupportedSizeError("ground-truth enumeration supports n <= 5 only")
     return frozenset(
@@ -354,16 +355,12 @@ def rainbow_p5free_classes(n: int, k: int) -> frozenset[bytes]:
 def _class_table(n: int, k: int) -> dict[ColoredComplete, bytes | None]:
     """One member coloring per class at (n, k), in a fixed order, each
     mapped to its canonical key, or to None until ``check_n`` finds the
-    class bad.  Below order 5 no 4-edge path fits, so the classes are every
-    exact coloring: the keys of the restricted growth strings, decoded in
-    key order; from order 5 they are the classes of ``p5free_classes``, keyed
-    by ``check_n`` on demand.  A failed build stores nothing."""
+    class bad.  Below order 5 they are every exact coloring up to
+    renaming, the keys of ``rainbow_p5free_classes``, decoded in key order;
+    from order 5 they are the classes of ``p5free_classes``, keyed by
+    ``check_n`` on demand.  A failed build stores nothing."""
     if n <= 4:
-        keys = {
-            canonical_form(ColoredComplete(n, k, rgs))
-            for rgs in _restricted_growth_strings(edge_count(n), k)
-        }
-        return {coloring_from_key(key): key for key in sorted(keys)}
+        return {coloring_from_key(key): key for key in sorted(rainbow_p5free_classes(n, k))}
     return dict.fromkeys(p5free_classes(n, k))
 
 

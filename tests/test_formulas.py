@@ -20,7 +20,6 @@ from gallai.formulas import (
     builtin_ramsey_table,
     evaluate,
     min_order_with_pair_count,
-    pq_decompose,
     ramsey_known,
 )
 from gallai.graphs import TargetGraph, UnsupportedSizeError, parse_hspec, render_hspec
@@ -55,14 +54,6 @@ class TestHelpers:
         for k in range(7, 201):
             v = min_order_with_pair_count(k)
             assert math.comb(v, 2) >= k > math.comb(v - 1, 2)
-
-    def test_pq_decompose(self):
-        assert pq_decompose(7, 3) == (2, 1)
-        assert pq_decompose(0, 4) == (0, 0)
-        with pytest.raises(ValueError):
-            pq_decompose(5, 0)
-        with pytest.raises(ValueError):
-            pq_decompose(-1, 2)
 
 
 class TestRamseyTable:

@@ -33,6 +33,7 @@ from gallai.graphs import (
     render_hspec,
     short_repr,
 )
+from gallai.search import lower_bound_witness
 
 
 class TestEdgeIndex:
@@ -670,7 +671,7 @@ def _json_rows_per_integer(rows, width, what):
         isinstance(row, list) and len(row) == width for row in rows
     ):
         raise ValueError(f"{what} must be a list of {width}-integer lists")
-    return [tuple(_json_int(x) for x in row) for row in rows]
+    return [_json_int(x) for row in rows for x in row]
 
 
 class TestJsonRows:
@@ -683,9 +684,10 @@ class TestJsonRows:
             return f"ValueError: {exc}"
 
     def test_same_rows_or_error_text_as_a_check_per_integer(self):
-        """Rows of integers come back as tuples; a refused entry, wherever
-        it sits, gives the error text the per-integer check gives, naming
-        the first refused entry in row order."""
+        """Rows of integers come back as their entries, flat and row by
+        row; a refused entry, wherever it sits, gives the error text the
+        per-integer check gives, naming the first refused entry in row
+        order."""
         rng = random.Random(77)
         cases = [[], [[]], [[1, 2]], [[1, 2, 3]], "rows", [[1, 2], 3], [[0, 1], [2]]]
         for _ in range(400):
@@ -713,10 +715,11 @@ def _dumps(obj) -> str:
 
 
 def _general_route(data: dict) -> ColoredComplete:
-    """The reader as it was before the one-pass route: every list goes
+    """The reader without its written-order branch: every list goes
     through ``_json_rows`` and ``from_edge_triples``."""
     n, k = data["n"], data["k"]
-    return ColoredComplete.from_edge_triples(n, k, _json_rows(data["edges"], 3, "coloring edges"))
+    flat = _json_rows(data["edges"], 3, "coloring edges")
+    return ColoredComplete.from_edge_triples(n, k, zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
 def _outcome(read, data):
@@ -758,9 +761,9 @@ def _variant(i: int, row: object) -> list:
 
 
 class TestJsonReader:
-    """``from_json_dict`` reads the written order in one pass and every
-    other list through the general route, with the same result and the
-    same error text."""
+    """``from_json_dict`` reads the written order without
+    ``from_edge_triples`` and every other list through it, with the same
+    result and the same error text."""
 
     REFUSED = [
         ("bool entry", 4, 3, _variant(1, [0, 2, True]), "expected an integer, got True"),
@@ -817,8 +820,14 @@ class TestJsonReader:
                 assert ColoredComplete.from_json_dict({"n": n, "k": k, "edges": other}) == c
 
     def test_written_order_skips_the_general_route(self, monkeypatch):
-        c = ColoredComplete(5, 3, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1])
-        data = json.loads(c.to_json())
+        """A written list is read with no ``from_edge_triples`` call, and
+        its reverse with one, to the same coloring: an order-5 coloring,
+        the 49 grid colorings and the order-121 certificate of ``witness
+        --H K12 --k 12``."""
+        colorings = [ColoredComplete(5, 3, [1, 2, 3, 1, 2, 3, 1, 2, 3, 1])]
+        colorings += [build_named(row["name"], row["params"]) for row in construction_grid()]
+        colorings.append(lower_bound_witness(TargetGraph.complete(12), 12).coloring)
+        assert len(colorings) == 51 and (colorings[-1].n, colorings[-1].k) == (121, 12)
         calls = []
         general = ColoredComplete.from_edge_triples.__func__
 
@@ -827,11 +836,14 @@ class TestJsonReader:
             return general(cls, *args)
 
         monkeypatch.setattr(ColoredComplete, "from_edge_triples", classmethod(counted))
-        assert ColoredComplete.from_json_dict(data) == c
-        assert calls == []
-        data["edges"].reverse()
-        assert ColoredComplete.from_json_dict(data) == c
-        assert calls == [(5, 3)]
+        for c in colorings:
+            data = json.loads(c.to_json())
+            assert ColoredComplete.from_json_dict(data) == c
+            assert calls == [], (c.n, c.k)
+            data["edges"].reverse()
+            assert ColoredComplete.from_json_dict(data) == c
+            assert calls == [(c.n, c.k)]
+            calls.clear()
 
     def test_same_outcome_as_the_general_route(self):
         """Seeded corruptions of written lists: every outcome, a coloring

@@ -174,11 +174,16 @@ class TestGroundTruthOracle:
             got = {canonical_form(c) for c in enumerate_p5free(5, k)}
             assert got == want
 
-    def test_supports_only_order_five(self):
+    def test_supports_orders_up_to_five(self):
+        """Below order 5 no 4-edge path fits, so the oracle keeps every
+        exact class, the canonical forms of the brute-force colorings;
+        order 6 is refused."""
+        for n in range(2, 5):
+            for k in range(1, math.comb(n, 2) + 1):
+                want = {canonical_form(c) for c in brute_force_colorings(n, k)}
+                assert rainbow_p5free_classes(n, k) == want, (n, k)
         with pytest.raises(UnsupportedSizeError):
             rainbow_p5free_classes(6, 4)
-        with pytest.raises(ValueError):
-            rainbow_p5free_classes(4, 4)
 
     def test_empty_when_colors_exceed_edges(self):
         assert rainbow_p5free_classes(5, 11) == frozenset()
