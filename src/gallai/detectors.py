@@ -77,7 +77,8 @@ in the same ascending order, so the first hit is the one the scan over
 every pair finds.  The worst case stays O(n^3 k^2).  The 35 distinct grid
 witnesses of order 5 to 25 hold 23,108 pairs with x != y around a middle
 vertex; 34 of them walk no row past the probe's, their probes test 217
-pairs, and 16 more, all in F3, reach the path test.
+pairs, and 16 more, all in F3, reach the path test.  (Three use fewer than
+four colors, and only the other 32 are scanned.)
 
 The pair table only pays on hosts without a path.  So before building it
 the m = 4 scan probes its first pair row, on every host: mid 0, read from
@@ -85,11 +86,42 @@ the flat color tuple, with b the lowest vertex that has two colors, and
 every d > b in ascending order, through the same path test.  The scan meets
 that row before any other, and the rules skip only pairs that hold no
 path, so a path the probe finds is the scan's first hit and is returned as
-it is.  On a miss the per-vertex color lists the probe built are kept, and
-at mid 0 the scan starts past that b.  Of the 1,800 seeded uniform
-colorings of n 5..12 that the tests hold (``_palette_dense_colorings``),
-the probe returns the path on 1,467 and misses it on 128, and 205 hold no
-path.
+it is.  On a miss the scan starts past that b at mid 0.  Of the 1,800
+seeded uniform colorings of n 5..12 that the tests hold
+(``_palette_dense_colorings``), the probe returns the path on 1,467 and
+misses it on 128, and 205 hold no path; 204 of those use fewer than four
+colors and are not scanned.
+
+The probe builds no per-vertex color list: it reads every color on the
+masks.  Vertex b has one color exactly when ``adj[x][b] | 1 << b`` is every
+vertex, x the color of edge 0b, so each b is tested in O(1).  The path
+test ``_row_path`` takes the ends as two masks: the vertices outside
+{b, mid, d} that b, and that d, reach in a color other than x and y.  When
+either is empty the pair holds no path, as for 215 of the 217 pairs the
+grid witnesses' probes test.  Otherwise it tries the colors z at b in
+ascending order, each read as ``adj[z][b]``.  For a z it tries the colors
+w at d, each read as ``adj[w][d]``, only once the ends at d outside color
+z show that some w closes the path, and it takes the lowest.  So it meets
+the same z and w, and returns the same path, as a walk over lists of the
+colors at b and at d in ascending order.  The lists, one per vertex, are
+built only after a probe miss, for the pair table; the rows walked past
+the probe's read the masks too.
+
+On the m = 4 scans of a classify pass (seed 11) and of a certify pass,
+``find_rainbow_path(c, 4)`` takes per host, against the probe that built
+the lists of b and of every d it read (medians over the hosts of each
+host's best of 21 rounds, the two alternating, in-process, 2 vCPUs,
+Python 3.11.7; both with the same re-check):
+
+  ==========================================  =====  =======  =======
+  hosts                                       count  lists    masks
+  ==========================================  =====  =======  =======
+  uniform, five colors or more                4,795   5.3 us   3.4 us
+  uniform, four colors                        1,502   5.4 us   3.8 us
+  uniform, the path past the probe's row        308  18.8 us  18.0 us
+  relabeled builder outputs, no path            405  15.2 us  14.5 us
+  distinct certify hosts, no path                43  29.3 us  26.3 us
+  ==========================================  =====  =======  =======
 
 S_t^r and PA_{t,omega} are both a centre whose neighbourhood in the color
 holds an inner pattern: r independent edges, or a clique of order
@@ -252,8 +284,9 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
     outside {b, mid, d} that are not one and the same single vertex.  For
     m = 3 row 0 is read from the flat color tuple, and the other rows are
     built only when it holds no path.  For m = 4 the first pair row is
-    probed first; then the pairs the module docstring's three rules leave
-    are found once, and the rows are walked only when some pair is left."""
+    probed first, every color read on the masks; then the pairs the module
+    docstring's three rules leave are found once, from one color list per
+    vertex, and the rows are walked only when some pair is left."""
     if c.used < m:
         return None
     n = c.n
@@ -269,21 +302,21 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
                 return path
         return None
     # The probe (module docstring): the first pair row, mid 0 and b the
-    # lowest vertex with two colors.  Four colors are used, so the loop
-    # breaks: were vertex 0 the only vertex with two, every edge would share
-    # one color.  around[v] is built only for the vertices the probe reads.
-    around = [None] * n
-    for b in range(1, n):
-        around[b] = _colors_at(adj, b)
-        if len(around[b]) > 1:
-            break
+    # lowest vertex with two colors.  Vertex b has one color exactly when
+    # its neighbours in the color of edge 0b are every other vertex.  Four
+    # colors are used, so the loop stops before n: were vertex 0 the only
+    # vertex with two, every edge would share one color.
+    full = (1 << n) - 1
     cm = (0,) + c.colors[: n - 1]
+    b = 1
+    while adj[cm[b]][b] | 1 << b == full:
+        b += 1
     x = cm[b]
     # every d > b whose edge to vertex 0 is not of color x
-    if path := _row_path(adj, around, b, 0, x, cm, (1 << n) - (2 << b) & ~adj[x][0]):
+    if path := _row_path(adj, full, b, 0, x, cm, (1 << n) - (2 << b) & ~adj[x][0]):
         return path
     probed = 1 << b
-    around = [_colors_at(adj, v) if at_v is None else at_v for v, at_v in enumerate(around)]
+    around = [_colors_at(adj, v) for v in range(n)]
     partners, live = _pair_table(around)
     if not live:
         return None
@@ -297,7 +330,7 @@ def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
             b = low.bit_length() - 1
             x = cm[b]
             allowed = partners[b] & ~(adj[x][mid] | 1 << mid)
-            if allowed and (path := _row_path(adj, around, b, mid, x, cm, allowed)):
+            if allowed and (path := _row_path(adj, full, b, mid, x, cm, allowed)):
                 return path
     return None
 
@@ -389,7 +422,7 @@ def _colors_at(adj: Sequence[Sequence[int]], v: int) -> list[tuple[int, int]]:
 
 def _row_path(
     adj: Sequence[Sequence[int]],
-    around: list,
+    full: int,
     b: int,
     mid: int,
     x: int,
@@ -398,30 +431,36 @@ def _row_path(
 ) -> tuple[int, ...] | None:
     """The first rainbow path a-b-mid-d-e, smaller end first, over the d in
     the mask ``allowed`` taken in ascending order, or None.  b-mid has color
-    x and mid-d color cm[d]; ``around[v]`` is ``_colors_at(adj, v)``, filled
-    in here where it is still None.  Colors z at b and then w at d are tried
-    in ascending order; the ends must lie outside {b, mid, d} and not be one
-    and the same single vertex."""
-    at_b = around[b]
+    x and mid-d color cm[d]; ``full`` is the mask of every vertex.  Colors
+    z at b and then w at d are tried in ascending order, each read on its
+    mask ``adj[z][b]`` or ``adj[w][d]``; the ends must lie outside
+    {b, mid, d} and not be one and the same single vertex."""
+    # the vertices b reaches in a color other than x; mid is not one
+    at_b = full & ~(adj[x][b] | 1 << b)
     while allowed:
         low = allowed & -allowed
         allowed ^= low
         d = low.bit_length() - 1
         y = cm[d]
-        at_d = around[d]
-        if at_d is None:
-            at_d = around[d] = _colors_at(adj, d)
-        excl = ~(1 << b | 1 << mid | 1 << d)
-        for z, z_mask in at_b:
-            if z == x or z == y:
-                continue
-            ends_a = z_mask & excl
+        # the ends a at b and e at d: outside {b, mid, d}, and reached in a
+        # color other than x and y
+        ends_b = at_b & ~(adj[y][b] | low)
+        if not ends_b:
+            continue
+        ends_d = full & ~(adj[x][d] | adj[y][d] | low | 1 << b)
+        if not ends_d:
+            continue
+        for z_row in adj:
+            ends_a = z_row[b] & ends_b
             if not ends_a:
                 continue
-            for w, w_mask in at_d:
-                if w == x or w == y or w == z:
-                    continue
-                ends_e = w_mask & excl
+            # the ends at d in a color w other than x, y and z: some w
+            # closes the path unless they are none or ends_a's one vertex
+            ends_w = ends_d & ~z_row[d]
+            if not ends_w or ends_w == ends_a and ends_a & (ends_a - 1) == 0:
+                continue
+            for w_row in adj:
+                ends_e = w_row[d] & ends_w
                 if ends_e and not (ends_a == ends_e and ends_a & (ends_a - 1) == 0):
                     a = (ends_a & -ends_a).bit_length() - 1
                     if ends_e == 1 << a:
@@ -446,6 +485,8 @@ def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
         return None
     if len(vs) == m + 1 and 0 <= vs[0] < n:
         colors = c.colors
+        # edge ab with a < b is colors[a * (r - a) // 2 + b - 1]
+        r = 2 * n - 3
         u = vs[0]
         # on: the vertices walked so far; hues: the colors of their edges
         on = 1 << u
@@ -455,9 +496,12 @@ def find_rainbow_path(c: ColoredComplete, m: int) -> Embedding | None:
             if not 0 <= w < n or on >> w & 1:
                 break
             on |= 1 << w
-            a, b = (u, w) if u < w else (w, u)
-            edges.append((a, b))
-            hues |= 1 << colors[a * n - a * (a + 1) // 2 + b - a - 1]
+            if u < w:
+                edges.append((u, w))
+                hues |= 1 << colors[u * (r - u) // 2 + w - 1]
+            else:
+                edges.append((w, u))
+                hues |= 1 << colors[w * (r - w) // 2 + u - 1]
             u = w
         else:
             if hues.bit_count() == m:

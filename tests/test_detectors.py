@@ -499,6 +499,68 @@ class TestPrunedScan:
         assert len(candidates) == len(tables) == 191
         assert len(candidates) - len(rows) >= 155, len(rows)
 
+    @pytest.mark.parametrize("name", list(_DIFFERENTIAL_SETS))
+    def test_one_color_test_picks_the_probe_b(self, monkeypatch, name):
+        """A vertex v > 0 has one color exactly when its neighbours in the
+        color of edge 0v, with v itself, are every vertex; and the probe's
+        path test, the scan's first, takes mid 0 and b the lowest vertex
+        past 0 with two colors."""
+        firsts = []
+        row_path = detectors._row_path
+        monkeypatch.setattr(
+            detectors,
+            "_row_path",
+            lambda adj, full, b, mid, *rest: firsts.append((b, mid))
+            or row_path(adj, full, b, mid, *rest),
+        )
+        for c in _DIFFERENTIAL_SETS[name]():
+            full = (1 << c.n) - 1
+            one = [sum(1 for row in c.adj if row[v]) == 1 for v in range(1, c.n)]
+            assert [c.adj[c.color_of(0, v)][v] | 1 << v == full for v in range(1, c.n)] == one
+            if c.used >= 4:
+                firsts.clear()
+                _rainbow_path(c, 4)
+                assert firsts[0] == (one.index(False) + 1, 0), (name, c)
+
+    def test_color_lists_only_for_the_pair_table(self, monkeypatch):
+        """A probe hit reads every color on the masks and builds no
+        per-vertex color list.  A probe miss, or a host with four colors
+        and no path, builds one list per vertex, all before the pair table
+        and none after it; a host with fewer colors is not scanned.  The
+        dense set reaches each case, and the 191 guard candidates are all
+        rainbow-free hosts that the probe misses."""
+        made, tables = [], []
+        colors_at, pair_table = detectors._colors_at, detectors._pair_table
+        monkeypatch.setattr(
+            detectors, "_colors_at", lambda adj, v: made.append(v) or colors_at(adj, v)
+        )
+        monkeypatch.setattr(
+            detectors, "_pair_table", lambda around: tables.append(len(made)) or pair_table(around)
+        )
+        candidates = [
+            c for n in range(5, 10) for k in range(4, 7)
+            for gen in _GUARD_GENERATORS for c in gen(n, k)
+        ]
+        outcomes = Counter()
+        for source, hosts in (("dense", _palette_dense_colorings()), ("guard", candidates)):
+            for c in hosts:
+                outcome = _probe_outcome(c)
+                made.clear()
+                tables.clear()
+                _rainbow_path(c, 4)
+                if outcome != "hit" and c.used >= 4:
+                    assert made == list(range(c.n)) and tables == [c.n], (outcome, c)
+                else:
+                    assert made == tables == [], (outcome, c)
+                outcomes[source, outcome, bool(made)] += 1
+        assert outcomes == {
+            ("dense", "hit", False): 1467,
+            ("dense", "miss", True): 128,
+            ("dense", "free", True): 1,
+            ("dense", "free", False): 204,
+            ("guard", "free", True): 191,
+        }, outcomes
+
 
 class TestReverification:
     HOST = ColoredComplete(5, 10, tuple(range(1, 11)))
