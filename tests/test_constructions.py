@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -34,6 +33,7 @@ from gallai.graphs import (
     render_hspec,
 )
 from gallai.search import WitnessFailure, lower_bound_witness, verify_witness
+from golden import assert_rows
 
 
 def _reference_blowup(k, parts, inter):
@@ -416,20 +416,17 @@ class TestDispatcher:
             verify_witness(c, TargetGraph.complete(3))
 
 
-# sha256 over (name, params, n, k, colors) of every grid row, then of every
-# dispatcher answer on data/eval_sweep.txt (None where there is none),
-# recorded before the blow-up builders were rewritten.
-_PRINTED_SHA256 = "1f31dbd64a50aa1db836055e6abe4f05ec7781230d2c4315b4bd53ffd5a5df59"
-
-
 class TestPrintedBytes:
     def test_every_printed_coloring_is_pinned(self):
         """Canonical keys are blind to vertex order; this pins the colorings
-        ``witness`` prints, byte for byte."""
-        digest = hashlib.sha256()
+        ``witness`` prints, byte for byte, for every grid row and every
+        dispatcher answer on data/eval_sweep.txt (None where there is none)."""
+        rows = []
         for row in construction_grid():
             c = build_named(row["name"], row["params"])
-            digest.update(json.dumps([row["name"], row["params"], c.n, c.k, c.colors]).encode())
+            params = json.dumps(row["params"], separators=(",", ":"))
+            key = f"{row['name']} {params} {row['target']}"
+            rows.append((key, json.dumps([c.n, c.k, c.colors], separators=(",", ":"))))
         sweep = resources.files("gallai").joinpath("data/eval_sweep.txt").read_text()
         for line in sweep.splitlines():
             if not line.strip() or line.startswith("#"):
@@ -440,8 +437,8 @@ class TestPrintedBytes:
             if cert is not None:
                 c = cert.coloring
                 entry = [cert.label, {"H": spec, "k": int(k)}, c.n, c.k, c.colors]
-            digest.update(json.dumps(entry).encode())
-        assert digest.hexdigest() == _PRINTED_SHA256
+            rows.append((f"{spec} {k}", json.dumps(entry, separators=(",", ":"))))
+        assert_rows("printed", rows)
 
 
 def _outcome(build, *args):
@@ -453,16 +450,11 @@ def _outcome(build, *args):
     return [c.n, c.k, c.colors]
 
 
-# sha256 over the outcome of every registered builder on a small parameter
-# box.
-_BUILD_OUTCOMES_SHA256 = "5d611737e7a5f52f1a81074823f4bd1ce3b6630c523165cab9d560bd437f78e8"
-
-
 class TestBuildOutcomes:
     def test_every_outcome_is_pinned(self):
         """Colorings, error types and error texts of the builders stay byte
         for byte what they were, in and out of each builder's domain."""
-        digest = hashlib.sha256()
+        rows = []
         ranges = {
             "t": range(1, 9),
             "k": range(1, 9),
@@ -473,9 +465,10 @@ class TestBuildOutcomes:
         for name, (_, needed) in BUILDERS.items():
             for values in itertools.product(*(ranges[p] for p in needed)):
                 params = dict(zip(needed, values))
-                entry = [name, params, _outcome(build_named, name, params)]
-                digest.update(json.dumps(entry).encode())
-        assert digest.hexdigest() == _BUILD_OUTCOMES_SHA256
+                outcome = _outcome(build_named, name, params)
+                key = f"{name} {json.dumps(params, separators=(',', ':'))}"
+                rows.append((key, json.dumps(outcome, separators=(",", ":"))))
+        assert_rows("build_outcomes", rows)
 
 
 def _small_targets() -> list[TargetGraph]:

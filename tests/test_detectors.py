@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import random
@@ -34,9 +33,11 @@ from gallai.graphs import (
     edge_count,
     find_clique,
     parse_hspec,
+    render_hspec,
 )
 from gallai.search import _has_rainbow_p5_direct
 from gallai.structure import enumerate_p5free, p5free_classes
+from golden import assert_rows
 
 C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
 
@@ -874,14 +875,12 @@ class TestMonoCopy:
                 assert emb.vertices == tuple(range(H.t))
 
 
-# sha256 over find_mono_copy_in_color (embedding JSON or None) for every
-# S_t^r and PA_{t,omega} with t <= 8, every color, on the grid colorings and
-# seeded random hosts; recorded before the two centred searches became one.
-_CENTERED_SHA256 = "e1e2f1ef941d2a23a2db6140cb059bc0dc1f7b0667b4719e0e5ac50411f4efb5"
-
-
 class TestCenteredSearchOutputs:
     def test_every_embedding_is_pinned(self):
+        """find_mono_copy_in_color, embedding JSON or None per color, for
+        every S_t^r and PA_{t,omega} with t <= 8 on the grid colorings and
+        seeded random hosts: the golden rows recorded before the two centred
+        searches became one."""
         targets = [
             TargetGraph.star_plus(t, r) for t in range(2, 9) for r in range((t - 1) // 2 + 1)
         ]
@@ -895,14 +894,16 @@ class TestCenteredSearchOutputs:
                 1 if rng.random() < 0.5 else rng.randint(1, k) for _ in range(edge_count(n))
             ]
             hosts.append(ColoredComplete(n, k, colors))
-        digest = hashlib.sha256()
-        for c in hosts:
+        rows = []
+        for host, c in enumerate(hosts):
             for H in targets:
-                for color in range(1, c.k + 1):
-                    emb = find_mono_copy_in_color(c, H, color)
-                    entry = None if emb is None else emb.to_json_dict()
-                    digest.update(json.dumps(entry).encode())
-        assert digest.hexdigest() == _CENTERED_SHA256
+                embeddings = [
+                    find_mono_copy_in_color(c, H, color) for color in range(1, c.k + 1)
+                ]
+                answer = [None if emb is None else emb.to_json_dict() for emb in embeddings]
+                key = f"{host} {render_hspec(H)}"
+                rows.append((key, json.dumps(answer, separators=(",", ":"))))
+        assert_rows("centered", rows)
 
 
 def _unpruned_matching(masks, allowed, r):

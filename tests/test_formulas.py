@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import collections
-import hashlib
 import json
 import math
 
@@ -23,11 +22,7 @@ from gallai.formulas import (
     ramsey_known,
 )
 from gallai.graphs import TargetGraph, UnsupportedSizeError, parse_hspec, render_hspec
-
-# sha256 over every evaluate answer of TestEvaluateOutputs: (kind, value, lo,
-# hi, provenance, assumptions), or (exception type, message) for a refusal;
-# recorded before the rules returned GrResult.
-_EVALUATE_SHA256 = "5a5e9514e20652057e35caf72eeba7473a9436d019ce6b6a821064684631fc3e"
+from golden import assert_rows
 
 
 def inject(monkeypatch, *rows: RamseyEntry) -> None:
@@ -395,32 +390,31 @@ class TestEvaluateOutputs:
         return targets
 
     @staticmethod
-    def _row(H: TargetGraph, k: int, c: float | None) -> list:
+    def _answer(H: TargetGraph, k: int, c: float | None) -> list:
         try:
             res = evaluate(H, k, c=c)
         except (ConstantOutOfRange, UnsupportedSizeError) as exc:
-            return [render_hspec(H), k, c, type(exc).__name__, str(exc)]
+            return [c, type(exc).__name__, str(exc)]
         return [
-            render_hspec(H), k, c, res.kind, res.value, res.lo, res.hi,
-            list(res.provenance), list(res.assumptions),
+            c, res.kind, res.value, res.lo, res.hi, list(res.provenance), list(res.assumptions),
         ]
 
     def test_every_answer_is_pinned(self):
         """Every answer, assumptions and refusals included, over 21,300
-        queries plus the th4-7 size refusal, hashes to the recorded digest."""
+        queries plus the th4-7 size refusal: one golden row per target and
+        k, holding the answers at c = None, 0.5 and 10.0."""
         rows = [
-            self._row(H, k, c)
+            (f"{render_hspec(H)} {k}", [self._answer(H, k, c) for c in (None, 0.5, 10.0)])
             for H in self._targets()
             for k in range(1, 26)
-            for c in (None, 0.5, 10.0)
         ]
-        kinds = collections.Counter(row[3] for row in rows)
+        kinds = collections.Counter(answer[1] for _, three in rows for answer in three)
         assert kinds == {
             "Exact": 14040, "Unknown": 5715, "Bounds": 1321, "ConstantOutOfRange": 224,
         }
-        rows.append(self._row(parse_hspec("PA520,516"), 4, 1.0))
-        assert rows[-1][3] == "UnsupportedSizeError"
-        digest = hashlib.sha256()
-        for row in rows:
-            digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
-        assert digest.hexdigest() == _EVALUATE_SHA256
+        refusal = self._answer(parse_hspec("PA520,516"), 4, 1.0)
+        assert refusal[1] == "UnsupportedSizeError"
+        rows.append(("PA520,516 4", [refusal]))
+        assert_rows(
+            "evaluate", [(key, json.dumps(answers, separators=(",", ":"))) for key, answers in rows]
+        )

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from collections import Counter
@@ -34,6 +33,7 @@ from gallai.graphs import (
     short_repr,
 )
 from gallai.search import lower_bound_witness
+from golden import assert_rows
 
 
 class TestEdgeIndex:
@@ -489,18 +489,20 @@ class TestFindClique:
 
     def test_grid_mono_copies_unchanged(self):
         """Every color class of every grid row, searched for the row's own
-        target: the embeddings (or their absence) hash to the digest the
+        target: the embeddings (or their absence) are the golden rows the
         search gave before the colouring bound."""
-        found = []
+        rows = []
         for row in construction_grid():
             c = build_named(row["name"], row["params"])
             H = parse_hspec(row["target"])
+            params = json.dumps(row["params"], separators=(",", ":"))
             for color in range(1, c.k + 1):
                 emb = find_mono_copy_in_color(c, H, color)
-                found.append(None if emb is None else emb.to_json_dict())
-        digest = hashlib.sha256(json.dumps(found, separators=(",", ":")).encode()).hexdigest()
-        assert len(found) == 212
-        assert digest == "9a26874fd93b5cdd882addf6226de49a164927e623eba7ad61554a4f6782796d"
+                answer = None if emb is None else emb.to_json_dict()
+                key = f"{row['name']} {params} {row['target']} {color}"
+                rows.append((key, json.dumps(answer, separators=(",", ":"))))
+        assert len(rows) == 212
+        assert_rows("grid_mono_copies", rows)
 
 
 def _twins_by_definition(masks):

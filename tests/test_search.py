@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import inspect
 import json
 import math
@@ -33,17 +32,9 @@ from gallai.search import (
 )
 from gallai.detectors import find_mono_copy
 from gallai.structure import TheoremViolation, enumerate_p5free, p5free_classes
+from golden import assert_rows
 
 C5 = '{"order":5,"edges":[[0,1],[1,2],[2,3],[3,4],[0,4]]}'
-
-# sha256 over check_n outputs, recorded while check_n still keyed and
-# decoded every class; see TestCheckNOutputs.
-_CHECK_SHA256 = "368535db0a06eb6df102aa95bac44504d4a3e5e0c0ec1f0029d827234a059435"
-
-
-# sha256 over compute_gr(n_max=9) outputs for every graph on 3..5 vertices
-# with no isolated vertex at k = 4..6; see TestSmallGraphSweep.
-_SWEEP_SHA256 = "f0b69bbe7a225623f65b6e19407e2a40ecfeebfec5c8fc897ac3940a9712a43a"
 
 
 def _clear_class_tables():
@@ -343,11 +334,8 @@ class TestComputeGr:
 class TestCheckNOutputs:
     def test_outputs_byte_identical(self):
         """Status, examined count and witness JSON for six targets at
-        k = 4..6 and n = 2..9 (K4 at n <= 4) hash to the digest recorded when
-        every class was keyed and decoded.  Each row is hashed twice, with
-        the literals 1 and 8 in its ``threads`` column: no call takes a
-        thread count, and the literals are kept so the recorded digest
-        holds."""
+        k = 4..6 and n = 2..9 (K4 at n <= 4) are the golden rows recorded
+        when every class was keyed and decoded."""
         cases = [
             (spec, k, n)
             for spec in ("S4^1", "S5^1", "K5", "PA6,5", "K6-M", C5)
@@ -355,17 +343,16 @@ class TestCheckNOutputs:
             for n in range(2, 10)
         ]
         cases += [("K4", k, n) for k in range(4, 7) for n in range(2, 5)]
-        digest = hashlib.sha256()
+        rows = []
         for spec, k, n in cases:
             out = check_n(parse_hspec(spec), k, n)
             witness = None if out.witness is None else out.witness.to_json_dict()
-            for threads in (1, 8):
-                row = [spec, k, n, threads, out.status, out.examined, witness]
-                digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
-        assert digest.hexdigest() == _CHECK_SHA256
+            answer = [out.status, out.examined, witness]
+            rows.append((f"{spec} {k} {n}", json.dumps(answer, separators=(",", ":"))))
+        assert_rows("check", rows)
 
     def test_outputs_byte_identical_on_cold_and_warm_tables(self):
-        """The digest holds when every class is generated afresh, and again
+        """The rows hold when every class is generated afresh, and again
         when every class comes from the tables."""
         _clear_class_tables()
         self.test_outputs_byte_identical()
@@ -464,23 +451,21 @@ class TestSmallGraphSweep:
                          None if o.witness is None else o.witness.to_json_dict()]
                         for o in res.outcomes
                     ]
-                    rows.append([spec, k, res.status, res.value, outcomes])
+                    answer = [res.status, res.value, outcomes]
+                    rows.append((f"{spec} {k}", json.dumps(answer, separators=(",", ":"))))
         return rows
 
     def test_sweep_is_identical_cold_and_warm(self):
         """compute_gr(n_max=9) for all 32 graphs on 3..5 vertices with no
         isolated vertex at k = 4..6 gives the same outputs on cold tables and
-        warm ones, and they hash to the digest recorded before the class
+        warm ones, and they are the golden rows recorded before the class
         keys were kept."""
         _clear_class_tables()
         cold = self._sweep_rows()
         warm = self._sweep_rows()
         assert len(cold) == 96
         assert warm == cold
-        digest = hashlib.sha256()
-        for row in cold:
-            digest.update(json.dumps(row, separators=(",", ":")).encode() + b"\n")
-        assert digest.hexdigest() == _SWEEP_SHA256
+        assert_rows("sweep", cold)
 
 
 class TestClassTables:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from collections import Counter
@@ -32,6 +31,7 @@ from gallai.structure import (
     p5free_classes,
     parallel_map,
 )
+from golden import assert_rows
 
 
 def _random_coloring(rng, n_min, n_max, k_min=2, k_max=8):
@@ -789,9 +789,8 @@ class TestDominantColor:
         assert ties >= 200 and thrice >= 200, (ties, thrice)
 
 
-# Class counts of enumerate_p5free for n 5..9 and k 4..12 (pairs not listed
-# have no class), and the sha256 of all their canonical keys, sorted and
-# concatenated.
+# Class counts of enumerate_p5free for n 5..9 and k 4..12; pairs not listed
+# have no class.
 _CENSUS = {
     (5, 4): 8, (5, 5): 1,
     (6, 4): 11, (6, 5): 2, (6, 6): 1,
@@ -799,31 +798,31 @@ _CENSUS = {
     (8, 4): 32, (8, 5): 8, (8, 6): 4, (8, 7): 2, (8, 8): 1,
     (9, 4): 79, (9, 5): 15, (9, 6): 7, (9, 7): 4, (9, 8): 2, (9, 9): 1,
 }
-_CENSUS_SHA256 = "2b4037fcd7f114a7a6a38af6ea4d2178dee2be1a95ef27c62338ebce5c5c545a"
 
 
 class TestEnumerate:
     def test_census_up_to_order_nine(self):
+        """The class counts, and each pair's canonical keys in hex, in
+        enumeration order."""
         counts = {}
-        keys = []
+        rows = []
         for n in range(5, 10):
             for k in range(4, 13):
                 reps = enumerate_p5free(n, k)
                 if reps:
                     counts[(n, k)] = len(reps)
-                keys.extend(canonical_form(c) for c in reps)
+                    rows.append((f"{n} {k}", " ".join(canonical_form(c).hex() for c in reps)))
         assert counts == _CENSUS
-        assert hashlib.sha256(b"".join(sorted(keys))).hexdigest() == _CENSUS_SHA256
+        assert_rows("census", rows)
 
     def test_min_degree_one_graphs_pinned(self):
         """One representative per isomorphism class of graphs without an
         isolated vertex (OEIS A002494: 0, 1, 2, 7, 23), with the exact
-        representatives and their order pinned by digest; case (b) draws
-        its parts from s <= 5."""
+        representatives and their order pinned as golden rows; case (b)
+        draws its parts from s <= 5."""
         graphs = [structure._graphs_min_deg1(s) for s in range(1, 6)]
         assert [len(g) for g in graphs] == [0, 1, 2, 7, 23]
-        digest = hashlib.sha256(repr(graphs).encode()).hexdigest()
-        assert digest == "d1f8f2605df35ef3c8ac061c7274e7217f1e55e6096a9d086e40ec9728a30aff"
+        assert_rows("min_degree_one", [(str(s), repr(g)) for s, g in enumerate(graphs, 1)])
 
     def test_min_degree_one_graphs_distinct_at_order_six(self):
         """Past the pinned range, s = 6: 122 graphs (OEIS A002494), each with
@@ -908,11 +907,6 @@ _GENERATORS = (
     structure._candidates_case_e,
     structure._candidates_case_f,
 )
-
-
-# sha256 updated with repr([c.colors for c in p5free_classes(n, k)]) for n
-# 5..9 and k 4..12 in that order.
-_MEMBER_SHA256 = "a2fa319225b49a57a2c28af45b5e6826b7c2b816f5e87dc4fbea4be45a91349f"
 
 
 def _reference_candidates_b(n, k):
@@ -1013,17 +1007,14 @@ class TestClassPartition:
 
     def test_member_colorings_pinned(self):
         """The member colorings themselves, in generation order, over the
-        whole census: 202 members, pinned by one digest recorded before the
+        whole census: 202 members, the golden rows recorded before the
         generators shared a candidate writer."""
-        digest = hashlib.sha256()
-        members = 0
-        for n in range(5, 10):
-            for k in range(4, 13):
-                classes = p5free_classes(n, k)
-                members += len(classes)
-                digest.update(repr([c.colors for c in classes]).encode())
-        assert members == 202
-        assert digest.hexdigest() == _MEMBER_SHA256
+        classes = {(n, k): p5free_classes(n, k) for n in range(5, 10) for k in range(4, 13)}
+        assert sum(map(len, classes.values())) == 202
+        assert_rows(
+            "members",
+            [(f"{n} {k}", repr([c.colors for c in cs])) for (n, k), cs in classes.items()],
+        )
 
 
 class TestClassTable:
