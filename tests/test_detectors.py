@@ -35,7 +35,6 @@ from gallai.graphs import (
     parse_hspec,
     render_hspec,
 )
-from gallai.search import _has_rainbow_p5_direct
 from gallai.structure import enumerate_p5free, p5free_classes
 from golden import assert_rows
 
@@ -50,14 +49,14 @@ def _random_coloring(rng, n_min=2, n_max=8, k_max=6):
 
 
 def _brute_force_rainbow(c, m):
-    """Reference: scan every vertex sequence of length m+1."""
-    from itertools import permutations
-
-    for verts in permutations(range(c.n), m + 1):
-        if verts[0] > verts[-1]:
-            continue
-        cols = {c.color_of(a, b) for a, b in zip(verts, verts[1:])}
-        if len(cols) == m:
+    """Reference: scan every vertex sequence of length m+1, on a color
+    matrix filled from the flat color tuple in pair order."""
+    n = c.n
+    color = [[0] * n for _ in range(n)]
+    for (i, j), col in zip(itertools.combinations(range(n), 2), c.colors):
+        color[i][j] = color[j][i] = col
+    for verts in itertools.permutations(range(n), m + 1):
+        if verts[0] < verts[-1] and len({color[a][b] for a, b in zip(verts, verts[1:])}) == m:
             return True
     return False
 
@@ -201,14 +200,13 @@ class TestRainbowP5Scan:
         """The scan finds a path exactly when an independent reference does,
         for both path lengths, and hands it out smaller end first."""
         for c in _SCAN_SETS[name]():
-            # The references walk every vertex sequence; past order 12
-            # they take too long.
+            # The reference walks every vertex sequence; past order 12
+            # it takes too long.
             if c.n > 12:
                 continue
-            want = {3: _brute_force_rainbow(c, 3), 4: _has_rainbow_p5_direct(c.colors, c.n)}
             for m in (3, 4):
                 emb = find_rainbow_path(c, m)
-                assert (emb is not None) == want[m], (m, c.colors)
+                assert (emb is not None) == _brute_force_rainbow(c, m), (m, c.colors)
                 if emb is not None:
                     assert emb.vertices[0] < emb.vertices[-1]
 
@@ -217,7 +215,7 @@ class TestRainbowP5Scan:
         4-edge path: a scan that let both path ends be the same single
         vertex would report a path here."""
         c = ColoredComplete(5, 4, (1, 1, 4, 3, 2, 3, 4, 3, 4, 1))
-        assert not _has_rainbow_p5_direct(c.colors, c.n)
+        assert not _brute_force_rainbow(c, 4)
         assert find_rainbow_path(c, 4) is None
 
     def test_shared_end_takes_the_other_vertex(self):
@@ -1046,7 +1044,8 @@ def _blowup_hosts(seed, count, max_part):
     return hosts
 
 
-def _relabeled_and_recolored(rng, c):
+def _relabeled(rng, c):
+    """c with its vertices and its colors renamed at random."""
     vperm = list(range(c.n))
     rng.shuffle(vperm)
     cperm = [0] + rng.sample(range(1, c.k + 1), c.k)
@@ -1087,7 +1086,7 @@ class TestTwinPruning:
                 i, j = rng.sample(range(c.n), 2)
                 d = d.recolored(i, j, rng.randint(1, c.k))
             moved.append(d)
-        return hosts + [_relabeled_and_recolored(rng, c) for c in hosts] + moved
+        return hosts + [_relabeled(rng, c) for c in hosts] + moved
 
     def test_generic_search_matches_unpruned(self):
         rng = random.Random(9)

@@ -14,7 +14,6 @@ from gallai.formulas import (
     TH4_7_MAX_OMEGA,
     ConstantOutOfRange,
     FormulaInconsistency,
-    GrResult,
     RamseyEntry,
     builtin_ramsey_table,
     evaluate,
@@ -206,10 +205,12 @@ class TestSingleRules:
         assert res.provenance == ("th3-9", "le3-4")
 
     def test_general_star_k3_with_injected_two_color(self, monkeypatch):
+        """le3-4 at t = 7 and r = 1, with R = 13 injected:
+        lo = max(5t - 4, 2R - 1), hi = 3R + 6r - 6."""
         inject(monkeypatch, RamseyEntry(("S7^1",), 2, 13, 13, "injected"))
         res = evaluate(parse_hspec("S7^1"), 3)
         assert res.kind == "Bounds"
-        assert res.lo == max(31, 25) and res.hi == 39 - 6 + 6 * 1 - 6 + 6  # 3*13
+        assert res.lo == max(5 * 7 - 4, 2 * 13 - 1)
         assert res.hi == 3 * 13 + 6 * 1 - 6
 
     def test_pineapple_diagonal(self):

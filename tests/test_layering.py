@@ -1,5 +1,6 @@
 """Module layering: every ``gallai.*`` import inside the package points to a
-strictly lower layer, so there is no import cycle, lazy or otherwise."""
+strictly lower layer, so there is no import cycle, lazy or otherwise; and
+the other static reads of the source: no unread name, no environment read."""
 
 from __future__ import annotations
 
@@ -91,6 +92,23 @@ def _names_read(node: ast.AST) -> Counter:
         elif isinstance(sub, ast.alias):
             found[sub.name] += 1
     return found
+
+
+def test_nothing_reads_the_environment():
+    """No module of the package, the scripts or the benchmark names
+    ``environ``, ``getenv`` or ``putenv``: no option, thread count or
+    other setting comes from an environment variable, so every command,
+    script and workload answers the same under any environment."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [*PACKAGE.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("perfbench/*.py")]
+    assert {path.parent.name for path in paths} == {"gallai", "scripts", "perfbench"}
+    found = [
+        f"{path.parent.name}/{path.name}: {name}"
+        for path in paths
+        for name in _names_read(ast.parse(path.read_text()))
+        if name in ("environ", "getenv", "putenv")
+    ]
+    assert not found, f"environment reads: {found}"
 
 
 def _top_level_definitions(tree: ast.Module):

@@ -159,12 +159,6 @@ class TestSmallOrderClasses:
 
 
 class TestGroundTruthOracle:
-    def test_matches_guided_enumeration(self):
-        for k in (4, 5, 6):
-            want = rainbow_p5free_classes(5, k)
-            got = {canonical_form(c) for c in enumerate_p5free(5, k)}
-            assert got == want
-
     def test_supports_orders_up_to_five(self):
         """Below order 5 no 4-edge path fits, so the oracle keeps every
         exact class, the canonical forms of the brute-force colorings;
@@ -515,7 +509,7 @@ class TestClassTables:
             assert check_n(parse_hspec("K4"), k, 4).status == STATUS_BAD
         assert len(keyed) == 65 + 15 + 1
 
-    def test_calls_share_one_entry_and_are_validated_on_every_call(self, monkeypatch):
+    def test_calls_share_one_entry_and_are_validated_on_every_call(self):
         """Checks of two targets at one (k, n) share one table entry; an
         order or color count past the enumerator's limits is refused on
         every call and stores nothing."""
@@ -532,10 +526,6 @@ class TestClassTables:
                 check_n(parse_hspec("S4^1"), 13, 6)
         after = _class_table.cache_info()
         assert (after.hits, after.currsize) == (info.hits, info.currsize)
-        monkeypatch.setenv("GALLAI_THREADS", "zero")
-        assert check_n(parse_hspec("S4^1"), 5, 6) == want
-        after = _class_table.cache_info()
-        assert (after.hits, after.currsize) == (3, 1)
 
     def test_failed_build_stores_nothing(self, monkeypatch):
         """A generator that emits a rainbow candidate fails every check at
@@ -558,27 +548,12 @@ class TestClassTables:
 
 
 class TestNoThreadCount:
-    """The library takes no thread count and reads no ``GALLAI_THREADS``;
-    nor does any command (``test_cli.py``)."""
+    """The library takes no thread count; nor does any command
+    (``test_cli.py``), and nothing reads the environment
+    (``test_layering.py``)."""
 
     @pytest.mark.parametrize(
         "fn", [check_n, compute_gr, p5free_classes, enumerate_p5free], ids=lambda fn: fn.__name__
     )
     def test_no_threads_parameter(self, fn):
         assert "threads" not in inspect.signature(fn).parameters
-
-    def test_thread_environment_changes_nothing(self, monkeypatch):
-        """With a value no thread count could have, each library function
-        returns what it returns without the variable."""
-        H = parse_hspec("S4^1")
-        calls = (
-            lambda: check_n(H, 4, 5),
-            lambda: check_n(H, 5, 4),
-            lambda: compute_gr(H, 4, 7),
-            lambda: p5free_classes(6, 4),
-            lambda: enumerate_p5free(6, 4),
-        )
-        monkeypatch.delenv("GALLAI_THREADS", raising=False)
-        want = [call() for call in calls]
-        monkeypatch.setenv("GALLAI_THREADS", "auto")
-        assert [call() for call in calls] == want

@@ -32,6 +32,7 @@ from gallai.structure import (
     parallel_map,
 )
 from golden import assert_rows
+from test_detectors import _relabeled
 
 
 def _random_coloring(rng, n_min, n_max, k_min=2, k_max=8):
@@ -268,13 +269,6 @@ _REFERENCE_CASES = {
 def _reference_witnesses(c):
     found = {name: fn(c) for name, fn in _REFERENCE_CASES.items()}
     return {name: w for name, w in found.items() if w is not None}
-
-
-def _relabeled(rng, c):
-    vperm = list(range(c.n))
-    rng.shuffle(vperm)
-    cperm = [0] + rng.sample(range(1, c.k + 1), c.k)
-    return c.permuted(vperm, cperm)
 
 
 # Rainbow-path-free builder outputs of order 5..9.
