@@ -5,23 +5,26 @@ ascending vertex order, colors in ascending order, and the first embedding
 found is returned.  Every embedding they return is re-checked first.  A
 rainbow path is walked along its m edges on the host's flat color tuple
 (m + 1 distinct vertices inside the host, m distinct edge colors).  A
-monochromatic copy is checked by ``mono_copy_at`` in one pass over the
-target's edge list, built once per target: as many vertices as the target
-has, distinct and inside the host, and every edge a bit of the color
-class's neighbour masks ``c.adj[color]``, the masks the search itself
-reads.  A failure raises RuntimeError, an internal error.  ``mono_copy_at``
-itself returns None on a miss, stopping at the first edge off the color.
-Given no color, it takes the first target edge's, read by ``c.color_of``;
-``search.check_n`` calls it so to try a class on the vertices of a copy
-found in another.
+monochromatic copy is checked by ``mono_copy_at``: as many vertices as the
+target has, distinct and inside the host, and then ``copy_fits``, the one
+bit test of a copy, in one pass over the target's edge list, built once
+per target: every edge a bit of the color class's neighbour masks
+``c.adj[color]``, the masks the search itself reads.  A failure raises
+RuntimeError, an internal error.  ``mono_copy_at`` itself returns None on
+a miss, stopping at the first edge off the color, and packs an
+``Embedding`` only on a hit.  Given no color, it takes the first target
+edge's, read by ``c.color_of``.  ``search.check_n`` calls ``copy_fits``
+itself to try a class on the vertices of a copy found in another, which
+``mono_copy_at`` has already checked.
 
 Every monochromatic search starts and ends in ``_search_color``, behind
 the entry ``find_mono_copy_in_color``, which picks the search of the
 target's family, and ``find_mono_copy_generic``, which runs the generic
 search for any family.  It checks the color and the target's order once,
-builds the color class's one ``graphs.SearchState``, runs the search, a
-function of that state and the target that returns host vertices or None,
-and re-checks the vertices with ``mono_copy_at``.  The searches read the
+builds the color class's one ``graphs.SearchState``, returns None when the
+class has fewer edges than the target, runs the search, a function of that
+state and the target that returns host vertices or None, and re-checks the
+vertices with ``mono_copy_at``.  The searches read the
 class only from the state, so its twins are always the class's own, and
 the re-check reads the same masks: the monochromatic side reads a color
 class only through them.
@@ -167,23 +170,33 @@ one found without the rules.  The witnesses are mostly blow-ups, whose
 parts are twin classes.  In one certify pass of the benchmark (seed 11)
 the matching search visits 152 nodes, against 10,198 without any twin
 rule and 422 with the twin rules inside the matching search alone; the
-clique search makes 306 calls that visit 526 nodes, against 652 and
-2,378 without its twin rules and the skipped centres.
+clique search makes 251 calls that visit 471 nodes, against 597 and
+2,323 without its twin rules and the skipped centres.
 ``witness --H K9-M --k 4`` or ``--H S28^7 --k 4``, which ran without end
 before the twin rules, visit a few hundred nodes, and
 ``witness --H PA9,6 --k 6`` makes 5 clique searches where it made 40.
 
-No degree count cuts a search: K_t is searched over the whole class, and
-the generic search's first position takes every host vertex.  Counts that
-held both to the vertices of high enough degree cost a count of every
-vertex's degree per search and left the certify counts above as they are;
-a search pass (below) visits 835 nodes without them, 814 with them.
+One count cuts a search, before it starts: a color class with fewer edges
+than the target holds no copy, so ``_search_color`` returns None there,
+its edge count one ``bit_count`` pass over the masks, the target's its
+``TargetGraph.size``.  That is a closed form for the structured families,
+so the cut builds no edge list, which the K_t, S_t^r and PA_{t,omega}
+searches never read: ``len(H.edges)`` built one for each target parsed,
+and made the searches of a certify pass about 13 % slower (in-process, on
+fresh targets).  Of the 392 searches
+of a search pass (below), 213 are on such classes; searching them too
+visited 835 nodes where the pass now visits 760, and the certify counts
+above were 306 clique calls and 526 nodes.  No degree count cuts a search
+that runs: K_t is searched over the whole class, and the generic search's
+first position takes every host vertex.  Counts that held both to the
+vertices of high enough degree cost a count of every vertex's degree per
+search and left the certify counts as they were.
 
 The twins are built once per host and color, and only when a branch or a
 centre first fails.  The matching search for r = 1 never backtracks, and
 most searches never fail a branch: every search pass of the benchmark
-(seed 11), the first included, makes 392 searches and builds 63 twin
-tables; they visit 835 nodes, at most 23 in one search.  A certify pass
+(seed 11), the first included, makes 392 searches and builds 62 twin
+tables; they visit 760 nodes, at most 23 in one search.  A certify pass
 makes 580 searches and builds 53 twin tables once the construction table
 is warm, and the first pass of a process, which also runs the self-checks
 of the r35 block, 584 and 57.
@@ -244,14 +257,28 @@ class Embedding(NamedTuple):
         }
 
 
+def copy_fits(
+    masks: Sequence[int], vs: Sequence[int], pattern: Sequence[tuple[int, int]]
+) -> bool:
+    """Whether every pattern edge ij maps to an edge of the color class whose
+    neighbour masks are ``masks``, tested as the bit vs[j] of masks[vs[i]];
+    it stops at the first edge off the class.  The one bit test of a
+    monochromatic copy.  It checks nothing of vs: the caller has made sure
+    they are distinct vertices of the class, one per pattern vertex."""
+    for i, j in pattern:
+        if not masks[vs[i]] >> vs[j] & 1:
+            return False
+    return True
+
+
 def mono_copy_at(
     c: ColoredComplete, vs: Sequence[int], H: TargetGraph, color: int | None = None
 ) -> Embedding | None:
     """The monochromatic copy of H at host vertices vs, target vertex i at
     vs[i], or None: vs must be H.t distinct vertices of c, and every
-    edge of H must map to an edge of the color class ``color``, each tested
-    as a bit of its masks ``c.adj[color]``.  With no color given, the first
-    edge's color, read by ``c.color_of``, is the one.  A color outside
+    edge of H must map to an edge of the color class ``color``, tested by
+    ``copy_fits`` on its masks ``c.adj[color]``.  With no color given, the
+    first edge's color, read by ``c.color_of``, is the one.  A color outside
     1..k holds no copy.  An edgeless H is a copy on any H.t distinct
     vertices, in ``color``, or in color 1 when none is given."""
     vs = tuple(vs)
@@ -265,14 +292,10 @@ def mono_copy_at(
     if color is None:
         i, j = pattern[0]
         color = c.color_of(vs[i], vs[j])
-    masks = c.adj[color]
-    edges = []
-    for i, j in pattern:
-        u, w = vs[i], vs[j]
-        if not masks[u] >> w & 1:
-            return None
-        edges.append((u, w) if u < w else (w, u))
-    return Embedding(MONO_COPY, vs, color, tuple(edges))
+    if not copy_fits(c.adj[color], vs, pattern):
+        return None
+    edges = tuple((vs[i], vs[j]) if vs[i] < vs[j] else (vs[j], vs[i]) for i, j in pattern)
+    return Embedding(MONO_COPY, vs, color, edges)
 
 
 def _rainbow_path(c: ColoredComplete, m: int) -> tuple[int, ...] | None:
@@ -619,12 +642,16 @@ def _search_color(
     None: the one place a monochromatic search starts and ends.  It checks
     the color and the order, builds the class's one ``SearchState``, and
     re-checks the vertices found by ``mono_copy_at``; RuntimeError when they
-    are no copy."""
+    are no copy.  A class with fewer edges than H, ``H.size``, holds no
+    copy, so it is not searched: its edge count is half its degree sum."""
     if not 1 <= color <= c.k:
         raise ValueError(f"color {color} outside 1..{c.k}")
     if H.t > c.n:
         return None
-    vs = search(SearchState(c.adj[color]), H)
+    state = SearchState(c.adj[color])
+    if sum(map(int.bit_count, state.masks)) < 2 * H.size:
+        return None
+    vs = search(state, H)
     if vs is None:
         return None
     found = mono_copy_at(c, vs, H, color)

@@ -342,10 +342,10 @@ class TargetGraph:
     isomorphic graphs (S_3^1 and K_3, say).  ``t`` is the order.
     ``edge_list`` is the arbitrary family's input, None for the others;
     ``edges`` is the derived edge list of every family.  ``edges``,
-    ``adjacency_masks``, ``max_degree`` and ``clique_number`` are cached
-    attributes, each computed at most once per target, and only when read:
-    the rule table reads the closed forms of the structured families, so it
-    never builds an edge list.
+    ``adjacency_masks``, ``size``, ``max_degree`` and ``clique_number`` are
+    cached attributes, each computed at most once per target, and only when
+    read: the rule table and the monochromatic searches read the closed
+    forms of the structured families, so they never build an edge list.
     """
 
     family: str
@@ -455,6 +455,20 @@ class TargetGraph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return tuple(masks)
+
+    @cached_property
+    def size(self) -> int:
+        """Number of edges, in closed form for the structured families."""
+        t = self.t
+        if self.family == FAMILY_COMPLETE:
+            return t * (t - 1) // 2
+        if self.family == FAMILY_STAR_PLUS:
+            return t - 1 + self.r
+        if self.family == FAMILY_PINEAPPLE:
+            return self.omega * (self.omega - 1) // 2 + t - self.omega
+        if self.family == FAMILY_COMPLETE_MINUS_MATCHING:
+            return t * (t - 1) // 2 - t // 2
+        return len(self.edges)
 
     @property
     def is_complete(self) -> bool:

@@ -25,21 +25,24 @@ builds what it needs and gains nothing.  Arguments are validated on every
 call, and every witness is verified afresh.
 
 Within one call ``check_n`` tries each class first on the vertices of the
-last copy that ``find_mono_copy`` returned, by ``detectors.mono_copy_at``
-(the re-check every search result passes, returning None on a miss), and
-searches the class only when those vertices hold no copy there.  The
-classes of one (n, k) are a few shapes laid out on the same vertex
-positions, so the copy of one class mostly lies in the next: at (9, 4) the
-checks of S5^1, K5, PA6,5, K6-M and C5 search 7, 48, 46, 7 and 10 of the 79
-classes, and of S4^1 at (9, 5) and (9, 6) one class each.  No output can
+last copy that ``find_mono_copy`` returned, and searches the class only
+when those vertices hold no copy there.  The try is ``detectors.copy_fits``
+alone, the bit test inside ``mono_copy_at``, the re-check every search
+result passes, in the color of the copy's first edge in that class; it
+builds no ``Embedding``, and the ``check_n`` docstring says why the
+vertices need no second validation.  The classes of one (n, k) are a few
+shapes laid out on the same vertex positions, so the copy of one class
+mostly lies in the next: at (9, 4) the checks of S5^1, K5, PA6,5, K6-M and
+C5 search 7, 48, 46, 7 and 10 of the 79 classes, and of S4^1 at (9, 5) and
+(9, 6) one class each.  No output can
 change.  A class is bad exactly when it holds no copy, and
-``find_mono_copy`` finds a copy whenever one exists.  A tuple that passes
-the re-check is a copy, so a class it hits is good, as its search would
-have said; a class it misses is searched as before.  So the bad classes
-are the same, in the same order, and so are the keys computed and the
-witness.  Only the last copy is kept, and only for the call: trying every
-earlier copy made the K5 and PA6,5 checks slower, since each bad class
-tries them all.
+``find_mono_copy`` finds a copy whenever one exists.  Distinct vertices
+whose target edges all lie in one color are a copy, so a class the try
+hits is good, as its search would have said; a class it misses is
+searched as before.  So the bad classes are the same, in the same order,
+and so are the keys computed and the witness.  Only the last copy is
+kept, and only for the call: trying every earlier copy made the K5 and
+PA6,5 checks slower, since each bad class tries them all.
 """
 
 from __future__ import annotations
@@ -54,10 +57,10 @@ from gallai.canonical import canonical_form, coloring_from_key
 from gallai.constructions import build_named
 from gallai.detectors import (
     Embedding,
+    copy_fits,
     find_mono_copy,
     find_mono_copy_in_color,
     find_rainbow_path,
-    mono_copy_at,
 )
 from gallai.graphs import (
     FAMILY_PINEAPPLE,
@@ -66,6 +69,7 @@ from gallai.graphs import (
     TargetGraph,
     UnsupportedSizeError,
     edge_count,
+    edge_index,
     parse_hspec,
     render_hspec,
     require_keys,
@@ -376,7 +380,10 @@ def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
     the monochromatic tests and the witness depend on H.  Each class is
     tried first on the vertices of the last copy found in this call, and
     searched only when they hold none; the module docstring says why that
-    changes no output.
+    changes no output.  The try is the bit test ``detectors.copy_fits``
+    alone.  It relies on those vertices having passed ``mono_copy_at`` in
+    a class of order n, as every copy ``find_mono_copy`` returns has, so
+    they are H.t distinct vertices of every class in the table.
     """
     if k <= 3:
         raise ValueError(f"need k >= 4, got k={k}")
@@ -386,16 +393,20 @@ def check_n(H: TargetGraph, k: int, n: int) -> CheckOutcome:
         return CheckOutcome(H, k, n, STATUS_NO_EXACT, None, 0)
     table = _class_table(n, k)
     bad = []
-    # The vertices of the last copy found, tried first on each later class.
+    # The vertices of the last copy found, tried first on each later class
+    # in the color of its first edge, at flat index ``first``; an edgeless
+    # H is a copy in any color.
     last = None
     for c in table:
-        if last is not None and mono_copy_at(c, last, H) is not None:
+        if last is not None and copy_fits(c.adj[c.colors[first]], last, pattern):
             continue
         found = find_mono_copy(c, H)
         if found is None:
             bad.append(c)
         else:
             last = found.vertices
+            pattern = H.edges
+            first = edge_index(*found.edges[0], n) if pattern else 0
     if not bad:
         return CheckOutcome(H, k, n, STATUS_ALL_GOOD, None, len(table))
     for c in bad:

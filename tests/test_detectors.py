@@ -1235,3 +1235,27 @@ class TestSearchEntry:
         monkeypatch.setattr(graphs, "MAX_SEARCH_NODES", together - 1)
         with pytest.raises(UnsupportedSizeError, match=f"budget of {together - 1} nodes"):
             find_mono_copy_in_color(c, H, 1)
+
+    @pytest.mark.parametrize(
+        "spec", ["K5", "K6-M", "S5^2", "PA6,5", C5], ids=["K5", "K6-M", "S5^2", "PA6,5", "C5"]
+    )
+    def test_class_with_fewer_edges_than_the_target_is_not_searched(self, monkeypatch, spec):
+        """Color 1 is exactly one copy of H, on seeded vertices of a host one
+        larger: the family's search and the generic one find it.  With any
+        one of its edges recolored, color 1 has one edge fewer than H, and
+        both return None without visiting a node of their state."""
+        H = parse_hspec(spec)
+        n = H.t + 1
+        place = random.Random(H.t).sample(range(n), H.t)
+        copy = {(min(place[i], place[j]), max(place[i], place[j])) for i, j in H.edges}
+        c = ColoredComplete.from_edge_triples(
+            n, 2, [(a, b, 1 if (a, b) in copy else 2) for a, b in itertools.combinations(range(n), 2)]
+        )
+        assert sum(map(int.bit_count, c.adj[1])) == 2 * len(H.edges)
+        built = self._counted_states(monkeypatch)
+        for search in (find_mono_copy_in_color, find_mono_copy_generic):
+            assert search(c, H, 1) is not None
+            assert built[-1].left < graphs.MAX_SEARCH_NODES
+            for a, b in sorted(copy):
+                assert search(c.recolored(a, b, 2), H, 1) is None
+                assert built[-1].left == graphs.MAX_SEARCH_NODES

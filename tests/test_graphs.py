@@ -383,21 +383,22 @@ class TestTargetFamilies:
         ["K100000", "S100000^3", "PA100000,50", "K100000-M", "K200", "S200^3", "PA200,50", "K200-M"],
     )
     def test_huge_target_answers_without_an_edge_list(self, spec):
-        """Completeness, maximum degree and clique number are closed forms
-        for the structured families, and the rule table reads only those,
-        so neither they nor ``evaluate`` build an edge list or the masks.
-        The order-200 members would fit in memory, so a closed form that
-        read the edge list fails here on the assertion, not on memory."""
+        """Completeness, maximum degree, clique number and size are closed
+        forms for the structured families, and the rule table reads only
+        those, so neither they nor ``evaluate`` build an edge list or the
+        masks.  The order-200 members would fit in memory, so a closed form
+        that read the edge list fails here on the assertion, not on
+        memory."""
         H = parse_hspec(spec)
-        assert (H.is_complete, H.max_degree, H.clique_number) == {
-            "K100000": (True, 99999, 100000),
-            "S100000^3": (False, 99999, 3),
-            "PA100000,50": (False, 99999, 50),
-            "K100000-M": (False, 99998, 50000),
-            "K200": (True, 199, 200),
-            "S200^3": (False, 199, 3),
-            "PA200,50": (False, 199, 50),
-            "K200-M": (False, 198, 100),
+        assert (H.is_complete, H.max_degree, H.clique_number, H.size) == {
+            "K100000": (True, 99999, 100000, 4999950000),
+            "S100000^3": (False, 99999, 3, 100002),
+            "PA100000,50": (False, 99999, 50, 101175),
+            "K100000-M": (False, 99998, 50000, 4999900000),
+            "K200": (True, 199, 200, 19900),
+            "S200^3": (False, 199, 3, 202),
+            "PA200,50": (False, 199, 50, 1375),
+            "K200-M": (False, 198, 100, 19800),
         }[spec]
         c = 0.1 if H.family == "pineapple" else None
         for k in sorted({4, 5, 6, H.t - 1, H.t, H.t + 1}):
@@ -405,14 +406,15 @@ class TestTargetFamilies:
         assert "edges" not in vars(H) and "adjacency_masks" not in vars(H)
 
     def test_closed_forms_match_the_edge_list(self):
-        """max_degree and clique_number of every structured family member
-        with t <= 9 equal what the adjacency masks and the clique search
-        give."""
+        """size, max_degree and clique_number of every structured family
+        member with t <= 9 equal what the edge list, the adjacency masks and
+        the clique search give."""
         for t in range(2, 10):
             members = [TargetGraph.complete(t), TargetGraph.complete_minus_matching(t)]
             members.extend(TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1))
             members.extend(TargetGraph.pineapple(t, w) for w in range(2, t))
             for H in members:
+                assert H.size == len(H.edges), H
                 masks = H.adjacency_masks
                 assert H.max_degree == max(m.bit_count() for m in masks), H
                 full = (1 << t) - 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from importlib import resources
 
@@ -30,7 +31,7 @@ from gallai.search import (
     replay_certificate,
     verify_witness,
 )
-from gallai.detectors import find_mono_copy
+from gallai.detectors import find_mono_copy, mono_copy_at
 from gallai.structure import TheoremViolation, enumerate_p5free, p5free_classes
 from golden import assert_rows
 
@@ -285,6 +286,36 @@ class TestCheckN:
             hosts.clear()
         assert counts == [7, 48, 46, 7, 10, 1, 1]
         assert bad == [0, 23, 24, 0, 0, 0, 0]
+
+    def test_warm_start_agrees_with_mono_copy_at(self, monkeypatch):
+        """Every (class, previous copy) pair that ``check_n`` meets at n 5..9
+        and k 4..6, over the structured targets of order <= 7 and C5: the
+        warm start's bit test says yes exactly when ``mono_copy_at`` finds
+        the copy on those vertices of that class.  The pairs number 7,093,
+        and 1,434 of their classes are searched."""
+        targets = [parse_hspec(C5)]
+        for t in range(2, 8):
+            targets += [TargetGraph.complete(t), TargetGraph.complete_minus_matching(t)]
+            targets += [TargetGraph.star_plus(t, r) for r in range((t - 1) // 2 + 1)]
+            targets += [TargetGraph.pineapple(t, w) for w in range(2, t)]
+        real = gallai.search.copy_fits
+        answers = Counter()
+        for n in range(5, 10):
+            for k in range(4, 7):
+                # the class whose masks the bit test reads
+                owner = {id(masks): c for c in _class_table(n, k) for masks in c.adj}
+                for H in targets:
+
+                    def bit_test(masks, vs, pattern, H=H, owner=owner):
+                        got = real(masks, vs, pattern)
+                        assert pattern == H.edges
+                        assert got == (mono_copy_at(owner[id(masks)], vs, H) is not None)
+                        answers[got] += 1
+                        return got
+
+                    monkeypatch.setattr(gallai.search, "copy_fits", bit_test)
+                    check_n(H, k, n)
+        assert answers == {True: 5659, False: 1434}
 
 
 class TestComputeGr:
